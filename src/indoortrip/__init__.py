@@ -14,17 +14,13 @@ from .d2d import (
     DistanceEngine,
     build_d2d_graph,
     door_distance,
-    indoor_distance,
 )
 from .dominance import (
     DominanceContext,
     DominanceError,
-    DominanceVerdicts,
     SelectionResult,
-    certify_route_dominance,
     dominated_set,
     dominates_point,
-    dominates_route,
     preprocess,
     prune_partition,
     prune_points,
@@ -47,8 +43,6 @@ from .routing import (
     gcnn,
     point_score,
     route_cost,
-    static_cost,
-    travel_cost,
 )
 from .venue import (
     Door,
@@ -57,6 +51,7 @@ from .venue import (
     Partition,
     ValidationReport,
     Venue,
+    load_checked_venue,
     load_objects_csv,
     load_venue,
     save_objects_csv,

@@ -17,13 +17,21 @@ import numpy as np
 from .d2d import build_d2d_graph
 from .dominance import PruneReport, preprocess
 from .index import VenueIndex, build_index
-from .oracle import ORACLE_CATEGORY_LIMIT, OracleScaleError, exact_route, rank_once_greedy
+from .oracle import OracleScaleError, exact_route, rank_once_greedy
 from .routing import EmptyCategoryError, EvalCounter, TripQuery, gcnn, load_queries, route_cost
-from .venue import Venue, load_objects_csv, load_venue, validate_venue
+from .venue import Venue, load_checked_venue
 
 CSV_HEADER = "query_id,algorithm,cost,travel,static,runtime_us,points_evaluated,ratio"
 
-ALGORITHMS = ("gcnn", "gcnn-dom", "oracle", "rank-once")
+# name -> (planner(query, index, counter=...), whether it runs on the pruned index)
+PLANNERS = {
+    "gcnn": (gcnn, False),
+    "gcnn-dom": (gcnn, True),
+    "oracle": (exact_route, False),
+    "rank-once": (rank_once_greedy, False),
+}
+
+ALGORITHMS = tuple(PLANNERS)
 
 ALLOWED_DELTAS = (0, 10, 20, 50, 80, 100)
 
@@ -38,8 +46,6 @@ class ExperimentConfig:
     repetitions: int = 1
     output_path: str | None = None
     fanout: int = 4
-    oracle_limit: int = ORACLE_CATEGORY_LIMIT
-    rank_once_top_k: int = 8
     allow_any_delta: bool = False
 
     def __post_init__(self):
@@ -121,35 +127,18 @@ class ExperimentResult:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _run_algorithm(algorithm: str, query: TripQuery, indices: dict[str, VenueIndex],
-                   config: ExperimentConfig):
+def _run_algorithm(algorithm: str, query: TripQuery, indices: dict[str, VenueIndex]):
+    planner, pruned = PLANNERS[algorithm]
     counter = EvalCounter()
     start = time.perf_counter_ns()
-    if algorithm == "gcnn":
-        route = gcnn(query, indices["full"], counter=counter)
-    elif algorithm == "gcnn-dom":
-        route = gcnn(query, indices["pruned"], counter=counter)
-    elif algorithm == "rank-once":
-        route = rank_once_greedy(query, indices["full"], top_k=config.rank_once_top_k,
-                                 counter=counter)
-    elif algorithm == "oracle":
-        route = exact_route(query, indices["full"], limit=config.oracle_limit,
-                            counter=counter)
-    else:  # pragma: no cover - guarded by config validation
-        raise ValueError(algorithm)
+    route = planner(query, indices["pruned" if pruned else "full"], counter=counter)
     elapsed_us = max(1, (time.perf_counter_ns() - start) // 1000)
     return route, counter.point_evals, elapsed_us
 
 
 def load_experiment_inputs(config: ExperimentConfig) -> tuple[Venue, list[TripQuery]]:
-    venue = load_venue(config.venue_path)
-    if config.objects_path:
-        venue = venue.with_points(load_objects_csv(config.objects_path))
-    report = validate_venue(venue)
-    if not report.ok:
-        raise ValueError(f"venue failed validation: {report.findings[:5]}")
-    queries = load_queries(config.queries_path)
-    return venue, queries
+    venue = load_checked_venue(config.venue_path, config.objects_path)
+    return venue, load_queries(config.queries_path)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -161,7 +150,7 @@ def run_experiment(config: ExperimentConfig,
 
     prune_report = None
     preprocess_us = 0
-    if "gcnn-dom" in config.algorithms:
+    if any(PLANNERS[a][1] for a in config.algorithms):
         cats = frequent_categories(queries, config.delta)
         if cats:
             start = time.perf_counter_ns()
@@ -178,7 +167,7 @@ def run_experiment(config: ExperimentConfig,
         for algorithm in sorted(config.algorithms):
             for _ in range(config.repetitions):
                 try:
-                    route, evals, elapsed_us = _run_algorithm(algorithm, query, indices, config)
+                    route, evals, elapsed_us = _run_algorithm(algorithm, query, indices)
                 except (OracleScaleError, EmptyCategoryError) as exc:
                     rows.append(
                         ResultRow(

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .bench import (
     ALGORITHMS,
+    PLANNERS,
     ExperimentConfig,
     config_from_dict,
     frequent_categories,
@@ -25,9 +26,10 @@ from .bench import (
 from .d2d import build_d2d_graph
 from .dominance import preprocess
 from .index import build_index
-from .oracle import ORACLE_CATEGORY_LIMIT, exact_route, rank_once_greedy
-from .routing import EvalCounter, gcnn, load_queries, route_to_dict
+from .oracle import ORACLE_CATEGORY_LIMIT
+from .routing import EvalCounter, load_queries, route_to_dict
 from .venue import (
+    load_checked_venue,
     load_objects_csv,
     load_venue,
     save_objects_csv,
@@ -64,16 +66,6 @@ def _spec_from_args(args) -> WorkloadSpec:
         lo, hi = (int(v) for v in args.count_range.split(","))
         spec = replace(spec, count_range=(lo, hi))
     return spec
-
-
-def _load_venue_with_objects(args):
-    venue = load_venue(args.venue)
-    if getattr(args, "objects", None):
-        venue = venue.with_points(load_objects_csv(args.objects))
-    report = validate_venue(venue)
-    if not report.ok:
-        raise CliError(f"venue failed validation: {[f.message for f in report.findings[:5]]}")
-    return venue
 
 
 def cmd_gen_venue(args) -> int:
@@ -127,7 +119,7 @@ def cmd_replicate(args) -> int:
 
 
 def cmd_build_index(args) -> int:
-    venue = _load_venue_with_objects(args)
+    venue = load_checked_venue(args.venue, args.objects)
     graph = build_d2d_graph(venue)
     index = build_index(venue, graph, fanout=args.fanout)
     leaves = sum(1 for n in index.nodes.values() if n.is_leaf)
@@ -145,7 +137,7 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    venue = _load_venue_with_objects(args)
+    venue = load_checked_venue(args.venue, args.objects)
     graph = build_d2d_graph(venue)
     index = build_index(venue, graph, fanout=args.fanout)
     if args.categories_list:
@@ -170,31 +162,29 @@ def cmd_prune(args) -> int:
 
 
 def _run_queries(args, algorithm: str) -> int:
-    venue = _load_venue_with_objects(args)
+    venue = load_checked_venue(args.venue, args.objects)
     graph = build_d2d_graph(venue)
     index = build_index(venue, graph, fanout=args.fanout)
     queries = load_queries(args.queries)
 
-    if algorithm == "gcnn-dom":
+    planner, pruned = PLANNERS[algorithm]
+    if pruned:
         cats = frequent_categories(queries, args.delta)
         if cats:
             index, _ = preprocess(index, cats)
 
     outputs = []
     for query in queries:
-        counter = EvalCounter()
+        limits = {}
         if algorithm == "oracle":
             if len(query.categories) > args.limit and not args.force:
                 raise CliError(
                     f"query has {len(query.categories)} categories; "
                     f"pass --force to exceed the limit of {args.limit}"
                 )
-            route = exact_route(query, index, limit=max(args.limit, len(query.categories)),
-                                counter=counter)
-        elif algorithm == "rank-once":
-            route = rank_once_greedy(query, index, counter=counter)
-        else:
-            route = gcnn(query, index, counter=counter)
+            limits["limit"] = len(query.categories)  # the guard above replaces the library's
+        counter = EvalCounter()
+        route = planner(query, index, counter=counter, **limits)
         payload = route_to_dict(route, query.alpha)
         payload["points_evaluated"] = counter.point_evals
         outputs.append(payload)

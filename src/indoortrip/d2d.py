@@ -29,7 +29,6 @@ class DisconnectedVenueError(Exception):
 class D2DGraph:
     door_ids: tuple[int, ...]                      # sorted; row/column order of the matrix
     edges: dict[tuple[int, int], float]            # (low id, high id) -> weight
-    adjacency: dict[int, list[tuple[int, float]]]  # door id -> [(neighbour, weight)]
     _index: dict[int, int] = field(default_factory=dict, repr=False)
     _matrix: np.ndarray | None = field(default=None, repr=False)
 
@@ -79,12 +78,7 @@ def build_d2d_graph(venue: Venue) -> D2DGraph:
                     edges[key] = w
 
     door_ids = tuple(sorted(venue.doors))
-    adjacency: dict[int, list[tuple[int, float]]] = {d: [] for d in door_ids}
-    for (a, b), w in sorted(edges.items()):
-        adjacency[a].append((b, w))
-        adjacency[b].append((a, w))
-
-    graph = D2DGraph(door_ids=door_ids, edges=edges, adjacency=adjacency)
+    graph = D2DGraph(door_ids=door_ids, edges=edges)
 
     if door_ids:
         matrix = graph.distance_matrix()
@@ -162,9 +156,6 @@ class DistanceEngine:
             self._door_vectors[key] = vec
         return vec
 
-    def distance_to_door(self, loc: Location, door_id: int) -> float:
-        return float(self.door_vector(loc)[self.graph.index_of(door_id)])
-
     def distance(self, a: Location, b: Location) -> float:
         a = self._resolve(a)
         b = self._resolve(b)
@@ -183,8 +174,3 @@ class DistanceEngine:
         total = float((legs + matrix[np.ix_(rows, cols)]).min())
         self._pair_cache[cache_key] = total
         return total
-
-
-def indoor_distance(venue: Venue, graph: D2DGraph, p: Location, q: Location) -> float:
-    """One-shot indoor distance; for repeated queries use DistanceEngine."""
-    return DistanceEngine(venue, graph).distance(p, q)

@@ -4,17 +4,18 @@ Inside one partition, a point beats a same-category rival when it is
 both nearer to a door and cheaper.  Chaining such comparisons over pairs
 of doors and pairs of categories certifies that whole two-stop routes
 can never win, which lets most of a partition's points be dropped before
-query time.  Pruning is deliberately score-scale-neutral: it uses the
-unweighted distance-plus-score form, so it commits to no particular
-query preference.
+query time.  Pruning uses the unweighted distance-plus-score form, so
+it is certified only for the equal-weight cost, alpha = 0.5: a query at
+another alpha may lose its optimum on a pruned index (ROADMAP item 4).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from .routing import Route, route_cost
+from .routing import Route
 from .venue import Door, IndoorPoint, Partition, Venue, intra_distance
 
 logger = logging.getLogger(__name__)
@@ -70,24 +71,12 @@ class DominanceContext:
 
     def pair_route(self, first: IndoorPoint, second: IndoorPoint) -> Route:
         """Two-stop in-partition route entry -> first -> second -> exit."""
-        from .routing import Stop
-
-        legs = (
-            self.dist(self.entry_door, first),
-            self.dist(first, second),
-            self.dist(second, self.exit_door),
+        # Measured inside the partition, not by the engine: doors sit on its
+        # walls, and resolving one may place it in the neighbouring room.
+        return Route.through(
+            lambda a, b: intra_distance(self.partition, a, b),
+            self.entry_door.location, (first, second), self.exit_door.location,
         )
-        stops = (
-            Stop(first.category, first.id, first.static_score, first.location),
-            Stop(second.category, second.id, second.static_score, second.location),
-        )
-        waypoints = (
-            self.entry_door.location,
-            first.location,
-            second.location,
-            self.exit_door.location,
-        )
-        return Route(waypoints=waypoints, stops=stops, leg_lengths=legs, complete=True)
 
 
 def dominates_point(p_a: IndoorPoint, p_b: IndoorPoint, door: Door,
@@ -104,88 +93,12 @@ def dominates_point(p_a: IndoorPoint, p_b: IndoorPoint, door: Door,
     return da < db and p_a.static_score < p_b.static_score
 
 
-def dominated_set(p_a: IndoorPoint, door: Door, pool, partition: Partition) -> set[IndoorPoint]:
+def dominated_set(p_a: IndoorPoint, door: Door, pool: Iterable[IndoorPoint],
+                  partition: Partition) -> set[IndoorPoint]:
     """Every pool point p_a strictly beats with respect to the door."""
     return {
         p for p in pool if p.id != p_a.id and dominates_point(p_a, p, door, partition)
     }
-
-
-def dominates_route(r_a: Route, r_b: Route, alpha: float) -> bool:
-    """Strictly cheaper among comparable in-partition routes."""
-    if r_a.waypoints[0] != r_b.waypoints[0] or r_a.waypoints[-1] != r_b.waypoints[-1]:
-        raise DominanceError("route dominance requires identical entry and exit")
-    if r_a.covered_categories != r_b.covered_categories:
-        raise DominanceError("route dominance requires identical category coverage")
-    return route_cost(r_a, alpha) < route_cost(r_b, alpha)
-
-
-@dataclass(frozen=True)
-class DominanceVerdicts:
-    """Certified-dominance checks for the four two-stop configurations.
-
-    The anchor route runs entry -> p_a -> p_x -> exit; the competitor
-    shares p_x (shared_*) or substitutes p_y (pair_*).  The *_nearer
-    checks ask for strictly closer stop pairs; the *_threshold checks
-    allow a farther pair when the rank margin covers the distance gap.
-    """
-
-    shared_nearer: bool
-    shared_threshold: bool
-    pair_nearer: bool
-    pair_threshold: bool
-
-    def any(self) -> bool:
-        return self.shared_nearer or self.shared_threshold or self.pair_nearer or self.pair_threshold
-
-
-def certify_route_dominance(ctx: DominanceContext, p_a: IndoorPoint, p_b: IndoorPoint,
-                            p_x: IndoorPoint, p_y: IndoorPoint) -> DominanceVerdicts:
-    """Decide which configurations certify entry->p_a->p_x->exit as dominant.
-
-    p_a, p_b carry the first category; p_x, p_y the second.  Every check
-    is sound: a True verdict implies the competitor route costs strictly
-    more under the unweighted distance-plus-score arithmetic.
-    """
-    for p in (p_a, p_b):
-        if p.category != ctx.category_a:
-            raise DominanceError(f"point {p.id} does not carry category {ctx.category_a}")
-        ctx._check(p)
-    for p in (p_x, p_y):
-        if p.category != ctx.category_b:
-            raise DominanceError(f"point {p.id} does not carry category {ctx.category_b}")
-        ctx._check(p)
-
-    a_dominates_b = dominates_point(p_a, p_b, ctx.entry_door, ctx.partition)
-    x_dominates_y = dominates_point(p_x, p_y, ctx.exit_door, ctx.partition)
-
-    d_ax = ctx.dist(p_a, p_x)
-    d_bx = ctx.dist(p_b, p_x)
-    d_by = ctx.dist(p_b, p_y)
-
-    # Shared second stop: margin is the entry-rank gap of the first pair.
-    margin = ctx.entry_rank(p_b) - ctx.entry_rank(p_a)
-    shared_nearer = a_dominates_b and d_ax < d_bx
-    shared_threshold = (
-        a_dominates_b and d_ax >= d_bx and d_ax - margin < d_bx
-    )
-
-    # Distinct pairs: margin also absorbs the exit-rank gap of the second pair.
-    margin_pair = (
-        ctx.entry_rank(p_b) + ctx.exit_rank(p_y)
-        - ctx.entry_rank(p_a) - ctx.exit_rank(p_x)
-    )
-    pair_nearer = a_dominates_b and x_dominates_y and d_ax < d_by
-    pair_threshold = (
-        a_dominates_b and x_dominates_y and d_ax >= d_by and d_ax - margin_pair < d_by
-    )
-
-    return DominanceVerdicts(
-        shared_nearer=shared_nearer,
-        shared_threshold=shared_threshold,
-        pair_nearer=pair_nearer,
-        pair_threshold=pair_threshold,
-    )
 
 
 @dataclass
@@ -201,7 +114,7 @@ class SelectionResult:
 
 
 def prune_points(ctx: DominanceContext, p_i: IndoorPoint, p_j: IndoorPoint,
-                 remaining_a: list[IndoorPoint], dom_j: list[IndoorPoint]) -> set[int]:
+                 remaining_a: list[IndoorPoint], dom_j: Iterable[IndoorPoint]) -> set[int]:
     """Subset of p_j's dominated set that no first-category partner can
     rescue, scanned in exit-door dominance order.
 
@@ -277,10 +190,7 @@ def select_points(ctx: DominanceContext, points_a: list[IndoorPoint],
                 rivals = [p for p in rivals[1:] if ctx.dist(p, p_j) < threshold]
             if keep:
                 sel_b.add(p_j.id)
-                dom_j = [
-                    p for p in scan.values()
-                    if p.id != p_j.id and dominates_point(p_j, p, ctx.exit_door, ctx.partition)
-                ]
+                dom_j = dominated_set(p_j, ctx.exit_door, scan.values(), ctx.partition)
                 del scan[p_j.id]
                 del live_b[p_j.id]
                 for p in dom_j:

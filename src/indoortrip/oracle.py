@@ -9,14 +9,12 @@ enumeration is kept for cross-checking the DP on tiny instances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .routing import (
     EmptyCategoryError,
     EvalCounter,
     QueryContext,
     Route,
-    Stop,
     TripQuery,
     point_score,
     route_cost,
@@ -30,16 +28,6 @@ class OracleScaleError(Exception):
     """Too many categories for factorial enumeration."""
 
 
-@dataclass
-class LayeredPlan:
-    """DP state for one category visiting order."""
-
-    order: tuple[int, ...]
-    layers: list[list[IndoorPoint]]
-    best_cost: list[list[float]] = field(default_factory=list)   # per layer, per point
-    parent: list[list[int]] = field(default_factory=list)        # argmin index into previous layer
-
-
 def _live_points(index, category: int) -> list[IndoorPoint]:
     points = index.live_points(category)
     if not points:
@@ -48,7 +36,7 @@ def _live_points(index, category: int) -> list[IndoorPoint]:
 
 
 def fixed_order_best(query: TripQuery, order: tuple[int, ...], index,
-                     counter: EvalCounter | None = None) -> tuple[Route, LayeredPlan]:
+                     counter: EvalCounter | None = None) -> Route:
     """Cheapest route visiting the categories exactly in the given order.
 
     Edge legs contribute alpha * distance, each chosen point contributes
@@ -62,11 +50,12 @@ def fixed_order_best(query: TripQuery, order: tuple[int, ...], index,
     target = venue.resolve(query.target)
     alpha = query.alpha
 
-    plan = LayeredPlan(order=order, layers=[_live_points(index, c) for c in order])
+    layers = [_live_points(index, c) for c in order]
+    parent: list[list[int]] = []  # per layer, argmin index into the previous layer
 
     prev_costs = [0.0]
     prev_locs: list[Location] = [source]
-    for layer in plan.layers:
+    for layer in layers:
         costs = []
         parents = []
         for point in layer:
@@ -81,8 +70,7 @@ def fixed_order_best(query: TripQuery, order: tuple[int, ...], index,
                     arg = j
             costs.append(best + (1.0 - alpha) * point.static_score)
             parents.append(arg)
-        plan.best_cost.append(costs)
-        plan.parent.append(parents)
+        parent.append(parents)
         prev_costs = costs
         prev_locs = [p.location for p in layer]
 
@@ -96,21 +84,11 @@ def fixed_order_best(query: TripQuery, order: tuple[int, ...], index,
             last = j
     chosen: list[IndoorPoint] = []
     idx = last
-    for k in range(len(plan.layers) - 1, -1, -1):
-        chosen.append(plan.layers[k][idx])
-        idx = plan.parent[k][idx]
+    for k in range(len(layers) - 1, -1, -1):
+        chosen.append(layers[k][idx])
+        idx = parent[k][idx]
     chosen.reverse()
-
-    waypoints = [source] + [p.location for p in chosen] + [target]
-    legs = tuple(
-        engine.distance(waypoints[i], waypoints[i + 1]) for i in range(len(waypoints) - 1)
-    )
-    stops = tuple(
-        Stop(category=c, point_id=p.id, score=p.static_score, location=p.location)
-        for c, p in zip(order, chosen)
-    )
-    route = Route(waypoints=tuple(waypoints), stops=stops, leg_lengths=legs, complete=True)
-    return route, plan
+    return Route.through(engine.distance, source, chosen, target)
 
 
 def exact_route(query: TripQuery, index, limit: int = ORACLE_CATEGORY_LIMIT,
@@ -127,7 +105,7 @@ def exact_route(query: TripQuery, index, limit: int = ORACLE_CATEGORY_LIMIT,
     best_route: Route | None = None
     best_cost = float("inf")
     for order in itertools.permutations(cats):
-        route, _ = fixed_order_best(query, order, index, counter=counter)
+        route = fixed_order_best(query, order, index, counter=counter)
         cost = route_cost(route, query.alpha)
         if cost < best_cost:
             best_cost = cost
@@ -149,26 +127,11 @@ def enumerate_route(query: TripQuery, index) -> Route:
     best_cost = float("inf")
     for order in itertools.permutations(cats):
         for combo in itertools.product(*(pools[c] for c in order)):
-            waypoints = [source] + [p.location for p in combo] + [target]
-            travel = sum(
-                engine.distance(waypoints[i], waypoints[i + 1])
-                for i in range(len(waypoints) - 1)
-            )
-            static = sum(p.static_score for p in combo)
-            cost = query.alpha * travel + (1.0 - query.alpha) * static
+            route = Route.through(engine.distance, source, combo, target)
+            cost = route_cost(route, query.alpha)
             if cost < best_cost:
                 best_cost = cost
-                legs = tuple(
-                    engine.distance(waypoints[i], waypoints[i + 1])
-                    for i in range(len(waypoints) - 1)
-                )
-                stops = tuple(
-                    Stop(category=c, point_id=p.id, score=p.static_score, location=p.location)
-                    for c, p in zip(order, combo)
-                )
-                best_route = Route(
-                    waypoints=tuple(waypoints), stops=stops, leg_lengths=legs, complete=True
-                )
+                best_route = route
     assert best_route is not None
     return best_route
 
@@ -212,17 +175,6 @@ def rank_once_greedy(query: TripQuery, index, top_k: int = 8,
                 if best is None or cand[:3] < best[:3]:
                     best = cand
         _, cat, _, point = best
-        leg = engine.distance(current, point.location)
-        route = Route(
-            waypoints=route.waypoints + (point.location,),
-            stops=route.stops + (Stop(cat, point.id, point.static_score, point.location),),
-            leg_lengths=route.leg_lengths + (leg,),
-        )
+        route = route.then(point, engine.distance)
         uncovered.discard(cat)
-    leg = engine.distance(route.end(), target)
-    return Route(
-        waypoints=route.waypoints + (target,),
-        stops=route.stops,
-        leg_lengths=route.leg_lengths + (leg,),
-        complete=True,
-    )
+    return route.to(target, engine.distance)

@@ -87,17 +87,36 @@ class Route:
     def end(self) -> Location:
         return self.waypoints[-1]
 
+    def then(self, point: IndoorPoint, dist) -> "Route":
+        """This route extended by a stop at the point; dist(a, b) measures the leg."""
+        stop = Stop(point.category, point.id, point.static_score, point.location)
+        return Route(
+            waypoints=self.waypoints + (point.location,),
+            stops=self.stops + (stop,),
+            leg_lengths=self.leg_lengths + (dist(self.end(), point.location),),
+        )
 
-def travel_cost(route: Route) -> float:
-    return sum(route.leg_lengths)
+    def to(self, target: Location, dist) -> "Route":
+        """This route closed at the target: the complete route."""
+        return Route(
+            waypoints=self.waypoints + (target,),
+            stops=self.stops,
+            leg_lengths=self.leg_lengths + (dist(self.end(), target),),
+            complete=True,
+        )
 
-
-def static_cost(route: Route) -> float:
-    return sum(s.score for s in route.stops)
+    @classmethod
+    def through(cls, dist, source: Location, points: Iterable[IndoorPoint],
+                target: Location) -> "Route":
+        """Complete route source -> each point in turn -> target."""
+        route = cls(waypoints=(source,), stops=(), leg_lengths=())
+        for point in points:
+            route = route.then(point, dist)
+        return route.to(target, dist)
 
 
 def route_cost(route: Route, alpha: float) -> float:
-    return alpha * travel_cost(route) + (1.0 - alpha) * static_cost(route)
+    return alpha * route.travel + (1.0 - alpha) * route.static
 
 
 def point_score(ctx: QueryContext, current: Location, point: IndoorPoint, engine) -> float:
@@ -118,42 +137,14 @@ class EvalCounter:
     point_evals: int = 0
 
 
-def _seed_route(source: Location) -> Route:
-    return Route(waypoints=(source,), stops=(), leg_lengths=())
-
-
-def _extend(route: Route, category: int, point: IndoorPoint, engine) -> Route:
-    leg = engine.distance(route.end(), point.location)
-    stop = Stop(category, point.id, point.static_score, point.location)
-    return Route(
-        waypoints=route.waypoints + (point.location,),
-        stops=route.stops + (stop,),
-        leg_lengths=route.leg_lengths + (leg,),
-    )
-
-
-def _finish(route: Route, target: Location, engine) -> Route:
-    leg = engine.distance(route.end(), target)
-    return Route(
-        waypoints=route.waypoints + (target,),
-        stops=route.stops,
-        leg_lengths=route.leg_lengths + (leg,),
-        complete=True,
-    )
-
-
-def gcnn(query: TripQuery, index, counter: EvalCounter | None = None,
-         key_mode: str = "augmented") -> Route:
+def gcnn(query: TripQuery, index, counter: EvalCounter | None = None) -> Route:
     """Greedy planner: one cheapest category-nearest-neighbour per round.
 
     Each round extends the current best partial route by the best
     candidate of every uncovered category, then keeps only the extension
-    with the least key and discards the rest.  The default queue key is
-    the partial route cost plus the candidate's source and target legs;
-    key_mode="cost-only" drops those two legs (sensitivity runs only).
+    with the least key and discards the rest.  The queue key is the
+    partial route cost plus the candidate's source and target legs.
     """
-    if key_mode not in ("augmented", "cost-only"):
-        raise ValueError(f"unknown key_mode {key_mode!r}")
     engine = index.engine
     venue: Venue = index.venue
     source = venue.resolve(query.source)
@@ -166,22 +157,22 @@ def gcnn(query: TripQuery, index, counter: EvalCounter | None = None,
 
     # Queue holds (key, category, point id, route); cleared every round so
     # only the cheapest extension of the current route survives.
-    batch: list[tuple[float, int, int, Route]] = [(0.0, -1, -1, _seed_route(source))]
+    start = Route(waypoints=(source,), stops=(), leg_lengths=())
+    batch: list[tuple[float, int, int, Route]] = [(0.0, -1, -1, start)]
     while True:
         _, _, _, best = min(batch, key=lambda item: item[:3])
         batch = []
         uncovered = sorted(set(query.categories) - best.covered_categories)
         if not uncovered:
-            return _finish(best, target, engine)
+            return best.to(target, engine.distance)
         current = best.end()
         for cat in uncovered:
             point = index.cnn(current, cat, ctx, counter=counter)
-            extended = _extend(best, cat, point, engine)
+            extended = best.then(point, engine.distance)
             key = route_cost(extended, query.alpha)
-            if key_mode == "augmented":
-                key += engine.distance(source, point.location) + engine.distance(
-                    point.location, target
-                )
+            key += engine.distance(source, point.location) + engine.distance(
+                point.location, target
+            )
             batch.append((key, cat, point.id, extended))
 
 
@@ -242,8 +233,8 @@ def route_to_dict(route: Route, alpha: float) -> dict:
         "waypoints": [location_to_dict(w) for w in route.waypoints],
         "leg_lengths": list(route.leg_lengths),
         "covered": sorted([c, p] for c, p in route.covered),
-        "travel": travel_cost(route),
-        "static": static_cost(route),
+        "travel": route.travel,
+        "static": route.static,
         "cost": route_cost(route, alpha),
         "complete": route.complete,
     }

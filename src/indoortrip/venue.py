@@ -230,7 +230,9 @@ def validate_venue(venue: Venue) -> ValidationReport:
             report.add("dangling reference", f"point {point.id} references unknown partition {point.partition_id}")
         elif not part.contains(point.x, point.y, point.floor):
             report.add("point outside bounds", f"point {point.id} lies outside partition {part.id}")
-        if point.static_score < 0:
+        if not math.isfinite(point.static_score):
+            report.add("non-finite score", f"point {point.id} has static score {point.static_score}")
+        elif point.static_score < 0:
             report.add("negative score", f"point {point.id} has static score {point.static_score}")
 
     # Connectivity over the partition adjacency; unreachable partitions make
@@ -349,15 +351,20 @@ def save_objects_csv(points: Iterable[IndoorPoint], path: str | Path) -> None:
 
 def load_objects_csv(path: str | Path) -> list[IndoorPoint]:
     points = []
+    seen: set[int] = set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(OBJECT_CSV_HEADER) - set(reader.fieldnames or [])
         if missing:
             raise ValueError(f"object CSV is missing columns: {sorted(missing)}")
         for row in reader:
+            pid = int(row["id"])
+            if pid in seen:
+                raise ValueError(f"object CSV repeats id {pid}")
+            seen.add(pid)
             points.append(
                 IndoorPoint(
-                    id=int(row["id"]),
+                    id=pid,
                     partition_id=int(row["partition_id"]),
                     x=float(row["x"]),
                     y=float(row["y"]),
@@ -367,3 +374,17 @@ def load_objects_csv(path: str | Path) -> list[IndoorPoint]:
                 )
             )
     return points
+
+
+def load_checked_venue(venue_path: str | Path, objects_path: str | Path | None = None) -> Venue:
+    """Load a venue, add the objects CSV if given, and validate the result.
+
+    Raises ValueError naming the first five findings of a failed validation.
+    """
+    venue = load_venue(venue_path)
+    if objects_path:
+        venue = venue.with_points(load_objects_csv(objects_path))
+    report = validate_venue(venue)
+    if not report.ok:
+        raise ValueError(f"venue failed validation: {[f.message for f in report.findings[:5]]}")
+    return venue

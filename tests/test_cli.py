@@ -92,8 +92,27 @@ def test_query_and_oracle_routes(generated, tmp_path):
 
 
 def test_oracle_guard_refuses_large_queries(generated, tmp_path, capsys):
-    assert run(["oracle", "--venue", generated["venue"], "--objects", generated["objects"],
-                "--queries", generated["queries"], "--limit", "1"]) != 0
+    inputs = ["--venue", generated["venue"], "--objects", generated["objects"],
+              "--queries", generated["queries"]]
+    assert run(["oracle", *inputs, "--limit", "1"]) != 0
+    plain, forced = tmp_path / "plain.jsonl", tmp_path / "forced.jsonl"
+    assert run(["oracle", *inputs, "--out", plain]) == 0
+    assert run(["oracle", *inputs, "--limit", "1", "--force", "--out", forced]) == 0
+    assert forced.read_bytes() == plain.read_bytes()
+
+
+def test_query_gcnn_dom_matches_bench_rows(generated, tmp_path):
+    inputs = ["--venue", generated["venue"], "--objects", generated["objects"],
+              "--queries", generated["queries"]]
+    routes, results = tmp_path / "dom.jsonl", tmp_path / "dom.csv"
+    assert run(["query", *inputs, "--algorithm", "gcnn-dom", "--delta", "50",
+                "--out", routes]) == 0
+    assert run(["bench", *inputs, "--algorithms", "gcnn-dom", "--delta", "50",
+                "--out", results]) == 0
+    via_query = [json.loads(l)["cost"] for l in routes.read_text().splitlines()]
+    via_bench = [float(l.split(",")[2]) for l in results.read_text().splitlines()[1:]]
+    assert len(via_query) == 4
+    assert via_query == via_bench
 
 
 def test_bench_emits_csv_and_summary(generated, tmp_path, capsys):

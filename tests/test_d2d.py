@@ -15,7 +15,6 @@ from indoortrip import (
     build_d2d_graph,
     build_workload,
     door_distance,
-    indoor_distance,
 )
 from indoortrip.venue import intra_distance
 
@@ -133,10 +132,10 @@ def test_edge_count_formula_on_generated_venue():
 def test_indoor_distance_identity_and_euclidean(two_room_venue):
     graph = build_d2d_graph(two_room_venue)
     p = Location(1.0, 2.0, 0)
-    assert indoor_distance(two_room_venue, graph, p, p) == 0.0
+    assert DistanceEngine(two_room_venue, graph).distance(p, p) == 0.0
     a = Location(0.0, 0.0, 0)
     b = Location(6.0, 8.0, 0)
-    assert indoor_distance(two_room_venue, graph, a, b) == 10.0
+    assert DistanceEngine(two_room_venue, graph).distance(a, b) == 10.0
 
 
 def brute_force_distance(venue, graph, p, q, max_doors=3):
@@ -186,7 +185,7 @@ def test_adjacent_rooms_distance_matches_exhaustive_enumeration():
         p = Location(rng.uniform(0, 30), rng.uniform(0, 10), 0)
         q = Location(rng.uniform(0, 30), rng.uniform(0, 10), 0)
         expected = brute_force_distance(venue, graph, p, q)
-        got = indoor_distance(venue, graph, p, q)
+        got = DistanceEngine(venue, graph).distance(p, q)
         assert got == pytest.approx(expected, abs=1e-9)
 
 
@@ -196,7 +195,7 @@ def test_adjacent_rooms_single_door_decomposition(two_room_venue):
     q = Location(18.0, 9.0, 0)
     door = two_room_venue.doors[0].location
     expected = math.hypot(10 - 2, 5 - 2) + math.hypot(18 - 10, 9 - 5)
-    assert indoor_distance(two_room_venue, graph, p, q) == pytest.approx(expected)
+    assert DistanceEngine(two_room_venue, graph).distance(p, q) == pytest.approx(expected)
     assert expected == pytest.approx(
         brute_force_distance(two_room_venue, graph, p, q), abs=1e-9
     )
@@ -236,5 +235,5 @@ def test_multi_floor_distance_goes_through_stairs():
     q = Location(*(np.mean([upper.bounds[0], upper.bounds[2]]),
                    np.mean([upper.bounds[1], upper.bounds[3]])), floor=1)
     stairs = next(p for p in venue.partitions.values() if p.kind == "stairs")
-    d = indoor_distance(venue, graph, p, q)
+    d = DistanceEngine(venue, graph).distance(p, q)
     assert d >= stairs.diagonal  # must pay at least one stair flight

@@ -10,13 +10,10 @@ from indoortrip import (
     Venue,
     build_d2d_graph,
     build_index,
-    certify_route_dominance,
     dominated_set,
     dominates_point,
-    dominates_route,
     preprocess,
     prune_partition,
-    route_cost,
     select_points,
 )
 from indoortrip.dominance import DominanceContext, DominanceError, prune_points
@@ -102,108 +99,6 @@ def test_dominated_set_matches_definition_scan():
         want = {p for p in pool if p is not anchor
                 and dominates_point(anchor, p, doors[1], part)}
         assert got == want
-
-
-# -- route dominance ----------------------------------------------------------------
-
-def test_route_dominance_identical_routes_do_not_dominate():
-    part, doors = flat_partition()
-    ctx = DominanceContext(part, doors[0], doors[1], 0, 1)
-    r = ctx.pair_route(pt(0, 5, 6, 0, 2.0), pt(1, 9, 6, 1, 3.0))
-    assert not dominates_route(r, r, alpha=0.5)
-
-
-def test_route_dominance_is_strict_cost_comparison():
-    part, doors = flat_partition()
-    ctx = DominanceContext(part, doors[0], doors[1], 0, 1)
-    cheap = ctx.pair_route(pt(0, 5, 6, 0, 1.0), pt(1, 9, 6, 1, 1.0))
-    pricey = ctx.pair_route(pt(2, 5, 2, 0, 5.0), pt(3, 9, 2, 1, 5.0))
-    assert dominates_route(cheap, pricey, alpha=0.5)
-    assert not dominates_route(pricey, cheap, alpha=0.5)
-
-
-def test_route_dominance_rejects_mismatched_routes():
-    part, doors = flat_partition()
-    ctx = DominanceContext(part, doors[0], doors[1], 0, 1)
-    ctx_rev = DominanceContext(part, doors[1], doors[0], 0, 1)
-    r1 = ctx.pair_route(pt(0, 5, 6, 0, 1.0), pt(1, 9, 6, 1, 1.0))
-    r2 = ctx_rev.pair_route(pt(0, 5, 6, 0, 1.0), pt(1, 9, 6, 1, 1.0))
-    with pytest.raises(DominanceError):
-        dominates_route(r1, r2, alpha=0.5)
-
-
-def test_route_dominance_matches_direct_cost_comparison_randomized():
-    rng = random.Random(11)
-    part, doors = flat_partition()
-    ctx = DominanceContext(part, doors[0], doors[1], 0, 1)
-    for _ in range(100):
-        a = ctx.pair_route(
-            pt(0, rng.uniform(0, 20), rng.uniform(0, 12), 0, rng.uniform(0, 9)),
-            pt(1, rng.uniform(0, 20), rng.uniform(0, 12), 1, rng.uniform(0, 9)),
-        )
-        b = ctx.pair_route(
-            pt(2, rng.uniform(0, 20), rng.uniform(0, 12), 0, rng.uniform(0, 9)),
-            pt(3, rng.uniform(0, 20), rng.uniform(0, 12), 1, rng.uniform(0, 9)),
-        )
-        assert dominates_route(a, b, 0.5) == (route_cost(a, 0.5) < route_cost(b, 0.5))
-
-
-# -- certified dominance for two-stop routes --------------------------------------------
-
-def test_no_certification_for_identical_pairs():
-    part, doors = flat_partition()
-    ctx = DominanceContext(part, doors[0], doors[1], 0, 1)
-    a = pt(0, 4, 6, 0, 2.0)
-    x = pt(1, 10, 6, 1, 3.0)
-    verdicts = certify_route_dominance(ctx, a, a, x, x)
-    assert not verdicts.any()
-
-
-def test_nearer_configuration_certifies_and_cost_confirms():
-    part, doors = flat_partition()
-    ctx = DominanceContext(part, doors[0], doors[1], 0, 1)
-    p_a = pt(0, 4, 6, 0, 1.0)
-    p_b = pt(1, 2, 11, 0, 4.0)  # dominated from the entry door, farther from p_x
-    p_x = pt(2, 12, 6, 1, 2.0)
-    verdicts = certify_route_dominance(ctx, p_a, p_b, p_x, p_x)
-    assert verdicts.shared_nearer
-    r_a = ctx.pair_route(p_a, p_x)
-    r_b = ctx.pair_route(p_b, p_x)
-    assert route_cost(r_a, 0.5) < route_cost(r_b, 0.5)
-
-
-def test_threshold_configuration_can_refuse_certification():
-    # anchor pair farther and the margin does not cover the gap: no verdict,
-    # and indeed the competitor is the cheaper route here
-    part, doors = flat_partition()
-    ctx = DominanceContext(part, doors[0], doors[1], 0, 1)
-    p_a = pt(0, 4, 11, 0, 1.0)
-    p_b = pt(1, 5, 6, 0, 1.5)
-    p_x = pt(2, 12, 6, 1, 2.0)
-    verdicts = certify_route_dominance(ctx, p_a, p_b, p_x, p_x)
-    assert not verdicts.any()
-    assert route_cost(ctx.pair_route(p_b, p_x), 0.5) < route_cost(ctx.pair_route(p_a, p_x), 0.5)
-
-
-def test_certificates_are_sound_randomized():
-    rng = random.Random(19)
-    part, doors = flat_partition()
-    ctx = DominanceContext(part, doors[0], doors[1], 0, 1)
-    certified = 0
-    for _ in range(3000):
-        p_a = pt(0, rng.uniform(0, 20), rng.uniform(0, 12), 0, rng.uniform(0, 9))
-        p_b = pt(1, rng.uniform(0, 20), rng.uniform(0, 12), 0, rng.uniform(0, 9))
-        p_x = pt(2, rng.uniform(0, 20), rng.uniform(0, 12), 1, rng.uniform(0, 9))
-        p_y = pt(3, rng.uniform(0, 20), rng.uniform(0, 12), 1, rng.uniform(0, 9))
-        verdicts = certify_route_dominance(ctx, p_a, p_b, p_x, p_y)
-        r_a = ctx.pair_route(p_a, p_x)
-        if verdicts.shared_nearer or verdicts.shared_threshold:
-            certified += 1
-            assert route_cost(r_a, 0.5) < route_cost(ctx.pair_route(p_b, p_x), 0.5)
-        if verdicts.pair_nearer or verdicts.pair_threshold:
-            certified += 1
-            assert route_cost(r_a, 0.5) < route_cost(ctx.pair_route(p_b, p_y), 0.5)
-    assert certified > 100  # the checks do fire on random data
 
 
 # -- selection and pruning -----------------------------------------------------------

@@ -12,14 +12,16 @@ from indoortrip import (
     TripQuery,
     build_d2d_graph,
     build_index,
+    enumerate_route,
     exact_route,
     gcnn,
     point_score,
+    rank_once_greedy,
     route_cost,
-    static_cost,
-    travel_cost,
 )
+from indoortrip.dominance import DominanceContext
 from indoortrip.routing import Stop
+from indoortrip.venue import intra_distance
 
 from conftest import make_two_room_venue, small_workload
 
@@ -79,7 +81,7 @@ def test_travel_cost_single_waypoint_is_zero(two_room_venue):
 
     engine = DistanceEngine(two_room_venue, graph)
     route = make_route(engine, [Location(1, 1, 0)])
-    assert travel_cost(route) == 0.0
+    assert route.travel == 0.0
 
 
 def test_travel_cost_two_waypoints(two_room_venue):
@@ -89,7 +91,7 @@ def test_travel_cost_two_waypoints(two_room_venue):
     engine = DistanceEngine(two_room_venue, graph)
     a, b = Location(1, 1, 0), Location(4, 5, 0)
     route = make_route(engine, [a, b])
-    assert travel_cost(route) == pytest.approx(5.0)
+    assert route.travel == pytest.approx(5.0)
 
 
 def test_travel_cost_equals_pairwise_recomputation(two_room_venue):
@@ -100,18 +102,18 @@ def test_travel_cost_equals_pairwise_recomputation(two_room_venue):
     pts = [Location(1, 1, 0), Location(8, 2, 0), Location(15, 5, 0), Location(19, 9, 0)]
     route = make_route(engine, pts)
     expected = sum(engine.distance(pts[i], pts[i + 1]) for i in range(3))
-    assert travel_cost(route) == pytest.approx(expected, rel=1e-12)
+    assert route.travel == pytest.approx(expected, rel=1e-12)
 
 
 def test_static_cost_sums_covering_point_scores():
     empty = Route(waypoints=(Location(0, 0, 0),), stops=(), leg_lengths=())
-    assert static_cost(empty) == 0.0
+    assert empty.static == 0.0
     stops = (
         Stop(0, 1, 2.0, Location(1, 1, 0)),
         Stop(1, 2, 3.0, Location(2, 2, 0)),
     )
     route = Route(waypoints=(Location(0, 0, 0),), stops=stops, leg_lengths=())
-    assert static_cost(route) == 5.0
+    assert route.static == 5.0
 
 
 def test_route_cost_blends_travel_and_static():
@@ -226,23 +228,56 @@ def test_gcnn_matches_reference_implementation():
             )
 
 
-def test_gcnn_completeness_and_monotone_coverage():
+def pair_route_cases(venue):
+    """(route, entry, exit, categories, dist) for every pair_route of the first
+    partition that holds two categories, through its first and last door."""
+    by_part = {}
+    for p in sorted(venue.points.values(), key=lambda p: p.id):
+        by_part.setdefault(p.partition_id, {}).setdefault(p.category, []).append(p)
+    pid = min(pid for pid, cats in by_part.items() if len(cats) >= 2)
+    part = venue.partitions[pid]
+    doors = venue.partition_doors(pid)
+    cat_a, cat_b = sorted(by_part[pid])[:2]
+    ctx = DominanceContext(part, doors[0], doors[-1], cat_a, cat_b)
+
+    def dist(a, b):
+        return intra_distance(part, a, b)
+
+    return [
+        (ctx.pair_route(a, b), doors[0].location, doors[-1].location, (cat_a, cat_b), dist)
+        for a in by_part[pid][cat_a] for b in by_part[pid][cat_b]
+    ]
+
+
+@pytest.mark.parametrize(
+    "planner", [gcnn, rank_once_greedy, exact_route, enumerate_route, "pair_route"],
+    ids=["gcnn", "rank-once", "oracle", "enumerate", "pair_route"],
+)
+def test_gcnn_completeness_and_monotone_coverage(planner):
     venue, graph, index, queries = small_workload(seed=9)
-    for q in queries:
-        route = gcnn(q, index)
+    if planner == "pair_route":
+        cases = pair_route_cases(venue)
+    else:
+        cases = [
+            (planner(q, index), venue.resolve(q.source), venue.resolve(q.target),
+             q.categories, index.engine.distance)
+            for q in queries
+        ]
+    assert cases
+    for route, source, target, categories, dist in cases:
         assert route.complete
-        assert len(route.stops) == len(q.categories)
-        assert route.covered_categories == set(q.categories)
-        categories = [s.category for s in route.stops]
-        assert len(set(categories)) == len(categories)
-        assert route.waypoints[0] == venue.resolve(q.source)
-        assert route.waypoints[-1] == venue.resolve(q.target)
+        assert len(route.stops) == len(categories)
+        assert route.covered_categories == set(categories)
+        stop_categories = [s.category for s in route.stops]
+        assert len(set(stop_categories)) == len(stop_categories)
+        assert route.waypoints[0] == source
+        assert route.waypoints[-1] == target
+        # legs and stops are exactly what the shared builder makes of the stops
+        points = [venue.points[s.point_id] for s in route.stops]
+        assert route == Route.through(dist, source, points, target)
         # travel is recomputable from the waypoints
-        recomputed = sum(
-            index.engine.distance(route.waypoints[i], route.waypoints[i + 1])
-            for i in range(len(route.waypoints) - 1)
-        )
-        assert travel_cost(route) == pytest.approx(recomputed, rel=1e-12)
+        recomputed = sum(dist(a, b) for a, b in zip(route.waypoints, route.waypoints[1:]))
+        assert route.travel == pytest.approx(recomputed, rel=1e-12)
 
 
 def test_gcnn_cost_never_beats_the_oracle():
@@ -268,12 +303,3 @@ def test_gcnn_empty_category_errors_before_search():
     q = TripQuery(Location(1, 5, 0), Location(2, 5, 0), categories=(999,))
     with pytest.raises(EmptyCategoryError):
         gcnn(q, index)
-
-
-def test_gcnn_cost_only_key_mode_runs_and_differs_sometimes():
-    venue, graph, index, queries = small_workload(seed=13)
-    costs_a = [route_cost(gcnn(q, index), q.alpha) for q in queries]
-    costs_b = [route_cost(gcnn(q, index, key_mode="cost-only"), q.alpha) for q in queries]
-    assert len(costs_a) == len(costs_b)
-    with pytest.raises(ValueError):
-        gcnn(queries[0], index, key_mode="bogus")

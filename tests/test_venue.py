@@ -42,6 +42,13 @@ def test_point_outside_bounds_is_reported():
     assert "point outside bounds" in report.codes()
 
 
+def test_non_finite_score_is_reported():
+    for score in (float("nan"), float("inf"), float("-inf")):
+        bad = IndoorPoint(id=0, partition_id=0, x=1, y=1, floor=0, category=0, static_score=score)
+        report = validate_venue(make_two_room_venue(points=[bad]))
+        assert "non-finite score" in report.codes()
+
+
 def test_door_off_boundary_and_unlisted_door_are_reported():
     venue = make_two_room_venue()
     venue.doors[0] = Door(id=0, x=5.0, y=5.0, floor=0, partition_ids=(0, 1))
@@ -125,4 +132,15 @@ def test_objects_csv_missing_column_raises(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,x,y\n1,2,3\n")
     with pytest.raises(ValueError):
+        load_objects_csv(path)
+
+
+def test_objects_csv_duplicate_id_raises(tmp_path):
+    points = [
+        IndoorPoint(id=4, partition_id=0, x=1.0, y=1.0, floor=0, category=0, static_score=1.0),
+        IndoorPoint(id=4, partition_id=1, x=12.0, y=3.0, floor=0, category=1, static_score=2.0),
+    ]
+    path = tmp_path / "objects.csv"
+    save_objects_csv(points, path)
+    with pytest.raises(ValueError, match="repeats id 4"):
         load_objects_csv(path)
