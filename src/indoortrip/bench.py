@@ -127,6 +127,16 @@ class ExperimentResult:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
+def pruned_index(index: VenueIndex, queries: list[TripQuery],
+                 delta: int) -> tuple[VenueIndex, PruneReport | None]:
+    """The index with the delta% most frequent query categories pruned, and
+    the prune report; the index itself and no report when delta selects none."""
+    cats = frequent_categories(queries, delta)
+    if not cats:
+        return index, None
+    return preprocess(index, cats)
+
+
 def _run_algorithm(algorithm: str, query: TripQuery, indices: dict[str, VenueIndex]):
     planner, pruned = PLANNERS[algorithm]
     counter = EvalCounter()
@@ -151,13 +161,10 @@ def run_experiment(config: ExperimentConfig,
     prune_report = None
     preprocess_us = 0
     if any(PLANNERS[a][1] for a in config.algorithms):
-        cats = frequent_categories(queries, config.delta)
-        if cats:
-            start = time.perf_counter_ns()
-            indices["pruned"], prune_report = preprocess(index, cats)
+        start = time.perf_counter_ns()
+        indices["pruned"], prune_report = pruned_index(index, queries, config.delta)
+        if prune_report is not None:
             preprocess_us = max(1, (time.perf_counter_ns() - start) // 1000)
-        else:
-            indices["pruned"] = index
 
     rows: list[ResultRow] = []
     optima: dict[int, float] = {}

@@ -19,6 +19,7 @@ from .bench import (
     ExperimentConfig,
     config_from_dict,
     frequent_categories,
+    pruned_index,
     run_experiment,
     sweep_delta,
     write_summary,
@@ -169,9 +170,7 @@ def _run_queries(args, algorithm: str) -> int:
 
     planner, pruned = PLANNERS[algorithm]
     if pruned:
-        cats = frequent_categories(queries, args.delta)
-        if cats:
-            index, _ = preprocess(index, cats)
+        index, _ = pruned_index(index, queries, args.delta)
 
     outputs = []
     for query in queries:

@@ -3,7 +3,8 @@
 Doors are vertices; two doors sharing a partition get an edge weighted by
 their intra-partition distance.  All longer-range distances reduce to
 shortest paths over this graph plus straight-line legs inside the first
-and last partition.
+and last partition.  The engine evaluates that formula for one location
+against a whole block of points in a single numpy expression.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .venue import Location, Venue, intra_distance
+from .venue import IndoorPoint, Location, Venue, intra_distance
 
 
 class DisconnectedVenueError(Exception):
@@ -97,27 +98,59 @@ def door_distance(graph: D2DGraph, a: int, b: int) -> float:
     return got
 
 
+@dataclass(frozen=True)
+class DoorLegs:
+    """A resolved location's straight-line legs to its partition's doors."""
+
+    location: Location
+    doors: np.ndarray   # door-matrix indices of the partition's doors
+    legs: np.ndarray    # intra-partition distance to each of them
+
+
+@dataclass(frozen=True)
+class PointBlock:
+    """Points laid out for the block kernel: one row per point, one column
+    per door slot of its partition, padded to the widest partition with
+    door index 0 and an infinite leg."""
+
+    points: tuple[IndoorPoint, ...]
+    doors: np.ndarray        # (P, K) door-matrix indices
+    legs: np.ndarray         # (P, K) intra legs, inf where padded
+    partitions: np.ndarray   # (P,) partition ids
+    ids: np.ndarray          # (P,) point ids
+    scores: np.ndarray       # (P,) static scores
+
+    def take(self, rows) -> "PointBlock":
+        """The sub-block of the given rows, in that order."""
+        rows = np.asarray(rows, dtype=int)
+        return PointBlock(
+            points=tuple(self.points[i] for i in rows),
+            doors=self.doors[rows], legs=self.legs[rows],
+            partitions=self.partitions[rows], ids=self.ids[rows], scores=self.scores[rows],
+        )
+
+
 class DistanceEngine:
-    """Indoor distance with memoised door legs.
+    """Indoor distance through the door matrix.
 
     Point-to-point distance is a straight line inside a shared partition,
     otherwise a minimum over (door of a's partition, door of b's
     partition) pairs.  The entry/exit legs are added to each other before
     the door-graph term so that both evaluation directions sum in the
     same order: the metric is exactly symmetric, not just within float
-    noise.
+    noise.  `distance` and `block_distances` share that one formula, so a
+    block entry equals the scalar distance bit for bit.
+
+    The engine keeps only venue-derived state: each partition's door
+    indices and the door legs of every venue point it has laid out in a
+    block.  Nothing is kept per pair or per query location.
     """
 
     def __init__(self, venue: Venue, graph: D2DGraph):
         self.venue = venue
         self.graph = graph
-        self._door_vectors: dict[tuple, np.ndarray] = {}
-        self._intra_vectors: dict[tuple, np.ndarray] = {}
         self._part_door_idx: dict[int, np.ndarray] = {}
-        self._pair_cache: dict[tuple, float] = {}
-
-    def _resolve(self, loc: Location) -> Location:
-        return self.venue.resolve(loc)
+        self._point_legs: dict[tuple, DoorLegs] = {}
 
     def _door_indices(self, partition_id: int) -> np.ndarray:
         idx = self._part_door_idx.get(partition_id)
@@ -129,48 +162,67 @@ class DistanceEngine:
             self._part_door_idx[partition_id] = idx
         return idx
 
-    def _intra_vector(self, loc: Location) -> np.ndarray:
-        """Straight-line legs from loc to each door of its partition."""
-        key = loc.key()
-        vec = self._intra_vectors.get(key)
-        if vec is None:
+    def _legs(self, loc: Location) -> DoorLegs:
+        got = self._point_legs.get(loc.key())
+        if got is None:
             part = self.venue.partitions[loc.partition_id]
-            vec = np.array(
-                [intra_distance(part, loc, d.location) for d in self.venue.partition_doors(part.id)]
-            )
-            self._intra_vectors[key] = vec
-        return vec
+            legs = [intra_distance(part, loc, d.location) for d in self.venue.partition_doors(part.id)]
+            got = DoorLegs(loc, self._door_indices(part.id), np.array(legs, dtype=float))
+        return got
+
+    def legs(self, loc: Location) -> DoorLegs:
+        """Resolve loc and measure its legs to the doors of its partition."""
+        return self._legs(self.venue.resolve(loc))
+
+    def block(self, points) -> PointBlock:
+        """Lay points out as a block, in the given order."""
+        points = tuple(points)
+        rows = []
+        for p in points:
+            got = self.legs(p.location)
+            self._point_legs[got.location.key()] = got
+            rows.append(got)
+        width = max((got.doors.size for got in rows), default=0)
+        doors = np.zeros((len(points), width), dtype=int)
+        legs = np.full((len(points), width), np.inf)
+        for row, got in enumerate(rows):
+            doors[row, :got.doors.size] = got.doors
+            legs[row, :got.legs.size] = got.legs
+        return PointBlock(
+            points=points, doors=doors, legs=legs,
+            partitions=np.array([p.partition_id for p in points], dtype=int),
+            ids=np.array([p.id for p in points], dtype=int),
+            scores=np.array([p.static_score for p in points], dtype=float),
+        )
+
+    def _door_min(self, src: DoorLegs, doors: np.ndarray, legs: np.ndarray) -> np.ndarray:
+        """min over (i, j) of (src.legs[i] + legs[p, j]) + door_matrix[src.doors[i], doors[p, j]]
+        for every row p: the through-doors distance, same-partition pairs unpatched."""
+        matrix = self.graph.distance_matrix()
+        total = (src.legs[:, None, None] + legs[None, :, :]) + matrix[src.doors[:, None, None], doors]
+        return total.min(axis=(0, 2), initial=np.inf)
+
+    def block_distances(self, src: DoorLegs, block: PointBlock) -> np.ndarray:
+        """Distance from src's location to every point of the block."""
+        out = self._door_min(src, block.doors, block.legs)
+        loc = src.location
+        same = np.flatnonzero(block.partitions == loc.partition_id)
+        if same.size:
+            part = self.venue.partitions[loc.partition_id]
+            for row in same:
+                out[row] = intra_distance(part, loc, block.points[row].location)
+        return out
 
     def door_vector(self, loc: Location) -> np.ndarray:
         """Distance from loc to every door, through its partition's doors."""
-        loc = self._resolve(loc)
-        key = loc.key()
-        vec = self._door_vectors.get(key)
-        if vec is None:
-            part = self.venue.partitions[loc.partition_id]
-            matrix = self.graph.distance_matrix()
-            vec = np.full(len(self.graph.door_ids), np.inf)
-            for door in self.venue.partition_doors(part.id):
-                leg = intra_distance(part, loc, door.location)
-                np.minimum(vec, leg + matrix[self.graph.index_of(door.id)], out=vec)
-            self._door_vectors[key] = vec
-        return vec
+        src = self.legs(loc)
+        matrix = self.graph.distance_matrix()
+        return (src.legs[:, None] + matrix[src.doors]).min(axis=0, initial=np.inf)
 
     def distance(self, a: Location, b: Location) -> float:
-        a = self._resolve(a)
-        b = self._resolve(b)
+        a = self.venue.resolve(a)
+        b = self.venue.resolve(b)
         if a.partition_id == b.partition_id:
-            part = self.venue.partitions[a.partition_id]
-            return intra_distance(part, a, b)
-        ka, kb = a.key(), b.key()
-        cache_key = (ka, kb) if ka <= kb else (kb, ka)
-        got = self._pair_cache.get(cache_key)
-        if got is not None:
-            return got
-        matrix = self.graph.distance_matrix()
-        rows = self._door_indices(a.partition_id)
-        cols = self._door_indices(b.partition_id)
-        legs = self._intra_vector(a)[:, None] + self._intra_vector(b)[None, :]
-        total = float((legs + matrix[np.ix_(rows, cols)]).min())
-        self._pair_cache[cache_key] = total
-        return total
+            return intra_distance(self.venue.partitions[a.partition_id], a, b)
+        other = self._legs(b)
+        return float(self._door_min(self._legs(a), other.doors[None, :], other.legs[None, :])[0])

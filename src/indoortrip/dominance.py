@@ -11,14 +11,11 @@ another alpha may lose its optimum on a pruned index (ROADMAP item 4).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .routing import Route
 from .venue import Door, IndoorPoint, Partition, Venue, intra_distance
-
-logger = logging.getLogger(__name__)
 
 # Door-pair enumeration cap for door-rich partitions (hallways).
 MAX_DOORS_PER_PARTITION = 8
@@ -105,6 +102,7 @@ def dominated_set(p_a: IndoorPoint, door: Door, pool: Iterable[IndoorPoint],
 class SelectionResult:
     selected: dict[int, set[int]]  # category -> point ids kept as dominant
     pruned: dict[int, set[int]]    # category -> point ids certified prunable
+    forced: int = 0                # 1 when the fallback force-selected a point
 
     def selected_ids(self, category: int) -> set[int]:
         return self.selected.get(category, set())
@@ -201,21 +199,20 @@ def select_points(ctx: DominanceContext, points_a: list[IndoorPoint],
             else:
                 del scan[p_j.id]
 
+    forced = 0
     if sel_a and not sel_b and points_b:
         # The pseudocode cannot reach this state, but guard against a
         # category being wiped out by an unforeseen corner case.
         anchor = next(p for p in points_a if p.id == sel_a[0])
-        forced = min(points_b, key=lambda p: (ctx.dist(anchor, p), p.id))
-        sel_b.add(forced.id)
-        pruned_b.discard(forced.id)
-        logger.warning(
-            "force-selected point %d for category %d in partition %d",
-            forced.id, ctx.category_b, ctx.partition.id,
-        )
+        pick = min(points_b, key=lambda p: (ctx.dist(anchor, p), p.id))
+        sel_b.add(pick.id)
+        pruned_b.discard(pick.id)
+        forced = 1
 
     return SelectionResult(
         selected={ctx.category_a: set(sel_a), ctx.category_b: sel_b},
         pruned={ctx.category_a: set(), ctx.category_b: pruned_b},
+        forced=forced,
     )
 
 
@@ -226,27 +223,55 @@ def _door_pairs(venue: Venue, partition: Partition) -> list[tuple[Door, Door]]:
         cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
         doors = sorted(doors, key=lambda d: ((d.x - cx) ** 2 + (d.y - cy) ** 2, d.id))
         doors = doors[:MAX_DOORS_PER_PARTITION]
-        logger.warning(
-            "partition %d has more than %d doors; pruning only over the %d nearest the centroid",
-            partition.id, MAX_DOORS_PER_PARTITION, MAX_DOORS_PER_PARTITION,
-        )
     doors = sorted(doors, key=lambda d: d.id)
     return [(di, dj) for di in doors for dj in doors]
 
 
+@dataclass
+class PruneReport:
+    """Deterministic record of what preprocessing eliminated."""
+
+    eliminated: dict[int, dict[int, int]] = field(default_factory=dict)  # partition -> category -> count
+    kept: int = 0
+    removed: int = 0
+    door_capped: int = 0  # partitions pruned over only MAX_DOORS_PER_PARTITION of their doors
+    forced: int = 0       # runs whose fallback force-selected a point
+
+    def add(self, partition_id: int, category: int, count: int) -> None:
+        if count:
+            self.eliminated.setdefault(partition_id, {})[category] = count
+            self.removed += count
+
+    def to_dict(self) -> dict:
+        return {
+            "removed": self.removed,
+            "kept": self.kept,
+            "door_capped_partitions": self.door_capped,
+            "forced_selections": self.forced,
+            "per_partition": {
+                str(pid): {str(c): n for c, n in sorted(cats.items())}
+                for pid, cats in sorted(self.eliminated.items())
+            },
+        }
+
+
 def prune_partition(venue: Venue, partition: Partition,
-                    points_by_category: dict[int, list[IndoorPoint]]) -> dict[int, set[int]]:
+                    points_by_category: dict[int, list[IndoorPoint]],
+                    report: PruneReport | None = None) -> dict[int, set[int]]:
     """Surviving point ids per category after all pruning runs.
 
     Every ordered door pair (self-pairs included) is crossed with every
     unordered category pair; each run starts from the partition's full
     point sets and the survivors are the union of all selections.
     A category is only touched when a second category is present.
+    A given report counts a door cap and the runs' forced selections.
     """
     cats = sorted(c for c, pts in points_by_category.items() if pts)
     if len(cats) < 2:
         return {c: {p.id for p in pts} for c, pts in points_by_category.items()}
 
+    if report is not None and len(partition.door_ids) > MAX_DOORS_PER_PARTITION:
+        report.door_capped += 1
     survivors: dict[int, set[int]] = {c: set() for c in points_by_category}
     for d_i, d_j in _door_pairs(venue, partition):
         for ai in range(len(cats)):
@@ -258,31 +283,9 @@ def prune_partition(venue: Venue, partition: Partition,
                 )
                 survivors[c_a] |= result.selected_ids(c_a)
                 survivors[c_b] |= result.selected_ids(c_b)
+                if report is not None:
+                    report.forced += result.forced
     return survivors
-
-
-@dataclass
-class PruneReport:
-    """Deterministic record of what preprocessing eliminated."""
-
-    eliminated: dict[int, dict[int, int]] = field(default_factory=dict)  # partition -> category -> count
-    kept: int = 0
-    removed: int = 0
-
-    def add(self, partition_id: int, category: int, count: int) -> None:
-        if count:
-            self.eliminated.setdefault(partition_id, {})[category] = count
-            self.removed += count
-
-    def to_dict(self) -> dict:
-        return {
-            "removed": self.removed,
-            "kept": self.kept,
-            "per_partition": {
-                str(pid): {str(c): n for c, n in sorted(cats.items())}
-                for pid, cats in sorted(self.eliminated.items())
-            },
-        }
 
 
 def preprocess(index, frequent_categories) -> tuple["object", PruneReport]:
@@ -303,7 +306,7 @@ def preprocess(index, frequent_categories) -> tuple["object", PruneReport]:
                 by_cat[cat] = [venue.points[i] for i in ids]
         if len(by_cat) < 2:
             continue
-        survivors = prune_partition(venue, venue.partitions[pid], by_cat)
+        survivors = prune_partition(venue, venue.partitions[pid], by_cat, report)
         for cat, pts in by_cat.items():
             gone = [p.id for p in pts if p.id not in survivors[cat]]
             report.add(pid, cat, len(gone))

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .d2d import D2DGraph, DistanceEngine
-from .routing import EmptyCategoryError, EvalCounter, QueryContext, point_score
+from .d2d import D2DGraph, DistanceEngine, PointBlock
+from .routing import EmptyCategoryError, EvalCounter, QueryContext
 from .venue import IndoorPoint, Location, Venue
 
 
@@ -42,6 +42,28 @@ class CnnStats:
     skipped_bounds: list[float] = field(default_factory=list)
 
 
+class _QueryMemo:
+    """Terms fixed for one query that its cnn calls reuse: door vectors of
+    the locations seen, each node's source and target entry bounds, and
+    each leaf block's source and target distances.  An index holds the
+    memo of one query and starts a new one when the query context changes."""
+
+    def __init__(self, ctx: QueryContext, engine: DistanceEngine):
+        self.ctx = ctx
+        self.engine = engine
+        self.source = engine.legs(ctx.source)
+        self.target = engine.legs(ctx.target)
+        self.door_vectors: dict[tuple, np.ndarray] = {}
+        self.node_ends: dict[int, tuple[float, float]] = {}
+        self.block_ends: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def door_vector(self, loc: Location) -> np.ndarray:
+        vec = self.door_vectors.get(loc.key())
+        if vec is None:
+            vec = self.door_vectors[loc.key()] = self.engine.door_vector(loc)
+        return vec
+
+
 class VenueIndex:
     """One snapshot of the index; point removal yields a new snapshot."""
 
@@ -55,6 +77,9 @@ class VenueIndex:
         self.engine = engine or DistanceEngine(venue, graph)
         self._live_by_part_cat: dict[tuple[int, int], tuple[int, ...]] = {}
         self._boundary_idx: dict[int, np.ndarray] = {}
+        # Built on first use: a category's block, and a leaf's per category.
+        self._blocks: dict = {}
+        self._memo: _QueryMemo | None = None
         self._refresh_aggregates()
 
     # -- aggregate maintenance ------------------------------------------------
@@ -144,24 +169,54 @@ class VenueIndex:
             self._boundary_idx[node.id] = idx
         return idx
 
-    def _entry_bound(self, loc: Location, node: IndexNode) -> float:
+    def category_block(self, category: int) -> PointBlock:
+        """The category's live points, in id order, as one distance block."""
+        block = self._blocks.get(category)
+        if block is None:
+            block = self.engine.block(self.live_points(category))
+            self._blocks[category] = block
+        return block
+
+    def _leaf_block(self, node: IndexNode, category: int) -> PointBlock:
+        """The leaf's live points of the category, in id order."""
+        key = (node.id, category)
+        block = self._blocks.get(key)
+        if block is None:
+            ids = sorted(
+                i for pid in node.inverted[category] for i in self._live_by_part_cat[(pid, category)]
+            )
+            block = self.engine.block(self.venue.points[i] for i in ids)
+            self._blocks[key] = block
+        return block
+
+    def _query_memo(self, ctx: QueryContext) -> _QueryMemo:
+        # Read once: a concurrent query may replace self._memo at any time.
+        memo = self._memo
+        if memo is None or memo.ctx != ctx:
+            memo = self._memo = _QueryMemo(ctx, self.engine)
+        return memo
+
+    def _entry_bound(self, door_vector: np.ndarray, loc: Location, node: IndexNode) -> float:
         """Lower bound on the distance from loc to anywhere inside node."""
         if loc.partition_id in node.covered:
             return 0.0
         idx = self._boundary_indices(node)
         if idx.size == 0:
             return 0.0
-        return float(self.engine.door_vector(loc)[idx].min())
+        return float(door_vector[idx].min())
 
     def _node_bound(self, node: IndexNode, category: int, from_loc: Location,
-                    ctx: QueryContext) -> float:
+                    from_vector: np.ndarray, memo: _QueryMemo) -> float:
         ms = node.min_static[category]
-        a = ctx.alpha
-        travel_lb = (
-            self._entry_bound(ctx.source, node)
-            + self._entry_bound(from_loc, node)
-            + self._entry_bound(ctx.target, node)
-        )
+        a = memo.ctx.alpha
+        ends = memo.node_ends.get(node.id)
+        if ends is None:
+            source, target = memo.ctx.source, memo.ctx.target
+            ends = memo.node_ends[node.id] = (
+                self._entry_bound(memo.door_vector(source), source, node),
+                self._entry_bound(memo.door_vector(target), target, node),
+            )
+        travel_lb = ends[0] + self._entry_bound(from_vector, from_loc, node) + ends[1]
         return a * travel_lb + (1.0 - a) * ms
 
     def cnn(self, from_loc: Location, category: int, ctx: QueryContext,
@@ -169,7 +224,7 @@ class VenueIndex:
         """Live point of the category minimising the three-leg score.
 
         Equals a linear scan over the category's live points; ties go to
-        the smallest point id.
+        the smallest point id.  Each visited leaf is scored as one block.
         """
         root = self.root
         if category not in root.inverted:
@@ -180,10 +235,16 @@ class VenueIndex:
             ctx = QueryContext(
                 self.venue.resolve(ctx.source), self.venue.resolve(ctx.target), ctx.alpha
             )
+        memo = self._query_memo(ctx)
+        from_vector = memo.door_vector(from_loc)
+        from_legs = self.engine.legs(from_loc)
+        a = ctx.alpha
 
         best_score = float("inf")
         best_point: IndoorPoint | None = None
-        heap: list[tuple[float, int]] = [(self._node_bound(root, category, from_loc, ctx), root.id)]
+        heap: list[tuple[float, int]] = [
+            (self._node_bound(root, category, from_loc, from_vector, memo), root.id)
+        ]
         while heap:
             bound, nid = heapq.heappop(heap)
             if best_point is not None and bound > best_score:
@@ -192,24 +253,34 @@ class VenueIndex:
                 continue
             node = self.nodes[nid]
             if node.is_leaf:
-                for pid in sorted(node.inverted[category]):
-                    for point_id in self._live_by_part_cat[(pid, category)]:
-                        point = self.venue.points[point_id]
-                        score = point_score(ctx, from_loc, point, self.engine)
-                        if stats is not None:
-                            stats.evaluated += 1
-                        if counter is not None:
-                            counter.point_evals += 1
-                        if score < best_score or (
-                            score == best_score and best_point is not None and point.id < best_point.id
-                        ):
-                            best_score = score
-                            best_point = point
+                block = self._leaf_block(node, category)
+                ends = memo.block_ends.get((nid, category))
+                if ends is None:
+                    ends = memo.block_ends[(nid, category)] = (
+                        self.engine.block_distances(memo.source, block),
+                        self.engine.block_distances(memo.target, block),
+                    )
+                to_source, to_target = ends
+                travel = to_source + self.engine.block_distances(from_legs, block) + to_target
+                scores = a * travel + (1.0 - a) * block.scores
+                if stats is not None:
+                    stats.evaluated += len(block.points)
+                if counter is not None:
+                    counter.point_evals += len(block.points)
+                row = int(scores.argmin())  # first minimum: the smallest id among ties
+                score = float(scores[row])
+                point = block.points[row]
+                if score < best_score or (
+                    score == best_score and best_point is not None and point.id < best_point.id
+                ):
+                    best_score = score
+                    best_point = point
             else:
                 for cid in node.children:
                     child = self.nodes[cid]
                     if category in child.inverted:
-                        heapq.heappush(heap, (self._node_bound(child, category, from_loc, ctx), cid))
+                        bound = self._node_bound(child, category, from_loc, from_vector, memo)
+                        heapq.heappush(heap, (bound, cid))
         assert best_point is not None
         return best_point
 

@@ -10,16 +10,11 @@ from __future__ import annotations
 
 import itertools
 
-from .routing import (
-    EmptyCategoryError,
-    EvalCounter,
-    QueryContext,
-    Route,
-    TripQuery,
-    point_score,
-    route_cost,
-)
-from .venue import IndoorPoint, Location
+import numpy as np
+
+from .d2d import PointBlock
+from .routing import EmptyCategoryError, EvalCounter, Route, TripQuery, route_cost
+from .venue import IndoorPoint
 
 ORACLE_CATEGORY_LIMIT = 7
 
@@ -28,11 +23,74 @@ class OracleScaleError(Exception):
     """Too many categories for factorial enumeration."""
 
 
-def _live_points(index, category: int) -> list[IndoorPoint]:
-    points = index.live_points(category)
-    if not points:
+def _category_block(index, category: int) -> PointBlock:
+    block = index.category_block(category)
+    if not block.points:
         raise EmptyCategoryError(f"category {category} has no live points")
-    return points
+    return block
+
+
+class _QueryTables:
+    """The distances a query's layered DP reads, measured once per query:
+    from the source and to the target for each category's points, and
+    between the points of each pair of categories."""
+
+    def __init__(self, query: TripQuery, index):
+        self.engine = index.engine
+        self.source = index.venue.resolve(query.source)
+        self.target = index.venue.resolve(query.target)
+        self.blocks = {c: _category_block(index, c) for c in query.categories}
+        source_legs = self.engine.legs(self.source)
+        target_legs = self.engine.legs(self.target)
+        self.from_source = {c: self.engine.block_distances(source_legs, b)
+                            for c, b in self.blocks.items()}
+        self.to_target = {c: self.engine.block_distances(target_legs, b)
+                          for c, b in self.blocks.items()}
+        self._between: dict[tuple[int, int], np.ndarray] = {}
+
+    def between(self, a: int, b: int) -> np.ndarray:
+        """[i, j] = distance from point i of category a to point j of b."""
+        got = self._between.get((a, b))
+        if got is None:
+            if (b, a) in self._between:
+                return self._between[(b, a)].T  # the metric is exactly symmetric
+            block = self.blocks[b]
+            got = np.array([
+                self.engine.block_distances(self.engine.legs(p.location), block)
+                for p in self.blocks[a].points
+            ])
+            self._between[(a, b)] = got
+        return got
+
+
+def _best_in_order(tables: _QueryTables, order: tuple[int, ...], alpha: float,
+                   counter: EvalCounter | None) -> Route:
+    """The layered DP over one category order: a min-plus step per layer.
+
+    A first-index argmin keeps the earliest (smallest-id) predecessor among
+    equal candidates."""
+    parent: list[np.ndarray] = []  # per layer, argmin index into the previous layer
+    prev_costs = np.zeros(1)
+    for k, cat in enumerate(order):
+        block = tables.blocks[cat]
+        if k == 0:
+            dist = tables.from_source[cat][None, :]
+        else:
+            dist = tables.between(order[k - 1], cat)
+        cand = prev_costs[:, None] + alpha * dist
+        if counter is not None:
+            counter.point_evals += cand.size
+        parent.append(cand.argmin(axis=0))
+        prev_costs = cand.min(axis=0) + (1.0 - alpha) * block.scores
+
+    # Close at the target, then walk parents back to recover the stops.
+    idx = int((prev_costs + alpha * tables.to_target[order[-1]]).argmin())
+    chosen: list[IndoorPoint] = []
+    for k in range(len(order) - 1, -1, -1):
+        chosen.append(tables.blocks[order[k]].points[idx])
+        idx = int(parent[k][idx])
+    chosen.reverse()
+    return Route.through(tables.engine.distance, tables.source, chosen, tables.target)
 
 
 def fixed_order_best(query: TripQuery, order: tuple[int, ...], index,
@@ -44,51 +102,7 @@ def fixed_order_best(query: TripQuery, order: tuple[int, ...], index,
     """
     if sorted(order) != sorted(query.categories):
         raise ValueError("order must be a permutation of the query categories")
-    engine = index.engine
-    venue = index.venue
-    source = venue.resolve(query.source)
-    target = venue.resolve(query.target)
-    alpha = query.alpha
-
-    layers = [_live_points(index, c) for c in order]
-    parent: list[list[int]] = []  # per layer, argmin index into the previous layer
-
-    prev_costs = [0.0]
-    prev_locs: list[Location] = [source]
-    for layer in layers:
-        costs = []
-        parents = []
-        for point in layer:
-            best = float("inf")
-            arg = -1
-            for j, (pc, ploc) in enumerate(zip(prev_costs, prev_locs)):
-                cand = pc + alpha * engine.distance(ploc, point.location)
-                if counter is not None:
-                    counter.point_evals += 1
-                if cand < best:
-                    best = cand
-                    arg = j
-            costs.append(best + (1.0 - alpha) * point.static_score)
-            parents.append(arg)
-        parent.append(parents)
-        prev_costs = costs
-        prev_locs = [p.location for p in layer]
-
-    # Close at the target, then walk parents back to recover the stops.
-    best_total = float("inf")
-    last = -1
-    for j, (pc, ploc) in enumerate(zip(prev_costs, prev_locs)):
-        cand = pc + alpha * engine.distance(ploc, target)
-        if cand < best_total:
-            best_total = cand
-            last = j
-    chosen: list[IndoorPoint] = []
-    idx = last
-    for k in range(len(layers) - 1, -1, -1):
-        chosen.append(layers[k][idx])
-        idx = parent[k][idx]
-    chosen.reverse()
-    return Route.through(engine.distance, source, chosen, target)
+    return _best_in_order(_QueryTables(query, index), tuple(order), query.alpha, counter)
 
 
 def exact_route(query: TripQuery, index, limit: int = ORACLE_CATEGORY_LIMIT,
@@ -102,10 +116,11 @@ def exact_route(query: TripQuery, index, limit: int = ORACLE_CATEGORY_LIMIT,
         raise OracleScaleError(
             f"{len(cats)} categories exceed the factorial guard of {limit}"
         )
+    tables = _QueryTables(query, index)
     best_route: Route | None = None
     best_cost = float("inf")
     for order in itertools.permutations(cats):
-        route = fixed_order_best(query, order, index, counter=counter)
+        route = _best_in_order(tables, order, query.alpha, counter)
         cost = route_cost(route, query.alpha)
         if cost < best_cost:
             best_cost = cost
@@ -121,7 +136,7 @@ def enumerate_route(query: TripQuery, index) -> Route:
     source = venue.resolve(query.source)
     target = venue.resolve(query.target)
     cats = tuple(sorted(query.categories))
-    pools = {c: _live_points(index, c) for c in cats}
+    pools = {c: _category_block(index, c).points for c in cats}
 
     best_route: Route | None = None
     best_cost = float("inf")
@@ -148,32 +163,36 @@ def rank_once_greedy(query: TripQuery, index, top_k: int = 8,
     venue = index.venue
     source = venue.resolve(query.source)
     target = venue.resolve(query.target)
-    ctx = QueryContext(source, target, query.alpha)
+    source_legs = engine.legs(source)
+    target_legs = engine.legs(target)
     alpha = query.alpha
 
-    shortlists: dict[int, list[IndoorPoint]] = {}
+    # Rank by the three-leg score from the source (so the source leg counts
+    # twice), ties to the smaller id; keep each category's top k.
+    shortlists: dict[int, PointBlock] = {}
     for cat in sorted(set(query.categories)):
-        pool = _live_points(index, cat)
-        ranked = sorted(
-            pool, key=lambda p: (point_score(ctx, source, p, engine), p.id)
-        )
+        block = _category_block(index, cat)
+        from_source = engine.block_distances(source_legs, block)
+        travel = from_source + from_source + engine.block_distances(target_legs, block)
+        scores = alpha * travel + (1.0 - alpha) * block.scores
         if counter is not None:
-            counter.point_evals += len(pool)
-        shortlists[cat] = ranked[:top_k]
+            counter.point_evals += len(block.points)
+        shortlists[cat] = block.take(np.lexsort((block.ids, scores))[:top_k])
 
     route = Route(waypoints=(source,), stops=(), leg_lengths=())
     uncovered = set(query.categories)
     while uncovered:
         best = None  # (step cost, category, point id, point)
-        current = route.end()
+        current = engine.legs(route.end())
         for cat in sorted(uncovered):
-            for p in shortlists[cat]:
-                step = alpha * engine.distance(current, p.location) + (1.0 - alpha) * p.static_score
-                if counter is not None:
-                    counter.point_evals += 1
-                cand = (step, cat, p.id, p)
-                if best is None or cand[:3] < best[:3]:
-                    best = cand
+            short = shortlists[cat]
+            steps = alpha * engine.block_distances(current, short) + (1.0 - alpha) * short.scores
+            if counter is not None:
+                counter.point_evals += len(short.points)
+            row = np.lexsort((short.ids, steps))[0]
+            cand = (float(steps[row]), cat, int(short.ids[row]), short.points[row])
+            if best is None or cand[:3] < best[:3]:
+                best = cand
         _, cat, _, point = best
         route = route.then(point, engine.distance)
         uncovered.discard(cat)

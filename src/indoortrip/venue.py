@@ -128,10 +128,24 @@ class Venue:
         return sorted(seen)
 
     def resolve(self, loc: Location) -> Location:
-        """Attach a partition id to a location; smallest id wins on overlap."""
+        """Attach a partition id to a location; smallest id wins on overlap.
+
+        A location that names its partition must lie inside it, with finite
+        coordinates; otherwise a ValueError names the partition.
+        """
         if loc.partition_id is not None:
-            if loc.partition_id not in self.partitions:
+            part = self.partitions.get(loc.partition_id)
+            if part is None:
                 raise ValueError(f"location references unknown partition {loc.partition_id}")
+            if not (math.isfinite(loc.x) and math.isfinite(loc.y)):
+                raise ValueError(
+                    f"location in partition {part.id} has non-finite coordinates ({loc.x}, {loc.y})"
+                )
+            if not part.contains(loc.x, loc.y, loc.floor):
+                raise ValueError(
+                    f"location ({loc.x}, {loc.y}, floor {loc.floor}) lies outside "
+                    f"its partition {part.id}"
+                )
             return loc
         for pid in sorted(self.partitions):
             if self.partitions[pid].contains(loc.x, loc.y, loc.floor):

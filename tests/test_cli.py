@@ -115,6 +115,20 @@ def test_query_gcnn_dom_matches_bench_rows(generated, tmp_path):
     assert via_query == via_bench
 
 
+@pytest.mark.parametrize("x, y", [(float("nan"), float("nan")), (1e6, 1e6)], ids=["nan", "far"])
+def test_query_rejects_an_endpoint_outside_its_partition(generated, tmp_path, capsys, x, y):
+    lines = generated["queries"].read_text().splitlines()
+    first = json.loads(lines[0])
+    first["source"] = dict(first["source"], x=x, y=y, partition_id=7)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    assert run(["query", "--venue", generated["venue"], "--objects", generated["objects"],
+                "--queries", bad]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "partition 7" in err
+
+
 def test_bench_emits_csv_and_summary(generated, tmp_path, capsys):
     out = tmp_path / "results.csv"
     summary = tmp_path / "summary.json"

@@ -268,6 +268,31 @@ def test_prune_partition_caps_door_pair_enumeration():
     venue = Venue(partitions={0: part}, doors=doors)
     pairs = dom._door_pairs(venue, part)
     assert len(pairs) == dom.MAX_DOORS_PER_PARTITION ** 2
+    # Pruning the hallway counts the cap once in the report.
+    by_cat = {0: [pt(0, 5.0, 6.0, 0, 1.0)], 1: [pt(1, 30.0, 6.0, 1, 2.0)]}
+    report = dom.PruneReport()
+    prune_partition(venue, part, by_cat, report)
+    assert report.door_capped == 1
+    assert report.to_dict()["door_capped_partitions"] == 1
+    assert report.forced == 0
+
+
+def test_prune_report_counts_forced_selections(monkeypatch):
+    part, doors = flat_partition()
+    by_cat = {1: [pt(1, 2.0, 2.0, 1, 1.0)], 2: [pt(2, 4.0, 9.0, 2, 1.0)]}
+    venue = Venue(partitions={0: part}, doors=doors,
+                  points={p.id: p for pts in by_cat.values() for p in pts})
+
+    def fake_select_points(ctx, points_a, points_b):
+        return dom.SelectionResult(selected={1: {1}, 2: {2}}, pruned={1: set(), 2: set()},
+                                   forced=int(ctx.entry_door.id == ctx.exit_door.id))
+
+    monkeypatch.setattr(dom, "select_points", fake_select_points)
+    report = dom.PruneReport()
+    prune_partition(venue, part, by_cat, report)
+    assert report.forced == 2  # the two self door pairs
+    assert report.door_capped == 0
+    assert report.to_dict()["forced_selections"] == 2
 
 
 # -- preprocessing against the index -------------------------------------------------------

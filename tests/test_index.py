@@ -134,9 +134,10 @@ def test_cnn_single_point_category_returns_it():
 
 def test_cnn_alpha_zero_returns_global_min_score():
     venue, graph, index, _ = small_workload(seed=5)
-    ctx = QueryContext(Location(1, 5, 0, 0), Location(1, 5, 0, 0), alpha=0.0)
+    # (1, 5) lies in room 1, so the location is left for cnn to resolve.
+    ctx = QueryContext(Location(1, 5, 0), Location(1, 5, 0), alpha=0.0)
     for cat in sorted(index.root.inverted):
-        got = index.cnn(Location(1, 5, 0, 0), cat, ctx)
+        got = index.cnn(Location(1, 5, 0), cat, ctx)
         pool = index.live_points(cat)
         best = min(pool, key=lambda p: (p.static_score, p.id))
         assert got.id == best.id

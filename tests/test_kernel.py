@@ -1,0 +1,161 @@
+"""The block distance kernel: exact agreement with the scalar metric, the
+cnn tie rule on blocks, and an engine that keeps no per-query state."""
+
+import sys
+import threading
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from indoortrip import (
+    DistanceEngine,
+    IndoorPoint,
+    Location,
+    QueryContext,
+    build_d2d_graph,
+    build_index,
+    gcnn,
+)
+
+from conftest import make_corridor_venue, small_workload
+
+SEEDS = (0, 1, 2)
+
+
+@cache
+def workload(seed):
+    return small_workload(seed=seed)
+
+
+@st.composite
+def located(draw, venue, partition_id=None):
+    """A location inside a room, a many-door hallway or a two-floor stairs."""
+    if partition_id is None:
+        kind = draw(st.sampled_from(("room", "hallway", "stairs")))
+        partition_id = draw(st.sampled_from(
+            sorted(pid for pid, p in venue.partitions.items() if p.kind == kind)
+        ))
+    part = venue.partitions[partition_id]
+    x0, y0, x1, y1 = part.bounds
+    fx = draw(st.floats(0.0, 1.0))
+    fy = draw(st.floats(0.0, 1.0))
+    floor = draw(st.sampled_from(part.floors))
+    return Location(x0 + fx * (x1 - x0), y0 + fy * (y1 - y0), floor, part.id)
+
+
+def point_at(pid, loc):
+    return IndoorPoint(id=pid, partition_id=loc.partition_id, x=loc.x, y=loc.y,
+                       floor=loc.floor, category=0, static_score=1.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), seed=st.sampled_from(SEEDS))
+def test_block_kernel_equals_scalar_distance(data, seed):
+    venue, graph, index, _ = workload(seed)
+    source = data.draw(located(venue), label="source")
+    spots = data.draw(st.lists(located(venue), min_size=1, max_size=10), label="spots")
+    spots.append(data.draw(located(venue, source.partition_id), label="same partition"))
+    category = data.draw(st.sampled_from(sorted(index.root.inverted)), label="category")
+    points = [point_at(10_000 + i, loc) for i, loc in enumerate(spots)]
+    points += index.live_points(category)
+
+    engine = DistanceEngine(venue, graph)
+    got = engine.block_distances(engine.legs(source), engine.block(points))
+    # A fresh engine has laid out no block, so it measures every leg itself.
+    scalar = DistanceEngine(venue, graph)
+    for p, d in zip(points, got):
+        want = scalar.distance(source, p.location)
+        assert d == want
+        assert scalar.distance(p.location, source) == want
+    block = index.category_block(category)
+    got = index.engine.block_distances(index.engine.legs(source), block)
+    assert list(got) == [scalar.distance(source, p.location) for p in block.points]
+
+
+def tie_venue(points):
+    """Four rooms in a row, doors at x = 0, 10, 20, 30, 40; fanout 2 puts
+    rooms 0-1 and rooms 2-3 in separate leaves."""
+    venue = make_corridor_venue(rooms=4)
+    venue = venue.with_points(points)
+    index = build_index(venue, build_d2d_graph(venue), fanout=2)
+    leaves = [n for n in index.nodes.values() if n.is_leaf]
+    assert sorted(n.partition_ids for n in leaves) == [(0, 1), (2, 3)]
+    return venue, index
+
+
+def pt(pid, part, x, score=2.0):
+    return IndoorPoint(id=pid, partition_id=part, x=x, y=5.0, floor=0, category=1,
+                       static_score=score)
+
+
+@pytest.mark.parametrize("ids", [(3, 8), (8, 3)])
+def test_cnn_tie_within_a_leaf_goes_to_the_smaller_id(ids):
+    # Co-located, equal scores, in different partitions of one leaf.
+    venue, index = tie_venue([pt(ids[0], 0, 10.0), pt(ids[1], 1, 10.0), pt(20, 0, 2.0, 30.0)])
+    here = Location(4.0, 5.0, 0, 0)
+    ctx = QueryContext(here, here, 0.5)
+    assert index.cnn(here, 1, ctx).id == 3
+
+
+@pytest.mark.parametrize("ids", [(3, 8), (8, 3)])
+def test_cnn_tie_across_leaves_goes_to_the_smaller_id(ids):
+    # Standing in the doorway between rooms 1 and 2, a point 5 m into
+    # each room is equally far, and the two rooms sit in different leaves.
+    venue, index = tie_venue([pt(ids[0], 1, 15.0), pt(ids[1], 2, 25.0)])
+    door = Location(20.0, 5.0, 0)
+    for alpha in (0.0, 0.5, 1.0):
+        ctx = QueryContext(door, door, alpha)
+        assert index.cnn(door, 1, ctx).id == 3
+        assert index.engine.distance(door, venue.points[3].location) == \
+            index.engine.distance(door, venue.points[8].location)
+
+
+def test_engine_keeps_no_per_query_state_over_a_stream():
+    venue, graph, index, queries = small_workload(seed=3, query_count=50)
+    assert len({(q.source, q.target) for q in queries}) > 25
+    for q in queries:
+        gcnn(q, index)
+    engine = index.engine
+    # Only venue-derived state: door indices per partition, legs per venue point.
+    assert set(vars(engine)) == {"venue", "graph", "_part_door_idx", "_point_legs"}
+    assert set(engine._part_door_idx) <= set(venue.partitions)
+    assert set(engine._point_legs) <= {p.location.key() for p in venue.points.values()}
+    # The index keeps the memo of the last query only.
+    last = queries[-1]
+    assert index._memo.ctx == QueryContext(venue.resolve(last.source),
+                                           venue.resolve(last.target), last.alpha)
+
+
+def test_concurrent_queries_on_one_snapshot_match_sequential_routes():
+    """Threads interleaving queries on one index replace each other's
+    memo; every route must still equal its sequential result."""
+    venue, graph, index, queries = small_workload(seed=4, query_count=12)
+    want = {i: gcnn(q, build_index(venue, graph)) for i, q in enumerate(queries)}
+    got, errors = [], []
+
+    def worker(offset):
+        try:
+            for rep in range(3):
+                for k in range(len(queries)):
+                    i = (k + offset + rep) % len(queries)
+                    got.append((i, gcnn(queries[i], index)))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t * 5,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(got) == 6 * 3 * len(queries)
+    for i, route in got:
+        assert route == want[i]

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -278,6 +279,20 @@ def test_gcnn_completeness_and_monotone_coverage(planner):
         # travel is recomputable from the waypoints
         recomputed = sum(dist(a, b) for a, b in zip(route.waypoints, route.waypoints[1:]))
         assert route.travel == pytest.approx(recomputed, rel=1e-12)
+
+
+@pytest.mark.parametrize("planner", [gcnn, rank_once_greedy, exact_route],
+                         ids=["gcnn", "rank-once", "oracle"])
+@pytest.mark.parametrize("bad", [(float("nan"), float("nan")), (1e6, 1e6)],
+                         ids=["nan", "far"])
+@pytest.mark.parametrize("end", ["source", "target"])
+def test_planners_reject_an_endpoint_outside_its_partition(planner, bad, end):
+    venue, graph, index, queries = small_workload(seed=9)
+    q = queries[0]
+    pid = venue.resolve(getattr(q, end)).partition_id
+    broken = replace(q, **{end: Location(bad[0], bad[1], getattr(q, end).floor, pid)})
+    with pytest.raises(ValueError, match=f"partition {pid}"):
+        planner(broken, index)
 
 
 def test_gcnn_cost_never_beats_the_oracle():

@@ -92,6 +92,20 @@ def test_resolve_picks_containing_partition_and_errors_outside():
     assert venue.resolve(Location(x=10, y=5, floor=0)).partition_id == 0
 
 
+@pytest.mark.parametrize("x, y, floor, message", [
+    (float("nan"), 5.0, 0, "non-finite"),
+    (5.0, float("inf"), 0, "non-finite"),
+    (1e6, 1e6, 0, "outside"),
+    (15.0, 5.0, 0, "outside"),   # inside room 1, not the stated room 0
+    (5.0, 5.0, 3, "outside"),    # wrong floor
+])
+def test_resolve_checks_a_stated_partition(x, y, floor, message):
+    venue = make_two_room_venue()
+    with pytest.raises(ValueError, match=rf"{message}.*partition 0|partition 0.*{message}"):
+        venue.resolve(Location(x=x, y=y, floor=floor, partition_id=0))
+    assert venue.resolve(Location(5.0, 5.0, 0, 0)) == Location(5.0, 5.0, 0, 0)
+
+
 def test_intra_distance_same_floor_is_euclidean_and_stairs_use_diagonal():
     room = Partition(id=0, floor=0, bounds=(0, 0, 6, 8), kind="room", door_ids=(0,))
     assert intra_distance(room, Location(0, 0, 0), Location(6, 8, 0)) == 10.0
