@@ -12,6 +12,7 @@ another alpha may lose its optimum on a pruned index (ROADMAP item 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable
 
 from .routing import Route
@@ -26,6 +27,37 @@ class DominanceError(ValueError):
 
 
 @dataclass
+class DistanceTable:
+    """Exact in-partition distances of one category pair, each measured once:
+    `cross[j][i]` = d(a_i, b_j), `legs_a[door_id][i]` = d(door, a_i) and
+    `legs_b[door_id][j]` = d(door, b_j), rows in the measured lists' order."""
+
+    cross: list[list[float]]
+    legs_a: dict[int, list[float]]
+    legs_b: dict[int, list[float]]
+
+
+def measure_tables(partition: Partition, points_by_category: dict[int, list[IndoorPoint]],
+                   doors: Iterable[Door]) -> dict[tuple[int, int], DistanceTable]:
+    """One table per category pair, in the mapping's order, over the doors.
+
+    Every entry is one `intra_distance` call on locations built once per
+    point: a leg per (point, door) and a cross distance per pair.
+    """
+    locs = {c: [p.location for p in pts] for c, pts in points_by_category.items()}
+    at = [(door.id, door.location) for door in doors]
+    legs = {c: {d: [intra_distance(partition, loc_d, loc) for loc in row] for d, loc_d in at}
+            for c, row in locs.items()}
+    return {
+        (c_a, c_b): DistanceTable(
+            [[intra_distance(partition, a, b) for a in locs[c_a]] for b in locs[c_b]],
+            legs[c_a], legs[c_b],
+        )
+        for c_a, c_b in combinations(locs, 2)
+    }
+
+
+@dataclass
 class DominanceContext:
     """One pruning run: a door pair and a category pair in one partition."""
 
@@ -34,7 +66,8 @@ class DominanceContext:
     exit_door: Door
     category_a: int
     category_b: int
-    _cache: dict = field(default_factory=dict, repr=False)
+    # Measured over the point lists select_points is given; None measures them there.
+    table: DistanceTable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for door in (self.entry_door, self.exit_door):
@@ -45,19 +78,8 @@ class DominanceContext:
         if self.category_a == self.category_b:
             raise DominanceError("category pair must be distinct")
 
-    def _check(self, point: IndoorPoint) -> None:
-        if point.partition_id != self.partition.id:
-            raise DominanceError(
-                f"point {point.id} is not in partition {self.partition.id}"
-            )
-
     def dist(self, a, b) -> float:
-        key = (a.x, a.y, a.floor, b.x, b.y, b.floor)
-        got = self._cache.get(key)
-        if got is None:
-            got = intra_distance(self.partition, a.location, b.location)
-            self._cache[key] = got
-        return got
+        return intra_distance(self.partition, a.location, b.location)
 
     def entry_rank(self, p: IndoorPoint) -> float:
         """Monotonic rank from the entry door: distance plus score."""
@@ -111,102 +133,95 @@ class SelectionResult:
         return self.pruned.get(category, set())
 
 
-def prune_points(ctx: DominanceContext, p_i: IndoorPoint, p_j: IndoorPoint,
-                 remaining_a: list[IndoorPoint], dom_j: Iterable[IndoorPoint]) -> set[int]:
-    """Subset of p_j's dominated set that no first-category partner can
-    rescue, scanned in exit-door dominance order.
+def prune_points(cross: list[list[float]], entry: list[float], exit_rank: list[float],
+                 i: int, j: int, rest: list[int], dom_j: Iterable[int]) -> list[int]:
+    """Rows of p_j's dominated set that no first-category partner can rescue.
 
-    Partners are the unselected first-category points plus the anchor
-    p_i itself.  A dominated point is prunable when its nearest partner
-    is already farther than the selected pair (then every partner is),
-    or when the rank margin covers the gap against every partner.
+    `cross` is a DistanceTable's; `entry` holds the first category's entry
+    ranks and `exit_rank` the second's exit ranks.  Partners are the anchor
+    row i plus the unselected first-category rows `rest`.  A dominated
+    point is prunable when its nearest partner is already farther than the
+    selected pair (then every partner is), or when the rank margin covers
+    the gap against every partner.
     """
-    prunable: set[int] = set()
-    partners = [p_i] + remaining_a
-    base = ctx.entry_rank(p_i) + ctx.dist(p_i, p_j) + ctx.exit_rank(p_j)
-    for p_k in sorted(dom_j, key=lambda p: (ctx.exit_rank(p), p.id)):
-        p_m = min(partners, key=lambda p: (ctx.dist(p_k, p), p.id))
-        if ctx.dist(p_i, p_j) < ctx.dist(p_k, p_m):
-            prunable.add(p_k.id)
-            continue
-        # Farther-pair case: require the margin test against every partner,
-        # not just the nearest one.
-        if all(
-            base < ctx.entry_rank(p) + ctx.dist(p_k, p) + ctx.exit_rank(p_k)
-            for p in partners
-        ):
-            prunable.add(p_k.id)
-    return prunable
+    partners = [i] + rest
+    d_ij = cross[j][i]
+    base = (entry[i] + d_ij) + exit_rank[j]
+    return [
+        q for q in dom_j
+        if d_ij < min(cross[q][k] for k in partners)
+        or all(base < (entry[k] + cross[q][k]) + exit_rank[q] for k in partners)
+    ]
 
 
 def select_points(ctx: DominanceContext, points_a: list[IndoorPoint],
                   points_b: list[IndoorPoint]) -> SelectionResult:
     """One pruning run: pick dominant points of both categories.
 
-    First-category points are consumed in entry-rank order; for each, the
-    second category is scanned nearest-first and a candidate is kept only
-    if no closer first-category rival builds a strictly better two-stop
-    route with it.  Kept candidates prune their dominated sets.
+    First-category points are consumed in (entry rank, id) order; for each,
+    the second category is scanned in (distance, id) order and a candidate
+    is kept only if no closer first-category rival builds a strictly better
+    two-stop route with it.  Kept candidates prune their dominated sets.
+    Every distance is read from the context's table.
     """
-    for p in points_a:
-        if p.category != ctx.category_a:
-            raise DominanceError(f"point {p.id} does not carry category {ctx.category_a}")
-        ctx._check(p)
-    for p in points_b:
-        if p.category != ctx.category_b:
-            raise DominanceError(f"point {p.id} does not carry category {ctx.category_b}")
-        ctx._check(p)
+    for points, cat in ((points_a, ctx.category_a), (points_b, ctx.category_b)):
+        for p in points:
+            if p.category != cat:
+                raise DominanceError(f"point {p.id} does not carry category {cat}")
+            if p.partition_id != ctx.partition.id:
+                raise DominanceError(f"point {p.id} is not in partition {ctx.partition.id}")
 
-    live_a = {p.id: p for p in points_a}
-    live_b = {p.id: p for p in points_b}
-    sel_a: list[int] = []
-    sel_b: set[int] = set()
-    pruned_b: set[int] = set()
+    table = ctx.table or measure_tables(
+        ctx.partition, {ctx.category_a: points_a, ctx.category_b: points_b},
+        (ctx.entry_door, ctx.exit_door),
+    )[ctx.category_a, ctx.category_b]
+    cross = table.cross
+    ids_b = [p.id for p in points_b]
+    scores_b = [p.static_score for p in points_b]
+    entry = [leg + p.static_score for leg, p in zip(table.legs_a[ctx.entry_door.id], points_a)]
+    exit_legs = table.legs_b[ctx.exit_door.id]
+    exit_rank = [leg + s for leg, s in zip(exit_legs, scores_b)]
 
-    while live_a and live_b:
-        p_i = min(live_a.values(), key=lambda p: (ctx.entry_rank(p), p.id))
-        sel_a.append(p_i.id)
-        del live_a[p_i.id]
+    # Unselected first-category points only ever lose the anchor p_i, so
+    # the anchors walk this order and the rest follow each one.
+    order_a = sorted(range(len(points_a)), key=lambda i: (entry[i], points_a[i].id))
+    live_b = set(range(len(points_b)))
+    sel_a, sel_b, pruned_b = [], set(), set()
 
-        scan = dict(live_b)
-        while scan:
-            p_j = min(scan.values(), key=lambda p: (ctx.dist(p_i, p), p.id))
-            d_ij = ctx.dist(p_i, p_j)
-            rivals = sorted(
-                (p for p in live_a.values() if ctx.dist(p, p_j) < d_ij),
-                key=lambda p: (ctx.entry_rank(p), p.id),
-            )
-            keep = True
-            while rivals:
-                p_k = rivals[0]
-                threshold = d_ij - (ctx.entry_rank(p_k) - ctx.entry_rank(p_i))
-                if ctx.dist(p_k, p_j) < threshold:
-                    keep = False  # the rival pairs strictly better with p_j
-                    break
-                # Rivals at or beyond the threshold are certified beaten; the
-                # threshold only shrinks as ranks grow, so drop them for good.
-                rivals = [p for p in rivals[1:] if ctx.dist(p, p_j) < threshold]
-            if keep:
-                sel_b.add(p_j.id)
-                dom_j = dominated_set(p_j, ctx.exit_door, scan.values(), ctx.partition)
-                del scan[p_j.id]
-                del live_b[p_j.id]
-                for p in dom_j:
-                    del scan[p.id]
-                for pid in prune_points(ctx, p_i, p_j, list(live_a.values()), dom_j):
-                    pruned_b.add(pid)
-                    live_b.pop(pid, None)
-            else:
-                del scan[p_j.id]
+    for pos, i in enumerate(order_a):
+        if not live_b:
+            break
+        sel_a.append(points_a[i].id)
+        rest = order_a[pos + 1:]
+        scan = set(live_b)
+        for j in sorted(scan, key=lambda j: (cross[j][i], ids_b[j])):
+            if j not in scan:
+                continue
+            scan.remove(j)
+            col = cross[j]
+            d_ij = col[i]
+            # A rival (a later anchor) nearer to p_j than its own threshold
+            # pairs strictly better with p_j.  Thresholds never exceed d_ij
+            # and shrink as ranks grow, so testing each rival against its
+            # own drops the same p_j as a rank-ordered rival scan.
+            if not any(col[k] < d_ij - (entry[k] - entry[i]) for k in rest):
+                sel_b.add(ids_b[j])
+                live_b.remove(j)
+                dom_j = [q for q in scan
+                         if exit_legs[j] < exit_legs[q] and scores_b[j] < scores_b[q]]
+                scan.difference_update(dom_j)
+                for q in prune_points(cross, entry, exit_rank, i, j, rest, dom_j):
+                    pruned_b.add(ids_b[q])
+                    live_b.discard(q)
 
     forced = 0
     if sel_a and not sel_b and points_b:
         # The pseudocode cannot reach this state, but guard against a
         # category being wiped out by an unforeseen corner case.
-        anchor = next(p for p in points_a if p.id == sel_a[0])
-        pick = min(points_b, key=lambda p: (ctx.dist(anchor, p), p.id))
-        sel_b.add(pick.id)
-        pruned_b.discard(pick.id)
+        anchor = order_a[0]
+        pick = ids_b[min(range(len(points_b)), key=lambda j: (cross[j][anchor], ids_b[j]))]
+        sel_b.add(pick)
+        pruned_b.discard(pick)
         forced = 1
 
     return SelectionResult(
@@ -262,7 +277,8 @@ def prune_partition(venue: Venue, partition: Partition,
 
     Every ordered door pair (self-pairs included) is crossed with every
     unordered category pair; each run starts from the partition's full
-    point sets and the survivors are the union of all selections.
+    point sets and the survivors are the union of all selections.  The
+    runs of a category pair share one DistanceTable.
     A category is only touched when a second category is present.
     A given report counts a door cap and the runs' forced selections.
     """
@@ -272,19 +288,19 @@ def prune_partition(venue: Venue, partition: Partition,
 
     if report is not None and len(partition.door_ids) > MAX_DOORS_PER_PARTITION:
         report.door_capped += 1
+    pairs = _door_pairs(venue, partition)
+    tables = measure_tables(
+        partition, {c: points_by_category[c] for c in cats}, {d.id: d for d, _ in pairs}.values()
+    )
     survivors: dict[int, set[int]] = {c: set() for c in points_by_category}
-    for d_i, d_j in _door_pairs(venue, partition):
-        for ai in range(len(cats)):
-            for bi in range(ai + 1, len(cats)):
-                c_a, c_b = cats[ai], cats[bi]
-                ctx = DominanceContext(partition, d_i, d_j, c_a, c_b)
-                result = select_points(
-                    ctx, list(points_by_category[c_a]), list(points_by_category[c_b])
-                )
-                survivors[c_a] |= result.selected_ids(c_a)
-                survivors[c_b] |= result.selected_ids(c_b)
-                if report is not None:
-                    report.forced += result.forced
+    for d_i, d_j in pairs:
+        for (c_a, c_b), table in tables.items():
+            ctx = DominanceContext(partition, d_i, d_j, c_a, c_b, table)
+            result = select_points(ctx, points_by_category[c_a], points_by_category[c_b])
+            survivors[c_a] |= result.selected_ids(c_a)
+            survivors[c_b] |= result.selected_ids(c_b)
+            if report is not None:
+                report.forced += result.forced
     return survivors
 
 

@@ -209,9 +209,14 @@ def validate_venue(venue: Venue) -> ValidationReport:
     """Collect every invariant violation; an empty report means valid."""
     report = ValidationReport()
 
+    isfinite = math.isfinite
+    # Nothing can be placed in a partition without finite bounds.
+    unbounded = {p.id for p in venue.partitions.values() if not all(map(isfinite, p.bounds))}
     for part in venue.partitions.values():
         x0, y0, x1, y1 = part.bounds
-        if x1 <= x0 or y1 <= y0:
+        if part.id in unbounded:
+            report.add("non-finite coordinates", f"partition {part.id} has bounds {part.bounds}")
+        elif x1 <= x0 or y1 <= y0:
             report.add("degenerate bounds", f"partition {part.id} has non-positive area")
         if part.kind not in PARTITION_KINDS:
             report.add("unknown kind", f"partition {part.id} kind {part.kind!r}")
@@ -226,11 +231,14 @@ def validate_venue(venue: Venue) -> ValidationReport:
     for door in venue.doors.values():
         if len(door.partition_ids) not in (1, 2):
             report.add("door arity", f"door {door.id} connects {len(door.partition_ids)} partitions")
+        finite = isfinite(door.x) and isfinite(door.y)
+        if not finite:
+            report.add("non-finite coordinates", f"door {door.id} sits at ({door.x}, {door.y})")
         for pid in door.partition_ids:
             part = venue.partitions.get(pid)
             if part is None:
                 report.add("dangling reference", f"door {door.id} references unknown partition {pid}")
-            elif not part.on_boundary(door.x, door.y, door.floor):
+            elif finite and pid not in unbounded and not part.on_boundary(door.x, door.y, door.floor):
                 report.add(
                     "door placement",
                     f"door {door.id} is not on the boundary of partition {pid}",
@@ -242,7 +250,9 @@ def validate_venue(venue: Venue) -> ValidationReport:
         part = venue.partitions.get(point.partition_id)
         if part is None:
             report.add("dangling reference", f"point {point.id} references unknown partition {point.partition_id}")
-        elif not part.contains(point.x, point.y, point.floor):
+        elif not isfinite(point.x) or not isfinite(point.y):
+            report.add("non-finite coordinates", f"point {point.id} sits at ({point.x}, {point.y})")
+        elif part.id not in unbounded and not part.contains(point.x, point.y, point.floor):
             report.add("point outside bounds", f"point {point.id} lies outside partition {part.id}")
         if not math.isfinite(point.static_score):
             report.add("non-finite score", f"point {point.id} has static score {point.static_score}")

@@ -1,6 +1,12 @@
+import hashlib
+import json
 import random
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import indoortrip.dominance as dom
 from indoortrip import (
@@ -8,15 +14,19 @@ from indoortrip import (
     IndoorPoint,
     Partition,
     Venue,
+    WorkloadSpec,
     build_d2d_graph,
     build_index,
+    build_workload,
     dominated_set,
     dominates_point,
     preprocess,
     prune_partition,
     select_points,
 )
+from indoortrip.bench import frequent_categories
 from indoortrip.dominance import DominanceContext, DominanceError, prune_points
+from indoortrip.venue import intra_distance
 
 from conftest import small_workload
 
@@ -47,6 +57,129 @@ def random_instance(rng, max_per_cat=15, width=20.0, height=12.0):
             pid += 1
         by_cat[cat] = pts
     return part, doors, by_cat
+
+
+def prune_ids(ctx, p_i, p_j, remaining_a, dom_j):
+    """prune_points over a table measured for the given points: the ids of
+    dom_j it prunes, with p_i and the remaining points as partners."""
+    points_a, points_b = [p_i] + list(remaining_a), [p_j] + list(dom_j)
+    table = dom.measure_tables(ctx.partition, {0: points_a, 1: points_b},
+                               (ctx.entry_door, ctx.exit_door))[0, 1]
+    entry = [ctx.entry_rank(p) for p in points_a]
+    exit_rank = [ctx.exit_rank(p) for p in points_b]
+    rows = prune_points(table.cross, entry, exit_rank, 0, 0,
+                        list(range(1, len(points_a))), range(1, len(points_b)))
+    return {points_b[q].id for q in rows}
+
+
+# -- point-at-a-time reference ---------------------------------------------------
+# The selection as first written: every distance measured on demand, every
+# minimum taken over live point objects.  The table-driven select_points must
+# return the same SelectionResult.
+
+def reference_prune_points(ctx, p_i, p_j, remaining_a, dom_j):
+    prunable = set()
+    partners = [p_i] + remaining_a
+    base = ctx.entry_rank(p_i) + ctx.dist(p_i, p_j) + ctx.exit_rank(p_j)
+    for p_k in sorted(dom_j, key=lambda p: (ctx.exit_rank(p), p.id)):
+        p_m = min(partners, key=lambda p: (ctx.dist(p_k, p), p.id))
+        if ctx.dist(p_i, p_j) < ctx.dist(p_k, p_m):
+            prunable.add(p_k.id)
+            continue
+        if all(
+            base < ctx.entry_rank(p) + ctx.dist(p_k, p) + ctx.exit_rank(p_k)
+            for p in partners
+        ):
+            prunable.add(p_k.id)
+    return prunable
+
+
+def reference_select_points(ctx, points_a, points_b):
+    live_a = {p.id: p for p in points_a}
+    live_b = {p.id: p for p in points_b}
+    sel_a, sel_b, pruned_b = [], set(), set()
+    while live_a and live_b:
+        p_i = min(live_a.values(), key=lambda p: (ctx.entry_rank(p), p.id))
+        sel_a.append(p_i.id)
+        del live_a[p_i.id]
+        scan = dict(live_b)
+        while scan:
+            p_j = min(scan.values(), key=lambda p: (ctx.dist(p_i, p), p.id))
+            d_ij = ctx.dist(p_i, p_j)
+            rivals = sorted(
+                (p for p in live_a.values() if ctx.dist(p, p_j) < d_ij),
+                key=lambda p: (ctx.entry_rank(p), p.id),
+            )
+            keep = True
+            while rivals:
+                p_k = rivals[0]
+                threshold = d_ij - (ctx.entry_rank(p_k) - ctx.entry_rank(p_i))
+                if ctx.dist(p_k, p_j) < threshold:
+                    keep = False
+                    break
+                rivals = [p for p in rivals[1:] if ctx.dist(p, p_j) < threshold]
+            if keep:
+                sel_b.add(p_j.id)
+                dom_j = dominated_set(p_j, ctx.exit_door, scan.values(), ctx.partition)
+                del scan[p_j.id]
+                del live_b[p_j.id]
+                for p in dom_j:
+                    del scan[p.id]
+                for pid in reference_prune_points(ctx, p_i, p_j, list(live_a.values()), dom_j):
+                    pruned_b.add(pid)
+                    live_b.pop(pid, None)
+            else:
+                del scan[p_j.id]
+    forced = 0
+    if sel_a and not sel_b and points_b:
+        anchor = next(p for p in points_a if p.id == sel_a[0])
+        pick = min(points_b, key=lambda p: (ctx.dist(anchor, p), p.id))
+        sel_b.add(pick.id)
+        pruned_b.discard(pick.id)
+        forced = 1
+    return dom.SelectionResult(
+        selected={ctx.category_a: set(sel_a), ctx.category_b: sel_b},
+        pruned={ctx.category_a: set(), ctx.category_b: pruned_b},
+        forced=forced,
+    )
+
+
+@st.composite
+def pruning_partitions(draw):
+    """One room or two-floor stairs partition with 1-3 or 9-10 doors (the
+    latter door-capped) and up to three categories of points, some of them
+    co-located, with repeated scores and possibly an empty category."""
+    stairs = draw(st.booleans())
+    floors = (0, 1) if stairs else (0,)
+    width = draw(st.floats(1.0, 40.0))
+    height = draw(st.floats(1.0, 40.0))
+    n_doors = draw(st.one_of(st.integers(1, 3), st.integers(9, 10)))
+    doors = {}
+    for d in range(n_doors):
+        side, t = draw(st.integers(0, 3)), draw(st.floats(0.0, 1.0))
+        x, y = [(t * width, 0.0), (width, t * height), (t * width, height), (0.0, t * height)][side]
+        doors[d] = Door(id=d, x=x, y=y, floor=draw(st.sampled_from(floors)), partition_ids=(0,))
+    part = Partition(id=0, floor=0, bounds=(0.0, 0.0, width, height),
+                     kind="stairs" if stairs else "room", door_ids=tuple(doors),
+                     floor2=1 if stairs else None)
+    sites = draw(st.lists(st.tuples(st.floats(0.0, width), st.floats(0.0, height)),
+                          min_size=1, max_size=3))
+    position = st.one_of(st.sampled_from(sites),
+                         st.tuples(st.floats(0.0, width), st.floats(0.0, height)))
+    score = st.one_of(st.sampled_from([0.0, 1.0, 4.0]), st.floats(0.0, 30.0))
+    counts = [draw(st.integers(0, 8)) for _ in range(3)]
+    ids = iter(draw(st.permutations(range(sum(counts)))))
+    by_cat = {}
+    for cat, count in enumerate(counts):
+        by_cat[cat] = []
+        for _ in range(count):
+            x, y = draw(position)
+            by_cat[cat].append(IndoorPoint(
+                id=next(ids), partition_id=0, x=x, y=y, floor=draw(st.sampled_from(floors)),
+                category=cat, static_score=draw(score)))
+    venue = Venue(partitions={0: part}, doors=doors,
+                  points={p.id: p for pts in by_cat.values() for p in pts})
+    return venue, part, by_cat
 
 
 # -- point dominance -------------------------------------------------------------
@@ -161,7 +294,7 @@ def test_select_points_disjoint_and_partitioned():
 def test_prune_points_empty_dominated_set_is_empty():
     part, doors = flat_partition()
     ctx = DominanceContext(part, doors[0], doors[1], 0, 1)
-    assert prune_points(ctx, pt(0, 4, 6, 0, 1.0), pt(1, 8, 6, 1, 2.0), [], []) == set()
+    assert prune_ids(ctx, pt(0, 4, 6, 0, 1.0), pt(1, 8, 6, 1, 2.0), [], []) == set()
 
 
 def test_prune_points_nearest_partner_farther_prunes():
@@ -171,7 +304,7 @@ def test_prune_points_nearest_partner_farther_prunes():
     p_j = pt(1, 6.0, 6.0, 1, 1.0)
     dominated = pt(2, 19.0, 6.0, 1, 9.0)
     # only partner is p_i itself, dist(p_i, dominated) = 15 > dist(p_i, p_j) = 2
-    assert prune_points(ctx, p_i, p_j, [], [dominated]) == {2}
+    assert prune_ids(ctx, p_i, p_j, [], [dominated]) == {2}
 
 
 def test_prune_points_matches_per_point_re_evaluation():
@@ -187,7 +320,7 @@ def test_prune_points_matches_per_point_re_evaluation():
                     p_j.static_score + rng.uniform(0.1, 9))
                  for i in range(rng.randint(0, 6))]
         dom_j = [p for p in dom_j if dominates_point(p_j, p, ctx.exit_door, part)]
-        got = prune_points(ctx, p_i, p_j, remaining, dom_j)
+        got = prune_ids(ctx, p_i, p_j, remaining, dom_j)
         partners = [p_i] + remaining
         base = ctx.entry_rank(p_i) + ctx.dist(p_i, p_j) + ctx.exit_rank(p_j)
         for p_k in dom_j:
@@ -198,6 +331,19 @@ def test_prune_points_matches_per_point_re_evaluation():
                 for p in partners
             )
             assert (p_k.id in got) == (thm3 or thm4)
+
+
+@pytest.mark.parametrize("cross, entry, exit_rank, want", [
+    # base (0.4 + 2.3) + 1.7 = 4.3999999999999995 < margin (0.4 + 0.7) + 3.3 = 4.4;
+    # summed as 0.4 + (2.3 + 1.7) the base would be 4.4 and p_k would stay.
+    ([[2.3], [0.7]], [0.4], [1.7, 3.3], [1]),
+    # base (0.7 + 0.2) + 0.2 equals margin (0.7 + 0.1) + 0.3; summed as
+    # 0.7 + (0.1 + 0.3) the margin would be 1.1 and p_k would be pruned.
+    ([[0.2], [0.1]], [0.7], [0.2, 0.3], []),
+])
+def test_prune_points_keeps_the_summation_order(cross, entry, exit_rank, want):
+    # Row 0 is the anchor pair (p_i, p_j); row 1 is p_k, no farther from p_i.
+    assert prune_points(cross, entry, exit_rank, 0, 0, [], [1]) == want
 
 
 # -- partition-level pruning ------------------------------------------------------------
@@ -337,3 +483,118 @@ def test_preprocess_needs_at_least_one_category():
     venue, graph, index, _ = small_workload(seed=15)
     with pytest.raises(ValueError):
         preprocess(index, [])
+
+
+# -- the distance table against the point-at-a-time reference ----------------------
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=pruning_partitions())
+def test_select_points_matches_point_at_a_time_reference(case):
+    venue, part, by_cat = case
+    doors = venue.partition_doors(part.id)
+    ctx = DominanceContext(part, doors[0], doors[-1], 0, 1)
+    assert select_points(ctx, by_cat[0], by_cat[1]) == reference_select_points(
+        ctx, by_cat[0], by_cat[1])
+
+    real = dom.select_points
+    runs = []
+
+    def checked(ctx, points_a, points_b):
+        got = real(ctx, points_a, points_b)
+        assert got == reference_select_points(ctx, points_a, points_b)
+        # The partition's shared table and one measured for this run agree.
+        assert real(replace(ctx, table=None), points_a, points_b) == got
+        runs.append(ctx)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dom, "select_points", checked)
+        prune_partition(venue, part, by_cat)
+    n_cats = sum(1 for pts in by_cat.values() if pts)
+    if n_cats >= 2:
+        n_doors = min(len(doors), dom.MAX_DOORS_PER_PARTITION)
+        assert len(runs) == n_doors ** 2 * n_cats * (n_cats - 1) // 2
+
+
+@pytest.fixture(scope="module")
+def acceptance_fixture():
+    """The acceptance suite's pinned desk workload, pruned at delta 100."""
+    spec = WorkloadSpec(
+        seed=2026, floors=4, rooms_per_floor=12, categories=8,
+        count_range=(30, 40), store_rooms=8, hosts_per_category=3,
+        query_count=50, query_categories=(2, 3, 4), alpha=0.5,
+    )
+    venue, _, queries = build_workload(spec)
+    index = build_index(venue, build_d2d_graph(venue))
+    return venue, index, frequent_categories(queries, 100)
+
+
+# Computed with the point-at-a-time selection (the reference above).
+PINNED_REPORT_SHA256 = "7f5e90cb2ddbc5361b5887ae7d13de26b35d04ebc2804faaa0a0514326cefaf8"
+PINNED_ALIVE = [
+    15, 27, 29, 50, 51, 63, 66, 70, 71, 75, 78, 83, 85, 86, 88, 89, 90, 92, 93, 95,
+    99, 100, 101, 106, 107, 109, 111, 119, 120, 127, 130, 131, 136, 140, 142, 144,
+    146, 147, 148, 149, 150, 151, 152, 153, 156, 157, 158, 159, 160, 164, 166, 167,
+    168, 169, 170, 171, 172, 173, 174, 175, 177, 181, 182, 183, 184, 185, 186, 187,
+    188, 189, 190, 191, 192, 193, 194, 195, 196, 201, 204, 206, 207, 208, 209, 210,
+    211, 212, 213, 214, 215, 216, 219, 220, 221, 222, 223, 226, 227, 229, 231, 234,
+    236, 237, 239, 240, 241, 242, 243, 246, 250, 252, 253, 255, 257, 260, 263, 264,
+    266, 267, 271, 272, 273, 275, 276, 279, 281,
+]
+
+
+def test_preprocess_on_acceptance_fixture_is_pinned(acceptance_fixture):
+    _, index, cats = acceptance_fixture
+    pruned, report = preprocess(index, cats)
+    digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_REPORT_SHA256
+    assert sorted(pruned.alive) == PINNED_ALIVE
+
+
+def test_distance_table_entries_equal_intra_distance(acceptance_fixture, monkeypatch):
+    _, index, cats = acceptance_fixture
+    real = dom.select_points
+    runs = []
+
+    def record(ctx, points_a, points_b):
+        runs.append((ctx, points_a, points_b))
+        return real(ctx, points_a, points_b)
+
+    monkeypatch.setattr(dom, "select_points", record)
+    preprocess(index, cats)
+    assert runs
+    checked = 0
+    for ctx, points_a, points_b in runs:
+        part, table = ctx.partition, ctx.table
+        for j, b in enumerate(points_b):
+            assert table.cross[j] == [intra_distance(part, a.location, b.location) for a in points_a]
+            checked += len(points_a)
+        for door in (ctx.entry_door, ctx.exit_door):
+            for legs, points in ((table.legs_a, points_a), (table.legs_b, points_b)):
+                assert legs[door.id] == [intra_distance(part, door.location, p.location)
+                                         for p in points]
+    assert checked > 1000
+
+
+def test_preprocess_measures_each_pair_and_door_leg_once(acceptance_fixture, monkeypatch):
+    venue, index, cats = acceptance_fixture
+    real = dom.intra_distance
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(dom, "intra_distance", counted)
+    preprocess(index, cats)
+    # One cross distance per pair of points of two categories in a partition,
+    # plus one leg per (point, door pruned over).
+    bound = 0
+    for pid, part in venue.partitions.items():
+        sizes = [n for n in (sum(1 for p in venue.points.values()
+                                 if p.partition_id == pid and p.category == c) for c in cats) if n]
+        if len(sizes) >= 2:
+            doors = min(len(part.door_ids), dom.MAX_DOORS_PER_PARTITION)
+            bound += sum(a * b for a, b in combinations(sizes, 2)) + sum(sizes) * doors
+    assert 0 < calls <= bound

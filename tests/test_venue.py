@@ -49,6 +49,32 @@ def test_non_finite_score_is_reported():
         assert "non-finite score" in report.codes()
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_partition_bounds_are_reported(bad):
+    point = IndoorPoint(id=0, partition_id=0, x=1, y=1, floor=0, category=0, static_score=1.0)
+    venue = make_two_room_venue(points=[point])
+    venue.partitions[0] = Partition(id=0, floor=0, bounds=(bad, 0, 10, 10),
+                                    kind="room", door_ids=(0,))
+    # Neither the door nor the point is blamed for the partition's bounds.
+    assert validate_venue(venue).codes() == ["non-finite coordinates"]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_door_coordinates_are_reported(bad):
+    venue = make_two_room_venue()
+    venue.doors[0] = Door(id=0, x=10.0, y=bad, floor=0, partition_ids=(0, 1))
+    assert validate_venue(venue).codes() == ["non-finite coordinates"]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_point_coordinates_are_reported(bad):
+    point = IndoorPoint(id=0, partition_id=0, x=bad, y=1, floor=0, category=0, static_score=1.0)
+    assert validate_venue(make_two_room_venue(points=[point])).codes() == ["non-finite coordinates"]
+
+
 def test_door_off_boundary_and_unlisted_door_are_reported():
     venue = make_two_room_venue()
     venue.doors[0] = Door(id=0, x=5.0, y=5.0, floor=0, partition_ids=(0, 1))
