@@ -19,8 +19,6 @@ from .dominance import (
     DominanceContext,
     DominanceError,
     SelectionResult,
-    dominated_set,
-    dominates_point,
     preprocess,
     prune_partition,
     prune_points,

@@ -98,28 +98,6 @@ class DominanceContext:
         )
 
 
-def dominates_point(p_a: IndoorPoint, p_b: IndoorPoint, door: Door,
-                    partition: Partition) -> bool:
-    """True iff p_a is strictly nearer to the door and strictly cheaper."""
-    if p_a.category != p_b.category:
-        raise DominanceError("point dominance requires one category")
-    if p_a.partition_id != p_b.partition_id or p_a.partition_id != partition.id:
-        raise DominanceError("point dominance requires one partition")
-    if door.id not in partition.door_ids:
-        raise DominanceError(f"door {door.id} does not belong to partition {partition.id}")
-    da = intra_distance(partition, door.location, p_a.location)
-    db = intra_distance(partition, door.location, p_b.location)
-    return da < db and p_a.static_score < p_b.static_score
-
-
-def dominated_set(p_a: IndoorPoint, door: Door, pool: Iterable[IndoorPoint],
-                  partition: Partition) -> set[IndoorPoint]:
-    """Every pool point p_a strictly beats with respect to the door."""
-    return {
-        p for p in pool if p.id != p_a.id and dominates_point(p_a, p, door, partition)
-    }
-
-
 @dataclass
 class SelectionResult:
     selected: dict[int, set[int]]  # category -> point ids kept as dominant

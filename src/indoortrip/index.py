@@ -45,8 +45,11 @@ class CnnStats:
 class _QueryMemo:
     """Terms fixed for one query that its cnn calls reuse: door vectors of
     the locations seen, each node's source and target entry bounds, and
-    each leaf block's source and target distances.  An index holds the
-    memo of one query and starts a new one when the query context changes."""
+    each leaf block's source and target distances.  It also keeps the
+    (source, from, target) legs of each point cnn returned, keyed by the
+    from location and the point, for the planner to build its route from.
+    An index holds the memo of one query and starts a new one when the
+    query context changes."""
 
     def __init__(self, ctx: QueryContext, engine: DistanceEngine):
         self.ctx = ctx
@@ -56,6 +59,7 @@ class _QueryMemo:
         self.door_vectors: dict[tuple, np.ndarray] = {}
         self.node_ends: dict[int, tuple[float, float]] = {}
         self.block_ends: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.winner_legs: dict[tuple[tuple, int], tuple[float, float, float]] = {}
 
     def door_vector(self, loc: Location) -> np.ndarray:
         vec = self.door_vectors.get(loc.key())
@@ -189,6 +193,14 @@ class VenueIndex:
             self._blocks[key] = block
         return block
 
+    def _resolved(self, ctx: QueryContext) -> QueryContext:
+        if ctx.source.partition_id is None or ctx.target.partition_id is None:
+            # Bounds rely on partition membership; resolve once up front.
+            ctx = QueryContext(
+                self.venue.resolve(ctx.source), self.venue.resolve(ctx.target), ctx.alpha
+            )
+        return ctx
+
     def _query_memo(self, ctx: QueryContext) -> _QueryMemo:
         # Read once: a concurrent query may replace self._memo at any time.
         memo = self._memo
@@ -230,11 +242,7 @@ class VenueIndex:
         if category not in root.inverted:
             raise EmptyCategoryError(f"category {category} has no live points")
         from_loc = self.venue.resolve(from_loc)
-        if ctx.source.partition_id is None or ctx.target.partition_id is None:
-            # Bounds rely on partition membership; resolve once up front.
-            ctx = QueryContext(
-                self.venue.resolve(ctx.source), self.venue.resolve(ctx.target), ctx.alpha
-            )
+        ctx = self._resolved(ctx)
         memo = self._query_memo(ctx)
         from_vector = memo.door_vector(from_loc)
         from_legs = self.engine.legs(from_loc)
@@ -242,6 +250,7 @@ class VenueIndex:
 
         best_score = float("inf")
         best_point: IndoorPoint | None = None
+        best_legs = (0.0, 0.0, 0.0)
         heap: list[tuple[float, int]] = [
             (self._node_bound(root, category, from_loc, from_vector, memo), root.id)
         ]
@@ -261,7 +270,8 @@ class VenueIndex:
                         self.engine.block_distances(memo.target, block),
                     )
                 to_source, to_target = ends
-                travel = to_source + self.engine.block_distances(from_legs, block) + to_target
+                from_here = self.engine.block_distances(from_legs, block)
+                travel = to_source + from_here + to_target
                 scores = a * travel + (1.0 - a) * block.scores
                 if stats is not None:
                     stats.evaluated += len(block.points)
@@ -275,6 +285,8 @@ class VenueIndex:
                 ):
                     best_score = score
                     best_point = point
+                    best_legs = (float(to_source[row]), float(from_here[row]),
+                                 float(to_target[row]))
             else:
                 for cid in node.children:
                     child = self.nodes[cid]
@@ -282,7 +294,29 @@ class VenueIndex:
                         bound = self._node_bound(child, category, from_loc, from_vector, memo)
                         heapq.heappush(heap, (bound, cid))
         assert best_point is not None
+        memo.winner_legs[(from_loc.key(), best_point.id)] = best_legs
         return best_point
+
+    def cnn_legs(self, from_loc: Location, point: IndoorPoint,
+                 ctx: QueryContext) -> tuple[float, float, float]:
+        """The point's (source, from_loc, target) distances under ctx.
+
+        Read from what cnn recorded when it returned the point for from_loc;
+        if the memo no longer holds it (another query has replaced the memo),
+        measured with the same block kernel, so the floats are the same.
+        """
+        from_loc = self.venue.resolve(from_loc)
+        ctx = self._resolved(ctx)
+        memo = self._memo
+        if memo is not None and memo.ctx == ctx:
+            got = memo.winner_legs.get((from_loc.key(), point.id))
+            if got is not None:
+                return got
+        block = self.engine.block((point,))
+        return tuple(
+            float(self.engine.block_distances(self.engine.legs(loc), block)[0])
+            for loc in (ctx.source, from_loc, ctx.target)
+        )
 
     # -- mutation (snapshotting) --------------------------------------------------
 

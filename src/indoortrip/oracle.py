@@ -14,7 +14,6 @@ import numpy as np
 
 from .d2d import PointBlock
 from .routing import EmptyCategoryError, EvalCounter, Route, TripQuery, route_cost
-from .venue import IndoorPoint
 
 ORACLE_CATEGORY_LIMIT = 7
 
@@ -83,14 +82,22 @@ def _best_in_order(tables: _QueryTables, order: tuple[int, ...], alpha: float,
         parent.append(cand.argmin(axis=0))
         prev_costs = cand.min(axis=0) + (1.0 - alpha) * block.scores
 
-    # Close at the target, then walk parents back to recover the stops.
+    # Close at the target, then walk parents back to recover the chosen rows.
     idx = int((prev_costs + alpha * tables.to_target[order[-1]]).argmin())
-    chosen: list[IndoorPoint] = []
+    rows: list[int] = []
     for k in range(len(order) - 1, -1, -1):
-        chosen.append(tables.blocks[order[k]].points[idx])
+        rows.append(idx)
         idx = int(parent[k][idx])
-    chosen.reverse()
-    return Route.through(tables.engine.distance, tables.source, chosen, tables.target)
+    rows.reverse()
+    # Each leg is the table entry the DP read for it.
+    route = Route(waypoints=(tables.source,), stops=(), leg_lengths=())
+    for k, (cat, row) in enumerate(zip(order, rows)):
+        if k == 0:
+            leg = tables.from_source[cat][row]
+        else:
+            leg = tables.between(order[k - 1], cat)[rows[k - 1], row]
+        route = route.then(tables.blocks[cat].points[row], float(leg))
+    return route.to(tables.target, float(tables.to_target[order[-1]][rows[-1]]))
 
 
 def fixed_order_best(query: TripQuery, order: tuple[int, ...], index,
@@ -169,31 +176,36 @@ def rank_once_greedy(query: TripQuery, index, top_k: int = 8,
 
     # Rank by the three-leg score from the source (so the source leg counts
     # twice), ties to the smaller id; keep each category's top k.
-    shortlists: dict[int, PointBlock] = {}
+    # Each shortlist keeps its points' target distances for the closing leg.
+    shortlists: dict[int, tuple[PointBlock, np.ndarray]] = {}
     for cat in sorted(set(query.categories)):
         block = _category_block(index, cat)
         from_source = engine.block_distances(source_legs, block)
-        travel = from_source + from_source + engine.block_distances(target_legs, block)
+        to_target = engine.block_distances(target_legs, block)
+        travel = from_source + from_source + to_target
         scores = alpha * travel + (1.0 - alpha) * block.scores
         if counter is not None:
             counter.point_evals += len(block.points)
-        shortlists[cat] = block.take(np.lexsort((block.ids, scores))[:top_k])
+        rows = np.lexsort((block.ids, scores))[:top_k]
+        shortlists[cat] = (block.take(rows), to_target[rows])
 
     route = Route(waypoints=(source,), stops=(), leg_lengths=())
     uncovered = set(query.categories)
     while uncovered:
-        best = None  # (step cost, category, point id, point)
+        best = None  # (step cost, category, point id, point, leg, target leg)
         current = engine.legs(route.end())
         for cat in sorted(uncovered):
-            short = shortlists[cat]
-            steps = alpha * engine.block_distances(current, short) + (1.0 - alpha) * short.scores
+            short, to_target = shortlists[cat]
+            legs = engine.block_distances(current, short)
+            steps = alpha * legs + (1.0 - alpha) * short.scores
             if counter is not None:
                 counter.point_evals += len(short.points)
             row = np.lexsort((short.ids, steps))[0]
-            cand = (float(steps[row]), cat, int(short.ids[row]), short.points[row])
+            cand = (float(steps[row]), cat, int(short.ids[row]), short.points[row],
+                    float(legs[row]), float(to_target[row]))
             if best is None or cand[:3] < best[:3]:
                 best = cand
-        _, cat, _, point = best
-        route = route.then(point, engine.distance)
+        _, cat, _, point, leg, closing = best
+        route = route.then(point, leg)
         uncovered.discard(cat)
-    return route.to(target, engine.distance)
+    return route.to(target, closing)

@@ -87,32 +87,33 @@ class Route:
     def end(self) -> Location:
         return self.waypoints[-1]
 
-    def then(self, point: IndoorPoint, dist) -> "Route":
-        """This route extended by a stop at the point; dist(a, b) measures the leg."""
+    def then(self, point: IndoorPoint, leg: float) -> "Route":
+        """This route extended by a stop at the point, leg metres from its end."""
         stop = Stop(point.category, point.id, point.static_score, point.location)
         return Route(
             waypoints=self.waypoints + (point.location,),
             stops=self.stops + (stop,),
-            leg_lengths=self.leg_lengths + (dist(self.end(), point.location),),
+            leg_lengths=self.leg_lengths + (leg,),
         )
 
-    def to(self, target: Location, dist) -> "Route":
-        """This route closed at the target: the complete route."""
+    def to(self, target: Location, leg: float) -> "Route":
+        """This route closed at the target, leg metres from its end: the complete route."""
         return Route(
             waypoints=self.waypoints + (target,),
             stops=self.stops,
-            leg_lengths=self.leg_lengths + (dist(self.end(), target),),
+            leg_lengths=self.leg_lengths + (leg,),
             complete=True,
         )
 
     @classmethod
     def through(cls, dist, source: Location, points: Iterable[IndoorPoint],
                 target: Location) -> "Route":
-        """Complete route source -> each point in turn -> target."""
+        """Complete route source -> each point in turn -> target; dist(a, b)
+        measures each leg."""
         route = cls(waypoints=(source,), stops=(), leg_lengths=())
         for point in points:
-            route = route.then(point, dist)
-        return route.to(target, dist)
+            route = route.then(point, dist(route.end(), point.location))
+        return route.to(target, dist(route.end(), target))
 
 
 def route_cost(route: Route, alpha: float) -> float:
@@ -144,8 +145,8 @@ def gcnn(query: TripQuery, index, counter: EvalCounter | None = None) -> Route:
     candidate of every uncovered category, then keeps only the extension
     with the least key and discards the rest.  The queue key is the
     partial route cost plus the candidate's source and target legs.
+    Every leg is one cnn has already measured (`VenueIndex.cnn_legs`).
     """
-    engine = index.engine
     venue: Venue = index.venue
     source = venue.resolve(query.source)
     target = venue.resolve(query.target)
@@ -155,25 +156,24 @@ def gcnn(query: TripQuery, index, counter: EvalCounter | None = None) -> Route:
         if index.live_count(cat) == 0:
             raise EmptyCategoryError(f"category {cat} has no live points")
 
-    # Queue holds (key, category, point id, route); cleared every round so
-    # only the cheapest extension of the current route survives.
+    # Queue holds (key, category, point id, route, the last stop's target
+    # leg); cleared every round so only the cheapest extension survives.
     start = Route(waypoints=(source,), stops=(), leg_lengths=())
-    batch: list[tuple[float, int, int, Route]] = [(0.0, -1, -1, start)]
+    batch: list[tuple[float, int, int, Route, float]] = [(0.0, -1, -1, start, 0.0)]
     while True:
-        _, _, _, best = min(batch, key=lambda item: item[:3])
+        _, _, _, best, to_target = min(batch, key=lambda item: item[:3])
         batch = []
         uncovered = sorted(set(query.categories) - best.covered_categories)
         if not uncovered:
-            return best.to(target, engine.distance)
+            return best.to(target, to_target)
         current = best.end()
         for cat in uncovered:
             point = index.cnn(current, cat, ctx, counter=counter)
-            extended = best.then(point, engine.distance)
+            from_source, leg, to_target = index.cnn_legs(current, point, ctx)
+            extended = best.then(point, leg)
             key = route_cost(extended, query.alpha)
-            key += engine.distance(source, point.location) + engine.distance(
-                point.location, target
-            )
-            batch.append((key, cat, point.id, extended))
+            key += from_source + to_target
+            batch.append((key, cat, point.id, extended, to_target))
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +221,14 @@ def save_queries(queries: Iterable[TripQuery], path: str | Path) -> None:
 
 
 def load_queries(path: str | Path) -> list[TripQuery]:
+    """One query per non-blank line; a malformed line raises ValueError naming it."""
     queries = []
-    for line in Path(path).read_text().splitlines():
+    for n, line in enumerate(Path(path).read_text().splitlines(), 1):
         if line.strip():
-            queries.append(query_from_dict(json.loads(line)))
+            try:
+                queries.append(query_from_dict(json.loads(line)))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"queries line {n} is malformed: {exc!r}") from None
     return queries
 
 

