@@ -33,8 +33,6 @@ PLANNERS = {
 
 ALGORITHMS = tuple(PLANNERS)
 
-ALLOWED_DELTAS = (0, 10, 20, 50, 80, 100)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -46,14 +44,12 @@ class ExperimentConfig:
     repetitions: int = 1
     output_path: str | None = None
     fanout: int = 4
-    allow_any_delta: bool = False
 
     def __post_init__(self):
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        if self.delta not in ALLOWED_DELTAS and not self.allow_any_delta:
-            raise ValueError(f"delta must be one of {ALLOWED_DELTAS}, got {self.delta}")
+        frequent_categories([], self.delta)  # raises on a delta outside 0..100
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
 
@@ -103,7 +99,10 @@ def approximation_ratio(cost: float, optimal_cost: float) -> float:
 
 
 def frequent_categories(queries: list[TripQuery], delta: int) -> list[int]:
-    """The delta% most frequent query categories, most frequent first."""
+    """The delta% most frequent query categories, most frequent first;
+    delta must lie in 0..100."""
+    if not 0 <= delta <= 100:
+        raise ValueError(f"delta must lie in 0..100, got {delta}")
     counts: dict[int, int] = {}
     for q in queries:
         for c in q.categories:

@@ -4,9 +4,12 @@ Inside one partition, a point beats a same-category rival when it is
 both nearer to a door and cheaper.  Chaining such comparisons over pairs
 of doors and pairs of categories certifies that whole two-stop routes
 can never win, which lets most of a partition's points be dropped before
-query time.  Pruning uses the unweighted distance-plus-score form, so
-it is certified only for the equal-weight cost, alpha = 0.5: a query at
-another alpha may lose its optimum on a pruned index (ROADMAP item 4).
+query time.  The certificate covers two-stop visits inside one partition
+(entry door -> a -> b -> exit door), ranked by the unweighted
+distance-plus-score form, over at most 8 of its doors.  Routes that
+visit a partition any other way are not covered at any alpha: a route
+that stops once in a one-door room can lose its optimum on a pruned
+index even at alpha = 0.5 (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -102,7 +105,6 @@ class DominanceContext:
 class SelectionResult:
     selected: dict[int, set[int]]  # category -> point ids kept as dominant
     pruned: dict[int, set[int]]    # category -> point ids certified prunable
-    forced: int = 0                # 1 when the fallback force-selected a point
 
     def selected_ids(self, category: int) -> set[int]:
         return self.selected.get(category, set())
@@ -192,20 +194,12 @@ def select_points(ctx: DominanceContext, points_a: list[IndoorPoint],
                     pruned_b.add(ids_b[q])
                     live_b.discard(q)
 
-    forced = 0
-    if sel_a and not sel_b and points_b:
-        # The pseudocode cannot reach this state, but guard against a
-        # category being wiped out by an unforeseen corner case.
-        anchor = order_a[0]
-        pick = ids_b[min(range(len(points_b)), key=lambda j: (cross[j][anchor], ids_b[j]))]
-        sel_b.add(pick)
-        pruned_b.discard(pick)
-        forced = 1
-
+    # live_b only shrinks after a selection, and the last anchor has no
+    # rival, so the second category is never wiped out.
+    assert sel_b or not (points_a and points_b)
     return SelectionResult(
         selected={ctx.category_a: set(sel_a), ctx.category_b: sel_b},
         pruned={ctx.category_a: set(), ctx.category_b: pruned_b},
-        forced=forced,
     )
 
 
@@ -228,7 +222,6 @@ class PruneReport:
     kept: int = 0
     removed: int = 0
     door_capped: int = 0  # partitions pruned over only MAX_DOORS_PER_PARTITION of their doors
-    forced: int = 0       # runs whose fallback force-selected a point
 
     def add(self, partition_id: int, category: int, count: int) -> None:
         if count:
@@ -240,7 +233,6 @@ class PruneReport:
             "removed": self.removed,
             "kept": self.kept,
             "door_capped_partitions": self.door_capped,
-            "forced_selections": self.forced,
             "per_partition": {
                 str(pid): {str(c): n for c, n in sorted(cats.items())}
                 for pid, cats in sorted(self.eliminated.items())
@@ -258,7 +250,7 @@ def prune_partition(venue: Venue, partition: Partition,
     point sets and the survivors are the union of all selections.  The
     runs of a category pair share one DistanceTable.
     A category is only touched when a second category is present.
-    A given report counts a door cap and the runs' forced selections.
+    A given report counts a door cap.
     """
     cats = sorted(c for c, pts in points_by_category.items() if pts)
     if len(cats) < 2:
@@ -277,8 +269,6 @@ def prune_partition(venue: Venue, partition: Partition,
             result = select_points(ctx, points_by_category[c_a], points_by_category[c_b])
             survivors[c_a] |= result.selected_ids(c_a)
             survivors[c_b] |= result.selected_ids(c_b)
-            if report is not None:
-                report.forced += result.forced
     return survivors
 
 

@@ -43,16 +43,15 @@ class CnnStats:
 
 
 class _QueryMemo:
-    """Terms fixed for one query that its cnn calls reuse: door vectors of
-    the locations seen, each node's source and target entry bounds, and
-    each leaf block's source and target distances.  It also keeps the
-    (source, from, target) legs of each point cnn returned, keyed by the
-    from location and the point, for the planner to build its route from.
-    An index holds the memo of one query and starts a new one when the
-    query context changes."""
+    """Terms fixed for one query that its cnn calls on one snapshot reuse:
+    door vectors of the locations seen, each node's source and target entry
+    bounds, and each leaf block's source and target distances.  It also
+    keeps the (source, from, target) legs of each point cnn returned, keyed
+    by the from location and the point, for the planner to build its route
+    from.  The query's context holds it (`QueryContext.memo`), so it lives
+    and dies with the query; it keeps no reference back to the context."""
 
     def __init__(self, ctx: QueryContext, engine: DistanceEngine):
-        self.ctx = ctx
         self.engine = engine
         self.source = engine.legs(ctx.source)
         self.target = engine.legs(ctx.target)
@@ -83,7 +82,6 @@ class VenueIndex:
         self._boundary_idx: dict[int, np.ndarray] = {}
         # Built on first use: a category's block, and a leaf's per category.
         self._blocks: dict = {}
-        self._memo: _QueryMemo | None = None
         self._refresh_aggregates()
 
     # -- aggregate maintenance ------------------------------------------------
@@ -202,10 +200,10 @@ class VenueIndex:
         return ctx
 
     def _query_memo(self, ctx: QueryContext) -> _QueryMemo:
-        # Read once: a concurrent query may replace self._memo at any time.
-        memo = self._memo
-        if memo is None or memo.ctx != ctx:
-            memo = self._memo = _QueryMemo(ctx, self.engine)
+        """The memo this snapshot keeps on the context, made on first use."""
+        memo = ctx.memo.get(self)
+        if memo is None:
+            memo = ctx.memo.setdefault(self, _QueryMemo(self._resolved(ctx), self.engine))
         return memo
 
     def _entry_bound(self, door_vector: np.ndarray, loc: Location, node: IndexNode) -> float:
@@ -218,12 +216,12 @@ class VenueIndex:
         return float(door_vector[idx].min())
 
     def _node_bound(self, node: IndexNode, category: int, from_loc: Location,
-                    from_vector: np.ndarray, memo: _QueryMemo) -> float:
+                    from_vector: np.ndarray, ctx: QueryContext, memo: _QueryMemo) -> float:
         ms = node.min_static[category]
-        a = memo.ctx.alpha
+        a = ctx.alpha
         ends = memo.node_ends.get(node.id)
         if ends is None:
-            source, target = memo.ctx.source, memo.ctx.target
+            source, target = ctx.source, ctx.target
             ends = memo.node_ends[node.id] = (
                 self._entry_bound(memo.door_vector(source), source, node),
                 self._entry_bound(memo.door_vector(target), target, node),
@@ -237,13 +235,15 @@ class VenueIndex:
 
         Equals a linear scan over the category's live points; ties go to
         the smallest point id.  Each visited leaf is scored as one block.
+        Terms fixed by the query are memoized on ctx for later calls with
+        the same context object, as are the winner's legs for cnn_legs.
         """
         root = self.root
         if category not in root.inverted:
             raise EmptyCategoryError(f"category {category} has no live points")
         from_loc = self.venue.resolve(from_loc)
-        ctx = self._resolved(ctx)
         memo = self._query_memo(ctx)
+        ctx = self._resolved(ctx)
         from_vector = memo.door_vector(from_loc)
         from_legs = self.engine.legs(from_loc)
         a = ctx.alpha
@@ -252,7 +252,7 @@ class VenueIndex:
         best_point: IndoorPoint | None = None
         best_legs = (0.0, 0.0, 0.0)
         heap: list[tuple[float, int]] = [
-            (self._node_bound(root, category, from_loc, from_vector, memo), root.id)
+            (self._node_bound(root, category, from_loc, from_vector, ctx, memo), root.id)
         ]
         while heap:
             bound, nid = heapq.heappop(heap)
@@ -291,7 +291,7 @@ class VenueIndex:
                 for cid in node.children:
                     child = self.nodes[cid]
                     if category in child.inverted:
-                        bound = self._node_bound(child, category, from_loc, from_vector, memo)
+                        bound = self._node_bound(child, category, from_loc, from_vector, ctx, memo)
                         heapq.heappush(heap, (bound, cid))
         assert best_point is not None
         memo.winner_legs[(from_loc.key(), best_point.id)] = best_legs
@@ -299,24 +299,10 @@ class VenueIndex:
 
     def cnn_legs(self, from_loc: Location, point: IndoorPoint,
                  ctx: QueryContext) -> tuple[float, float, float]:
-        """The point's (source, from_loc, target) distances under ctx.
-
-        Read from what cnn recorded when it returned the point for from_loc;
-        if the memo no longer holds it (another query has replaced the memo),
-        measured with the same block kernel, so the floats are the same.
-        """
-        from_loc = self.venue.resolve(from_loc)
-        ctx = self._resolved(ctx)
-        memo = self._memo
-        if memo is not None and memo.ctx == ctx:
-            got = memo.winner_legs.get((from_loc.key(), point.id))
-            if got is not None:
-                return got
-        block = self.engine.block((point,))
-        return tuple(
-            float(self.engine.block_distances(self.engine.legs(loc), block)[0])
-            for loc in (ctx.source, from_loc, ctx.target)
-        )
+        """The point's (source, from_loc, target) distances under ctx, as
+        recorded by the cnn call on this snapshot that returned the point for
+        from_loc with the same context object."""
+        return ctx.memo[self].winner_legs[(self.venue.resolve(from_loc).key(), point.id)]
 
     # -- mutation (snapshotting) --------------------------------------------------
 

@@ -10,7 +10,7 @@ finishes at the target once everything is covered.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -23,11 +23,17 @@ class EmptyCategoryError(Exception):
 
 @dataclass(frozen=True)
 class QueryContext:
-    """Fixed per-query data every candidate score depends on."""
+    """Fixed per-query data every candidate score depends on.
+
+    `memo` holds what the cnn calls made with this context object share,
+    one entry per index snapshot they ran on.  It takes no part in ==,
+    hash or repr, and is freed with the context.
+    """
 
     source: Location
     target: Location
     alpha: float
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -146,6 +152,7 @@ def gcnn(query: TripQuery, index, counter: EvalCounter | None = None) -> Route:
     with the least key and discards the rest.  The queue key is the
     partial route cost plus the candidate's source and target legs.
     Every leg is one cnn has already measured (`VenueIndex.cnn_legs`).
+    The rounds share one context, and with it cnn's memo of the query.
     """
     venue: Venue = index.venue
     source = venue.resolve(query.source)

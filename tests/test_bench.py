@@ -58,9 +58,12 @@ def test_approximation_ratio_basics():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(venue_path="v", queries_path="q", algorithms=("magic",))
-    with pytest.raises(ValueError):
-        ExperimentConfig(venue_path="v", queries_path="q", delta=37)
-    cfg = ExperimentConfig(venue_path="v", queries_path="q", delta=37, allow_any_delta=True)
+    for delta in (-1, 101):
+        with pytest.raises(ValueError, match="delta"):
+            ExperimentConfig(venue_path="v", queries_path="q", delta=delta)
+        with pytest.raises(ValueError, match="delta"):
+            frequent_categories([], delta)
+    cfg = ExperimentConfig(venue_path="v", queries_path="q", delta=37)
     assert cfg.delta == 37
     with pytest.raises(ValueError):
         config_from_dict({"venue_path": "v", "queries_path": "q", "bogus": 1})

@@ -115,6 +115,16 @@ def test_query_gcnn_dom_matches_bench_rows(generated, tmp_path):
     assert via_query == via_bench
 
 
+@pytest.mark.parametrize("delta", ["-50", "150"])
+@pytest.mark.parametrize("command", [["query", "--algorithm", "gcnn-dom"], ["prune"]],
+                         ids=["query", "prune"])
+def test_a_delta_outside_0_to_100_exits_1(generated, capsys, command, delta):
+    inputs = ["--venue", generated["venue"], "--objects", generated["objects"],
+              "--queries", generated["queries"]]
+    assert run([*command, *inputs, "--delta", delta]) == 1
+    assert f"delta must lie in 0..100, got {delta}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("x, y", [(float("nan"), float("nan")), (1e6, 1e6)], ids=["nan", "far"])
 def test_query_rejects_an_endpoint_outside_its_partition(generated, tmp_path, capsys, x, y):
     lines = generated["queries"].read_text().splitlines()

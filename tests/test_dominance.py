@@ -18,11 +18,13 @@ from indoortrip import (
     build_d2d_graph,
     build_index,
     build_workload,
+    exact_route,
     preprocess,
     prune_partition,
     select_points,
 )
 from indoortrip.bench import frequent_categories
+from indoortrip.routing import route_cost
 from indoortrip.dominance import DominanceContext, DominanceError, prune_points
 from indoortrip.venue import intra_distance
 
@@ -128,17 +130,9 @@ def reference_select_points(ctx, points_a, points_b):
                     live_b.pop(pid, None)
             else:
                 del scan[p_j.id]
-    forced = 0
-    if sel_a and not sel_b and points_b:
-        anchor = next(p for p in points_a if p.id == sel_a[0])
-        pick = min(points_b, key=lambda p: (ctx.dist(anchor, p), p.id))
-        sel_b.add(pick.id)
-        pruned_b.discard(pick.id)
-        forced = 1
     return dom.SelectionResult(
         selected={ctx.category_a: set(sel_a), ctx.category_b: sel_b},
         pruned={ctx.category_a: set(), ctx.category_b: pruned_b},
-        forced=forced,
     )
 
 
@@ -438,25 +432,6 @@ def test_prune_partition_caps_door_pair_enumeration():
     prune_partition(venue, part, by_cat, report)
     assert report.door_capped == 1
     assert report.to_dict()["door_capped_partitions"] == 1
-    assert report.forced == 0
-
-
-def test_prune_report_counts_forced_selections(monkeypatch):
-    part, doors = flat_partition()
-    by_cat = {1: [pt(1, 2.0, 2.0, 1, 1.0)], 2: [pt(2, 4.0, 9.0, 2, 1.0)]}
-    venue = Venue(partitions={0: part}, doors=doors,
-                  points={p.id: p for pts in by_cat.values() for p in pts})
-
-    def fake_select_points(ctx, points_a, points_b):
-        return dom.SelectionResult(selected={1: {1}, 2: {2}}, pruned={1: set(), 2: set()},
-                                   forced=int(ctx.entry_door.id == ctx.exit_door.id))
-
-    monkeypatch.setattr(dom, "select_points", fake_select_points)
-    report = dom.PruneReport()
-    prune_partition(venue, part, by_cat, report)
-    assert report.forced == 2  # the two self door pairs
-    assert report.door_capped == 0
-    assert report.to_dict()["forced_selections"] == 2
 
 
 # -- preprocessing against the index -------------------------------------------------------
@@ -547,8 +522,9 @@ def acceptance_fixture():
     return venue, index, frequent_categories(queries, 100)
 
 
-# Computed with the point-at-a-time selection (the reference above).
-PINNED_REPORT_SHA256 = "7f5e90cb2ddbc5361b5887ae7d13de26b35d04ebc2804faaa0a0514326cefaf8"
+# Computed with the point-at-a-time selection (the reference above); the
+# report's keys are removed, kept, door_capped_partitions and per_partition.
+PINNED_REPORT_SHA256 = "5fd94238dc47ffa4c82d4fced4a595920ac4b846d0af7e3706e97812d738311d"
 PINNED_ALIVE = [
     15, 27, 29, 50, 51, 63, 66, 70, 71, 75, 78, 83, 85, 86, 88, 89, 90, 92, 93, 95,
     99, 100, 101, 106, 107, 109, 111, 119, 120, 127, 130, 131, 136, 140, 142, 144,
@@ -616,3 +592,17 @@ def test_preprocess_measures_each_pair_and_door_leg_once(acceptance_fixture, mon
             doors = min(len(part.door_ids), dom.MAX_DOORS_PER_PARTITION)
             bound += sum(a * b for a, b in combinations(sizes, 2)) + sum(sizes) * doors
     assert 0 < calls <= bound
+
+
+@pytest.mark.xfail(strict=True, reason="pruning certifies two-stop in-partition visits only; "
+                   "a single stop in a one-door room can lose the optimum (ROADMAP item 1)")
+def test_pruning_keeps_the_optimum_at_alpha_one_half():
+    # Queries 3 and 7 lose it: 77.8320 against 77.7605, and 62.4578 against 62.3863.
+    spec = WorkloadSpec(seed=29, floors=2, rooms_per_floor=8, categories=5, count_range=(6, 10),
+                        query_count=8, query_categories=(3,), alpha=0.5)
+    venue, _, queries = build_workload(spec)
+    index = build_index(venue, build_d2d_graph(venue))
+    pruned, _ = preprocess(index, frequent_categories(queries, 100))
+    for query in queries:
+        optimum = route_cost(exact_route(query, index), query.alpha)
+        assert route_cost(exact_route(query, pruned), query.alpha) <= optimum + 1e-9

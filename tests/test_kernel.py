@@ -115,6 +115,7 @@ def test_cnn_tie_across_leaves_goes_to_the_smaller_id(ids):
 def test_engine_keeps_no_per_query_state_over_a_stream():
     venue, graph, index, queries = small_workload(seed=3, query_count=50)
     assert len({(q.source, q.target) for q in queries}) > 25
+    built = dict(vars(index))
     for q in queries:
         gcnn(q, index)
     engine = index.engine
@@ -122,15 +123,21 @@ def test_engine_keeps_no_per_query_state_over_a_stream():
     assert set(vars(engine)) == {"venue", "graph", "_part_door_idx", "_point_legs"}
     assert set(engine._part_door_idx) <= set(venue.partitions)
     assert set(engine._point_legs) <= {p.location.key() for p in venue.points.values()}
-    # The index keeps the memo of the last query only.
-    last = queries[-1]
-    assert index._memo.ctx == QueryContext(venue.resolve(last.source),
-                                           venue.resolve(last.target), last.alpha)
+    # The snapshot keeps what it was built with; only its caches filled, and
+    # those by category, leaf and node, never by query.
+    assert vars(index).keys() == built.keys()
+    assert all(vars(index)[name] is value for name, value in built.items())
+    categories = set(venue.categories)
+    assert set(index._blocks) <= categories | {
+        (nid, c) for nid, n in index.nodes.items() if n.is_leaf for c in categories
+    }
+    assert set(index._boundary_idx) <= set(index.nodes)
 
 
 def test_concurrent_queries_on_one_snapshot_match_sequential_routes():
-    """Threads interleaving queries on one index replace each other's
-    memo; every route must still equal its sequential result."""
+    """Threads interleaving queries on one index share its block caches
+    while each query keeps its own memo; every route must still equal its
+    sequential result."""
     venue, graph, index, queries = small_workload(seed=4, query_count=12)
     want = {i: gcnn(q, build_index(venue, graph)) for i, q in enumerate(queries)}
     got, errors = [], []

@@ -1,9 +1,11 @@
 """Planners build their routes from distances their kernels have already
 measured: pinned routes on the acceptance fixture, no scalar distance call
-on a query path, and legs read after the cnn memo was replaced."""
+on a query path, and a cnn memo that lives with its query context."""
 
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -77,36 +79,87 @@ def test_no_scalar_distance_call_on_a_query_path(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_legs_read_after_the_memo_was_replaced_equal_scalar_distances(seed, monkeypatch):
-    venue, _, index, queries = small_workload(seed=seed)
+def route_and_evals(query, index, other=None):
+    """gcnn's route for the query, and the block evaluations made inside its
+    own cnn and cnn_legs calls.  With other, gcnn(other) runs on the same
+    snapshot ahead of each of the query's cnn calls; its work is not counted."""
     engine = index.engine
-    first, other = queries[0], queries[1]
-    ctx = QueryContext(venue.resolve(first.source), venue.resolve(first.target), first.alpha)
-    here = Location(ctx.target.x, ctx.target.y, ctx.target.floor)  # resolved by cnn_legs
-    found = [(index.cnn(loc, cat, ctx), loc) for cat in first.categories
-             for loc in (ctx.source, here)]
-
-    # While the memo is this query's, the legs are read, not measured.
-    measured_blocks = []
+    state = {"in": None, "other": False, "evals": {"cnn": 0, "cnn_legs": 0}, "others": 0}
     block_distances = engine.block_distances
-    monkeypatch.setattr(engine, "block_distances",
-                        lambda src, block: measured_blocks.append(block) or block_distances(src, block))
-    recorded = [index.cnn_legs(loc, point, ctx) for point, loc in found]
-    assert measured_blocks == []
 
-    # Another query's cnn call replaces the memo: every leg is measured again.
-    other_ctx = QueryContext(venue.resolve(other.source), venue.resolve(other.target), other.alpha)
-    assert other_ctx != ctx
-    index.cnn(other_ctx.source, other.categories[0], other_ctx)
-    assert index._memo.ctx == other_ctx
-    measured_blocks.clear()
-    for (point, loc), legs in zip(found, recorded):
-        measured = index.cnn_legs(loc, point, ctx)
-        scalar = (engine.distance(ctx.source, point.location),
-                  engine.distance(loc, point.location),
-                  engine.distance(point.location, ctx.target))
-        assert measured == scalar
-        assert legs == scalar
-        assert all(type(leg) is float for leg in measured + legs)
-    assert len(measured_blocks) == 3 * len(found)
+    def counted_block_distances(src, block):
+        if state["in"] is not None:
+            state["evals"][state["in"]] += 1
+        return block_distances(src, block)
+
+    def own(name, fn):
+        def call(*args, **kwargs):
+            if state["other"]:
+                return fn(*args, **kwargs)
+            if name == "cnn" and other is not None:
+                state["other"] = True
+                gcnn(other, index)
+                state["other"] = False
+                state["others"] += 1
+            state["in"] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                state["in"] = None
+        return call
+
+    engine.block_distances = counted_block_distances
+    index.cnn, index.cnn_legs = own("cnn", index.cnn), own("cnn_legs", index.cnn_legs)
+    try:
+        route = gcnn(query, index)
+    finally:
+        del engine.block_distances, index.cnn, index.cnn_legs
+    m = len(query.categories)
+    assert state["others"] == (0 if other is None else m * (m + 1) // 2)  # one per cnn call
+    return route, state["evals"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_query_interleaved_with_another_on_one_snapshot_does_the_same_work(seed):
+    venue, graph, index, queries = small_workload(seed=seed)
+    a, b = queries[0], queries[1]
+    assert a.context() != b.context()
+    alone, alone_evals = route_and_evals(a, build_index(venue, graph))
+    interleaved, evals = route_and_evals(a, index, other=b)
+    assert interleaved == alone
+    assert evals == alone_evals
+    assert evals["cnn"] > 0 and evals["cnn_legs"] == 0
+    # The other query's routes were not disturbed either.
+    assert gcnn(b, index) == gcnn(b, build_index(venue, graph))
+
+
+@pytest.mark.parametrize("bare", [False, True], ids=["resolved", "bare"])
+def test_a_dropped_context_frees_its_memo_without_the_cycle_collector(bare):
+    venue, graph, index, queries = small_workload(seed=0)
+    query = queries[0]
+    source, target = query.source, query.target
+    if bare:  # no partition: cnn and cnn_legs resolve them
+        source, target = (Location(loc.x, loc.y, loc.floor) for loc in (source, target))
+    gc.disable()
+    try:
+        ctx = QueryContext(source, target, query.alpha)
+        point = index.cnn(source, query.categories[0], ctx)
+        legs = index.cnn_legs(source, point, ctx)
+        assert all(type(leg) is float for leg in legs)
+        memo = weakref.ref(ctx.memo[index])
+        del ctx
+        assert memo() is None
+    finally:
+        gc.enable()
+
+
+def test_contexts_keep_value_semantics_after_serving_cnn():
+    venue, graph, index, queries = small_workload(seed=0)
+    query = queries[0]
+    used, fresh = query.context(), query.context()
+    index.cnn(query.source, query.categories[0], used)
+    assert used.memo and not fresh.memo
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert "memo" not in repr(used)
