@@ -205,13 +205,21 @@ def cmd_oracle(args) -> int:
     return _run_queries(args, "oracle")
 
 
+def _delta_list(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise CliError(f"--delta takes an integer or a comma list of them, got {text!r}") from None
+
+
 def cmd_bench(args) -> int:
+    deltas = _delta_list(args.delta_list) if args.delta_list is not None else None
     if args.config:
         data = json.loads(Path(args.config).read_text())
         config = config_from_dict(data)
-        deltas = args.delta_list if args.delta_list is not None else [config.delta]
+        deltas = deltas or [config.delta]
     else:
-        deltas = args.delta_list if args.delta_list is not None else [50]
+        deltas = deltas or [50]
         config = ExperimentConfig(
             venue_path=args.venue,
             objects_path=args.objects,
@@ -351,11 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bench":
-        if args.delta_list is not None:
-            args.delta_list = [int(v) for v in str(args.delta_list).split(",")]
-        if not args.config and (not args.venue or not args.queries):
-            parser.error("bench needs --config or both --venue and --queries")
+    if args.command == "bench" and not args.config and (not args.venue or not args.queries):
+        parser.error("bench needs --config or both --venue and --queries")
     try:
         return args.func(args)
     except SystemExit:

@@ -10,6 +10,7 @@ against a whole block of points in a single numpy expression.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -120,6 +121,11 @@ class PointBlock:
     ids: np.ndarray          # (P,) point ids
     scores: np.ndarray       # (P,) static scores
 
+    @cached_property
+    def partition_set(self) -> frozenset[int]:
+        """The partitions the block's points lie in."""
+        return frozenset(self.partitions.tolist())
+
     def take(self, rows) -> "PointBlock":
         """The sub-block of the given rows, in that order."""
         rows = np.asarray(rows, dtype=int)
@@ -202,14 +208,22 @@ class DistanceEngine:
         total = (src.legs[:, None, None] + legs[None, :, :]) + matrix[src.doors[:, None, None], doors]
         return total.min(axis=(0, 2), initial=np.inf)
 
+    def door_block_min(self, doors: np.ndarray, block: PointBlock) -> np.ndarray:
+        """For each door index, the least through-doors distance from that
+        door to a point of the block: the `_door_min` entries of a source
+        standing at the door with leg 0 (0 + leg is exact), minimised over
+        the block's rows."""
+        matrix = self.graph.distance_matrix()
+        total = block.legs[None, :, :] + matrix[doors[:, None, None], block.doors[None, :, :]]
+        return total.min(axis=(1, 2), initial=np.inf)
+
     def block_distances(self, src: DoorLegs, block: PointBlock) -> np.ndarray:
         """Distance from src's location to every point of the block."""
         out = self._door_min(src, block.doors, block.legs)
         loc = src.location
-        same = np.flatnonzero(block.partitions == loc.partition_id)
-        if same.size:
+        if loc.partition_id in block.partition_set:
             part = self.venue.partitions[loc.partition_id]
-            for row in same:
+            for row in np.flatnonzero(block.partitions == loc.partition_id):
                 out[row] = intra_distance(part, loc, block.points[row].location)
         return out
 

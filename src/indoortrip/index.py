@@ -3,14 +3,14 @@
 Partitions are grouped into leaves by adjacency, leaves into internal
 nodes, up to a single root.  Each node keeps an inverted file (category
 -> partitions below it that still hold a live point of that category)
-and the minimum live static score per category.  Those two summaries
-give an admissible lower bound for best-first category-nearest-neighbour
-search, so a query never has to look at every object.
+and the minimum live static score per category.  For category-nearest-
+neighbour search a snapshot lays out, per category, a flat table of the
+leaves that hold it; one vector expression then bounds the score of every
+leaf, so a query never has to look at every object.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -44,8 +44,9 @@ class CnnStats:
 
 class _QueryMemo:
     """Terms fixed for one query that its cnn calls on one snapshot reuse:
-    door vectors of the locations seen, each node's source and target entry
-    bounds, and each leaf block's source and target distances.  It also
+    door vectors of the locations seen (the from location's is shared by
+    the categories of one gcnn round), each category's source and target
+    entry rows, and each leaf block's source and target distances.  It also
     keeps the (source, from, target) legs of each point cnn returned, keyed
     by the from location and the point, for the planner to build its route
     from.  The query's context holds it (`QueryContext.memo`), so it lives
@@ -53,18 +54,96 @@ class _QueryMemo:
 
     def __init__(self, ctx: QueryContext, engine: DistanceEngine):
         self.engine = engine
+        # Resolved here: the bounds rely on partition membership.
         self.source = engine.legs(ctx.source)
         self.target = engine.legs(ctx.target)
         self.door_vectors: dict[tuple, np.ndarray] = {}
-        self.node_ends: dict[int, tuple[float, float]] = {}
+        self.leaf_ends: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.block_ends: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.winner_legs: dict[tuple[tuple, int], tuple[float, float, float]] = {}
 
     def door_vector(self, loc: Location) -> np.ndarray:
+        """Distance from loc to every door, plus a trailing inf column that
+        the leaf tables' padding points at."""
         vec = self.door_vectors.get(loc.key())
         if vec is None:
-            vec = self.door_vectors[loc.key()] = self.engine.door_vector(loc)
+            vec = self.door_vectors[loc.key()] = np.append(self.engine.door_vector(loc), np.inf)
         return vec
+
+
+def bound_scale(door_count: int) -> float:
+    """Factor that keeps a leaf's entry bound at or below every float
+    distance the block kernel returns from a location outside the leaf to
+    a point inside it.  (The leaf that holds the location gets bound 0.)
+
+    Let u = 2**-53 and gamma_k = k*u / (1 - k*u).  A float sum of k + 1
+    nonnegative terms, in any order, lies within a factor (1 -+ gamma_k)
+    of its real value.  Take the float legs and door-graph edge weights as
+    real inputs, let M be the real shortest door paths over them and D
+    the real distance, and let n = door_count.
+
+    - The kernel, from below.  A kernel entry is the least over door
+      pairs (i, j) of (leg_i + leg_j) + door_matrix[i, j].  A door matrix
+      entry is Dijkstra's float sum along one simple path of at most
+      n - 1 edges, summed from one end or the other (the matrix is
+      symmetrized).  So each candidate sums at most n + 1 terms, and the
+      entry is at least (1 - gamma_n) * D(loc, p).
+    - The bound's terms, from above.  Float addition is monotone and
+      adding a nonnegative term never shrinks a sum, so Dijkstra returns
+      the least float path sum over all paths from its source.  That is
+      at most the float sum along the real shortest path, itself at most
+      (1 + gamma_n) times M.  Hence door_vector[b] <= (1 + gamma_n) *
+      (leg_i + M[i, b]) for every door i of loc's partition, and
+      inner[b] <= (1 + gamma_n) * (M[b, j] + leg_j(p)) for every point p
+      of the leaf and door j of p's partition.
+    - The crossing.  A door-graph edge joins two doors of one partition
+      (partitions and doors list each other), so no edge joins a door
+      whose partitions all lie inside the leaf to one whose partitions
+      all lie outside it.  A door path from loc's partition, outside the
+      leaf, to p's, inside it, therefore passes a boundary door b, and
+      the real shortest one splits there:
+      D(loc, p) = (leg_i + M[i, b]) + (M[b, j] + leg_j(p)).
+
+    Together, kernel(loc, p) >= (1 - gamma_n) / (1 + gamma_n) *
+    (door_vector[b] + inner[b]).  The bound adds those two terms in floats
+    and multiplies their least sum by this factor s: two roundings of at
+    most (1 + u) each.  So s is safe when s * (1 + u)**2 <= (1 - gamma_n)
+    / (1 + gamma_n).  Since gamma_n <= 2*n*u, that holds for
+    s = 1 - 4*(n + 1)*u = 1 - (n + 1) * 2**-51, which binary floating
+    point represents exactly.  The leaf's score bound applies the
+    kernel's score expression, whose operations are monotone, to these
+    entry bounds and the leaf's least static score, so it never exceeds
+    the float score of any of the leaf's points.
+    """
+    return 1.0 - (door_count + 1) * 2.0 ** -51
+
+
+@dataclass(frozen=True)
+class _LeafTable:
+    """The leaves that hold one category on one snapshot, one row each in
+    node id order, laid out so that one vector expression bounds them all.
+
+    doors[r] lists leaf r's boundary doors, padded with the index of the
+    door vectors' trailing inf column; inner[r, k] is the least distance
+    from door doors[r, k] to a live point of the category in leaf r.
+    """
+
+    blocks: tuple[PointBlock, ...]  # each leaf's live points of the category, in id order
+    doors: np.ndarray               # (L, W) door-matrix indices, padding -> door count
+    inner: np.ndarray               # (L, W) inner legs, 0 where padded
+    min_static: np.ndarray          # (L,) each leaf's least live static score
+    row_of: dict[int, int]          # partition id -> row of the leaf that covers it
+    scale: float                    # bound_scale of the venue's door count
+
+    def entries(self, door_vector: np.ndarray, loc: Location) -> np.ndarray:
+        """A lower bound on the distance from loc to the category's live
+        points in each leaf: 0 in loc's own leaf, else the scaled least
+        door_vector[b] + inner[b] over the leaf's boundary doors b."""
+        out = (door_vector[self.doors] + self.inner).min(axis=1, initial=np.inf) * self.scale
+        row = self.row_of.get(loc.partition_id)
+        if row is not None:
+            out[row] = 0.0
+        return out
 
 
 class VenueIndex:
@@ -79,9 +158,9 @@ class VenueIndex:
         self.alive = alive
         self.engine = engine or DistanceEngine(venue, graph)
         self._live_by_part_cat: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._boundary_idx: dict[int, np.ndarray] = {}
-        # Built on first use: a category's block, and a leaf's per category.
-        self._blocks: dict = {}
+        # Built on first use, keyed by category: its block and its leaf table.
+        self._blocks: dict[int, PointBlock] = {}
+        self._leaf_tables: dict[int, _LeafTable] = {}
         self._refresh_aggregates()
 
     # -- aggregate maintenance ------------------------------------------------
@@ -147,29 +226,21 @@ class VenueIndex:
             raise KeyError(f"unknown index node {node_id}")
         return self.nodes[node_id].min_static.get(category)
 
+    def _live_ids(self, category: int, partitions) -> list[int]:
+        return [i for pid in partitions for i in self._live_by_part_cat[(pid, category)]]
+
     def live_points(self, category: int) -> list[IndoorPoint]:
-        ids = [
-            i
-            for (part, cat), ids in self._live_by_part_cat.items()
-            if cat == category
-            for i in ids
-        ]
+        ids = self._live_ids(category, self.root.inverted.get(category, ()))
         return [self.venue.points[i] for i in sorted(ids)]
 
     def live_count(self, category: int) -> int:
         return sum(
-            len(ids) for (_, cat), ids in self._live_by_part_cat.items() if cat == category
+            len(self._live_by_part_cat[(pid, category)])
+            for pid in self.root.inverted.get(category, ())
         )
 
     def is_live(self, point_id: int) -> bool:
         return point_id in self.alive
-
-    def _boundary_indices(self, node: IndexNode) -> np.ndarray:
-        idx = self._boundary_idx.get(node.id)
-        if idx is None:
-            idx = np.array([self.graph.index_of(d) for d in node.boundary_doors], dtype=int)
-            self._boundary_idx[node.id] = idx
-        return idx
 
     def category_block(self, category: int) -> PointBlock:
         """The category's live points, in id order, as one distance block."""
@@ -179,120 +250,111 @@ class VenueIndex:
             self._blocks[category] = block
         return block
 
-    def _leaf_block(self, node: IndexNode, category: int) -> PointBlock:
-        """The leaf's live points of the category, in id order."""
-        key = (node.id, category)
-        block = self._blocks.get(key)
-        if block is None:
-            ids = sorted(
-                i for pid in node.inverted[category] for i in self._live_by_part_cat[(pid, category)]
-            )
+    def _leaf_table(self, category: int) -> _LeafTable:
+        """The category's leaf table, built on the first cnn call for it."""
+        table = self._leaf_tables.get(category)
+        if table is not None:
+            return table
+        if category not in self.root.inverted:
+            raise EmptyCategoryError(f"category {category} has no live points")
+        leaves = [n for _, n in sorted(self.nodes.items())
+                  if n.is_leaf and category in n.inverted]
+        door_count = len(self.graph.door_ids)
+        width = max(len(n.boundary_doors) for n in leaves)
+        doors = np.full((len(leaves), width), door_count, dtype=int)
+        inner = np.zeros((len(leaves), width))
+        blocks = []
+        row_of = {}
+        for row, node in enumerate(leaves):
+            ids = sorted(self._live_ids(category, node.inverted[category]))
             block = self.engine.block(self.venue.points[i] for i in ids)
-            self._blocks[key] = block
-        return block
-
-    def _resolved(self, ctx: QueryContext) -> QueryContext:
-        if ctx.source.partition_id is None or ctx.target.partition_id is None:
-            # Bounds rely on partition membership; resolve once up front.
-            ctx = QueryContext(
-                self.venue.resolve(ctx.source), self.venue.resolve(ctx.target), ctx.alpha
-            )
-        return ctx
+            blocks.append(block)
+            idx = np.array([self.graph.index_of(d) for d in node.boundary_doors], dtype=int)
+            doors[row, :idx.size] = idx
+            inner[row, :idx.size] = self.engine.door_block_min(idx, block)
+            row_of.update(dict.fromkeys(node.covered, row))
+        table = _LeafTable(
+            blocks=tuple(blocks), doors=doors, inner=inner,
+            min_static=np.array([n.min_static[category] for n in leaves]),
+            row_of=row_of, scale=bound_scale(door_count),
+        )
+        return self._leaf_tables.setdefault(category, table)
 
     def _query_memo(self, ctx: QueryContext) -> _QueryMemo:
         """The memo this snapshot keeps on the context, made on first use."""
         memo = ctx.memo.get(self)
         if memo is None:
-            memo = ctx.memo.setdefault(self, _QueryMemo(self._resolved(ctx), self.engine))
+            memo = ctx.memo.setdefault(self, _QueryMemo(ctx, self.engine))
         return memo
 
-    def _entry_bound(self, door_vector: np.ndarray, loc: Location, node: IndexNode) -> float:
-        """Lower bound on the distance from loc to anywhere inside node."""
-        if loc.partition_id in node.covered:
-            return 0.0
-        idx = self._boundary_indices(node)
-        if idx.size == 0:
-            return 0.0
-        return float(door_vector[idx].min())
-
-    def _node_bound(self, node: IndexNode, category: int, from_loc: Location,
-                    from_vector: np.ndarray, ctx: QueryContext, memo: _QueryMemo) -> float:
-        ms = node.min_static[category]
-        a = ctx.alpha
-        ends = memo.node_ends.get(node.id)
+    def _leaf_bounds(self, category: int, table: _LeafTable, from_loc: Location,
+                     alpha: float, memo: _QueryMemo) -> np.ndarray:
+        """A lower bound on the score of every point in each leaf of the
+        table, for a resolved from_loc: the kernel's score expression on
+        the entry bounds and the leaf's least static score."""
+        ends = memo.leaf_ends.get(category)
         if ends is None:
-            source, target = ctx.source, ctx.target
-            ends = memo.node_ends[node.id] = (
-                self._entry_bound(memo.door_vector(source), source, node),
-                self._entry_bound(memo.door_vector(target), target, node),
+            source, target = memo.source.location, memo.target.location
+            ends = memo.leaf_ends[category] = (
+                table.entries(memo.door_vector(source), source),
+                table.entries(memo.door_vector(target), target),
             )
-        travel_lb = ends[0] + self._entry_bound(from_vector, from_loc, node) + ends[1]
-        return a * travel_lb + (1.0 - a) * ms
+        travel = ends[0] + table.entries(memo.door_vector(from_loc), from_loc) + ends[1]
+        return alpha * travel + (1.0 - alpha) * table.min_static
 
     def cnn(self, from_loc: Location, category: int, ctx: QueryContext,
             stats: CnnStats | None = None, counter: EvalCounter | None = None) -> IndoorPoint:
         """Live point of the category minimising the three-leg score.
 
         Equals a linear scan over the category's live points; ties go to
-        the smallest point id.  Each visited leaf is scored as one block.
-        Terms fixed by the query are memoized on ctx for later calls with
-        the same context object, as are the winner's legs for cnn_legs.
+        the smallest point id.  Leaves are visited in order of their score
+        bound until a bound exceeds the best score, each scored as one
+        block.  Terms fixed by the query are memoized on ctx for later
+        calls with the same context object, as are the winner's legs for
+        cnn_legs.
         """
-        root = self.root
-        if category not in root.inverted:
-            raise EmptyCategoryError(f"category {category} has no live points")
+        table = self._leaf_table(category)
         from_loc = self.venue.resolve(from_loc)
         memo = self._query_memo(ctx)
-        ctx = self._resolved(ctx)
-        from_vector = memo.door_vector(from_loc)
-        from_legs = self.engine.legs(from_loc)
         a = ctx.alpha
+        bounds = self._leaf_bounds(category, table, from_loc, a, memo)
+        from_legs = self.engine.legs(from_loc)
 
         best_score = float("inf")
         best_point: IndoorPoint | None = None
         best_legs = (0.0, 0.0, 0.0)
-        heap: list[tuple[float, int]] = [
-            (self._node_bound(root, category, from_loc, from_vector, ctx, memo), root.id)
-        ]
-        while heap:
-            bound, nid = heapq.heappop(heap)
-            if best_point is not None and bound > best_score:
+        order = np.argsort(bounds, kind="stable").tolist()
+        bound_of = bounds.tolist()
+        for pos, row in enumerate(order):
+            if best_point is not None and bound_of[row] > best_score:
                 if stats is not None:
-                    stats.skipped_bounds.append(bound)
-                continue
-            node = self.nodes[nid]
-            if node.is_leaf:
-                block = self._leaf_block(node, category)
-                ends = memo.block_ends.get((nid, category))
-                if ends is None:
-                    ends = memo.block_ends[(nid, category)] = (
-                        self.engine.block_distances(memo.source, block),
-                        self.engine.block_distances(memo.target, block),
-                    )
-                to_source, to_target = ends
-                from_here = self.engine.block_distances(from_legs, block)
-                travel = to_source + from_here + to_target
-                scores = a * travel + (1.0 - a) * block.scores
-                if stats is not None:
-                    stats.evaluated += len(block.points)
-                if counter is not None:
-                    counter.point_evals += len(block.points)
-                row = int(scores.argmin())  # first minimum: the smallest id among ties
-                score = float(scores[row])
-                point = block.points[row]
-                if score < best_score or (
-                    score == best_score and best_point is not None and point.id < best_point.id
-                ):
-                    best_score = score
-                    best_point = point
-                    best_legs = (float(to_source[row]), float(from_here[row]),
-                                 float(to_target[row]))
-            else:
-                for cid in node.children:
-                    child = self.nodes[cid]
-                    if category in child.inverted:
-                        bound = self._node_bound(child, category, from_loc, from_vector, ctx, memo)
-                        heapq.heappush(heap, (bound, cid))
+                    stats.skipped_bounds.extend(bound_of[r] for r in order[pos:])
+                break
+            block = table.blocks[row]
+            ends = memo.block_ends.get((category, row))
+            if ends is None:
+                ends = memo.block_ends[(category, row)] = (
+                    self.engine.block_distances(memo.source, block),
+                    self.engine.block_distances(memo.target, block),
+                )
+            to_source, to_target = ends
+            from_here = self.engine.block_distances(from_legs, block)
+            travel = to_source + from_here + to_target
+            scores = a * travel + (1.0 - a) * block.scores
+            if stats is not None:
+                stats.evaluated += len(block.points)
+            if counter is not None:
+                counter.point_evals += len(block.points)
+            row_min = int(scores.argmin())  # first minimum: the smallest id among ties
+            score = float(scores[row_min])
+            point = block.points[row_min]
+            if score < best_score or (
+                score == best_score and best_point is not None and point.id < best_point.id
+            ):
+                best_score = score
+                best_point = point
+                best_legs = (float(to_source[row_min]), float(from_here[row_min]),
+                             float(to_target[row_min]))
         assert best_point is not None
         memo.winner_legs[(from_loc.key(), best_point.id)] = best_legs
         return best_point

@@ -125,6 +125,17 @@ def test_a_delta_outside_0_to_100_exits_1(generated, capsys, command, delta):
     assert f"delta must lie in 0..100, got {delta}" in capsys.readouterr().err
 
 
+def test_a_non_integer_delta_exits_1(generated, tmp_path, capsys):
+    inputs = ["--venue", generated["venue"], "--objects", generated["objects"],
+              "--queries", generated["queries"]]
+    assert run(["bench", *inputs, "--algorithms", "gcnn", "--delta", "0,x",
+                "--out", tmp_path / "never.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --delta takes an integer or a comma list of them, got '0,x'")
+    assert "Traceback" not in err
+    assert not (tmp_path / "never.csv").exists()
+
+
 @pytest.mark.parametrize("x, y", [(float("nan"), float("nan")), (1e6, 1e6)], ids=["nan", "far"])
 def test_query_rejects_an_endpoint_outside_its_partition(generated, tmp_path, capsys, x, y):
     lines = generated["queries"].read_text().splitlines()

@@ -211,6 +211,75 @@ def test_cnn_skipped_nodes_bound_the_returned_score():
         assert all(b >= final - 1e-12 for b in stats.skipped_bounds)
 
 
+def door_spots(venue):
+    """A location exactly at each door, once in each partition it joins."""
+    return [
+        Location(d.x, d.y, d.floor, pid)
+        for _, d in sorted(venue.doors.items())
+        for pid in d.partition_ids
+        if pid in venue.partitions
+    ]
+
+
+def any_spot(rng, venue, doors):
+    """Half the time a door, else a point of any partition, stairs included."""
+    if rng.random() < 0.5:
+        return rng.choice(doors)
+    part = venue.partitions[rng.choice(sorted(venue.partitions))]
+    x0, y0, x1, y1 = part.bounds
+    return Location(rng.uniform(x0, x1), rng.uniform(y0, y1), rng.choice(part.floors), part.id)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 0.8, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_leaf_bound_is_at_most_its_least_block_score(seed, alpha):
+    venue, graph, index, _ = small_workload(seed=seed)
+    engine = index.engine
+    rng = random.Random(1000 * seed + int(10 * alpha))
+    doors = door_spots(venue)
+    cats = sorted(index.root.inverted)
+    for _ in range(40):
+        ctx = QueryContext(any_spot(rng, venue, doors), any_spot(rng, venue, doors), alpha)
+        from_loc = any_spot(rng, venue, doors)
+        cat = rng.choice(cats)
+        table = index._leaf_table(cat)
+        bounds = index._leaf_bounds(cat, table, from_loc, alpha, index._query_memo(ctx))
+        assert len(bounds) == len(table.blocks)
+        for bound, block in zip(bounds.tolist(), table.blocks):
+            src, here, tgt = (engine.block_distances(engine.legs(loc), block)
+                              for loc in (ctx.source, from_loc, ctx.target))
+            scores = alpha * (src + here + tgt) + (1.0 - alpha) * block.scores
+            assert bound <= scores.min()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_inner_legs_equal_the_least_distance_from_their_door(seed):
+    venue, graph, index, _ = small_workload(seed=seed)
+    checked = 0
+    for cat in sorted(index.root.inverted):
+        table = index._leaf_table(cat)
+        leaves = [n for _, n in sorted(index.nodes.items()) if n.is_leaf and cat in n.inverted]
+        assert [b.points for b in table.blocks] == [
+            tuple(p for p in index.live_points(cat) if p.partition_id in n.covered)
+            for n in leaves
+        ]
+        for row, node in enumerate(leaves):
+            assert table.doors[row, len(node.boundary_doors):].tolist() == \
+                [len(graph.door_ids)] * (table.doors.shape[1] - len(node.boundary_doors))
+            for k, did in enumerate(node.boundary_doors):
+                door = venue.doors[did]
+                assert table.doors[row, k] == graph.index_of(did)
+                # Standing at the door on its outer side.
+                outside = min(p for p in door.partition_ids
+                              if p in venue.partitions and p not in node.covered)
+                at_door = Location(door.x, door.y, door.floor, outside)
+                brute = min(index.engine.distance(at_door, p.location)
+                            for p in table.blocks[row].points)
+                assert table.inner[row, k] == brute
+                checked += 1
+    assert checked > 20
+
+
 def test_remove_points_rerouting_and_min_static_rise():
     points = [
         IndoorPoint(id=0, partition_id=0, x=1, y=1, floor=0, category=3, static_score=2.0),

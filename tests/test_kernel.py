@@ -124,14 +124,14 @@ def test_engine_keeps_no_per_query_state_over_a_stream():
     assert set(engine._part_door_idx) <= set(venue.partitions)
     assert set(engine._point_legs) <= {p.location.key() for p in venue.points.values()}
     # The snapshot keeps what it was built with; only its caches filled, and
-    # those by category, leaf and node, never by query.
+    # those by category and leaf, never by query.
     assert vars(index).keys() == built.keys()
     assert all(vars(index)[name] is value for name, value in built.items())
     categories = set(venue.categories)
     assert set(index._blocks) <= categories | {
         (nid, c) for nid, n in index.nodes.items() if n.is_leaf for c in categories
     }
-    assert set(index._boundary_idx) <= set(index.nodes)
+    assert index._leaf_tables and set(index._leaf_tables) <= categories
 
 
 def test_concurrent_queries_on_one_snapshot_match_sequential_routes():
