@@ -223,12 +223,14 @@ class DistanceEngine:
         loc = src.location
         if loc.partition_id in block.partition_set:
             part = self.venue.partitions[loc.partition_id]
-            for row in np.flatnonzero(block.partitions == loc.partition_id):
-                out[row] = intra_distance(part, loc, block.points[row].location)
+            for row in np.flatnonzero(block.partitions == loc.partition_id).tolist():
+                out[row] = intra_distance(part, loc, block.points[row])
         return out
 
     def door_vector(self, loc: Location) -> np.ndarray:
-        """Distance from loc to every door, through its partition's doors."""
+        """Distance from loc to every door, through its partition's doors.
+        No query path calls it: cnn bounds leaves from the location's legs
+        to its own doors and its leaf tables' per-door entries."""
         src = self.legs(loc)
         matrix = self.graph.distance_matrix()
         return (src.legs[:, None] + matrix[src.doors]).min(axis=0, initial=np.inf)

@@ -5,8 +5,11 @@ nodes, up to a single root.  Each node keeps an inverted file (category
 -> partitions below it that still hold a live point of that category)
 and the minimum live static score per category.  For category-nearest-
 neighbour search a snapshot lays out, per category, a flat table of the
-leaves that hold it; one vector expression then bounds the score of every
-leaf, so a query never has to look at every object.
+leaves that hold it, with the least distance from every door into each
+leaf.  A query location's legs to its own partition's doors then bound
+the score of every leaf in one vector expression, so a query never has
+to look at every object, and each location a query touches is resolved
+and measured once.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .d2d import D2DGraph, DistanceEngine, PointBlock
+from .d2d import D2DGraph, DistanceEngine, DoorLegs, PointBlock
 from .routing import EmptyCategoryError, EvalCounter, QueryContext
 from .venue import IndoorPoint, Location, Venue
 
@@ -44,31 +47,34 @@ class CnnStats:
 
 class _QueryMemo:
     """Terms fixed for one query that its cnn calls on one snapshot reuse:
-    door vectors of the locations seen (the from location's is shared by
-    the categories of one gcnn round), each category's source and target
-    entry rows, and each leaf block's source and target distances.  It also
-    keeps the (source, from, target) legs of each point cnn returned, keyed
-    by the from location and the point, for the planner to build its route
-    from.  The query's context holds it (`QueryContext.memo`), so it lives
-    and dies with the query; it keeps no reference back to the context."""
+    the door legs of each location seen, resolved and measured once and
+    keyed by the location as given and as resolved; each category's source
+    and target entry rows; and each leaf block's source and target
+    distances.  A from location that is the query's source reuses the
+    source's rows and distances.  It also keeps the (source, from, target)
+    legs of each point cnn returned, keyed by the resolved from location
+    and the point, for the planner to build its route from.  The query's
+    context holds it (`QueryContext.memo`), so it lives and dies with the
+    query; it keeps no reference back to the context."""
 
     def __init__(self, ctx: QueryContext, engine: DistanceEngine):
         self.engine = engine
+        self.located: dict[tuple, DoorLegs] = {}
         # Resolved here: the bounds rely on partition membership.
-        self.source = engine.legs(ctx.source)
-        self.target = engine.legs(ctx.target)
-        self.door_vectors: dict[tuple, np.ndarray] = {}
+        self.source = self.legs(ctx.source)
+        self.target = self.legs(ctx.target)
         self.leaf_ends: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.block_ends: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.winner_legs: dict[tuple[tuple, int], tuple[float, float, float]] = {}
 
-    def door_vector(self, loc: Location) -> np.ndarray:
-        """Distance from loc to every door, plus a trailing inf column that
-        the leaf tables' padding points at."""
-        vec = self.door_vectors.get(loc.key())
-        if vec is None:
-            vec = self.door_vectors[loc.key()] = np.append(self.engine.door_vector(loc), np.inf)
-        return vec
+    def legs(self, loc: Location) -> DoorLegs:
+        """loc's legs to the doors of its partition, resolved on first sight."""
+        key = loc.key()
+        got = self.located.get(key)
+        if got is None:
+            got = self.located[key] = self.engine.legs(loc)
+            self.located.setdefault(got.location.key(), got)
+        return got
 
 
 def bound_scale(door_count: int) -> float:
@@ -77,10 +83,10 @@ def bound_scale(door_count: int) -> float:
     a point inside it.  (The leaf that holds the location gets bound 0.)
 
     Let u = 2**-53 and gamma_k = k*u / (1 - k*u).  A float sum of k + 1
-    nonnegative terms, in any order, lies within a factor (1 -+ gamma_k)
-    of its real value.  Take the float legs and door-graph edge weights as
-    real inputs, let M be the real shortest door paths over them and D
-    the real distance, and let n = door_count.
+    nonnegative terms, bracketed in any way, lies within a factor
+    (1 -+ gamma_k) of its real value.  Take the float legs and door-graph
+    edge weights as real inputs, let M be the real shortest door paths
+    over them and D the real distance, and let n = door_count.
 
     - The kernel, from below.  A kernel entry is the least over door
       pairs (i, j) of (leg_i + leg_j) + door_matrix[i, j].  A door matrix
@@ -88,32 +94,40 @@ def bound_scale(door_count: int) -> float:
       n - 1 edges, summed from one end or the other (the matrix is
       symmetrized).  So each candidate sums at most n + 1 terms, and the
       entry is at least (1 - gamma_n) * D(loc, p).
-    - The bound's terms, from above.  Float addition is monotone and
-      adding a nonnegative term never shrinks a sum, so Dijkstra returns
-      the least float path sum over all paths from its source.  That is
-      at most the float sum along the real shortest path, itself at most
-      (1 + gamma_n) times M.  Hence door_vector[b] <= (1 + gamma_n) *
-      (leg_i + M[i, b]) for every door i of loc's partition, and
-      inner[b] <= (1 + gamma_n) * (M[b, j] + leg_j(p)) for every point p
-      of the leaf and door j of p's partition.
     - The crossing.  A door-graph edge joins two doors of one partition
       (partitions and doors list each other), so no edge joins a door
       whose partitions all lie inside the leaf to one whose partitions
       all lie outside it.  A door path from loc's partition, outside the
       leaf, to p's, inside it, therefore passes a boundary door b, and
       the real shortest one splits there:
-      D(loc, p) = (leg_i + M[i, b]) + (M[b, j] + leg_j(p)).
+      D(loc, p) = leg_i + M[i, b] + M[b, j] + leg_j(p), where its parts
+      from i to b and from b to j are one simple path of at most n - 1
+      edges.
+    - The bound, from above.  The bound for that leaf is at most the
+      float sum leg_i + (door_matrix[i, b] + inner[b]): three float
+      terms and two roundings, and inner[b] <= leg_j(p) +
+      door_matrix[b, j], one more rounding.  Float addition is monotone
+      and adding a nonnegative term never shrinks a sum, so Dijkstra
+      returns the least float path sum over all paths from its source:
+      door_matrix[i, b] is at most the float sum from i of the edges of
+      the real path's part from i to b, and door_matrix[b, j] at most
+      that from b of its part from b to j.  Put those sums in their
+      place and the bound can only grow; what results is one bracketed
+      float sum of the real path's at most n + 1 terms (leg_i, its
+      edges and leg_j(p)).  So the unscaled bound is at most
+      (1 + gamma_n) * D(loc, p).
 
-    Together, kernel(loc, p) >= (1 - gamma_n) / (1 + gamma_n) *
-    (door_vector[b] + inner[b]).  The bound adds those two terms in floats
-    and multiplies their least sum by this factor s: two roundings of at
-    most (1 + u) each.  So s is safe when s * (1 + u)**2 <= (1 - gamma_n)
-    / (1 + gamma_n).  Since gamma_n <= 2*n*u, that holds for
-    s = 1 - 4*(n + 1)*u = 1 - (n + 1) * 2**-51, which binary floating
-    point represents exactly.  The leaf's score bound applies the
-    kernel's score expression, whose operations are monotone, to these
-    entry bounds and the leaf's least static score, so it never exceeds
-    the float score of any of the leaf's points.
+    Together, kernel(loc, p) >= (1 - gamma_n) / (1 + gamma_n) times the
+    unscaled bound.  The bound multiplies its least sum by this factor s:
+    one more rounding of at most (1 + u).  So s is safe when s * (1 + u)
+    <= (1 - gamma_n) / (1 + gamma_n), whose right side is at least
+    1 - 4*n*u since gamma_n <= 2*n*u.  s = 1 - 4*(n + 1)*u =
+    1 - (n + 1) * 2**-51, which binary floating point represents exactly,
+    gives s * (1 + u) <= 1 - (4*n + 3)*u, so it is safe with 3u to spare.
+    The leaf's score bound applies the kernel's score expression, whose
+    operations are monotone, to these entry bounds and the leaf's least
+    static score, so it never exceeds the float score of any of the
+    leaf's points.
     """
     return 1.0 - (door_count + 1) * 2.0 ** -51
 
@@ -123,24 +137,28 @@ class _LeafTable:
     """The leaves that hold one category on one snapshot, one row each in
     node id order, laid out so that one vector expression bounds them all.
 
-    doors[r] lists leaf r's boundary doors, padded with the index of the
-    door vectors' trailing inf column; inner[r, k] is the least distance
-    from door doors[r, k] to a live point of the category in leaf r.
+    doors[r] lists leaf r's boundary doors, padded with the door count
+    (no door); inner[r, k] is the least distance from door doors[r, k] to
+    a live point of the category in leaf r.  door_entries[i, r] is the
+    least door_matrix[i, b] + inner[r, b] over leaf r's boundary doors b:
+    the distance from door i into leaf r, inf for a leaf with none.
     """
 
     blocks: tuple[PointBlock, ...]  # each leaf's live points of the category, in id order
     doors: np.ndarray               # (L, W) door-matrix indices, padding -> door count
     inner: np.ndarray               # (L, W) inner legs, 0 where padded
+    door_entries: np.ndarray        # (D, L) least distance from each door into each leaf
     min_static: np.ndarray          # (L,) each leaf's least live static score
     row_of: dict[int, int]          # partition id -> row of the leaf that covers it
     scale: float                    # bound_scale of the venue's door count
 
-    def entries(self, door_vector: np.ndarray, loc: Location) -> np.ndarray:
-        """A lower bound on the distance from loc to the category's live
-        points in each leaf: 0 in loc's own leaf, else the scaled least
-        door_vector[b] + inner[b] over the leaf's boundary doors b."""
-        out = (door_vector[self.doors] + self.inner).min(axis=1, initial=np.inf) * self.scale
-        row = self.row_of.get(loc.partition_id)
+    def entries(self, legs: DoorLegs) -> np.ndarray:
+        """A lower bound on the distance from a resolved location to the
+        category's live points in each leaf: 0 in its own leaf, else the
+        scaled least legs[k] + door_entries[doors[k]] over its doors k."""
+        out = (legs.legs[:, None] + self.door_entries[legs.doors]).min(axis=0, initial=np.inf)
+        out *= self.scale
+        row = self.row_of.get(legs.location.partition_id)
         if row is not None:
             out[row] = 0.0
         return out
@@ -176,6 +194,9 @@ class VenueIndex:
             if p.category not in cats or p.static_score < cats[p.category]:
                 cats[p.category] = p.static_score
         self._live_by_part_cat = {k: tuple(sorted(v)) for k, v in by_part_cat.items()}
+        self._live_counts: dict[int, int] = {}
+        for (_, cat), ids in by_part_cat.items():
+            self._live_counts[cat] = self._live_counts.get(cat, 0) + len(ids)
 
         def leaf_aggregates(node: IndexNode) -> tuple[dict, dict]:
             inverted: dict[int, set[int]] = {}
@@ -234,10 +255,7 @@ class VenueIndex:
         return [self.venue.points[i] for i in sorted(ids)]
 
     def live_count(self, category: int) -> int:
-        return sum(
-            len(self._live_by_part_cat[(pid, category)])
-            for pid in self.root.inverted.get(category, ())
-        )
+        return self._live_counts.get(category, 0)
 
     def is_live(self, point_id: int) -> bool:
         return point_id in self.alive
@@ -260,9 +278,11 @@ class VenueIndex:
         leaves = [n for _, n in sorted(self.nodes.items())
                   if n.is_leaf and category in n.inverted]
         door_count = len(self.graph.door_ids)
+        matrix = self.graph.distance_matrix()
         width = max(len(n.boundary_doors) for n in leaves)
         doors = np.full((len(leaves), width), door_count, dtype=int)
         inner = np.zeros((len(leaves), width))
+        door_entries = np.empty((door_count, len(leaves)))
         blocks = []
         row_of = {}
         for row, node in enumerate(leaves):
@@ -272,9 +292,11 @@ class VenueIndex:
             idx = np.array([self.graph.index_of(d) for d in node.boundary_doors], dtype=int)
             doors[row, :idx.size] = idx
             inner[row, :idx.size] = self.engine.door_block_min(idx, block)
+            door_entries[:, row] = (matrix[:, idx] + inner[row, :idx.size]).min(
+                axis=1, initial=np.inf)
             row_of.update(dict.fromkeys(node.covered, row))
         table = _LeafTable(
-            blocks=tuple(blocks), doors=doors, inner=inner,
+            blocks=tuple(blocks), doors=doors, inner=inner, door_entries=door_entries,
             min_static=np.array([n.min_static[category] for n in leaves]),
             row_of=row_of, scale=bound_scale(door_count),
         )
@@ -287,19 +309,17 @@ class VenueIndex:
             memo = ctx.memo.setdefault(self, _QueryMemo(ctx, self.engine))
         return memo
 
-    def _leaf_bounds(self, category: int, table: _LeafTable, from_loc: Location,
+    def _leaf_bounds(self, category: int, table: _LeafTable, from_legs: DoorLegs,
                      alpha: float, memo: _QueryMemo) -> np.ndarray:
         """A lower bound on the score of every point in each leaf of the
-        table, for a resolved from_loc: the kernel's score expression on
-        the entry bounds and the leaf's least static score."""
+        table, for the from location's memoized legs: the kernel's score
+        expression on the entry bounds and the leaf's least static score."""
         ends = memo.leaf_ends.get(category)
         if ends is None:
-            source, target = memo.source.location, memo.target.location
-            ends = memo.leaf_ends[category] = (
-                table.entries(memo.door_vector(source), source),
-                table.entries(memo.door_vector(target), target),
-            )
-        travel = ends[0] + table.entries(memo.door_vector(from_loc), from_loc) + ends[1]
+            ends = memo.leaf_ends[category] = (table.entries(memo.source),
+                                               table.entries(memo.target))
+        here = ends[0] if from_legs is memo.source else table.entries(from_legs)
+        travel = ends[0] + here + ends[1]
         return alpha * travel + (1.0 - alpha) * table.min_static
 
     def cnn(self, from_loc: Location, category: int, ctx: QueryContext,
@@ -314,11 +334,11 @@ class VenueIndex:
         cnn_legs.
         """
         table = self._leaf_table(category)
-        from_loc = self.venue.resolve(from_loc)
         memo = self._query_memo(ctx)
+        from_legs = memo.legs(from_loc)
+        at_source = from_legs is memo.source
         a = ctx.alpha
-        bounds = self._leaf_bounds(category, table, from_loc, a, memo)
-        from_legs = self.engine.legs(from_loc)
+        bounds = self._leaf_bounds(category, table, from_legs, a, memo)
 
         best_score = float("inf")
         best_point: IndoorPoint | None = None
@@ -338,7 +358,7 @@ class VenueIndex:
                     self.engine.block_distances(memo.target, block),
                 )
             to_source, to_target = ends
-            from_here = self.engine.block_distances(from_legs, block)
+            from_here = to_source if at_source else self.engine.block_distances(from_legs, block)
             travel = to_source + from_here + to_target
             scores = a * travel + (1.0 - a) * block.scores
             if stats is not None:
@@ -356,7 +376,7 @@ class VenueIndex:
                 best_legs = (float(to_source[row_min]), float(from_here[row_min]),
                              float(to_target[row_min]))
         assert best_point is not None
-        memo.winner_legs[(from_loc.key(), best_point.id)] = best_legs
+        memo.winner_legs[(from_legs.location.key(), best_point.id)] = best_legs
         return best_point
 
     def cnn_legs(self, from_loc: Location, point: IndoorPoint,
@@ -364,7 +384,8 @@ class VenueIndex:
         """The point's (source, from_loc, target) distances under ctx, as
         recorded by the cnn call on this snapshot that returned the point for
         from_loc with the same context object."""
-        return ctx.memo[self].winner_legs[(self.venue.resolve(from_loc).key(), point.id)]
+        memo = ctx.memo[self]
+        return memo.winner_legs[(memo.legs(from_loc).location.key(), point.id)]
 
     # -- mutation (snapshotting) --------------------------------------------------
 

@@ -172,7 +172,8 @@ class Venue:
         )
 
 
-def intra_distance(partition: Partition, a: Location, b: Location) -> float:
+def intra_distance(partition: Partition, a: Location | IndoorPoint,
+                   b: Location | IndoorPoint) -> float:
     """Distance between two locations inside one partition.
 
     Same floor: straight line (partitions are obstacle-free rectangles).

@@ -243,13 +243,53 @@ def test_every_leaf_bound_is_at_most_its_least_block_score(seed, alpha):
         from_loc = any_spot(rng, venue, doors)
         cat = rng.choice(cats)
         table = index._leaf_table(cat)
-        bounds = index._leaf_bounds(cat, table, from_loc, alpha, index._query_memo(ctx))
+        memo = index._query_memo(ctx)
+        bounds = index._leaf_bounds(cat, table, memo.legs(from_loc), alpha, memo)
         assert len(bounds) == len(table.blocks)
         for bound, block in zip(bounds.tolist(), table.blocks):
             src, here, tgt = (engine.block_distances(engine.legs(loc), block)
                               for loc in (ctx.source, from_loc, ctx.target))
             scores = alpha * (src + here + tgt) + (1.0 - alpha) * block.scores
             assert bound <= scores.min()
+
+
+def stair_spots(rng, venue):
+    """A random spot of every stairs partition on each floor it reaches."""
+    spots = []
+    for _, part in sorted(venue.partitions.items()):
+        if part.kind == "stairs":
+            x0, y0, x1, y1 = part.bounds
+            spots += [Location(rng.uniform(x0, x1), rng.uniform(y0, y1), floor, part.id)
+                      for floor in part.floors]
+    return spots
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_entry_bounds_are_at_most_every_block_distance_into_their_leaf(seed):
+    """The float-safety argument on entries themselves: from a door or a
+    stair, a leaf's entry bound is 0 in the location's own leaf and never
+    above a kernel distance to one of its points elsewhere."""
+    venue, graph, index, _ = small_workload(seed=seed)
+    engine = index.engine
+    rng = random.Random(seed)
+    doors = door_spots(venue)
+    stairs = stair_spots(rng, venue)
+    assert stairs
+    spots = doors + stairs + [any_spot(rng, venue, doors) for _ in range(40)]
+    checked = 0
+    for cat in sorted(index.root.inverted):
+        table = index._leaf_table(cat)
+        for loc in spots:
+            legs = engine.legs(loc)
+            own = table.row_of.get(loc.partition_id)
+            entries = table.entries(legs).tolist()
+            for row, block in enumerate(table.blocks):
+                if row == own:
+                    assert entries[row] == 0.0
+                    continue
+                assert entries[row] <= engine.block_distances(legs, block).min()
+                checked += 1
+    assert checked > 400
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

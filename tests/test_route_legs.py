@@ -79,6 +79,23 @@ def test_no_scalar_distance_call_on_a_query_path(monkeypatch):
     assert len(calls) == 1
 
 
+def test_gcnn_resolves_each_query_location_once(monkeypatch):
+    index, pruned, queries = build_fixture()
+    for q in queries:  # lay out the blocks and leaf tables first
+        gcnn(q, index)
+    venue = index.venue
+    assert index.engine.venue is venue
+    calls = []
+    resolve = venue.resolve
+    monkeypatch.setattr(venue, "resolve", lambda loc: calls.append(loc) or resolve(loc))
+    for q in queries:
+        calls.clear()
+        assert gcnn(q, index).complete
+        # gcnn's source and target, the memo's source and target, and the
+        # from location of every round after the first, once each.
+        assert 0 < len(calls) <= len(q.categories) + 3
+
+
 def route_and_evals(query, index, other=None):
     """gcnn's route for the query, and the block evaluations made inside its
     own cnn and cnn_legs calls.  With other, gcnn(other) runs on the same
