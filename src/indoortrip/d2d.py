@@ -75,7 +75,7 @@ def build_d2d_graph(venue: Venue) -> D2DGraph:
                 if da.id == db.id:
                     continue
                 key = (da.id, db.id) if da.id < db.id else (db.id, da.id)
-                w = intra_distance(part, da.location, db.location)
+                w = intra_distance(part, da, db)
                 if key not in edges or w < edges[key]:
                     edges[key] = w
 
@@ -147,6 +147,11 @@ class DistanceEngine:
     noise.  `distance` and `block_distances` share that one formula, so a
     block entry equals the scalar distance bit for bit.
 
+    The kernel gathers the door-matrix rows of the location's doors once
+    per call and takes the block's door columns from them in one 2-D
+    `take`, so a location with many doors (a hallway) costs one row
+    gather, not a 3-D fancy index per door and point slot.
+
     The engine keeps only venue-derived state: each partition's door
     indices and the door legs of every venue point it has laid out in a
     block.  Nothing is kept per pair or per query location.
@@ -172,7 +177,7 @@ class DistanceEngine:
         got = self._point_legs.get(loc.key())
         if got is None:
             part = self.venue.partitions[loc.partition_id]
-            legs = [intra_distance(part, loc, d.location) for d in self.venue.partition_doors(part.id)]
+            legs = [intra_distance(part, loc, d) for d in self.venue.partition_doors(part.id)]
             got = DoorLegs(loc, self._door_indices(part.id), np.array(legs, dtype=float))
         return got
 
@@ -204,9 +209,9 @@ class DistanceEngine:
     def _door_min(self, src: DoorLegs, doors: np.ndarray, legs: np.ndarray) -> np.ndarray:
         """min over (i, j) of (src.legs[i] + legs[p, j]) + door_matrix[src.doors[i], doors[p, j]]
         for every row p: the through-doors distance, same-partition pairs unpatched."""
-        matrix = self.graph.distance_matrix()
-        total = (src.legs[:, None, None] + legs[None, :, :]) + matrix[src.doors[:, None, None], doors]
-        return total.min(axis=(0, 2), initial=np.inf)
+        rows = self.graph.distance_matrix().take(src.doors, axis=0)  # (I, doors)
+        total = (src.legs[:, None, None] + legs) + rows.take(doors, axis=1)  # (I, P, K)
+        return np.minimum.reduce(total, axis=(0, 2), initial=np.inf)
 
     def door_block_min(self, doors: np.ndarray, block: PointBlock) -> np.ndarray:
         """For each door index, the least through-doors distance from that

@@ -48,14 +48,13 @@ class CnnStats:
 class _QueryMemo:
     """Terms fixed for one query that its cnn calls on one snapshot reuse:
     the door legs of each location seen, resolved and measured once and
-    keyed by the location as given and as resolved; each category's source
-    and target entry rows; and each leaf block's source and target
-    distances.  A from location that is the query's source reuses the
-    source's rows and distances.  It also keeps the (source, from, target)
-    legs of each point cnn returned, keyed by the resolved from location
-    and the point, for the planner to build its route from.  The query's
-    context holds it (`QueryContext.memo`), so it lives and dies with the
-    query; it keeps no reference back to the context."""
+    keyed by the location as given and as resolved; one `_CategoryTerms`
+    record per category, made on the query's first cnn call for it; and
+    the (source, from, target) legs of each point cnn returned, keyed by
+    the resolved from location and the point, for the planner to build its
+    route from.  The query's context holds it (`QueryContext.memo`), so it
+    lives and dies with the query; it keeps no reference back to the
+    context."""
 
     def __init__(self, ctx: QueryContext, engine: DistanceEngine):
         self.engine = engine
@@ -63,8 +62,7 @@ class _QueryMemo:
         # Resolved here: the bounds rely on partition membership.
         self.source = self.legs(ctx.source)
         self.target = self.legs(ctx.target)
-        self.leaf_ends: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.block_ends: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.categories: dict[int, _CategoryTerms] = {}
         self.winner_legs: dict[tuple[tuple, int], tuple[float, float, float]] = {}
 
     def legs(self, loc: Location) -> DoorLegs:
@@ -75,6 +73,40 @@ class _QueryMemo:
             got = self.located[key] = self.engine.legs(loc)
             self.located.setdefault(got.location.key(), got)
         return got
+
+
+class _CategoryTerms:
+    """One query's fixed terms for one category's leaf table: the source
+    and target entry rows, (1 - alpha) times each leaf's least static
+    score, and for each leaf visited so far its block's source and target
+    distances and (1 - alpha) times its static scores (None until then).
+    Every array here is read, never written: cnn builds its bounds and
+    scores in new arrays."""
+
+    __slots__ = ("table", "source_entries", "target_entries", "static", "leaves")
+
+    def __init__(self, table: "_LeafTable", memo: _QueryMemo, alpha: float):
+        self.table = table
+        self.source_entries = table.entries(memo.source)
+        self.target_entries = table.entries(memo.target)
+        self.static = (1.0 - alpha) * table.min_static
+        self.leaves: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = \
+            [None] * len(table.blocks)
+
+    def bounds(self, from_legs: DoorLegs, at_source: bool, alpha: float) -> np.ndarray:
+        """A lower bound on the score of every point in each leaf, for a
+        from location's legs (the source's when at_source): the kernel's
+        score expression ((s + f) + t) * alpha + (1 - alpha) * static on the
+        entry bounds and each leaf's least static score."""
+        if at_source:
+            out = self.source_entries + self.source_entries
+        else:
+            out = self.table.entries(from_legs)
+            out += self.source_entries  # f + s == s + f: float addition commutes
+        out += self.target_entries
+        out *= alpha
+        out += self.static
+        return out
 
 
 def bound_scale(door_count: int) -> float:
@@ -156,7 +188,8 @@ class _LeafTable:
         """A lower bound on the distance from a resolved location to the
         category's live points in each leaf: 0 in its own leaf, else the
         scaled least legs[k] + door_entries[doors[k]] over its doors k."""
-        out = (legs.legs[:, None] + self.door_entries[legs.doors]).min(axis=0, initial=np.inf)
+        out = np.minimum.reduce(legs.legs[:, None] + self.door_entries.take(legs.doors, axis=0),
+                                axis=0, initial=np.inf)
         out *= self.scale
         row = self.row_of.get(legs.location.partition_id)
         if row is not None:
@@ -309,18 +342,13 @@ class VenueIndex:
             memo = ctx.memo.setdefault(self, _QueryMemo(ctx, self.engine))
         return memo
 
-    def _leaf_bounds(self, category: int, table: _LeafTable, from_legs: DoorLegs,
-                     alpha: float, memo: _QueryMemo) -> np.ndarray:
-        """A lower bound on the score of every point in each leaf of the
-        table, for the from location's memoized legs: the kernel's score
-        expression on the entry bounds and the leaf's least static score."""
-        ends = memo.leaf_ends.get(category)
-        if ends is None:
-            ends = memo.leaf_ends[category] = (table.entries(memo.source),
-                                               table.entries(memo.target))
-        here = ends[0] if from_legs is memo.source else table.entries(from_legs)
-        travel = ends[0] + here + ends[1]
-        return alpha * travel + (1.0 - alpha) * table.min_static
+    def _category_terms(self, memo: _QueryMemo, category: int, alpha: float) -> _CategoryTerms:
+        """The memo's record for the category, made on first use."""
+        terms = memo.categories.get(category)
+        if terms is None:
+            terms = memo.categories[category] = _CategoryTerms(
+                self._leaf_table(category), memo, alpha)
+        return terms
 
     def cnn(self, from_loc: Location, category: int, ctx: QueryContext,
             stats: CnnStats | None = None, counter: EvalCounter | None = None) -> IndoorPoint:
@@ -333,34 +361,40 @@ class VenueIndex:
         calls with the same context object, as are the winner's legs for
         cnn_legs.
         """
-        table = self._leaf_table(category)
         memo = self._query_memo(ctx)
+        a = ctx.alpha
+        terms = self._category_terms(memo, category, a)
         from_legs = memo.legs(from_loc)
         at_source = from_legs is memo.source
-        a = ctx.alpha
-        bounds = self._leaf_bounds(category, table, from_legs, a, memo)
+        bounds = terms.bounds(from_legs, at_source, a)
+        order = bounds.argsort(kind="stable").tolist()
+        bound_of = bounds.tolist()
 
+        engine = self.engine
+        blocks = terms.table.blocks
         best_score = float("inf")
         best_point: IndoorPoint | None = None
         best_legs = (0.0, 0.0, 0.0)
-        order = np.argsort(bounds, kind="stable").tolist()
-        bound_of = bounds.tolist()
         for pos, row in enumerate(order):
             if best_point is not None and bound_of[row] > best_score:
                 if stats is not None:
                     stats.skipped_bounds.extend(bound_of[r] for r in order[pos:])
                 break
-            block = table.blocks[row]
-            ends = memo.block_ends.get((category, row))
-            if ends is None:
-                ends = memo.block_ends[(category, row)] = (
-                    self.engine.block_distances(memo.source, block),
-                    self.engine.block_distances(memo.target, block),
+            block = blocks[row]
+            leaf = terms.leaves[row]
+            if leaf is None:
+                leaf = terms.leaves[row] = (
+                    engine.block_distances(memo.source, block),
+                    engine.block_distances(memo.target, block),
+                    (1.0 - a) * block.scores,
                 )
-            to_source, to_target = ends
-            from_here = to_source if at_source else self.engine.block_distances(from_legs, block)
-            travel = to_source + from_here + to_target
-            scores = a * travel + (1.0 - a) * block.scores
+            to_source, to_target, static = leaf
+            from_here = to_source if at_source else engine.block_distances(from_legs, block)
+            # The kernel's score, ((s + f) + t) * a + static, in a new array.
+            scores = to_source + from_here
+            scores += to_target
+            scores *= a
+            scores += static
             if stats is not None:
                 stats.evaluated += len(block.points)
             if counter is not None:

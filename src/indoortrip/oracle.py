@@ -164,8 +164,11 @@ def rank_once_greedy(query: TripQuery, index, top_k: int = 8,
 
     Extensions are then chosen only among each category's frozen top-k,
     scored against the route's current endpoint.  Stands in for planners
-    that do all their ranking before construction starts.
+    that do all their ranking before construction starts.  top_k must be
+    at least 1.
     """
+    if top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     engine = index.engine
     venue = index.venue
     source = venue.resolve(query.source)

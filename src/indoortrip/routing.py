@@ -95,10 +95,10 @@ class Route:
 
     def then(self, point: IndoorPoint, leg: float) -> "Route":
         """This route extended by a stop at the point, leg metres from its end."""
-        stop = Stop(point.category, point.id, point.static_score, point.location)
+        loc = point.location
         return Route(
-            waypoints=self.waypoints + (point.location,),
-            stops=self.stops + (stop,),
+            waypoints=self.waypoints + (loc,),
+            stops=self.stops + (Stop(point.category, point.id, point.static_score, loc),),
             leg_lengths=self.leg_lengths + (leg,),
         )
 
@@ -147,40 +147,46 @@ class EvalCounter:
 def gcnn(query: TripQuery, index, counter: EvalCounter | None = None) -> Route:
     """Greedy planner: one cheapest category-nearest-neighbour per round.
 
-    Each round extends the current best partial route by the best
-    candidate of every uncovered category, then keeps only the extension
-    with the least key and discards the rest.  The queue key is the
-    partial route cost plus the candidate's source and target legs.
-    Every leg is one cnn has already measured (`VenueIndex.cnn_legs`).
-    The rounds share one context, and with it cnn's memo of the query.
+    Each round finds the best candidate of every uncovered category, then
+    extends the current best partial route by the one with the least key
+    (then the smaller category and point id) and discards the rest.  The
+    key is the extended route's cost plus the candidate's source and
+    target legs.  Every leg is one cnn has already measured
+    (`VenueIndex.cnn_legs`), and only the winner's route is built.  The
+    rounds share one context, and with it cnn's memo of the query.
     """
     venue: Venue = index.venue
     source = venue.resolve(query.source)
     target = venue.resolve(query.target)
     ctx = QueryContext(source, target, query.alpha)
+    alpha = query.alpha
 
     for cat in query.categories:
         if index.live_count(cat) == 0:
             raise EmptyCategoryError(f"category {cat} has no live points")
 
-    # Queue holds (key, category, point id, route, the last stop's target
-    # leg); cleared every round so only the cheapest extension survives.
-    start = Route(waypoints=(source,), stops=(), leg_lengths=())
-    batch: list[tuple[float, int, int, Route, float]] = [(0.0, -1, -1, start, 0.0)]
-    while True:
-        _, _, _, best, to_target = min(batch, key=lambda item: item[:3])
-        batch = []
-        uncovered = sorted(set(query.categories) - best.covered_categories)
-        if not uncovered:
-            return best.to(target, to_target)
+    best = Route(waypoints=(source,), stops=(), leg_lengths=())
+    scores: tuple[float, ...] = ()  # the static score of each stop of best
+    to_target = 0.0                 # best's last stop's target leg
+    uncovered = sorted(set(query.categories))
+    while uncovered:
         current = best.end()
+        # (key, category, point id, point, its (source, from, target) legs)
+        batch = []
         for cat in uncovered:
             point = index.cnn(current, cat, ctx, counter=counter)
-            from_source, leg, to_target = index.cnn_legs(current, point, ctx)
-            extended = best.then(point, leg)
-            key = route_cost(extended, query.alpha)
-            key += from_source + to_target
-            batch.append((key, cat, point.id, extended, to_target))
+            legs = index.cnn_legs(current, point, ctx)
+            # route_cost of the extended route: the same sums of the same
+            # floats in the same order as Route.travel and Route.static.
+            key = (alpha * sum(best.leg_lengths + (legs[1],))
+                   + (1.0 - alpha) * sum(scores + (point.static_score,)))
+            key += legs[0] + legs[2]
+            batch.append((key, cat, point.id, point, legs))
+        _, cat, _, point, (_, leg, to_target) = min(batch, key=lambda item: item[:3])
+        best = best.then(point, leg)
+        scores += (point.static_score,)
+        uncovered.remove(cat)
+    return best.to(target, to_target)
 
 
 # ---------------------------------------------------------------------------

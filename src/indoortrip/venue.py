@@ -172,8 +172,8 @@ class Venue:
         )
 
 
-def intra_distance(partition: Partition, a: Location | IndoorPoint,
-                   b: Location | IndoorPoint) -> float:
+def intra_distance(partition: Partition, a: Location | IndoorPoint | Door,
+                   b: Location | IndoorPoint | Door) -> float:
     """Distance between two locations inside one partition.
 
     Same floor: straight line (partitions are obstacle-free rectangles).

@@ -244,7 +244,10 @@ def test_every_leaf_bound_is_at_most_its_least_block_score(seed, alpha):
         cat = rng.choice(cats)
         table = index._leaf_table(cat)
         memo = index._query_memo(ctx)
-        bounds = index._leaf_bounds(cat, table, memo.legs(from_loc), alpha, memo)
+        from_legs = memo.legs(from_loc)
+        terms = index._category_terms(memo, cat, alpha)
+        assert terms.table is table
+        bounds = terms.bounds(from_legs, from_legs is memo.source, alpha)
         assert len(bounds) == len(table.blocks)
         for bound, block in zip(bounds.tolist(), table.blocks):
             src, here, tgt = (engine.block_distances(engine.legs(loc), block)

@@ -45,6 +45,17 @@ def located(draw, venue, partition_id=None):
     return Location(x0 + fx * (x1 - x0), y0 + fy * (y1 - y0), floor, part.id)
 
 
+@st.composite
+def at_door(draw, venue):
+    """A location exactly at a door of a hallway or stairs partition: a leg
+    of 0 from a location with many doors, or with doors on two floors."""
+    part = venue.partitions[draw(st.sampled_from(
+        sorted(pid for pid, p in venue.partitions.items() if p.kind in ("hallway", "stairs"))
+    ))]
+    door = venue.doors[draw(st.sampled_from(part.door_ids))]
+    return Location(door.x, door.y, door.floor, part.id)
+
+
 def point_at(pid, loc):
     return IndoorPoint(id=pid, partition_id=loc.partition_id, x=loc.x, y=loc.y,
                        floor=loc.floor, category=0, static_score=1.0)
@@ -54,8 +65,9 @@ def point_at(pid, loc):
 @given(data=st.data(), seed=st.sampled_from(SEEDS))
 def test_block_kernel_equals_scalar_distance(data, seed):
     venue, graph, index, _ = workload(seed)
-    source = data.draw(located(venue), label="source")
+    source = data.draw(st.one_of(located(venue), at_door(venue)), label="source")
     spots = data.draw(st.lists(located(venue), min_size=1, max_size=10), label="spots")
+    spots += data.draw(st.lists(at_door(venue), min_size=1, max_size=3), label="door spots")
     spots.append(data.draw(located(venue, source.partition_id), label="same partition"))
     category = data.draw(st.sampled_from(sorted(index.root.inverted)), label="category")
     points = [point_at(10_000 + i, loc) for i, loc in enumerate(spots)]

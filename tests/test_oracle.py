@@ -193,6 +193,15 @@ def test_rank_once_pays_for_frozen_shortlists():
     assert base > smart
 
 
+@pytest.mark.parametrize("top_k", [0, -1])
+def test_rank_once_rejects_a_shortlist_below_one(top_k):
+    # -1 used to slice off the last-ranked point; 0 died in an IndexError.
+    query, index = tiny_instance(seed=8, m=2, per_category=6)
+    with pytest.raises(ValueError, match="top_k"):
+        rank_once_greedy(query, index, top_k=top_k)
+    assert rank_once_greedy(query, index, top_k=1).complete
+
+
 def test_rank_once_mean_ratio_not_better_than_gcnn():
     ratios_g, ratios_r = [], []
     for seed in (31, 32, 33):

@@ -12,6 +12,7 @@ import pytest
 from indoortrip import (
     Location,
     QueryContext,
+    Route,
     WorkloadSpec,
     build_d2d_graph,
     build_index,
@@ -94,6 +95,23 @@ def test_gcnn_resolves_each_query_location_once(monkeypatch):
         # gcnn's source and target, the memo's source and target, and the
         # from location of every round after the first, once each.
         assert 0 < len(calls) <= len(q.categories) + 3
+
+
+def test_gcnn_builds_one_route_extension_per_round(monkeypatch):
+    """Only each round's winner is turned into a route: m Route.then calls
+    for m categories, one per stop of the returned route."""
+    index, pruned, queries = build_fixture()
+    assert max(len(q.categories) for q in queries) >= 3
+    calls = []
+    then = Route.then
+    monkeypatch.setattr(Route, "then",
+                        lambda self, point, leg: calls.append(point.id) or then(self, point, leg))
+    for idx in (index, pruned):
+        for q in queries:
+            calls.clear()
+            route = gcnn(q, idx)
+            assert len(calls) == len(q.categories)
+            assert calls == [s.point_id for s in route.stops]
 
 
 def route_and_evals(query, index, other=None):
