@@ -43,7 +43,6 @@ class ExperimentConfig:
     delta: int = 50
     repetitions: int = 1
     output_path: str | None = None
-    fanout: int = 4
 
     def __post_init__(self):
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -154,7 +153,7 @@ def run_experiment(config: ExperimentConfig,
                    inputs: tuple[Venue, list[TripQuery]] | None = None) -> ExperimentResult:
     venue, queries = inputs if inputs is not None else load_experiment_inputs(config)
     graph = build_d2d_graph(venue)
-    index = build_index(venue, graph, fanout=config.fanout)
+    index = build_index(venue, graph)
     indices = {"full": index}
 
     prune_report = None

@@ -20,7 +20,6 @@ from .bench import (
     config_from_dict,
     frequent_categories,
     pruned_index,
-    run_experiment,
     sweep_delta,
     write_summary,
 )
@@ -122,16 +121,14 @@ def cmd_replicate(args) -> int:
 def cmd_build_index(args) -> int:
     venue = load_checked_venue(args.venue, args.objects)
     graph = build_d2d_graph(venue)
-    index = build_index(venue, graph, fanout=args.fanout)
-    leaves = sum(1 for n in index.nodes.values() if n.is_leaf)
+    index = build_index(venue, graph)
     stats = {
         "partitions": len(venue.partitions),
         "doors": len(venue.doors),
         "edges": len(graph.edges),
-        "nodes": len(index.nodes),
-        "leaves": leaves,
+        "leaves": len(index.leaves),
         "live_points": len(index.alive),
-        "categories": len(index.root.inverted),
+        "categories": len(index.live_categories()),
     }
     print(json.dumps(stats, indent=1, sort_keys=True))
     return 0
@@ -140,7 +137,7 @@ def cmd_build_index(args) -> int:
 def cmd_prune(args) -> int:
     venue = load_checked_venue(args.venue, args.objects)
     graph = build_d2d_graph(venue)
-    index = build_index(venue, graph, fanout=args.fanout)
+    index = build_index(venue, graph)
     if args.categories_list:
         cats = [int(c) for c in args.categories_list.split(",")]
     elif args.queries:
@@ -165,7 +162,7 @@ def cmd_prune(args) -> int:
 def _run_queries(args, algorithm: str) -> int:
     venue = load_checked_venue(args.venue, args.objects)
     graph = build_d2d_graph(venue)
-    index = build_index(venue, graph, fanout=args.fanout)
+    index = build_index(venue, graph)
     queries = load_queries(args.queries)
 
     planner, pruned = PLANNERS[algorithm]
@@ -212,6 +209,12 @@ def _delta_list(text: str) -> list[int]:
         raise CliError(f"--delta takes an integer or a comma list of them, got {text!r}") from None
 
 
+def _per_delta(path: str, delta: int, sweep: bool) -> Path:
+    """The path itself, or in a sweep the delta's file <stem>_delta<d><suffix>."""
+    path = Path(path)
+    return path.with_name(f"{path.stem}_delta{delta}{path.suffix}") if sweep else path
+
+
 def cmd_bench(args) -> int:
     deltas = _delta_list(args.delta_list) if args.delta_list is not None else None
     if args.config:
@@ -229,20 +232,16 @@ def cmd_bench(args) -> int:
             repetitions=args.repetitions,
             output_path=args.out,
         )
-    if len(deltas) == 1:
-        result = run_experiment(replace(config, delta=deltas[0]))
+    sweep = len(deltas) > 1
+    for delta, result in sweep_delta(config, deltas).items():
         result.summary["seed"] = args.seed
+        if config.output_path:
+            result.write_csv(_per_delta(config.output_path, delta, sweep))
         if args.summary:
-            write_summary(result, args.summary)
-        print(json.dumps(result.summary, indent=1, sort_keys=True))
-    else:
-        results = sweep_delta(config, deltas)
-        for delta, result in results.items():
-            if config.output_path:
-                stem = Path(config.output_path)
-                result.write_csv(stem.with_name(f"{stem.stem}_delta{delta}{stem.suffix}"))
+            write_summary(result, _per_delta(args.summary, delta, sweep))
+        if sweep:
             print(f"delta={delta}:")
-            print(json.dumps(result.summary, indent=1, sort_keys=True))
+        print(json.dumps(result.summary, indent=1, sort_keys=True))
     return 0
 
 
@@ -305,13 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-index", help="build the index and print stats")
     p.add_argument("--venue", required=True)
     p.add_argument("--objects", default=None)
-    p.add_argument("--fanout", type=int, default=4)
     p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser("prune", help="dominance-prune categories, report removals")
     p.add_argument("--venue", required=True)
     p.add_argument("--objects", default=None)
-    p.add_argument("--fanout", type=int, default=4)
     p.add_argument("--categories", dest="categories_list", default=None)
     p.add_argument("--queries", default=None)
     p.add_argument("--delta", type=int, default=50)
@@ -323,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--objects", default=None)
         p.add_argument("--queries", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--fanout", type=int, default=4)
         p.add_argument("--delta", type=int, default=100)
         p.add_argument("--limit", type=int, default=ORACLE_CATEGORY_LIMIT)
         p.add_argument("--force", action="store_true")

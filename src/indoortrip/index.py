@@ -1,15 +1,14 @@
-"""Hierarchical partition index with per-node category summaries.
+"""Flat partition index: a tuple of leaves, each a few adjacent partitions.
 
-Partitions are grouped into leaves by adjacency, leaves into internal
-nodes, up to a single root.  Each node keeps an inverted file (category
--> partitions below it that still hold a live point of that category)
-and the minimum live static score per category.  For category-nearest-
-neighbour search a snapshot lays out, per category, a flat table of the
-leaves that hold it, with the least distance from every door into each
-leaf.  A query location's legs to its own partition's doors then bound
-the score of every leaf in one vector expression, so a query never has
-to look at every object, and each location a query touches is resolved
-and measured once.
+Partitions are grouped into leaves by adjacency; the leaves are built
+once and shared by every snapshot.  A snapshot keeps its live points by
+(partition, category) and by category.  For category-nearest-neighbour
+search it lays out, per category, a flat table of the leaves that hold
+it, with the least distance from every door into each leaf.  A query
+location's legs to its own partition's doors then bound the score of
+every leaf in one vector expression, so a query never has to look at
+every object, and each location a query touches is resolved and
+measured once.
 """
 
 from __future__ import annotations
@@ -24,19 +23,10 @@ from .routing import EmptyCategoryError, EvalCounter, QueryContext
 from .venue import IndoorPoint, Location, Venue
 
 
-@dataclass
-class IndexNode:
-    id: int
-    children: tuple[int, ...] = ()          # internal nodes
-    partition_ids: tuple[int, ...] = ()     # leaves
-    covered: frozenset[int] = frozenset()   # every partition under this node
-    boundary_doors: tuple[int, ...] = ()    # doors linking the node's region to the rest
-    inverted: dict[int, set[int]] = field(default_factory=dict)
-    min_static: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
+@dataclass(frozen=True)
+class Leaf:
+    partition_ids: tuple[int, ...]
+    boundary_doors: tuple[int, ...]     # doors linking the leaf to the rest
 
 
 @dataclass
@@ -136,7 +126,8 @@ def bound_scale(door_count: int) -> float:
       from i to b and from b to j are one simple path of at most n - 1
       edges.
     - The bound, from above.  The bound for that leaf is at most the
-      float sum leg_i + (door_matrix[i, b] + inner[b]): three float
+      float sum leg_i + (door_matrix[i, b] + inner[b]), inner[b] being
+      the engine's door_block_min from b into the leaf: three float
       terms and two roundings, and inner[b] <= leg_j(p) +
       door_matrix[b, j], one more rounding.  Float addition is monotone
       and adding a nonnegative term never shrinks a sum, so Dijkstra
@@ -167,18 +158,15 @@ def bound_scale(door_count: int) -> float:
 @dataclass(frozen=True)
 class _LeafTable:
     """The leaves that hold one category on one snapshot, one row each in
-    node id order, laid out so that one vector expression bounds them all.
+    leaf order, laid out so that one vector expression bounds them all.
 
-    doors[r] lists leaf r's boundary doors, padded with the door count
-    (no door); inner[r, k] is the least distance from door doors[r, k] to
-    a live point of the category in leaf r.  door_entries[i, r] is the
-    least door_matrix[i, b] + inner[r, b] over leaf r's boundary doors b:
-    the distance from door i into leaf r, inf for a leaf with none.
+    door_entries[i, r] is the least door_matrix[i, b] + inner[b] over leaf
+    r's boundary doors b, where inner[b] is the least distance from b to a
+    live point of the category in leaf r: the distance from door i into
+    leaf r, inf for a leaf with none.
     """
 
     blocks: tuple[PointBlock, ...]  # each leaf's live points of the category, in id order
-    doors: np.ndarray               # (L, W) door-matrix indices, padding -> door count
-    inner: np.ndarray               # (L, W) inner legs, 0 where padded
     door_entries: np.ndarray        # (D, L) least distance from each door into each leaf
     min_static: np.ndarray          # (L,) each leaf's least live static score
     row_of: dict[int, int]          # partition id -> row of the leaf that covers it
@@ -200,95 +188,35 @@ class _LeafTable:
 class VenueIndex:
     """One snapshot of the index; point removal yields a new snapshot."""
 
-    def __init__(self, venue: Venue, graph: D2DGraph, nodes: dict[int, IndexNode],
-                 root_id: int, alive: frozenset[int], engine: DistanceEngine | None = None):
+    def __init__(self, venue: Venue, graph: D2DGraph, leaves: tuple[Leaf, ...],
+                 alive: frozenset[int], engine: DistanceEngine | None = None):
         self.venue = venue
         self.graph = graph
-        self.nodes = nodes
-        self.root_id = root_id
+        self.leaves = leaves
         self.alive = alive
         self.engine = engine or DistanceEngine(venue, graph)
-        self._live_by_part_cat: dict[tuple[int, int], tuple[int, ...]] = {}
+        by_part_cat: dict[tuple[int, int], list[int]] = {}
+        for p in venue.points.values():
+            if p.id in alive:
+                by_part_cat.setdefault((p.partition_id, p.category), []).append(p.id)
+        self._live_by_part_cat = {k: tuple(sorted(v)) for k, v in by_part_cat.items()}
+        by_cat: dict[int, list[int]] = {}
+        for (_, cat), ids in by_part_cat.items():
+            by_cat.setdefault(cat, []).extend(ids)
+        self._live_by_cat = {cat: tuple(sorted(ids)) for cat, ids in by_cat.items()}
         # Built on first use, keyed by category: its block and its leaf table.
         self._blocks: dict[int, PointBlock] = {}
         self._leaf_tables: dict[int, _LeafTable] = {}
-        self._refresh_aggregates()
 
-    # -- aggregate maintenance ------------------------------------------------
-
-    def _refresh_aggregates(self) -> None:
-        by_part_cat: dict[tuple[int, int], list[int]] = {}
-        part_cats: dict[int, dict[int, float]] = {}  # partition -> {category: min live score}
-        for p in self.venue.points.values():
-            if p.id not in self.alive:
-                continue
-            by_part_cat.setdefault((p.partition_id, p.category), []).append(p.id)
-            cats = part_cats.setdefault(p.partition_id, {})
-            if p.category not in cats or p.static_score < cats[p.category]:
-                cats[p.category] = p.static_score
-        self._live_by_part_cat = {k: tuple(sorted(v)) for k, v in by_part_cat.items()}
-        self._live_counts: dict[int, int] = {}
-        for (_, cat), ids in by_part_cat.items():
-            self._live_counts[cat] = self._live_counts.get(cat, 0) + len(ids)
-
-        def leaf_aggregates(node: IndexNode) -> tuple[dict, dict]:
-            inverted: dict[int, set[int]] = {}
-            min_static: dict[int, float] = {}
-            for pid in node.partition_ids:
-                for cat, low in part_cats.get(pid, {}).items():
-                    inverted.setdefault(cat, set()).add(pid)
-                    if cat not in min_static or low < min_static[cat]:
-                        min_static[cat] = low
-            return inverted, min_static
-
-        # Bottom-up: leaves from live points, parents from children.
-        order = self._topological_children_first()
-        for nid in order:
-            node = self.nodes[nid]
-            if node.is_leaf:
-                node.inverted, node.min_static = leaf_aggregates(node)
-            else:
-                inverted: dict[int, set[int]] = {}
-                min_static: dict[int, float] = {}
-                for cid in node.children:
-                    child = self.nodes[cid]
-                    for cat, parts in child.inverted.items():
-                        inverted.setdefault(cat, set()).update(parts)
-                    for cat, low in child.min_static.items():
-                        if cat not in min_static or low < min_static[cat]:
-                            min_static[cat] = low
-                node.inverted, node.min_static = inverted, min_static
-
-    def _topological_children_first(self) -> list[int]:
-        order: list[int] = []
-        stack = [self.root_id]
-        while stack:
-            nid = stack.pop()
-            order.append(nid)
-            stack.extend(self.nodes[nid].children)
-        order.reverse()
-        return order
-
-    # -- queries ----------------------------------------------------------------
-
-    @property
-    def root(self) -> IndexNode:
-        return self.nodes[self.root_id]
-
-    def min_static_score(self, node_id: int, category: int) -> float | None:
-        if node_id not in self.nodes:
-            raise KeyError(f"unknown index node {node_id}")
-        return self.nodes[node_id].min_static.get(category)
-
-    def _live_ids(self, category: int, partitions) -> list[int]:
-        return [i for pid in partitions for i in self._live_by_part_cat[(pid, category)]]
+    def live_categories(self) -> list[int]:
+        """The categories with a live point, in id order."""
+        return sorted(self._live_by_cat)
 
     def live_points(self, category: int) -> list[IndoorPoint]:
-        ids = self._live_ids(category, self.root.inverted.get(category, ()))
-        return [self.venue.points[i] for i in sorted(ids)]
+        return [self.venue.points[i] for i in self._live_by_cat.get(category, ())]
 
     def live_count(self, category: int) -> int:
-        return self._live_counts.get(category, 0)
+        return len(self._live_by_cat.get(category, ()))
 
     def is_live(self, point_id: int) -> bool:
         return point_id in self.alive
@@ -306,32 +234,25 @@ class VenueIndex:
         table = self._leaf_tables.get(category)
         if table is not None:
             return table
-        if category not in self.root.inverted:
+        if category not in self._live_by_cat:
             raise EmptyCategoryError(f"category {category} has no live points")
-        leaves = [n for _, n in sorted(self.nodes.items())
-                  if n.is_leaf and category in n.inverted]
-        door_count = len(self.graph.door_ids)
         matrix = self.graph.distance_matrix()
-        width = max(len(n.boundary_doors) for n in leaves)
-        doors = np.full((len(leaves), width), door_count, dtype=int)
-        inner = np.zeros((len(leaves), width))
-        door_entries = np.empty((door_count, len(leaves)))
-        blocks = []
-        row_of = {}
-        for row, node in enumerate(leaves):
-            ids = sorted(self._live_ids(category, node.inverted[category]))
-            block = self.engine.block(self.venue.points[i] for i in ids)
+        blocks, columns, row_of = [], [], {}
+        for leaf in self.leaves:
+            ids = [i for pid in leaf.partition_ids
+                   for i in self._live_by_part_cat.get((pid, category), ())]
+            if not ids:
+                continue
+            block = self.engine.block(self.venue.points[i] for i in sorted(ids))
+            idx = np.array([self.graph.index_of(d) for d in leaf.boundary_doors], dtype=int)
+            inner = self.engine.door_block_min(idx, block)
+            columns.append((matrix[:, idx] + inner).min(axis=1, initial=np.inf))
+            row_of.update(dict.fromkeys(leaf.partition_ids, len(blocks)))
             blocks.append(block)
-            idx = np.array([self.graph.index_of(d) for d in node.boundary_doors], dtype=int)
-            doors[row, :idx.size] = idx
-            inner[row, :idx.size] = self.engine.door_block_min(idx, block)
-            door_entries[:, row] = (matrix[:, idx] + inner[row, :idx.size]).min(
-                axis=1, initial=np.inf)
-            row_of.update(dict.fromkeys(node.covered, row))
         table = _LeafTable(
-            blocks=tuple(blocks), doors=doors, inner=inner, door_entries=door_entries,
-            min_static=np.array([n.min_static[category] for n in leaves]),
-            row_of=row_of, scale=bound_scale(door_count),
+            blocks=tuple(blocks), door_entries=np.column_stack(columns),
+            min_static=np.array([b.scores.min() for b in blocks]),
+            row_of=row_of, scale=bound_scale(len(self.graph.door_ids)),
         )
         return self._leaf_tables.setdefault(category, table)
 
@@ -421,34 +342,20 @@ class VenueIndex:
         memo = ctx.memo[self]
         return memo.winner_legs[(memo.legs(from_loc).location.key(), point.id)]
 
-    # -- mutation (snapshotting) --------------------------------------------------
-
     def remove_points(self, point_ids) -> "VenueIndex":
-        """New snapshot with the given points dead; summaries recomputed."""
+        """New snapshot with the given points dead; it shares the leaves."""
         ids = set(point_ids)
         for pid in ids:
             if pid not in self.venue.points:
                 raise KeyError(f"unknown point {pid}")
             if pid not in self.alive:
                 raise ValueError(f"point {pid} is already dead")
-        nodes = {
-            nid: IndexNode(
-                id=n.id,
-                children=n.children,
-                partition_ids=n.partition_ids,
-                covered=n.covered,
-                boundary_doors=n.boundary_doors,
-            )
-            for nid, n in self.nodes.items()
-        }
-        return VenueIndex(
-            self.venue, self.graph, nodes, self.root_id,
-            alive=frozenset(self.alive - ids), engine=self.engine,
-        )
+        return VenueIndex(self.venue, self.graph, self.leaves,
+                          alive=frozenset(self.alive - ids), engine=self.engine)
 
 
-def _leaf_partition_groups(venue: Venue, fanout: int) -> list[list[int]]:
-    """Adjacency-respecting breadth-first order, chunked to fanout."""
+def _leaf_partition_groups(venue: Venue, size: int) -> list[list[int]]:
+    """Adjacency-respecting breadth-first order, chunked to size."""
     adj = venue.adjacency()
     order: list[int] = []
     seen: set[int] = set()
@@ -464,7 +371,7 @@ def _leaf_partition_groups(venue: Venue, fanout: int) -> list[list[int]]:
                 if other not in seen:
                     seen.add(other)
                     queue.append(other)
-    return [order[i:i + fanout] for i in range(0, len(order), fanout)]
+    return [order[i:i + size] for i in range(0, len(order), size)]
 
 
 def _boundary_doors(venue: Venue, covered: frozenset[int]) -> tuple[int, ...]:
@@ -477,46 +384,12 @@ def _boundary_doors(venue: Venue, covered: frozenset[int]) -> tuple[int, ...]:
     return tuple(sorted(doors))
 
 
-def build_index(venue: Venue, graph: D2DGraph, fanout: int = 4) -> VenueIndex:
-    if fanout < 2:
-        raise ValueError("fanout must be at least 2")
-
-    nodes: dict[int, IndexNode] = {}
-    next_id = 0
-    level: list[int] = []
-    for group in _leaf_partition_groups(venue, fanout):
-        covered = frozenset(group)
-        nodes[next_id] = IndexNode(
-            id=next_id,
-            partition_ids=tuple(group),
-            covered=covered,
-            boundary_doors=_boundary_doors(venue, covered),
-        )
-        level.append(next_id)
-        next_id += 1
-
-    while len(level) > 1:
-        parents: list[int] = []
-        for i in range(0, len(level), fanout):
-            children = tuple(level[i:i + fanout])
-            if len(children) == 1 and parents:
-                # Fold a trailing singleton into the previous parent.
-                prev = nodes[parents[-1]]
-                prev.children = prev.children + children
-                prev.covered = frozenset(prev.covered | nodes[children[0]].covered)
-                prev.boundary_doors = _boundary_doors(venue, prev.covered)
-                continue
-            covered = frozenset().union(*(nodes[c].covered for c in children))
-            nodes[next_id] = IndexNode(
-                id=next_id,
-                children=children,
-                covered=covered,
-                boundary_doors=_boundary_doors(venue, covered),
-            )
-            parents.append(next_id)
-            next_id += 1
-        level = parents
-
-    root_id = level[0]
-    alive = frozenset(venue.points)
-    return VenueIndex(venue, graph, nodes, root_id, alive=alive)
+def build_index(venue: Venue, graph: D2DGraph, leaf_size: int = 4) -> VenueIndex:
+    """The venue's index, its partitions grouped leaf_size to a leaf."""
+    if leaf_size < 1:
+        raise ValueError(f"leaf_size must be at least 1, got {leaf_size}")
+    leaves = tuple(
+        Leaf(tuple(group), _boundary_doors(venue, frozenset(group)))
+        for group in _leaf_partition_groups(venue, leaf_size)
+    )
+    return VenueIndex(venue, graph, leaves, alive=frozenset(venue.points))

@@ -261,6 +261,10 @@ def generate_queries(categories: list[int], count: int, m, alpha: float,
                      venue: Venue, seed: int) -> list[TripQuery]:
     """Uniform random source/target plus m distinct categories per query."""
     sizes = (m,) if isinstance(m, int) else tuple(m)
+    if count < 0:
+        raise ValueError(f"query count must be at least 0, got {count}")
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"categories per query must each be at least 1, got {m}")
     if max(sizes) > len(categories):
         raise ValueError(
             f"cannot draw {max(sizes)} categories from a pool of {len(categories)}"

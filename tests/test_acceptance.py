@@ -121,7 +121,7 @@ def test_criterion_1_cnn_matches_linear_scan_on_1000_trials():
             venue, points, _ = build_workload(spec)
             graph = build_d2d_graph(venue)
             index = build_index(venue, graph)
-            cats = sorted(index.root.inverted)
+            cats = index.live_categories()
             for _ in range(200):
                 ctx = QueryContext(
                     source=random_location_in(venue, rng),

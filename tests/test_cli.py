@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from indoortrip import build_d2d_graph, build_index, load_checked_venue
 from indoortrip.cli import main
 
 
@@ -54,8 +55,12 @@ def test_build_index_reports_stats(generated, capsys):
     assert run(["build-index", "--venue", generated["venue"],
                 "--objects", generated["objects"]]) == 0
     stats = json.loads(capsys.readouterr().out)
-    assert stats["live_points"] > 0
-    assert stats["leaves"] >= 1
+    assert set(stats) == {"partitions", "doors", "edges", "leaves", "live_points", "categories"}
+    venue = load_checked_venue(generated["venue"], generated["objects"])
+    index = build_index(venue, build_d2d_graph(venue))
+    assert stats["leaves"] == len(index.leaves)
+    assert stats["live_points"] == len(index.alive) > 0
+    assert stats["categories"] == len(index.live_categories())
 
 
 def test_prune_writes_deterministic_report(generated, tmp_path):
@@ -170,6 +175,27 @@ def test_bench_delta_sweep_writes_per_delta_csvs(generated, tmp_path):
                 "--delta", "0,100", "--out", out]) == 0
     assert (tmp_path / "sweep_delta0.csv").exists()
     assert (tmp_path / "sweep_delta100.csv").exists()
+
+
+def test_bench_delta_sweep_writes_a_summary_per_delta(generated, tmp_path):
+    summary = tmp_path / "s.json"
+    assert run(["bench", "--venue", generated["venue"], "--objects", generated["objects"],
+                "--queries", generated["queries"], "--algorithms", "gcnn-dom",
+                "--delta", "0,100", "--summary", summary, "--seed", 9]) == 0
+    assert not summary.exists()
+    for delta in (0, 100):
+        data = json.loads((tmp_path / f"s_delta{delta}.json").read_text())
+        assert data["delta"] == delta
+        assert data["seed"] == 9
+    assert "prune_report" in json.loads((tmp_path / "s_delta100.json").read_text())
+
+
+def test_bench_config_with_an_unknown_key_exits_1(generated, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"venue_path": str(generated["venue"]),
+                                  "queries_path": str(generated["queries"]), "bogus": 4}))
+    assert run(["bench", "--config", config]) == 1
+    assert "unknown config keys: ['bogus']" in capsys.readouterr().err
 
 
 def test_bench_accepts_json_config(generated, tmp_path, capsys):

@@ -464,7 +464,7 @@ def test_preprocess_single_partition_composition():
 
 def test_preprocess_reduces_live_points_monotonically():
     venue, graph, index, queries = small_workload(seed=15)
-    cats = sorted(index.root.inverted)
+    cats = index.live_categories()
     pruned, report = preprocess(index, cats)
     for cat in cats:
         assert pruned.live_count(cat) <= index.live_count(cat)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from indoortrip import (
@@ -11,7 +12,7 @@ from indoortrip import (
     build_index,
     point_score,
 )
-from indoortrip.index import CnnStats
+from indoortrip.index import CnnStats, Leaf
 
 from conftest import make_corridor_venue, make_two_room_venue, small_workload
 
@@ -44,55 +45,62 @@ def test_single_partition_venue_has_one_node_root_and_leaf():
     venue.doors[0] = venue.doors[0].__class__(id=0, x=10.0, y=5.0, floor=0, partition_ids=(0,))
     graph = build_d2d_graph(venue)
     index = build_index(venue, graph)
-    assert len(index.nodes) == 1
-    assert index.root.is_leaf
-    assert index.root.covered == frozenset({0})
+    assert index.leaves == (Leaf(partition_ids=(0,), boundary_doors=()),)
 
 
-def test_eight_partitions_fanout_four_gives_two_leaves_and_root():
+def test_eight_partitions_leaf_size_four_gives_two_leaves():
     venue = make_corridor_venue(rooms=8)
     graph = build_d2d_graph(venue)
-    index = build_index(venue, graph, fanout=4)
-    leaves = [n for n in index.nodes.values() if n.is_leaf]
-    assert len(leaves) == 2
-    assert len(index.nodes) == 3
-    root = index.root
-    for cat, parts in root.inverted.items():
-        assert parts == set.union(
-            *(set(index.nodes[c].inverted.get(cat, set())) for c in root.children)
-        )
+    index = build_index(venue, graph, leaf_size=4)
+    assert index.leaves == (Leaf((0, 1, 2, 3), (4,)), Leaf((4, 5, 6, 7), (4,)))
 
 
 def test_every_partition_in_exactly_one_leaf():
     venue, graph, index, _ = small_workload(seed=2)
     counts = {pid: 0 for pid in venue.partitions}
-    for node in index.nodes.values():
-        if node.is_leaf:
-            for pid in node.partition_ids:
-                counts[pid] += 1
+    for leaf in index.leaves:
+        for pid in leaf.partition_ids:
+            counts[pid] += 1
     assert all(c == 1 for c in counts.values())
-    assert index.root.covered == frozenset(venue.partitions)
+    assert sum(counts.values()) == len(venue.partitions)
 
 
-def test_fanout_below_two_rejected(two_room_venue):
+def test_leaf_size_below_one_rejected(two_room_venue):
     graph = build_d2d_graph(two_room_venue)
-    with pytest.raises(ValueError):
-        build_index(two_room_venue, graph, fanout=1)
+    for leaf_size in (0, -1):
+        with pytest.raises(ValueError, match=f"leaf_size must be at least 1, got {leaf_size}"):
+            build_index(two_room_venue, graph, leaf_size=leaf_size)
+    assert len(build_index(two_room_venue, graph, leaf_size=1).leaves) == 2
+
+
+def assert_leaf_tables_match_live_points(index):
+    """Each category's table has one row per leaf holding the category, in
+    leaf order: the leaf's live points of it in id order, their least
+    static score, and a row_of entry for each of the leaf's partitions."""
+    assert index.live_categories() == sorted(
+        {index.venue.points[i].category for i in index.alive})
+    for cat in index.live_categories():
+        pool = index.live_points(cat)
+        assert [p.id for p in pool] == sorted(
+            i for i in index.alive if index.venue.points[i].category == cat)
+        assert index.live_count(cat) == len(pool)
+        holding = [leaf for leaf in index.leaves
+                   if any(p.partition_id in leaf.partition_ids for p in pool)]
+        table = index._leaf_table(cat)
+        assert [b.points for b in table.blocks] == [
+            tuple(p for p in pool if p.partition_id in leaf.partition_ids) for leaf in holding
+        ]
+        assert table.min_static.tolist() == [
+            min(p.static_score for p in b.points) for b in table.blocks
+        ]
+        assert table.row_of == {pid: row for row, leaf in enumerate(holding)
+                                for pid in leaf.partition_ids}
+        assert table.door_entries.shape == (len(index.graph.door_ids), len(holding))
 
 
 def test_aggregation_invariants_hold_everywhere():
     venue, graph, index, _ = small_workload(seed=3)
-    for node in index.nodes.values():
-        if node.is_leaf:
-            continue
-        children = [index.nodes[c] for c in node.children]
-        for cat in node.inverted:
-            assert node.inverted[cat] == set().union(
-                *(c.inverted.get(cat, set()) for c in children)
-            )
-            assert node.min_static[cat] == min(
-                c.min_static[cat] for c in children if cat in c.min_static
-            )
+    assert_leaf_tables_match_live_points(index)
 
 
 def test_min_static_matches_linear_scan_at_root():
@@ -102,14 +110,7 @@ def test_min_static_matches_linear_scan_at_root():
         if not points:
             continue
         expected = min(p.static_score for p in points)
-        assert index.min_static_score(index.root_id, cat) == expected
-
-
-def test_min_static_absent_category_and_unknown_node():
-    venue, graph, index, _ = small_workload(seed=4)
-    assert index.min_static_score(index.root_id, 999) is None
-    with pytest.raises(KeyError):
-        index.min_static_score(10_000, 0)
+        assert index._leaf_table(cat).min_static.min() == expected
 
 
 def test_leaf_min_static_is_min_of_its_scores():
@@ -120,7 +121,7 @@ def test_leaf_min_static_is_min_of_its_scores():
     venue = make_two_room_venue(points=points)
     graph = build_d2d_graph(venue)
     index = build_index(venue, graph)
-    assert index.min_static_score(index.root_id, 7) == 1.5
+    assert index._leaf_table(7).min_static.tolist() == [1.5]
 
 
 def test_cnn_single_point_category_returns_it():
@@ -136,7 +137,7 @@ def test_cnn_alpha_zero_returns_global_min_score():
     venue, graph, index, _ = small_workload(seed=5)
     # (1, 5) lies in room 1, so the location is left for cnn to resolve.
     ctx = QueryContext(Location(1, 5, 0), Location(1, 5, 0), alpha=0.0)
-    for cat in sorted(index.root.inverted):
+    for cat in index.live_categories():
         got = index.cnn(Location(1, 5, 0), cat, ctx)
         pool = index.live_points(cat)
         best = min(pool, key=lambda p: (p.static_score, p.id))
@@ -168,7 +169,7 @@ def test_cnn_equals_linear_scan_on_random_trials():
     rng = random.Random(17)
     for seed in (0, 1, 2):
         venue, graph, index, _ = small_workload(seed=seed)
-        cats = sorted(index.root.inverted)
+        cats = index.live_categories()
         ctx_factory = lambda: random_context(rng, venue)
         for _ in range(120):
             ctx, sample = ctx_factory()
@@ -182,7 +183,7 @@ def test_cnn_equals_linear_scan_on_random_trials():
 def test_cnn_accepts_unresolved_context_locations():
     rng = random.Random(59)
     venue, graph, index, _ = small_workload(seed=6)
-    cats = sorted(index.root.inverted)
+    cats = index.live_categories()
     for _ in range(60):
         ctx, sample = random_context(rng, venue)
         bare = QueryContext(
@@ -200,7 +201,7 @@ def test_cnn_accepts_unresolved_context_locations():
 def test_cnn_skipped_nodes_bound_the_returned_score():
     rng = random.Random(23)
     venue, graph, index, _ = small_workload(seed=6)
-    cats = sorted(index.root.inverted)
+    cats = index.live_categories()
     for _ in range(60):
         ctx, sample = random_context(rng, venue)
         from_loc = sample()
@@ -237,7 +238,7 @@ def test_every_leaf_bound_is_at_most_its_least_block_score(seed, alpha):
     engine = index.engine
     rng = random.Random(1000 * seed + int(10 * alpha))
     doors = door_spots(venue)
-    cats = sorted(index.root.inverted)
+    cats = index.live_categories()
     for _ in range(40):
         ctx = QueryContext(any_spot(rng, venue, doors), any_spot(rng, venue, doors), alpha)
         from_loc = any_spot(rng, venue, doors)
@@ -280,7 +281,7 @@ def test_entry_bounds_are_at_most_every_block_distance_into_their_leaf(seed):
     assert stairs
     spots = doors + stairs + [any_spot(rng, venue, doors) for _ in range(40)]
     checked = 0
-    for cat in sorted(index.root.inverted):
+    for cat in index.live_categories():
         table = index._leaf_table(cat)
         for loc in spots:
             legs = engine.legs(loc)
@@ -297,29 +298,33 @@ def test_entry_bounds_are_at_most_every_block_distance_into_their_leaf(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_inner_legs_equal_the_least_distance_from_their_door(seed):
+    """door_entries[:, row] is, exactly, the least over the leaf's boundary
+    doors b of matrix[:, b] plus the brute-force distance from b into the
+    leaf's block."""
     venue, graph, index, _ = small_workload(seed=seed)
+    matrix = graph.distance_matrix()
     checked = 0
-    for cat in sorted(index.root.inverted):
+    for cat in index.live_categories():
         table = index._leaf_table(cat)
-        leaves = [n for _, n in sorted(index.nodes.items()) if n.is_leaf and cat in n.inverted]
+        pool = index.live_points(cat)
+        holding = [leaf for leaf in index.leaves
+                   if any(p.partition_id in leaf.partition_ids for p in pool)]
         assert [b.points for b in table.blocks] == [
-            tuple(p for p in index.live_points(cat) if p.partition_id in n.covered)
-            for n in leaves
+            tuple(p for p in pool if p.partition_id in leaf.partition_ids) for leaf in holding
         ]
-        for row, node in enumerate(leaves):
-            assert table.doors[row, len(node.boundary_doors):].tolist() == \
-                [len(graph.door_ids)] * (table.doors.shape[1] - len(node.boundary_doors))
-            for k, did in enumerate(node.boundary_doors):
+        for row, leaf in enumerate(holding):
+            want = np.full(len(graph.door_ids), np.inf)
+            for did in leaf.boundary_doors:
                 door = venue.doors[did]
-                assert table.doors[row, k] == graph.index_of(did)
                 # Standing at the door on its outer side.
                 outside = min(p for p in door.partition_ids
-                              if p in venue.partitions and p not in node.covered)
+                              if p in venue.partitions and p not in leaf.partition_ids)
                 at_door = Location(door.x, door.y, door.floor, outside)
                 brute = min(index.engine.distance(at_door, p.location)
                             for p in table.blocks[row].points)
-                assert table.inner[row, k] == brute
+                want = np.minimum(want, matrix[:, graph.index_of(did)] + brute)
                 checked += 1
+            assert table.door_entries[:, row].tolist() == want.tolist()
     assert checked > 20
 
 
@@ -332,16 +337,16 @@ def test_remove_points_rerouting_and_min_static_rise():
     venue = make_two_room_venue(points=points)
     graph = build_d2d_graph(venue)
     index = build_index(venue, graph)
-    assert index.min_static_score(index.root_id, 3) == 2.0
+    assert index._leaf_table(3).min_static.tolist() == [2.0]
 
     smaller = index.remove_points([0])
-    assert smaller.min_static_score(smaller.root_id, 3) == 5.0
+    assert smaller._leaf_table(3).min_static.tolist() == [5.0]
     assert not smaller.is_live(0)
     ctx = QueryContext(Location(1, 1, 0), Location(1, 1, 0), 0.5)
     assert smaller.cnn(Location(1, 1, 0), 3, ctx).id != 0
     # original snapshot untouched
     assert index.is_live(0)
-    assert index.min_static_score(index.root_id, 3) == 2.0
+    assert index._leaf_table(3).min_static.tolist() == [2.0]
 
 
 def test_remove_sole_point_drops_partition_from_inverted_file():
@@ -351,22 +356,34 @@ def test_remove_sole_point_drops_partition_from_inverted_file():
     ]
     venue = make_two_room_venue(points=points)
     graph = build_d2d_graph(venue)
-    index = build_index(venue, graph)
+    index = build_index(venue, graph, leaf_size=1)
     smaller = index.remove_points([0])
-    for node in smaller.nodes.values():
-        assert 0 not in node.inverted.get(3, set())
+    assert (0, 3) not in smaller._live_by_part_cat
+    assert smaller._live_by_part_cat[(1, 3)] == (1,)
+    assert index._leaf_table(3).row_of == {0: 0, 1: 1}
+    assert smaller._leaf_table(3).row_of == {1: 0}
+
+
+def test_remove_points_shares_the_leaves():
+    venue, graph, index, _ = small_workload(seed=7)
+    smaller = index.remove_points(sorted(index.alive)[::3])
+    assert smaller.leaves is index.leaves
+    assert smaller.engine is index.engine
 
 
 def test_remove_nothing_is_deep_equal():
     venue, graph, index, _ = small_workload(seed=7)
     clone = index.remove_points([])
     assert clone.alive == index.alive
-    for nid, node in index.nodes.items():
-        other = clone.nodes[nid]
-        assert node.inverted == other.inverted
-        assert node.min_static == other.min_static
-        assert node.covered == other.covered
-        assert node.boundary_doors == other.boundary_doors
+    assert clone.leaves is index.leaves
+    assert clone._live_by_part_cat == index._live_by_part_cat
+    assert clone.live_categories() == index.live_categories()
+    for cat in index.live_categories():
+        assert clone.live_points(cat) == index.live_points(cat)
+        a, b = index._leaf_table(cat), clone._leaf_table(cat)
+        assert a.row_of == b.row_of
+        assert a.min_static.tolist() == b.min_static.tolist()
+        assert a.door_entries.tolist() == b.door_entries.tolist()
 
 
 def test_remove_points_unknown_or_dead_id_errors():
@@ -387,14 +404,4 @@ def test_aggregation_still_consistent_after_random_removals():
         if len(alive) < 4:
             break
         index = index.remove_points(rng.sample(alive, 3))
-        for node in index.nodes.values():
-            if node.is_leaf:
-                continue
-            children = [index.nodes[c] for c in node.children]
-            for cat in node.inverted:
-                assert node.inverted[cat] == set().union(
-                    *(c.inverted.get(cat, set()) for c in children)
-                )
-                assert node.min_static[cat] == min(
-                    c.min_static[cat] for c in children if cat in c.min_static
-                )
+        assert_leaf_tables_match_live_points(index)

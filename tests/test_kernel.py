@@ -69,7 +69,7 @@ def test_block_kernel_equals_scalar_distance(data, seed):
     spots = data.draw(st.lists(located(venue), min_size=1, max_size=10), label="spots")
     spots += data.draw(st.lists(at_door(venue), min_size=1, max_size=3), label="door spots")
     spots.append(data.draw(located(venue, source.partition_id), label="same partition"))
-    category = data.draw(st.sampled_from(sorted(index.root.inverted)), label="category")
+    category = data.draw(st.sampled_from(index.live_categories()), label="category")
     points = [point_at(10_000 + i, loc) for i, loc in enumerate(spots)]
     points += index.live_points(category)
 
@@ -87,13 +87,12 @@ def test_block_kernel_equals_scalar_distance(data, seed):
 
 
 def tie_venue(points):
-    """Four rooms in a row, doors at x = 0, 10, 20, 30, 40; fanout 2 puts
-    rooms 0-1 and rooms 2-3 in separate leaves."""
+    """Four rooms in a row, doors at x = 0, 10, 20, 30, 40; leaf size 2
+    puts rooms 0-1 and rooms 2-3 in separate leaves."""
     venue = make_corridor_venue(rooms=4)
     venue = venue.with_points(points)
-    index = build_index(venue, build_d2d_graph(venue), fanout=2)
-    leaves = [n for n in index.nodes.values() if n.is_leaf]
-    assert sorted(n.partition_ids for n in leaves) == [(0, 1), (2, 3)]
+    index = build_index(venue, build_d2d_graph(venue), leaf_size=2)
+    assert [leaf.partition_ids for leaf in index.leaves] == [(0, 1), (2, 3)]
     return venue, index
 
 
@@ -140,9 +139,7 @@ def test_engine_keeps_no_per_query_state_over_a_stream():
     assert vars(index).keys() == built.keys()
     assert all(vars(index)[name] is value for name, value in built.items())
     categories = set(venue.categories)
-    assert set(index._blocks) <= categories | {
-        (nid, c) for nid, n in index.nodes.items() if n.is_leaf for c in categories
-    }
+    assert set(index._blocks) <= categories
     assert index._leaf_tables and set(index._leaf_tables) <= categories
 
 

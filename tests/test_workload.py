@@ -134,6 +134,21 @@ def test_generate_queries_rejects_oversized_m():
         generate_queries([0, 1], count=2, m=3, alpha=0.5, venue=venue, seed=0)
 
 
+@pytest.mark.parametrize("count, m, message", [
+    pytest.param(-2, 2, "query count must be at least 0, got -2", id="count-2"),
+    pytest.param(2, -1, "categories per query must each be at least 1, got -1", id="m-1"),
+    pytest.param(2, 0, "categories per query must each be at least 1, got 0", id="m0"),
+    pytest.param(2, (2, 0), r"categories per query must each be at least 1, got \(2, 0\)",
+                 id="m2,0"),
+])
+def test_generate_queries_rejects_negative_count_and_m_below_one(count, m, message):
+    spec = WorkloadSpec(seed=3, categories=3, count_range=(2, 4), query_count=1,
+                        query_categories=(2,))
+    venue = generate_venue(spec)
+    with pytest.raises(ValueError, match=message):
+        generate_queries([0, 1], count=count, m=m, alpha=0.5, venue=venue, seed=0)
+
+
 def test_generated_queries_are_feasible_and_in_bounds():
     spec = WorkloadSpec(seed=21, categories=5, count_range=(3, 7), query_count=20)
     venue, points, queries = build_workload(spec)
