@@ -15,15 +15,7 @@ from .d2d import (
     build_d2d_graph,
     door_distance,
 )
-from .dominance import (
-    DominanceContext,
-    DominanceError,
-    SelectionResult,
-    preprocess,
-    prune_partition,
-    prune_points,
-    select_points,
-)
+from .dominance import PruneReport, preprocess
 from .index import VenueIndex, build_index
 from .oracle import (
     OracleScaleError,

@@ -127,12 +127,14 @@ class ExperimentResult:
 
 def pruned_index(index: VenueIndex, queries: list[TripQuery],
                  delta: int) -> tuple[VenueIndex, PruneReport | None]:
-    """The index with the delta% most frequent query categories pruned, and
-    the prune report; the index itself and no report when delta selects none."""
+    """The index with the delta% most frequent query categories pruned at
+    the queries' largest alpha, so that every query keeps its gcnn route,
+    and the prune report; the index itself and no report when delta
+    selects none."""
     cats = frequent_categories(queries, delta)
     if not cats:
         return index, None
-    return preprocess(index, cats)
+    return preprocess(index, cats, alpha=max(q.alpha for q in queries))
 
 
 def _run_algorithm(algorithm: str, query: TripQuery, indices: dict[str, VenueIndex]):

@@ -140,14 +140,16 @@ def cmd_prune(args) -> int:
     index = build_index(venue, graph)
     if args.categories_list:
         cats = [int(c) for c in args.categories_list.split(",")]
+        alpha = 0.5
     elif args.queries:
         queries = load_queries(args.queries)
         cats = frequent_categories(queries, args.delta)
+        alpha = max((q.alpha for q in queries), default=0.5)
     else:
         raise CliError("prune needs --categories or --queries with --delta")
     if not cats:
         raise CliError("no categories selected for pruning")
-    _, report = preprocess(index, cats)
+    _, report = preprocess(index, cats, alpha=alpha)
     payload = report.to_dict()
     payload["categories"] = sorted(cats)
     text = json.dumps(payload, indent=1, sort_keys=True)

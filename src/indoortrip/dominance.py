@@ -1,227 +1,131 @@
-"""Dominance-based pruning of in-partition category points.
+"""Dominance pruning by the detour certificate.
 
-Inside one partition, a point beats a same-category rival when it is
-both nearer to a door and cheaper.  Chaining such comparisons over pairs
-of doors and pairs of categories certifies that whole two-stop routes
-can never win, which lets most of a partition's points be dropped before
-query time.  The certificate covers two-stop visits inside one partition
-(entry door -> a -> b -> exit door), ranked by the unweighted
-distance-plus-score form, over at most 8 of its doors.  Routes that
-visit a partition any other way are not covered at any alpha: a route
-that stops once in a one-door room can lose its optimum on a pruned
-index even at alpha = 0.5 (ROADMAP item 1).
+Within one partition, a point p of a category is dominated by a cheaper
+point q of the same category on its floor when going to q instead of p
+costs less than the scores save: 3*alpha*d(p, q) < (1 - alpha) *
+(s(p) - s(q)).  Swapping p for q in any route lengthens each leg that
+touches it by at most d(p, q) (triangle inequality), so
+
+- `cnn`'s three-leg score (source, from, target) of q is strictly below
+  p's, p never wins a `cnn` call, and `gcnn` returns the same routes on
+  the pruned snapshot as on the full one;
+- a complete route through p costs more than the same route through q
+  (two legs touch a stop, and 2 < 3), so the exact optimum survives too.
+
+A float margin, derived in `certified`, keeps the first of these exact
+for the kernel's float distances and `cnn`'s float scores.
+
+The rule needs no door enumeration and covers every route shape: any
+number of stops, repeated visits and any number of doors.  Its left side
+grows with alpha and its right side shrinks, so a snapshot pruned at
+alpha serves every query whose alpha is at most that; a query with a
+larger alpha runs on it unguarded, with no promise that it keeps its
+route.  Each category is pruned on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable
 
-from .routing import Route
-from .venue import Door, IndoorPoint, Partition, Venue, intra_distance
+import numpy as np
 
-# Door-pair enumeration cap for door-rich partitions (hallways).
-MAX_DOORS_PER_PARTITION = 8
+from .venue import BOUNDARY_EPS, IndoorPoint
 
-
-class DominanceError(ValueError):
-    """Inputs violate the same-partition / same-category preconditions."""
+# The certificate's margin, relative to the scale of a query's score
+# terms, and an absolute floor for products that underflow (`certified`).
+MARGIN_FACTOR = 2.0 ** -44
+UNDERFLOW_FLOOR = 2.0 ** -500
 
 
-@dataclass
-class DistanceTable:
-    """Exact in-partition distances of one category pair, each measured once:
-    `cross[j][i]` = d(a_i, b_j), `legs_a[door_id][i]` = d(door, a_i) and
-    `legs_b[door_id][j]` = d(door, b_j), rows in the measured lists' order."""
+def venue_reach(index) -> float:
+    """An upper bound on every indoor distance the block kernel returns
+    on the index's venue: two legs inside a partition, each at most its
+    diagonal plus the boundary tolerance a validated venue allows for
+    its doors, points and query locations, and the longest door path."""
+    leg = max((p.diagonal for p in index.venue.partitions.values()), default=0.0) \
+        + 4.0 * BOUNDARY_EPS
+    return 2.0 * leg + float(index.graph.distance_matrix().max(initial=0.0))
 
-    cross: list[list[float]]
-    legs_a: dict[int, list[float]]
-    legs_b: dict[int, list[float]]
 
+def certified(points: list[IndoorPoint], alpha: float, reach: float) -> list[int]:
+    """Ids of the points of one partition and category that a rival on
+    their floor certifies at alpha, in list order: one n x n pass.
 
-def measure_tables(partition: Partition, points_by_category: dict[int, list[IndoorPoint]],
-                   doors: Iterable[Door]) -> dict[tuple[int, int], DistanceTable]:
-    """One table per category pair, in the mapping's order, over the doors.
+    p is certified by q when 3*alpha*d + margin < (1 - alpha)*(s(p) -
+    s(q)), with margin = MARGIN_FACTOR*(3*alpha*W + (1 - alpha)*S) +
+    UNDERFLOW_FLOOR.  Here W = reach, d is the float distance of p and q,
+    computed as sqrt(dx*dx + dy*dy) of float differences, and S = |s(p)|
+    + |s(q)|.  With this margin a certified point's float `cnn` score is
+    strictly above its rival's in every query whose alpha is at most
+    this one.
 
-    Every entry is one `intra_distance` call on locations built once per
-    point: a leg per (point, door) and a cross distance per pair.
+    Let u = 2**-53.  A float op is within a factor (1 -+ u) of its real
+    result.  A distance computed from rounded coordinate differences is
+    within (1 -+ 4u) of the real one: `intra_distance`'s hypot (a
+    rounding per difference, under one ulp for hypot itself) and this
+    pass's d (a rounding per difference, square and sum, and one for
+    the square root) alike.
+
+    - One leg.  For any location L, K(L, q) <= K(L, p) + d + 23u*W,
+      where K is the kernel.  From outside the partition, take the door
+      pair (i, j) that gives K(L, p) = (leg_i + leg_j(p)) + M[i, j]: q's
+      entry for the same pair differs only in leg_j(q), and leg_j(q) <=
+      leg_j(p) + d + 8.1u*W by the triangle inequality of the partition's
+      metric (straight lines on p's floor, the footprint's diagonal to
+      another floor), which holds because p and q share a floor; leg_j(p)
+      + d <= W, as each is at most one leg.  The two roundings of each
+      sum add 2u per side.  From inside, K is the intra distance itself:
+      8.1u*W.
+    - The score.  cnn's score ((s + f) + t) * a + (1 - a) * static has
+      three legs, each at most W, and five roundings.  So score(q) <
+      score(p) whenever the real inequality 3a*d + 94u*a*W + 3.1u*(1 -
+      a)*S < (1 - a)*(s(p) - s(q)) holds, and in particular whenever
+      3a*d + 32u*(3a*W + (1 - a)*S) < (1 - a)*(s(p) - s(q)).
+    - The check.  The pass evaluates the certificate in floats with the
+      margin's terms moved to the sides they belong to: 3*alpha*d +
+      (m*3*alpha*W + floor) < (1 - alpha)*(s(p) - m*|s(p)|) - (1 -
+      alpha)*(s(q) + m*|s(q)|), for m = MARGIN_FACTOR.  That is about a
+      dozen roundings, each relative to 3*alpha*W or (1 - alpha)*S, so
+      it proves the real inequality with m - 13u in place of m.  m =
+      2**-44 = 512u leaves more than ten times the 45u that needs.  The
+      floor, 2**-500, covers the absolute error of squares and products
+      that underflow (below 2**-536 in d, far less elsewhere), which the
+      relative bounds miss.
+    - Smaller alpha.  Written as a*(3d + 3mW) < (1 - a)*(s(p) - s(q) -
+      m*S), the real inequality's left side grows with a and its right
+      side shrinks, so it holds for every alpha' <= alpha.
+
+    Certification needs no margin along a chain of rivals: each
+    certificate orders two float scores strictly, and those orders are
+    transitive, so every certified point can be removed at once.  The
+    lowest-scored point of a group is never certified, so no category
+    empties.
     """
-    locs = {c: [p.location for p in pts] for c, pts in points_by_category.items()}
-    at = [(door.id, door.location) for door in doors]
-    legs = {c: {d: [intra_distance(partition, loc_d, loc) for loc in row] for d, loc_d in at}
-            for c, row in locs.items()}
-    return {
-        (c_a, c_b): DistanceTable(
-            [[intra_distance(partition, a, b) for a in locs[c_a]] for b in locs[c_b]],
-            legs[c_a], legs[c_b],
-        )
-        for c_a, c_b in combinations(locs, 2)
-    }
-
-
-@dataclass
-class DominanceContext:
-    """One pruning run: a door pair and a category pair in one partition."""
-
-    partition: Partition
-    entry_door: Door
-    exit_door: Door
-    category_a: int
-    category_b: int
-    # Measured over the point lists select_points is given; None measures them there.
-    table: DistanceTable | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        for door in (self.entry_door, self.exit_door):
-            if door.id not in self.partition.door_ids:
-                raise DominanceError(
-                    f"door {door.id} does not belong to partition {self.partition.id}"
-                )
-        if self.category_a == self.category_b:
-            raise DominanceError("category pair must be distinct")
-
-    def dist(self, a, b) -> float:
-        return intra_distance(self.partition, a.location, b.location)
-
-    def entry_rank(self, p: IndoorPoint) -> float:
-        """Monotonic rank from the entry door: distance plus score."""
-        return self.dist(self.entry_door, p) + p.static_score
-
-    def exit_rank(self, p: IndoorPoint) -> float:
-        return self.dist(self.exit_door, p) + p.static_score
-
-    def pair_route(self, first: IndoorPoint, second: IndoorPoint) -> Route:
-        """Two-stop in-partition route entry -> first -> second -> exit."""
-        # Measured inside the partition, not by the engine: doors sit on its
-        # walls, and resolving one may place it in the neighbouring room.
-        return Route.through(
-            lambda a, b: intra_distance(self.partition, a, b),
-            self.entry_door.location, (first, second), self.exit_door.location,
-        )
-
-
-@dataclass
-class SelectionResult:
-    selected: dict[int, set[int]]  # category -> point ids kept as dominant
-    pruned: dict[int, set[int]]    # category -> point ids certified prunable
-
-    def selected_ids(self, category: int) -> set[int]:
-        return self.selected.get(category, set())
-
-    def pruned_ids(self, category: int) -> set[int]:
-        return self.pruned.get(category, set())
-
-
-def prune_points(cross: list[list[float]], entry: list[float], exit_rank: list[float],
-                 i: int, j: int, rest: list[int], dom_j: Iterable[int]) -> list[int]:
-    """Rows of p_j's dominated set that no first-category partner can rescue.
-
-    `cross` is a DistanceTable's; `entry` holds the first category's entry
-    ranks and `exit_rank` the second's exit ranks.  Partners are the anchor
-    row i plus the unselected first-category rows `rest`.  A dominated
-    point is prunable when its nearest partner is already farther than the
-    selected pair (then every partner is), or when the rank margin covers
-    the gap against every partner.
-    """
-    partners = [i] + rest
-    d_ij = cross[j][i]
-    base = (entry[i] + d_ij) + exit_rank[j]
-    return [
-        q for q in dom_j
-        if d_ij < min(cross[q][k] for k in partners)
-        or all(base < (entry[k] + cross[q][k]) + exit_rank[q] for k in partners)
-    ]
-
-
-def select_points(ctx: DominanceContext, points_a: list[IndoorPoint],
-                  points_b: list[IndoorPoint]) -> SelectionResult:
-    """One pruning run: pick dominant points of both categories.
-
-    First-category points are consumed in (entry rank, id) order; for each,
-    the second category is scanned in (distance, id) order and a candidate
-    is kept only if no closer first-category rival builds a strictly better
-    two-stop route with it.  Kept candidates prune their dominated sets.
-    Every distance is read from the context's table.
-    """
-    for points, cat in ((points_a, ctx.category_a), (points_b, ctx.category_b)):
-        for p in points:
-            if p.category != cat:
-                raise DominanceError(f"point {p.id} does not carry category {cat}")
-            if p.partition_id != ctx.partition.id:
-                raise DominanceError(f"point {p.id} is not in partition {ctx.partition.id}")
-
-    table = ctx.table or measure_tables(
-        ctx.partition, {ctx.category_a: points_a, ctx.category_b: points_b},
-        (ctx.entry_door, ctx.exit_door),
-    )[ctx.category_a, ctx.category_b]
-    cross = table.cross
-    ids_b = [p.id for p in points_b]
-    scores_b = [p.static_score for p in points_b]
-    entry = [leg + p.static_score for leg, p in zip(table.legs_a[ctx.entry_door.id], points_a)]
-    exit_legs = table.legs_b[ctx.exit_door.id]
-    exit_rank = [leg + s for leg, s in zip(exit_legs, scores_b)]
-
-    # Unselected first-category points only ever lose the anchor p_i, so
-    # the anchors walk this order and the rest follow each one.
-    order_a = sorted(range(len(points_a)), key=lambda i: (entry[i], points_a[i].id))
-    live_b = set(range(len(points_b)))
-    sel_a, sel_b, pruned_b = [], set(), set()
-
-    for pos, i in enumerate(order_a):
-        if not live_b:
-            break
-        sel_a.append(points_a[i].id)
-        rest = order_a[pos + 1:]
-        scan = set(live_b)
-        for j in sorted(scan, key=lambda j: (cross[j][i], ids_b[j])):
-            if j not in scan:
-                continue
-            scan.remove(j)
-            col = cross[j]
-            d_ij = col[i]
-            # A rival (a later anchor) nearer to p_j than its own threshold
-            # pairs strictly better with p_j.  Thresholds never exceed d_ij
-            # and shrink as ranks grow, so testing each rival against its
-            # own drops the same p_j as a rank-ordered rival scan.
-            if not any(col[k] < d_ij - (entry[k] - entry[i]) for k in rest):
-                sel_b.add(ids_b[j])
-                live_b.remove(j)
-                dom_j = [q for q in scan
-                         if exit_legs[j] < exit_legs[q] and scores_b[j] < scores_b[q]]
-                scan.difference_update(dom_j)
-                for q in prune_points(cross, entry, exit_rank, i, j, rest, dom_j):
-                    pruned_b.add(ids_b[q])
-                    live_b.discard(q)
-
-    # live_b only shrinks after a selection, and the last anchor has no
-    # rival, so the second category is never wiped out.
-    assert sel_b or not (points_a and points_b)
-    return SelectionResult(
-        selected={ctx.category_a: set(sel_a), ctx.category_b: sel_b},
-        pruned={ctx.category_a: set(), ctx.category_b: pruned_b},
-    )
-
-
-def _door_pairs(venue: Venue, partition: Partition) -> list[tuple[Door, Door]]:
-    doors = venue.partition_doors(partition.id)
-    if len(doors) > MAX_DOORS_PER_PARTITION:
-        x0, y0, x1, y1 = partition.bounds
-        cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-        doors = sorted(doors, key=lambda d: ((d.x - cx) ** 2 + (d.y - cy) ** 2, d.id))
-        doors = doors[:MAX_DOORS_PER_PARTITION]
-    doors = sorted(doors, key=lambda d: d.id)
-    return [(di, dj) for di in doors for dj in doors]
+    x, y, floor, s = np.array([(p.x, p.y, p.floor, p.static_score) for p in points]).T
+    dx = x[:, None] - x
+    dy = y[:, None] - y
+    dx *= dx
+    dy *= dy
+    dx += dy
+    d = np.sqrt(dx, out=dx)
+    slack = MARGIN_FACTOR * np.abs(s)
+    detour = (3.0 * alpha) * d
+    detour += MARGIN_FACTOR * (3.0 * alpha) * reach + UNDERFLOW_FLOOR
+    saving = ((1.0 - alpha) * (s - slack))[:, None] - (1.0 - alpha) * (s + slack)
+    beaten = detour < saving
+    if floor.min() < floor.max():
+        beaten &= floor[:, None] == floor
+    return [p.id for p, hit in zip(points, beaten.any(axis=1).tolist()) if hit]
 
 
 @dataclass
 class PruneReport:
-    """Deterministic record of what preprocessing eliminated."""
+    """Deterministic record of what preprocessing eliminated, at which alpha."""
 
+    alpha: float
     eliminated: dict[int, dict[int, int]] = field(default_factory=dict)  # partition -> category -> count
     kept: int = 0
     removed: int = 0
-    door_capped: int = 0  # partitions pruned over only MAX_DOORS_PER_PARTITION of their doors
 
     def add(self, partition_id: int, category: int, count: int) -> None:
         if count:
@@ -230,9 +134,9 @@ class PruneReport:
 
     def to_dict(self) -> dict:
         return {
+            "alpha": self.alpha,
             "removed": self.removed,
             "kept": self.kept,
-            "door_capped_partitions": self.door_capped,
             "per_partition": {
                 str(pid): {str(c): n for c, n in sorted(cats.items())}
                 for pid, cats in sorted(self.eliminated.items())
@@ -240,59 +144,23 @@ class PruneReport:
         }
 
 
-def prune_partition(venue: Venue, partition: Partition,
-                    points_by_category: dict[int, list[IndoorPoint]],
-                    report: PruneReport | None = None) -> dict[int, set[int]]:
-    """Surviving point ids per category after all pruning runs.
-
-    Every ordered door pair (self-pairs included) is crossed with every
-    unordered category pair; each run starts from the partition's full
-    point sets and the survivors are the union of all selections.  The
-    runs of a category pair share one DistanceTable.
-    A category is only touched when a second category is present.
-    A given report counts a door cap.
-    """
-    cats = sorted(c for c, pts in points_by_category.items() if pts)
-    if len(cats) < 2:
-        return {c: {p.id for p in pts} for c, pts in points_by_category.items()}
-
-    if report is not None and len(partition.door_ids) > MAX_DOORS_PER_PARTITION:
-        report.door_capped += 1
-    pairs = _door_pairs(venue, partition)
-    tables = measure_tables(
-        partition, {c: points_by_category[c] for c in cats}, {d.id: d for d, _ in pairs}.values()
-    )
-    survivors: dict[int, set[int]] = {c: set() for c in points_by_category}
-    for d_i, d_j in pairs:
-        for (c_a, c_b), table in tables.items():
-            ctx = DominanceContext(partition, d_i, d_j, c_a, c_b, table)
-            result = select_points(ctx, points_by_category[c_a], points_by_category[c_b])
-            survivors[c_a] |= result.selected_ids(c_a)
-            survivors[c_b] |= result.selected_ids(c_b)
-    return survivors
-
-
-def preprocess(index, frequent_categories) -> tuple["object", PruneReport]:
-    """Prune every partition holding at least two of the given categories
-    and return a fresh index snapshot without the eliminated points."""
-    frequent = sorted(set(frequent_categories))
+def preprocess(index, frequent_categories, alpha: float = 0.5) -> tuple["object", PruneReport]:
+    """A fresh index snapshot without the points of the given categories
+    that a same-partition rival certifies at alpha, and its report.  The
+    snapshot keeps every query's `cnn` results, and so its `gcnn` routes,
+    for queries whose alpha is at most this one."""
+    frequent = set(frequent_categories)
     if not frequent:
         raise ValueError("preprocess needs at least one category")
-    venue: Venue = index.venue
-    report = PruneReport()
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    venue = index.venue
+    reach = venue_reach(index)
+    report = PruneReport(alpha=alpha)
     to_remove: list[int] = []
-
-    for pid in sorted(venue.partitions):
-        by_cat: dict[int, list[IndoorPoint]] = {}
-        for cat in frequent:
-            ids = index._live_by_part_cat.get((pid, cat), ())
-            if ids:
-                by_cat[cat] = [venue.points[i] for i in ids]
-        if len(by_cat) < 2:
-            continue
-        survivors = prune_partition(venue, venue.partitions[pid], by_cat, report)
-        for cat, pts in by_cat.items():
-            gone = [p.id for p in pts if p.id not in survivors[cat]]
+    for (pid, cat), ids in sorted(index._live_by_part_cat.items()):
+        if cat in frequent and len(ids) > 1:
+            gone = certified([venue.points[i] for i in ids], alpha, reach)
             report.add(pid, cat, len(gone))
             to_remove.extend(gone)
 

@@ -39,9 +39,8 @@ from indoortrip import (
     sweep_delta,
 )
 from indoortrip.bench import frequent_categories
-from indoortrip.dominance import DominanceContext, prune_partition
-from indoortrip.routing import save_queries
-from indoortrip.venue import Door, Partition
+from indoortrip.routing import Route, save_queries
+from indoortrip.venue import Door, Partition, intra_distance
 
 WORK_BOUND_SLACK = 8  # fixed additive-per-category constant in the work bound
 
@@ -184,8 +183,18 @@ def test_criterion_4_pruning_fidelity(desk_runs):
         assert ratio_d - ratio_g <= 0.05
 
 
+def pair_route(partition, entry_door, exit_door, first, second):
+    """Two-stop in-partition route entry -> first -> second -> exit."""
+    # Measured inside the partition, not by the engine: doors sit on its
+    # walls, and resolving one may place it in the neighbouring room.
+    return Route.through(
+        lambda a, b: intra_distance(partition, a, b),
+        entry_door.location, (first, second), exit_door.location,
+    )
+
+
 def test_criterion_5_pairwise_pruning_soundness():
-    with criterion(5, "two-stop optimum survives pruning in >=99% of 500 instances"):
+    with criterion(5, "two-stop optimum survives pruning in all 500 instances"):
         rng = random.Random(505)
         failures = []
         for trial in range(500):
@@ -210,16 +219,15 @@ def test_criterion_5_pairwise_pruning_soundness():
                 by_cat[cat] = pts
             venue = Venue(partitions={0: part}, doors=doors,
                           points={p.id: p for c in by_cat for p in by_cat[c]})
-            survivors = prune_partition(venue, part, by_cat)
+            pruned, _ = preprocess(build_index(venue, build_d2d_graph(venue)), [0, 1])
+            survivors = {c: {p.id for p in pruned.live_points(c)} for c in by_cat}
             kept = {c: [p for p in by_cat[c] if p.id in survivors[c]] for c in by_cat}
             sound = True
             for ds in (0, 1):
                 for dt in (0, 1):
-                    ctx = DominanceContext(part, doors[ds], doors[dt], 0, 1)
-
                     def best(a_pts, b_pts):
                         return min(
-                            route_cost(ctx.pair_route(a, b), 0.5)
+                            route_cost(pair_route(part, doors[ds], doors[dt], a, b), 0.5)
                             for a in a_pts for b in b_pts
                         )
 
@@ -241,7 +249,7 @@ def test_criterion_5_pairwise_pruning_soundness():
             dump = FAILURE_DUMP_DIR / "pairwise_soundness_failures.json"
             dump.write_text(json.dumps(failures, indent=1))
             print(f"  dumped {len(failures)} fixture(s) to {dump}", end=" ")
-        assert len(failures) <= 5  # >= 99% of 500
+        assert failures == []
 
 
 def test_criterion_6_work_reduction(desk, desk_runs):

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from indoortrip import build_d2d_graph, build_index, load_checked_venue
+from indoortrip import build_d2d_graph, build_index, gcnn, load_checked_venue, preprocess
+from indoortrip.bench import frequent_categories
 from indoortrip.cli import main
+from indoortrip.routing import load_queries
 
 
 def run(args):
@@ -73,6 +75,38 @@ def test_prune_writes_deterministic_report(generated, tmp_path):
     data = json.loads(report_a.read_text())
     assert data["removed"] > 0
     assert data["categories"] == [0, 1, 2, 3, 4]
+    assert data["alpha"] == 0.5
+
+
+def test_gcnn_dom_prunes_at_the_queries_largest_alpha(generated, tmp_path, capsys):
+    """With alpha 0.8 queries, query --algorithm gcnn-dom prints gcnn's
+    routes, and prune --queries reports alpha 0.8."""
+    queries = tmp_path / "alpha08.jsonl"
+    assert run(["gen-queries", "--venue", generated["venue"], "--objects", generated["objects"],
+                "--out", queries, "--seed", 4, "--count", 4, "--m", "2,3", "--alpha", 0.8,
+                "--categories-list", "0,1,2,3,4"]) == 0
+    inputs = ["--venue", generated["venue"], "--objects", generated["objects"],
+              "--queries", queries]
+    printed = {}
+    for algorithm in ("gcnn", "gcnn-dom"):
+        capsys.readouterr()
+        assert run(["query", *inputs, "--algorithm", algorithm]) == 0
+        routes = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        for route in routes:  # the pruned index evaluates fewer points
+            del route["points_evaluated"]
+        printed[algorithm] = routes
+    assert len(printed["gcnn"]) == 4
+    assert printed["gcnn-dom"] == printed["gcnn"]
+
+    assert run(["prune", *inputs, "--delta", 100]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == 0.8
+    # A snapshot pruned at 0.5 would change a route, so the check bites.
+    venue = load_checked_venue(generated["venue"], generated["objects"])
+    index = build_index(venue, build_d2d_graph(venue))
+    loaded = load_queries(queries)
+    assert {q.alpha for q in loaded} == {0.8}
+    half, _ = preprocess(index, frequent_categories(loaded, 100))
+    assert any(gcnn(q, half) != gcnn(q, index) for q in loaded)
 
 
 def test_query_and_oracle_routes(generated, tmp_path):

@@ -1,8 +1,9 @@
 import hashlib
 import json
+import math
 import random
+from collections import Counter
 from dataclasses import replace
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -13,22 +14,21 @@ from indoortrip import (
     Door,
     IndoorPoint,
     Partition,
+    QueryContext,
     Venue,
     WorkloadSpec,
     build_d2d_graph,
     build_index,
     build_workload,
     exact_route,
+    gcnn,
     preprocess,
-    prune_partition,
-    select_points,
 )
 from indoortrip.bench import frequent_categories
 from indoortrip.routing import route_cost
-from indoortrip.dominance import DominanceContext, DominanceError, prune_points
-from indoortrip.venue import intra_distance
+from indoortrip.venue import Location
 
-from conftest import small_workload
+from conftest import make_two_room_venue, small_workload
 
 
 def flat_partition(width=20.0, height=12.0):
@@ -40,8 +40,9 @@ def flat_partition(width=20.0, height=12.0):
     return part, doors
 
 
-def pt(pid, x, y, cat, score):
-    return IndoorPoint(id=pid, partition_id=0, x=x, y=y, floor=0, category=cat, static_score=score)
+def pt(pid, x, y, cat, score, partition_id=0):
+    return IndoorPoint(id=pid, partition_id=partition_id, x=x, y=y, floor=0, category=cat,
+                       static_score=score)
 
 
 def random_instance(rng, max_per_cat=15, width=20.0, height=12.0):
@@ -59,379 +60,300 @@ def random_instance(rng, max_per_cat=15, width=20.0, height=12.0):
     return part, doors, by_cat
 
 
-def prune_ids(ctx, p_i, p_j, remaining_a, dom_j):
-    """prune_points over a table measured for the given points: the ids of
-    dom_j it prunes, with p_i and the remaining points as partners."""
-    points_a, points_b = [p_i] + list(remaining_a), [p_j] + list(dom_j)
-    table = dom.measure_tables(ctx.partition, {0: points_a, 1: points_b},
-                               (ctx.entry_door, ctx.exit_door))[0, 1]
-    entry = [ctx.entry_rank(p) for p in points_a]
-    exit_rank = [ctx.exit_rank(p) for p in points_b]
-    rows = prune_points(table.cross, entry, exit_rank, 0, 0,
-                        list(range(1, len(points_a))), range(1, len(points_b)))
-    return {points_b[q].id for q in rows}
+def pruned_ids(points, alpha=0.5, partitions=None, doors=None):
+    """The ids preprocess removes from a venue of one flat room (or the
+    given partitions and doors) holding the points, every category pruned."""
+    if partitions is None:
+        part, doors = flat_partition()
+        partitions = {0: part}
+    venue = Venue(partitions=partitions, doors=doors, points={p.id: p for p in points})
+    index = build_index(venue, build_d2d_graph(venue))
+    pruned, _ = preprocess(index, {p.category for p in points}, alpha=alpha)
+    return set(index.alive - pruned.alive)
 
 
-# -- point-at-a-time reference ---------------------------------------------------
-# The selection as first written: every distance measured on demand, every
-# minimum taken over live point objects.  The table-driven select_points must
-# return the same SelectionResult.
-
-def reference_prune_points(ctx, p_i, p_j, remaining_a, dom_j):
-    prunable = set()
-    partners = [p_i] + remaining_a
-    base = ctx.entry_rank(p_i) + ctx.dist(p_i, p_j) + ctx.exit_rank(p_j)
-    for p_k in sorted(dom_j, key=lambda p: (ctx.exit_rank(p), p.id)):
-        p_m = min(partners, key=lambda p: (ctx.dist(p_k, p), p.id))
-        if ctx.dist(p_i, p_j) < ctx.dist(p_k, p_m):
-            prunable.add(p_k.id)
-            continue
-        if all(
-            base < ctx.entry_rank(p) + ctx.dist(p_k, p) + ctx.exit_rank(p_k)
-            for p in partners
-        ):
-            prunable.add(p_k.id)
-    return prunable
-
-
-def reference_select_points(ctx, points_a, points_b):
-    live_a = {p.id: p for p in points_a}
-    live_b = {p.id: p for p in points_b}
-    sel_a, sel_b, pruned_b = [], set(), set()
-    while live_a and live_b:
-        p_i = min(live_a.values(), key=lambda p: (ctx.entry_rank(p), p.id))
-        sel_a.append(p_i.id)
-        del live_a[p_i.id]
-        scan = dict(live_b)
-        while scan:
-            p_j = min(scan.values(), key=lambda p: (ctx.dist(p_i, p), p.id))
-            d_ij = ctx.dist(p_i, p_j)
-            rivals = sorted(
-                (p for p in live_a.values() if ctx.dist(p, p_j) < d_ij),
-                key=lambda p: (ctx.entry_rank(p), p.id),
-            )
-            keep = True
-            while rivals:
-                p_k = rivals[0]
-                threshold = d_ij - (ctx.entry_rank(p_k) - ctx.entry_rank(p_i))
-                if ctx.dist(p_k, p_j) < threshold:
-                    keep = False
-                    break
-                rivals = [p for p in rivals[1:] if ctx.dist(p, p_j) < threshold]
-            if keep:
-                sel_b.add(p_j.id)
-                dom_j = dominated_set(p_j, ctx.exit_door, scan.values(), ctx.partition)
-                del scan[p_j.id]
-                del live_b[p_j.id]
-                for p in dom_j:
-                    del scan[p.id]
-                for pid in reference_prune_points(ctx, p_i, p_j, list(live_a.values()), dom_j):
-                    pruned_b.add(pid)
-                    live_b.pop(pid, None)
-            else:
-                del scan[p_j.id]
-    return dom.SelectionResult(
-        selected={ctx.category_a: set(sel_a), ctx.category_b: sel_b},
-        pruned={ctx.category_a: set(), ctx.category_b: pruned_b},
-    )
+def certified_by_definition(points, alpha, reach):
+    """The certificate pair by pair, in the float expression the pass
+    evaluates: p goes when a rival q on its floor has
+    3*alpha*d + margin < (1 - alpha)*(s(p) - s(q))."""
+    m = dom.MARGIN_FACTOR
+    gone = []
+    for p in points:
+        for q in points:
+            dx, dy = p.x - q.x, p.y - q.y
+            d = math.sqrt(dx * dx + dy * dy)
+            detour = (3.0 * alpha) * d + (m * (3.0 * alpha) * reach + dom.UNDERFLOW_FLOOR)
+            saving = ((1.0 - alpha) * (p.static_score - m * abs(p.static_score))
+                      - (1.0 - alpha) * (q.static_score + m * abs(q.static_score)))
+            if p.floor == q.floor and detour < saving:
+                gone.append(p.id)
+                break
+    return gone
 
 
 @st.composite
-def pruning_partitions(draw):
-    """One room or two-floor stairs partition with 1-3 or 9-10 doors (the
-    latter door-capped) and up to three categories of points, some of them
-    co-located, with repeated scores and possibly an empty category."""
-    stairs = draw(st.booleans())
-    floors = (0, 1) if stairs else (0,)
+def pruning_venues(draw):
+    """Two partitions, a room and a two-floor stairs, with up to three
+    categories of points in each, some of them co-located, with repeated
+    scores and possibly an empty category."""
     width = draw(st.floats(1.0, 40.0))
     height = draw(st.floats(1.0, 40.0))
-    n_doors = draw(st.one_of(st.integers(1, 3), st.integers(9, 10)))
-    doors = {}
-    for d in range(n_doors):
-        side, t = draw(st.integers(0, 3)), draw(st.floats(0.0, 1.0))
-        x, y = [(t * width, 0.0), (width, t * height), (t * width, height), (0.0, t * height)][side]
-        doors[d] = Door(id=d, x=x, y=y, floor=draw(st.sampled_from(floors)), partition_ids=(0,))
-    part = Partition(id=0, floor=0, bounds=(0.0, 0.0, width, height),
-                     kind="stairs" if stairs else "room", door_ids=tuple(doors),
-                     floor2=1 if stairs else None)
-    sites = draw(st.lists(st.tuples(st.floats(0.0, width), st.floats(0.0, height)),
+    parts = {
+        0: Partition(id=0, floor=0, bounds=(0.0, 0.0, width, height), kind="room",
+                     door_ids=(0, 1)),
+        1: Partition(id=1, floor=0, bounds=(width, 0.0, 2 * width, height), kind="stairs",
+                     door_ids=(1,), floor2=1),
+    }
+    doors = {
+        0: Door(id=0, x=0.0, y=height / 2, floor=0, partition_ids=(0,)),
+        1: Door(id=1, x=width, y=height / 2, floor=0, partition_ids=(0, 1)),
+    }
+    sites = draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
                           min_size=1, max_size=3))
     position = st.one_of(st.sampled_from(sites),
-                         st.tuples(st.floats(0.0, width), st.floats(0.0, height)))
+                         st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
     score = st.one_of(st.sampled_from([0.0, 1.0, 4.0]), st.floats(0.0, 30.0))
-    counts = [draw(st.integers(0, 8)) for _ in range(3)]
-    ids = iter(draw(st.permutations(range(sum(counts)))))
-    by_cat = {}
-    for cat, count in enumerate(counts):
-        by_cat[cat] = []
-        for _ in range(count):
-            x, y = draw(position)
-            by_cat[cat].append(IndoorPoint(
-                id=next(ids), partition_id=0, x=x, y=y, floor=draw(st.sampled_from(floors)),
-                category=cat, static_score=draw(score)))
-    venue = Venue(partitions={0: part}, doors=doors,
-                  points={p.id: p for pts in by_cat.values() for p in pts})
-    return venue, part, by_cat
+    points = {}
+    for part in parts.values():
+        x0, y0 = part.bounds[:2]
+        for cat in range(3):
+            for _ in range(draw(st.integers(0, 8))):
+                fx, fy = draw(position)
+                pid = len(points)
+                points[pid] = IndoorPoint(
+                    id=pid, partition_id=part.id, x=x0 + fx * width, y=y0 + fy * height,
+                    floor=draw(st.sampled_from(part.floors)), category=cat,
+                    static_score=draw(score))
+    return Venue(partitions=parts, doors=doors, points=points)
+
+
+# -- the certificate ---------------------------------------------------------------
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(venue=pruning_venues(), alpha=st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+def test_preprocess_removes_exactly_the_certified_points(venue, alpha):
+    index = build_index(venue, build_d2d_graph(venue))
+    pruned, report = preprocess(index, [0, 1, 2], alpha=alpha)
+    reach = dom.venue_reach(index)
+    want = set()
+    for pid in venue.partitions:
+        for cat in range(3):
+            group = [p for p in venue.points.values() if (p.partition_id, p.category) == (pid, cat)]
+            want.update(certified_by_definition(group, alpha, reach))
+            if group:  # the lowest-scored point is never certified
+                assert min(p.static_score for p in group if p.id in pruned.alive) == \
+                    min(p.static_score for p in group)
+    assert index.alive - pruned.alive == want
+    assert report.removed == len(want)
+    assert report.kept == len(pruned.alive)
+    assert report.alpha == alpha
+
+
+def test_rivals_on_another_floor_certify_nothing():
+    venue = make_two_room_venue()
+    stairs = replace(venue.partitions[1], kind="stairs", floor2=1)
+    venue = Venue(partitions={0: venue.partitions[0], 1: stairs}, doors=venue.doors, points={
+        0: IndoorPoint(id=0, partition_id=1, x=15.0, y=5.0, floor=0, category=0, static_score=9.0),
+        1: IndoorPoint(id=1, partition_id=1, x=15.0, y=5.0, floor=1, category=0, static_score=0.0),
+    })
+    index = build_index(venue, build_d2d_graph(venue))
+    assert preprocess(index, [0])[0].alive == index.alive
+    same_floor = venue.with_points([replace(venue.points[0], floor=1), venue.points[1]])
+    index = build_index(same_floor, build_d2d_graph(same_floor))
+    assert preprocess(index, [0])[0].alive == {1}
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+def test_a_nearly_tight_certificate_prunes_only_a_strictly_worse_score(alpha):
+    """p (id 0) lies between the door and q (id 1), so every leg to q is
+    exactly d(p, q) longer than the same leg to p, and at the threshold
+    s(p) - s(q) = (3*alpha*d + margin) / (1 - alpha) q's score beats p's by
+    the margin alone.  Around it, in steps of one ulp of s(p), p may be
+    pruned only where cnn, which gives ties to the smaller id, picks q at
+    every alpha up to the snapshot's."""
+    base = make_two_room_venue()
+    q_score = 3.3
+
+    def venue_with(p_score):
+        return base.with_points([
+            IndoorPoint(id=0, partition_id=1, x=12.1, y=5.0, floor=0, category=0,
+                        static_score=p_score),
+            IndoorPoint(id=1, partition_id=1, x=12.1 + 0.7, y=5.0, floor=0, category=0,
+                        static_score=q_score),
+        ])
+
+    index = build_index(venue_with(q_score), build_d2d_graph(base))
+    reach = dom.venue_reach(index)
+    d = (12.1 + 0.7) - 12.1  # exact, as the pass measures it
+    # (1 - alpha)*(s(p) - s(q)) = 3*alpha*d + m*(3*alpha*W + (1 - alpha)*(s(p) + s(q))), for s(p)
+    m = dom.MARGIN_FACTOR
+    threshold = (3.0 * alpha * (d + m * reach) / (1.0 - alpha) + q_score * (1 + m)) / (1 - m)
+    ulp = math.ulp(threshold)
+    probes = [Location(x, 5.0, 0) for x in (0.5, 5.0, 9.99, 10.5, 11.0, 12.0)]
+    pruned_flags = []
+    for k in range(-8, 9):
+        venue = venue_with(threshold + k * ulp)
+        index = build_index(venue, build_d2d_graph(venue))
+        pruned, _ = preprocess(index, [0], alpha=alpha)
+        pruned_flags.append(0 not in pruned.alive)
+        if 0 in pruned.alive:
+            continue
+        for a in (alpha, alpha / 2, 0.0):
+            for source in probes:
+                for target in probes:
+                    ctx = QueryContext(source, target, a)
+                    assert index.cnn(source, 0, ctx).id == 1, (k, a, source, target)
+    # The decision flips once, inside the window: the margin is there, and
+    # it is no wider than its formula.
+    assert pruned_flags == sorted(pruned_flags)
+    assert not pruned_flags[0] and pruned_flags[-1]
 
 
 # -- point dominance -------------------------------------------------------------
 
-def dominates_point(p_a, p_b, door, partition):
-    """Reference: True iff p_a is strictly nearer to the door and strictly cheaper."""
-    if p_a.category != p_b.category:
-        raise DominanceError("point dominance requires one category")
-    if p_a.partition_id != p_b.partition_id or p_a.partition_id != partition.id:
-        raise DominanceError("point dominance requires one partition")
-    if door.id not in partition.door_ids:
-        raise DominanceError(f"door {door.id} does not belong to partition {partition.id}")
-    da = intra_distance(partition, door.location, p_a.location)
-    db = intra_distance(partition, door.location, p_b.location)
-    return da < db and p_a.static_score < p_b.static_score
-
-
-def dominated_set(p_a, door, pool, partition):
-    """Reference: every pool point p_a strictly beats with respect to the door."""
-    return {
-        p for p in pool if p.id != p_a.id and dominates_point(p_a, p, door, partition)
-    }
-
-
 def test_point_never_dominates_itself():
-    part, doors = flat_partition()
-    p = pt(0, 3, 6, 0, 5.0)
-    assert not dominates_point(p, p, doors[0], part)
+    # Co-located twins with one score: neither is cheaper, so neither goes.
+    assert pruned_ids([pt(0, 3, 6, 0, 5.0), pt(1, 3, 6, 0, 5.0)], alpha=0.0) == set()
 
 
 def test_point_dominance_requires_both_strict_inequalities():
-    part, doors = flat_partition()
-    nearer_cheaper = pt(0, 2, 6, 0, 1.0)
-    farther_pricier = pt(1, 3, 6, 0, 2.0)
-    assert dominates_point(nearer_cheaper, farther_pricier, doors[0], part)
-    # score inequality fails
-    nearer_pricier = pt(2, 2, 6, 0, 2.0)
-    farther_cheaper = pt(3, 3, 6, 0, 1.0)
-    assert not dominates_point(nearer_pricier, farther_cheaper, doors[0], part)
+    # At alpha 0.5, q certifies p when 3*d < s(p) - s(q), less the margin.
+    near_cheaper = pt(0, 2, 6, 0, 1.0)
+    assert pruned_ids([near_cheaper, pt(1, 3, 6, 0, 5.0)]) == {1}    # 3 < 4
+    assert pruned_ids([near_cheaper, pt(1, 3, 6, 0, 4.0)]) == set()  # 3 == 3
+    assert pruned_ids([near_cheaper, pt(1, 3, 6, 0, 1.0)]) == set()  # no saving
+    assert pruned_ids([near_cheaper, pt(1, 9, 6, 0, 20.0)]) == set()  # 21 > 19
 
 
 def test_point_dominance_rejects_category_and_partition_mixups():
-    part, doors = flat_partition()
-    a = pt(0, 2, 6, 0, 1.0)
-    b = pt(1, 3, 6, 1, 2.0)
-    with pytest.raises(DominanceError):
-        dominates_point(a, b, doors[0], part)
-    c = IndoorPoint(id=2, partition_id=9, x=3, y=6, floor=0, category=0, static_score=2.0)
-    with pytest.raises(DominanceError):
-        dominates_point(a, c, doors[0], part)
+    """A cheaper point of another category, or in another partition, certifies nothing."""
+    cheap = pt(0, 2, 6, 0, 1.0)
+    assert pruned_ids([cheap, pt(1, 2, 6, 1, 9.0)]) == set()
+    venue = make_two_room_venue()
+    other_room = pt(1, 10.5, 5, 0, 9.0, partition_id=1)
+    assert pruned_ids([pt(0, 9.5, 5, 0, 1.0), other_room],
+                      partitions=venue.partitions, doors=venue.doors) == set()
 
 
 def test_dominated_set_trivial_cases():
-    part, doors = flat_partition()
-    a = pt(0, 2, 6, 0, 10.0)
-    assert dominated_set(a, doors[0], [a], part) == set()
-    # a carries the pool's maximum score: nothing can satisfy the score test
-    pool = [a, pt(1, 5, 6, 0, 1.0), pt(2, 9, 6, 0, 5.0)]
-    assert dominated_set(a, doors[0], pool, part) == set()
+    assert pruned_ids([pt(0, 2, 6, 0, 10.0)]) == set()
+    # The group's lowest score stays, whatever beats it on distance.
+    pool = [pt(0, 2, 6, 0, 10.0), pt(1, 2.1, 6, 0, 0.5), pt(2, 19, 11, 0, 30.0)]
+    assert 1 not in pruned_ids(pool)
+    assert pruned_ids(pool) == {0}
 
 
 def test_dominated_set_matches_definition_scan():
     rng = random.Random(7)
-    part, doors = flat_partition()
     for _ in range(50):
         pool = [pt(i, rng.uniform(0, 20), rng.uniform(0, 12), 0, rng.uniform(0, 10))
                 for i in range(12)]
-        anchor = pool[0]
-        got = dominated_set(anchor, doors[1], pool, part)
-        want = {p for p in pool if p is not anchor
-                and dominates_point(anchor, p, doors[1], part)}
-        assert got == want
-
-
-# -- selection and pruning -----------------------------------------------------------
-
-def test_select_points_single_points_both_selected():
-    part, doors = flat_partition()
-    ctx = DominanceContext(part, doors[0], doors[1], 0, 1)
-    a = pt(0, 4, 6, 0, 2.0)
-    b = pt(1, 9, 6, 1, 3.0)
-    result = select_points(ctx, [a], [b])
-    assert result.selected_ids(0) == {0}
-    assert result.selected_ids(1) == {1}
-    assert result.pruned_ids(0) == set()
-    assert result.pruned_ids(1) == set()
-
-
-def test_select_points_empty_input_is_noop():
-    part, doors = flat_partition()
-    ctx = DominanceContext(part, doors[0], doors[1], 0, 1)
-    result = select_points(ctx, [], [pt(0, 9, 6, 1, 3.0)])
-    assert result.selected_ids(0) == set()
-    assert result.selected_ids(1) == set()
-
-
-def test_select_points_prunes_dominated_farther_partner():
-    # One visited first-category point; between the two second-category
-    # points ordered by exit-door dominance, the farther dominated one is
-    # pruned exactly because the selected pair is closer together.
-    part, doors = flat_partition()
-    ctx = DominanceContext(part, doors[0], doors[1], 0, 1)
-    p_a = pt(0, 4.0, 6.0, 0, 1.0)
-    p_b = pt(1, 8.0, 6.0, 1, 2.0)       # nearest to p_a, beats p_c at the exit door
-    p_c = pt(2, 14.0, 6.0, 1, 5.0)      # dominated by p_b w.r.t. the exit door...
-    # exit door is at x=20: dist(d_t, p_b)=12 > dist(d_t, p_c)=6 -- flip doors so
-    # p_b dominates: use the entry door as exit by running the reversed pair.
-    ctx = DominanceContext(part, doors[1], doors[0], 0, 1)
-    # now d_s is at x=20, d_t at x=0: dist(d_t,p_b)=8 < dist(d_t,p_c)=14, s 2<5
-    assert dominates_point(p_b, p_c, ctx.exit_door, part)
-    assert ctx.dist(p_a, p_b) < ctx.dist(p_a, p_c)
-    result = select_points(ctx, [p_a], [p_b, p_c])
-    assert result.selected_ids(0) == {0}
-    assert result.selected_ids(1) == {1}
-    assert result.pruned_ids(1) == {2}
-
-
-def test_select_points_disjoint_and_partitioned():
-    rng = random.Random(29)
-    for _ in range(60):
-        part, doors, by_cat = random_instance(rng, max_per_cat=10)
-        ctx = DominanceContext(part, doors[0], doors[1], 0, 1)
-        result = select_points(ctx, by_cat[0], by_cat[1])
-        for cat in (0, 1):
-            sel = result.selected_ids(cat)
-            pru = result.pruned_ids(cat)
-            assert sel & pru == set()
-            universe = {p.id for p in by_cat[cat]}
-            assert sel | pru <= universe
-
-
-def test_prune_points_empty_dominated_set_is_empty():
-    part, doors = flat_partition()
-    ctx = DominanceContext(part, doors[0], doors[1], 0, 1)
-    assert prune_ids(ctx, pt(0, 4, 6, 0, 1.0), pt(1, 8, 6, 1, 2.0), [], []) == set()
-
-
-def test_prune_points_nearest_partner_farther_prunes():
-    part, doors = flat_partition()
-    ctx = DominanceContext(part, doors[0], doors[1], 0, 1)
-    p_i = pt(0, 4.0, 6.0, 0, 1.0)
-    p_j = pt(1, 6.0, 6.0, 1, 1.0)
-    dominated = pt(2, 19.0, 6.0, 1, 9.0)
-    # only partner is p_i itself, dist(p_i, dominated) = 15 > dist(p_i, p_j) = 2
-    assert prune_ids(ctx, p_i, p_j, [], [dominated]) == {2}
-
-
-def test_prune_points_matches_per_point_re_evaluation():
-    rng = random.Random(37)
-    part, doors = flat_partition()
-    ctx = DominanceContext(part, doors[0], doors[1], 0, 1)
-    for _ in range(80):
-        remaining = [pt(10 + i, rng.uniform(0, 20), rng.uniform(0, 12), 0, rng.uniform(0, 9))
-                     for i in range(rng.randint(0, 5))]
-        p_i = pt(0, rng.uniform(0, 20), rng.uniform(0, 12), 0, rng.uniform(0, 9))
-        p_j = pt(1, rng.uniform(0, 20), rng.uniform(0, 12), 1, rng.uniform(0, 9))
-        dom_j = [pt(30 + i, rng.uniform(0, 20), rng.uniform(0, 12), 1,
-                    p_j.static_score + rng.uniform(0.1, 9))
-                 for i in range(rng.randint(0, 6))]
-        dom_j = [p for p in dom_j if dominates_point(p_j, p, ctx.exit_door, part)]
-        got = prune_ids(ctx, p_i, p_j, remaining, dom_j)
-        partners = [p_i] + remaining
-        base = ctx.entry_rank(p_i) + ctx.dist(p_i, p_j) + ctx.exit_rank(p_j)
-        for p_k in dom_j:
-            nearest = min(ctx.dist(p_k, p) for p in partners)
-            thm3 = ctx.dist(p_i, p_j) < nearest
-            thm4 = all(
-                base < ctx.entry_rank(p) + ctx.dist(p_k, p) + ctx.exit_rank(p_k)
-                for p in partners
-            )
-            assert (p_k.id in got) == (thm3 or thm4)
-
-
-@pytest.mark.parametrize("cross, entry, exit_rank, want", [
-    # base (0.4 + 2.3) + 1.7 = 4.3999999999999995 < margin (0.4 + 0.7) + 3.3 = 4.4;
-    # summed as 0.4 + (2.3 + 1.7) the base would be 4.4 and p_k would stay.
-    ([[2.3], [0.7]], [0.4], [1.7, 3.3], [1]),
-    # base (0.7 + 0.2) + 0.2 equals margin (0.7 + 0.1) + 0.3; summed as
-    # 0.7 + (0.1 + 0.3) the margin would be 1.1 and p_k would be pruned.
-    ([[0.2], [0.1]], [0.7], [0.2, 0.3], []),
-])
-def test_prune_points_keeps_the_summation_order(cross, entry, exit_rank, want):
-    # Row 0 is the anchor pair (p_i, p_j); row 1 is p_k, no farther from p_i.
-    assert prune_points(cross, entry, exit_rank, 0, 0, [], [1]) == want
-
-
-# -- partition-level pruning ------------------------------------------------------------
-
-def test_prune_partition_union_of_run_selections(monkeypatch):
-    """The per-run selections are unioned per category; points selected by
-    no run are eliminated."""
-    part, doors = flat_partition()
-    c1_pts = [pt(i, 1.0 + i, 2.0, 1, 1.0 + i) for i in (1, 2, 3, 4, 5)]
-    c2_pts = [pt(i, 1.0 + i, 9.0, 2, 1.0 + i) for i in (6, 7, 8, 9)]
-    venue = Venue(
-        partitions={0: part}, doors=doors,
-        points={p.id: p for p in c1_pts + c2_pts},
-    )
-    run_outputs = [
-        ({1: {1, 2}, 2: {8}}, {}),
-        ({1: {2, 3}, 2: {7, 8}}, {}),
-        ({1: {1}, 2: {8}}, {}),
-        ({1: {2}, 2: {7}}, {}),
-    ]
-    calls = []
-
-    def fake_select_points(ctx, points_a, points_b):
-        selected, _ = run_outputs[len(calls)]
-        calls.append((ctx.entry_door.id, ctx.exit_door.id))
-        return dom.SelectionResult(selected={k: set(v) for k, v in selected.items()},
-                                   pruned={1: set(), 2: set()})
-
-    monkeypatch.setattr(dom, "select_points", fake_select_points)
-    survivors = prune_partition(venue, part, {1: c1_pts, 2: c2_pts})
-    # 2 doors -> 4 ordered pairs x 1 category pair = 4 runs
-    assert calls == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert survivors[1] == {1, 2, 3}
-    assert survivors[2] == {7, 8}
-
-
-def test_prune_partition_single_category_untouched():
-    part, doors = flat_partition()
-    pts = [pt(i, 2.0 + i, 6.0, 3, float(i)) for i in range(5)]
-    venue = Venue(partitions={0: part}, doors=doors, points={p.id: p for p in pts})
-    survivors = prune_partition(venue, part, {3: pts})
-    assert survivors[3] == {p.id for p in pts}
+        part, doors = flat_partition()
+        venue = Venue(partitions={0: part}, doors=doors, points={p.id: p for p in pool})
+        reach = dom.venue_reach(build_index(venue, build_d2d_graph(venue)))
+        for alpha in (0.2, 0.5, 0.8):
+            assert pruned_ids(pool, alpha) == set(certified_by_definition(pool, alpha, reach))
 
 
 def test_prune_partition_never_annihilates_a_category():
     rng = random.Random(43)
     for _ in range(120):
-        part, doors, by_cat = random_instance(rng)
-        venue = Venue(
-            partitions={0: part}, doors=doors,
-            points={p.id: p for cat in by_cat for p in by_cat[cat]},
-        )
-        survivors = prune_partition(venue, part, by_cat)
+        _, _, by_cat = random_instance(rng)
+        gone = pruned_ids([p for pts in by_cat.values() for p in pts], alpha=rng.random())
         for cat, pts in by_cat.items():
-            if pts:
-                assert survivors[cat], f"category {cat} was annihilated"
+            assert {p.id for p in pts} - gone, f"category {cat} was annihilated"
 
 
-def test_prune_partition_caps_door_pair_enumeration():
-    width = 40.0
-    door_ids = tuple(range(12))
-    part = Partition(id=0, floor=0, bounds=(0, 0, width, 12), kind="hallway",
-                     door_ids=door_ids)
-    doors = {
-        i: Door(id=i, x=width * i / 11.0, y=0.0, floor=0, partition_ids=(0,))
-        for i in range(12)
-    }
-    venue = Venue(partitions={0: part}, doors=doors)
-    pairs = dom._door_pairs(venue, part)
-    assert len(pairs) == dom.MAX_DOORS_PER_PARTITION ** 2
-    # Pruning the hallway counts the cap once in the report.
-    by_cat = {0: [pt(0, 5.0, 6.0, 0, 1.0)], 1: [pt(1, 30.0, 6.0, 1, 2.0)]}
-    report = dom.PruneReport()
-    prune_partition(venue, part, by_cat, report)
-    assert report.door_capped == 1
-    assert report.to_dict()["door_capped_partitions"] == 1
+def room_index(points):
+    part, doors = flat_partition()
+    venue = Venue(partitions={0: part}, doors=doors, points={p.id: p for p in points})
+    return build_index(venue, build_d2d_graph(venue))
+
+
+def test_select_points_single_points_both_selected():
+    # One point of each of two categories: neither has a rival, so both stay.
+    assert pruned_ids([pt(0, 4, 6, 0, 2.0), pt(1, 9, 6, 1, 30.0)], alpha=0.0) == set()
+
+
+def test_select_points_empty_input_is_noop():
+    # A category with no points in the room, beside one with a lone point.
+    index = room_index([pt(0, 9, 6, 1, 3.0)])
+    pruned, report = preprocess(index, [0, 1], alpha=0.0)
+    assert pruned.alive == index.alive
+    assert report.to_dict() == {"alpha": 0.0, "removed": 0, "kept": 1, "per_partition": {}}
+    assert dom.certified([index.venue.points[0]], 0.0, dom.venue_reach(index)) == []
+
+
+def test_select_points_prunes_dominated_farther_partner():
+    # p_c lies 6 m from the cheaper p_b and costs 3 more: a detour of
+    # 3*alpha*6 against a saving of (1 - alpha)*3, which pays below alpha 1/7.
+    p_a = pt(0, 4.0, 6.0, 0, 1.0)
+    p_b = pt(1, 8.0, 6.0, 1, 2.0)
+    p_c = pt(2, 14.0, 6.0, 1, 5.0)
+    assert pruned_ids([p_a, p_b, p_c], alpha=0.1) == {2}
+    assert pruned_ids([p_a, p_b, p_c], alpha=0.5) == set()
+
+
+def test_select_points_disjoint_and_partitioned():
+    # Survivors and removed points split each category, and the report counts
+    # the removed ones per category.
+    rng = random.Random(29)
+    for _ in range(60):
+        _, _, by_cat = random_instance(rng, max_per_cat=10)
+        points = [p for pts in by_cat.values() for p in pts]
+        index = room_index(points)
+        pruned, report = preprocess(index, [0, 1], alpha=rng.random())
+        gone = index.alive - pruned.alive
+        assert pruned.alive | gone == {p.id for p in points}
+        assert report.kept + report.removed == len(points)
+        counts = {cat: len(gone & {p.id for p in pts}) for cat, pts in by_cat.items()}
+        want = {cat: n for cat, n in counts.items() if n}
+        assert report.eliminated == ({0: want} if want else {})
+
+
+def test_select_points_matches_point_at_a_time_reference():
+    # Two categories at random alphas against the pair-by-pair reference.
+    rng = random.Random(31)
+    for _ in range(40):
+        _, _, by_cat = random_instance(rng)
+        points = [p for pts in by_cat.values() for p in pts]
+        reach = dom.venue_reach(room_index(points))
+        alpha = rng.random()
+        want = {i for pts in by_cat.values() for i in certified_by_definition(pts, alpha, reach)}
+        assert pruned_ids(points, alpha) == want
+
+
+def test_prune_points_empty_dominated_set_is_empty():
+    # No saving, no certificate: equal scores at alpha 0, and any scores at
+    # alpha 1, where they do not count.
+    same = [pt(i, 2.0 + i, 6, 0, 4.0) for i in range(5)]
+    assert pruned_ids(same, alpha=0.0) == set()
+    spread = [pt(i, 2.0 + i, 6, 0, 10.0 * i) for i in range(5)]
+    assert pruned_ids(spread, alpha=1.0) == set()
+    assert pruned_ids(spread, alpha=0.0) == {1, 2, 3, 4}
+
+
+def test_prune_points_matches_per_point_re_evaluation():
+    """Scored again by cnn on the full index, from probe locations at the
+    snapshot's alpha and half of it, no pruned point wins its category."""
+    rng = random.Random(37)
+    removed = 0
+    for _ in range(30):
+        _, _, by_cat = random_instance(rng, max_per_cat=8)
+        index = room_index([p for pts in by_cat.values() for p in pts])
+        alpha = rng.uniform(0.05, 0.95)
+        pruned, _ = preprocess(index, [0, 1], alpha=alpha)
+        gone = index.alive - pruned.alive
+        removed += len(gone)
+        probes = [Location(rng.uniform(0, 20), rng.uniform(0, 12), 0) for _ in range(3)]
+        for a in (alpha, alpha / 2):
+            for source in probes:
+                for target in probes:
+                    ctx = QueryContext(source, target, a)
+                    for from_loc in probes:
+                        for cat in (0, 1):
+                            assert index.cnn(from_loc, cat, ctx).id not in gone
+    assert removed
 
 
 # -- preprocessing against the index -------------------------------------------------------
@@ -453,13 +375,15 @@ def test_preprocess_single_partition_composition():
             pts.append(pt(pid, rng.uniform(0, 20), rng.uniform(0, 12), cat, rng.uniform(0, 9)))
             pid += 1
     venue = Venue(partitions={0: part}, doors=doors, points={p.id: p for p in pts})
-    graph = build_d2d_graph(venue)
-    index = build_index(venue, graph)
-    by_cat = {0: [p for p in pts if p.category == 0], 1: [p for p in pts if p.category == 1]}
-    survivors = prune_partition(venue, part, by_cat)
-    pruned_index, report = preprocess(index, [0, 1])
-    assert pruned_index.alive == frozenset(survivors[0] | survivors[1])
+    index = build_index(venue, build_d2d_graph(venue))
+    reach = dom.venue_reach(index)
+    gone = {i for cat in (0, 1)
+            for i in certified_by_definition([p for p in pts if p.category == cat], 0.2, reach)}
+    pruned_index, report = preprocess(index, [0, 1], alpha=0.2)
+    assert gone
+    assert pruned_index.alive == index.alive - gone
     assert report.removed == len(pts) - len(pruned_index.alive)
+    assert report.eliminated == {0: dict(Counter(pts[i].category for i in gone))}
 
 
 def test_preprocess_reduces_live_points_monotonically():
@@ -472,41 +396,47 @@ def test_preprocess_reduces_live_points_monotonically():
     assert len(pruned.alive) + report.removed == len(index.alive)
 
 
+def test_preprocess_only_removes_points_of_the_given_categories():
+    venue, graph, index, _ = small_workload(seed=16)
+    cats = index.live_categories()
+    pruned, _ = preprocess(index, cats[:2])
+    assert pruned.alive < index.alive
+    for cat in cats[2:]:
+        assert pruned.live_points(cat) == index.live_points(cat)
+    # Survivors certify none of each other: pruning again removes nothing.
+    again, report = preprocess(pruned, cats[:2])
+    assert again.alive == pruned.alive and report.removed == 0
+
+
+def test_preprocess_prunes_one_category_at_a_time():
+    venue, graph, index, _ = small_workload(seed=17)
+    cats = index.live_categories()
+    together, _ = preprocess(index, cats)
+    alone = [preprocess(index, [cat])[0].alive for cat in cats]
+    assert together.alive == frozenset.intersection(*alone)
+
+
+def test_preprocess_is_deterministic():
+    venue, graph, index, _ = small_workload(seed=18)
+    cats = index.live_categories()
+    first, report = preprocess(index, cats, alpha=0.65)
+    second, again = preprocess(index, list(reversed(cats)) + cats, alpha=0.65)
+    assert first.alive == second.alive
+    assert report.to_dict() == again.to_dict()
+    assert report.to_dict()["alpha"] == 0.65
+
+
 def test_preprocess_needs_at_least_one_category():
     venue, graph, index, _ = small_workload(seed=15)
     with pytest.raises(ValueError):
         preprocess(index, [])
 
 
-# -- the distance table against the point-at-a-time reference ----------------------
-
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(case=pruning_partitions())
-def test_select_points_matches_point_at_a_time_reference(case):
-    venue, part, by_cat = case
-    doors = venue.partition_doors(part.id)
-    ctx = DominanceContext(part, doors[0], doors[-1], 0, 1)
-    assert select_points(ctx, by_cat[0], by_cat[1]) == reference_select_points(
-        ctx, by_cat[0], by_cat[1])
-
-    real = dom.select_points
-    runs = []
-
-    def checked(ctx, points_a, points_b):
-        got = real(ctx, points_a, points_b)
-        assert got == reference_select_points(ctx, points_a, points_b)
-        # The partition's shared table and one measured for this run agree.
-        assert real(replace(ctx, table=None), points_a, points_b) == got
-        runs.append(ctx)
-        return got
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dom, "select_points", checked)
-        prune_partition(venue, part, by_cat)
-    n_cats = sum(1 for pts in by_cat.values() if pts)
-    if n_cats >= 2:
-        n_doors = min(len(doors), dom.MAX_DOORS_PER_PARTITION)
-        assert len(runs) == n_doors ** 2 * n_cats * (n_cats - 1) // 2
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+def test_preprocess_rejects_an_alpha_outside_0_to_1(alpha):
+    venue, graph, index, _ = small_workload(seed=15)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        preprocess(index, index.live_categories(), alpha=alpha)
 
 
 @pytest.fixture(scope="module")
@@ -522,18 +452,13 @@ def acceptance_fixture():
     return venue, index, frequent_categories(queries, 100)
 
 
-# Computed with the point-at-a-time selection (the reference above); the
-# report's keys are removed, kept, door_capped_partitions and per_partition.
-PINNED_REPORT_SHA256 = "5fd94238dc47ffa4c82d4fced4a595920ac4b846d0af7e3706e97812d738311d"
+# Computed with the detour certificate at alpha 0.5; the report's keys are
+# alpha, removed, kept and per_partition.
+PINNED_REPORT_SHA256 = "744103826403fa054591547d839c15ded94ad4687d5216d6415abaedd1fd3fbf"
 PINNED_ALIVE = [
-    15, 27, 29, 50, 51, 63, 66, 70, 71, 75, 78, 83, 85, 86, 88, 89, 90, 92, 93, 95,
-    99, 100, 101, 106, 107, 109, 111, 119, 120, 127, 130, 131, 136, 140, 142, 144,
-    146, 147, 148, 149, 150, 151, 152, 153, 156, 157, 158, 159, 160, 164, 166, 167,
-    168, 169, 170, 171, 172, 173, 174, 175, 177, 181, 182, 183, 184, 185, 186, 187,
-    188, 189, 190, 191, 192, 193, 194, 195, 196, 201, 204, 206, 207, 208, 209, 210,
-    211, 212, 213, 214, 215, 216, 219, 220, 221, 222, 223, 226, 227, 229, 231, 234,
-    236, 237, 239, 240, 241, 242, 243, 246, 250, 252, 253, 255, 257, 260, 263, 264,
-    266, 267, 271, 272, 273, 275, 276, 279, 281,
+    3, 5, 15, 20, 27, 29, 32, 35, 51, 58, 63, 66, 67, 70, 73, 83, 99, 100, 130, 142,
+    144, 152, 157, 161, 171, 174, 189, 193, 194, 204, 210, 214, 219, 230, 242, 243,
+    250, 252, 258, 272, 273,
 ]
 
 
@@ -545,59 +470,11 @@ def test_preprocess_on_acceptance_fixture_is_pinned(acceptance_fixture):
     assert sorted(pruned.alive) == PINNED_ALIVE
 
 
-def test_distance_table_entries_equal_intra_distance(acceptance_fixture, monkeypatch):
-    _, index, cats = acceptance_fixture
-    real = dom.select_points
-    runs = []
+# -- soundness -----------------------------------------------------------------------
 
-    def record(ctx, points_a, points_b):
-        runs.append((ctx, points_a, points_b))
-        return real(ctx, points_a, points_b)
-
-    monkeypatch.setattr(dom, "select_points", record)
-    preprocess(index, cats)
-    assert runs
-    checked = 0
-    for ctx, points_a, points_b in runs:
-        part, table = ctx.partition, ctx.table
-        for j, b in enumerate(points_b):
-            assert table.cross[j] == [intra_distance(part, a.location, b.location) for a in points_a]
-            checked += len(points_a)
-        for door in (ctx.entry_door, ctx.exit_door):
-            for legs, points in ((table.legs_a, points_a), (table.legs_b, points_b)):
-                assert legs[door.id] == [intra_distance(part, door.location, p.location)
-                                         for p in points]
-    assert checked > 1000
-
-
-def test_preprocess_measures_each_pair_and_door_leg_once(acceptance_fixture, monkeypatch):
-    venue, index, cats = acceptance_fixture
-    real = dom.intra_distance
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(dom, "intra_distance", counted)
-    preprocess(index, cats)
-    # One cross distance per pair of points of two categories in a partition,
-    # plus one leg per (point, door pruned over).
-    bound = 0
-    for pid, part in venue.partitions.items():
-        sizes = [n for n in (sum(1 for p in venue.points.values()
-                                 if p.partition_id == pid and p.category == c) for c in cats) if n]
-        if len(sizes) >= 2:
-            doors = min(len(part.door_ids), dom.MAX_DOORS_PER_PARTITION)
-            bound += sum(a * b for a, b in combinations(sizes, 2)) + sum(sizes) * doors
-    assert 0 < calls <= bound
-
-
-@pytest.mark.xfail(strict=True, reason="pruning certifies two-stop in-partition visits only; "
-                   "a single stop in a one-door room can lose the optimum (ROADMAP item 1)")
 def test_pruning_keeps_the_optimum_at_alpha_one_half():
-    # Queries 3 and 7 lose it: 77.8320 against 77.7605, and 62.4578 against 62.3863.
+    # The pair-selection pass lost it on queries 3 and 7: 77.8320 against
+    # 77.7605, and 62.4578 against 62.3863.
     spec = WorkloadSpec(seed=29, floors=2, rooms_per_floor=8, categories=5, count_range=(6, 10),
                         query_count=8, query_categories=(3,), alpha=0.5)
     venue, _, queries = build_workload(spec)
@@ -606,3 +483,26 @@ def test_pruning_keeps_the_optimum_at_alpha_one_half():
     for query in queries:
         optimum = route_cost(exact_route(query, index), query.alpha)
         assert route_cost(exact_route(query, pruned), query.alpha) <= optimum + 1e-9
+
+
+GRID_ALPHAS = (0.2, 0.5, 0.65, 0.8, 0.95)
+
+
+@pytest.mark.parametrize("alpha", GRID_ALPHAS)
+def test_a_snapshot_keeps_every_optimum_and_gcnn_route_up_to_its_alpha(alpha):
+    """Seeds 0-39, every query category pruned at alpha: exact_route keeps
+    the optimum at alpha, and gcnn returns the unpruned routes at alpha and
+    at every grid alpha below it."""
+    for seed in range(40):
+        spec = WorkloadSpec(seed=seed, floors=2, rooms_per_floor=8, categories=5,
+                            count_range=(6, 10), query_count=8, query_categories=(3,))
+        venue, _, queries = build_workload(spec)
+        index = build_index(venue, build_d2d_graph(venue))
+        pruned, _ = preprocess(index, frequent_categories(queries, 100), alpha=alpha)
+        for query in queries:
+            query = replace(query, alpha=alpha)
+            optimum = route_cost(exact_route(query, index), alpha)
+            assert route_cost(exact_route(query, pruned), alpha) <= optimum, (seed, query)
+            for lower in (a for a in GRID_ALPHAS if a <= alpha):
+                query = replace(query, alpha=lower)
+                assert gcnn(query, pruned) == gcnn(query, index), (seed, lower, query)

@@ -20,7 +20,6 @@ from indoortrip import (
     rank_once_greedy,
     route_cost,
 )
-from indoortrip.dominance import DominanceContext
 from indoortrip.routing import Stop
 from indoortrip.venue import intra_distance
 
@@ -230,8 +229,9 @@ def test_gcnn_matches_reference_implementation():
 
 
 def pair_route_cases(venue):
-    """(route, entry, exit, categories, dist) for every pair_route of the first
-    partition that holds two categories, through its first and last door."""
+    """(route, entry, exit, categories, dist) for every two-stop in-partition
+    route (entry door -> a -> b -> exit door) of the first partition that
+    holds two categories, through its first and last door."""
     by_part = {}
     for p in sorted(venue.points.values(), key=lambda p: p.id):
         by_part.setdefault(p.partition_id, {}).setdefault(p.category, []).append(p)
@@ -239,13 +239,13 @@ def pair_route_cases(venue):
     part = venue.partitions[pid]
     doors = venue.partition_doors(pid)
     cat_a, cat_b = sorted(by_part[pid])[:2]
-    ctx = DominanceContext(part, doors[0], doors[-1], cat_a, cat_b)
+    entry, exit_ = doors[0].location, doors[-1].location
 
     def dist(a, b):
         return intra_distance(part, a, b)
 
     return [
-        (ctx.pair_route(a, b), doors[0].location, doors[-1].location, (cat_a, cat_b), dist)
+        (Route.through(dist, entry, (a, b), exit_), entry, exit_, (cat_a, cat_b), dist)
         for a in by_part[pid][cat_a] for b in by_part[pid][cat_b]
     ]
 
