@@ -126,7 +126,6 @@ def cmd_build_index(args) -> int:
         "partitions": len(venue.partitions),
         "doors": len(venue.doors),
         "edges": len(graph.edges),
-        "leaves": len(index.leaves),
         "live_points": len(index.alive),
         "categories": len(index.live_categories()),
     }

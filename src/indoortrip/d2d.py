@@ -122,9 +122,12 @@ class PointBlock:
     scores: np.ndarray       # (P,) static scores
 
     @cached_property
-    def partition_set(self) -> frozenset[int]:
-        """The partitions the block's points lie in."""
-        return frozenset(self.partitions.tolist())
+    def partition_rows(self) -> dict[int, list[int]]:
+        """Each partition's rows in the block, in row order."""
+        rows: dict[int, list[int]] = {}
+        for row, pid in enumerate(self.partitions.tolist()):
+            rows.setdefault(pid, []).append(row)
+        return rows
 
     def take(self, rows) -> "PointBlock":
         """The sub-block of the given rows, in that order."""
@@ -213,29 +216,21 @@ class DistanceEngine:
         total = (src.legs[:, None, None] + legs) + rows.take(doors, axis=1)  # (I, P, K)
         return np.minimum.reduce(total, axis=(0, 2), initial=np.inf)
 
-    def door_block_min(self, doors: np.ndarray, block: PointBlock) -> np.ndarray:
-        """For each door index, the least through-doors distance from that
-        door to a point of the block: the `_door_min` entries of a source
-        standing at the door with leg 0 (0 + leg is exact), minimised over
-        the block's rows."""
-        matrix = self.graph.distance_matrix()
-        total = block.legs[None, :, :] + matrix[doors[:, None, None], block.doors[None, :, :]]
-        return total.min(axis=(1, 2), initial=np.inf)
-
     def block_distances(self, src: DoorLegs, block: PointBlock) -> np.ndarray:
         """Distance from src's location to every point of the block."""
         out = self._door_min(src, block.doors, block.legs)
         loc = src.location
-        if loc.partition_id in block.partition_set:
+        rows = block.partition_rows.get(loc.partition_id)
+        if rows:
             part = self.venue.partitions[loc.partition_id]
-            for row in np.flatnonzero(block.partitions == loc.partition_id).tolist():
+            for row in rows:
                 out[row] = intra_distance(part, loc, block.points[row])
         return out
 
     def door_vector(self, loc: Location) -> np.ndarray:
         """Distance from loc to every door, through its partition's doors.
-        No query path calls it: cnn bounds leaves from the location's legs
-        to its own doors and its leaf tables' per-door entries."""
+        No query path calls it: cnn, rank-once and the oracle measure with
+        the block kernel."""
         src = self.legs(loc)
         matrix = self.graph.distance_matrix()
         return (src.legs[:, None] + matrix[src.doors]).min(axis=0, initial=np.inf)

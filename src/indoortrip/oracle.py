@@ -13,20 +13,13 @@ import itertools
 import numpy as np
 
 from .d2d import PointBlock
-from .routing import EmptyCategoryError, EvalCounter, Route, TripQuery, route_cost
+from .routing import EvalCounter, Route, TripQuery, route_cost
 
 ORACLE_CATEGORY_LIMIT = 7
 
 
 class OracleScaleError(Exception):
     """Too many categories for factorial enumeration."""
-
-
-def _category_block(index, category: int) -> PointBlock:
-    block = index.category_block(category)
-    if not block.points:
-        raise EmptyCategoryError(f"category {category} has no live points")
-    return block
 
 
 class _QueryTables:
@@ -38,7 +31,7 @@ class _QueryTables:
         self.engine = index.engine
         self.source = index.venue.resolve(query.source)
         self.target = index.venue.resolve(query.target)
-        self.blocks = {c: _category_block(index, c) for c in query.categories}
+        self.blocks = {c: index.category_block(c) for c in query.categories}
         source_legs = self.engine.legs(self.source)
         target_legs = self.engine.legs(self.target)
         self.from_source = {c: self.engine.block_distances(source_legs, b)
@@ -143,7 +136,7 @@ def enumerate_route(query: TripQuery, index) -> Route:
     source = venue.resolve(query.source)
     target = venue.resolve(query.target)
     cats = tuple(sorted(query.categories))
-    pools = {c: _category_block(index, c).points for c in cats}
+    pools = {c: index.category_block(c).points for c in cats}
 
     best_route: Route | None = None
     best_cost = float("inf")
@@ -182,7 +175,7 @@ def rank_once_greedy(query: TripQuery, index, top_k: int = 8,
     # Each shortlist keeps its points' target distances for the closing leg.
     shortlists: dict[int, tuple[PointBlock, np.ndarray]] = {}
     for cat in sorted(set(query.categories)):
-        block = _category_block(index, cat)
+        block = index.category_block(cat)
         from_source = engine.block_distances(source_legs, block)
         to_target = engine.block_distances(target_legs, block)
         travel = from_source + from_source + to_target

@@ -57,10 +57,9 @@ def test_build_index_reports_stats(generated, capsys):
     assert run(["build-index", "--venue", generated["venue"],
                 "--objects", generated["objects"]]) == 0
     stats = json.loads(capsys.readouterr().out)
-    assert set(stats) == {"partitions", "doors", "edges", "leaves", "live_points", "categories"}
+    assert set(stats) == {"partitions", "doors", "edges", "live_points", "categories"}
     venue = load_checked_venue(generated["venue"], generated["objects"])
     index = build_index(venue, build_d2d_graph(venue))
-    assert stats["leaves"] == len(index.leaves)
     assert stats["live_points"] == len(index.alive) > 0
     assert stats["categories"] == len(index.live_categories())
 

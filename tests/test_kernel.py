@@ -87,12 +87,10 @@ def test_block_kernel_equals_scalar_distance(data, seed):
 
 
 def tie_venue(points):
-    """Four rooms in a row, doors at x = 0, 10, 20, 30, 40; leaf size 2
-    puts rooms 0-1 and rooms 2-3 in separate leaves."""
+    """Four rooms in a row, doors at x = 0, 10, 20, 30, 40."""
     venue = make_corridor_venue(rooms=4)
     venue = venue.with_points(points)
-    index = build_index(venue, build_d2d_graph(venue), leaf_size=2)
-    assert [leaf.partition_ids for leaf in index.leaves] == [(0, 1), (2, 3)]
+    index = build_index(venue, build_d2d_graph(venue))
     return venue, index
 
 
@@ -103,7 +101,7 @@ def pt(pid, part, x, score=2.0):
 
 @pytest.mark.parametrize("ids", [(3, 8), (8, 3)])
 def test_cnn_tie_within_a_leaf_goes_to_the_smaller_id(ids):
-    # Co-located, equal scores, in different partitions of one leaf.
+    # Co-located, equal scores, in adjacent partitions.
     venue, index = tie_venue([pt(ids[0], 0, 10.0), pt(ids[1], 1, 10.0), pt(20, 0, 2.0, 30.0)])
     here = Location(4.0, 5.0, 0, 0)
     ctx = QueryContext(here, here, 0.5)
@@ -113,7 +111,7 @@ def test_cnn_tie_within_a_leaf_goes_to_the_smaller_id(ids):
 @pytest.mark.parametrize("ids", [(3, 8), (8, 3)])
 def test_cnn_tie_across_leaves_goes_to_the_smaller_id(ids):
     # Standing in the doorway between rooms 1 and 2, a point 5 m into
-    # each room is equally far, and the two rooms sit in different leaves.
+    # each room is equally far.
     venue, index = tie_venue([pt(ids[0], 1, 15.0), pt(ids[1], 2, 25.0)])
     door = Location(20.0, 5.0, 0)
     for alpha in (0.0, 0.5, 1.0):
@@ -135,12 +133,11 @@ def test_engine_keeps_no_per_query_state_over_a_stream():
     assert set(engine._part_door_idx) <= set(venue.partitions)
     assert set(engine._point_legs) <= {p.location.key() for p in venue.points.values()}
     # The snapshot keeps what it was built with; only its caches filled, and
-    # those by category and leaf, never by query.
+    # those by category, never by query.
     assert vars(index).keys() == built.keys()
     assert all(vars(index)[name] is value for name, value in built.items())
     categories = set(venue.categories)
-    assert set(index._blocks) <= categories
-    assert index._leaf_tables and set(index._leaf_tables) <= categories
+    assert index._blocks and set(index._blocks) <= categories
 
 
 def test_concurrent_queries_on_one_snapshot_match_sequential_routes():

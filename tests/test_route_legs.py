@@ -83,7 +83,7 @@ def test_no_scalar_distance_call_on_a_query_path(monkeypatch):
 
 def test_gcnn_resolves_each_query_location_once(monkeypatch):
     index, pruned, queries = build_fixture()
-    for q in queries:  # lay out the blocks and leaf tables first
+    for q in queries:  # lay out the blocks first
         gcnn(q, index)
     venue = index.venue
     assert index.engine.venue is venue
@@ -113,6 +113,27 @@ def test_gcnn_builds_one_route_extension_per_round(monkeypatch):
             route = gcnn(q, idx)
             assert len(calls) == len(q.categories)
             assert calls == [s.point_id for s in route.stops]
+
+
+def test_gcnn_makes_one_kernel_call_per_category_end_and_per_cnn_call_off_the_source(monkeypatch):
+    """cnn scores a category's whole live block with one kernel call from
+    its from location, and none from the source, whose distances the query
+    memo already holds.  So a query of m categories makes 2m calls from the
+    source and the target, one per category, and m(m - 1)/2 from the stops
+    of rounds 2 to m."""
+    index, pruned, queries = build_fixture()
+    engine = index.engine
+    assert pruned.engine is engine
+    calls = []
+    block_distances = engine.block_distances
+    monkeypatch.setattr(engine, "block_distances",
+                        lambda src, block: calls.append(src) or block_distances(src, block))
+    for idx in (index, pruned):
+        for q in queries:
+            calls.clear()
+            assert gcnn(q, idx).complete
+            m = len(set(q.categories))
+            assert len(calls) == 2 * m + m * (m - 1) // 2
 
 
 def route_and_evals(query, index, other=None):
