@@ -135,22 +135,17 @@ def cmd_build_index(args) -> int:
 
 def cmd_prune(args) -> int:
     venue = load_checked_venue(args.venue, args.objects)
-    graph = build_d2d_graph(venue)
-    index = build_index(venue, graph)
+    index = build_index(venue, build_d2d_graph(venue))
     if args.categories_list:
-        cats = [int(c) for c in args.categories_list.split(",")]
-        alpha = 0.5
+        _, report = preprocess(index, [int(c) for c in args.categories_list.split(",")])
     elif args.queries:
-        queries = load_queries(args.queries)
-        cats = frequent_categories(queries, args.delta)
-        alpha = max((q.alpha for q in queries), default=0.5)
+        _, report = pruned_index(index, load_queries(args.queries), args.delta)
     else:
         raise CliError("prune needs --categories or --queries with --delta")
-    if not cats:
+    if report is None:
         raise CliError("no categories selected for pruning")
-    _, report = preprocess(index, cats, alpha=alpha)
     payload = report.to_dict()
-    payload["categories"] = sorted(cats)
+    payload["categories"] = list(report.categories)
     text = json.dumps(payload, indent=1, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -162,8 +157,7 @@ def cmd_prune(args) -> int:
 
 def _run_queries(args, algorithm: str) -> int:
     venue = load_checked_venue(args.venue, args.objects)
-    graph = build_d2d_graph(venue)
-    index = build_index(venue, graph)
+    index = build_index(venue, build_d2d_graph(venue))
     queries = load_queries(args.queries)
 
     planner, pruned = PLANNERS[algorithm]
@@ -196,6 +190,7 @@ def _run_queries(args, algorithm: str) -> int:
 
 
 def cmd_query(args) -> int:
+    frequent_categories([], args.delta)  # raises on a delta outside 0..100
     return _run_queries(args, args.algorithm)
 
 
@@ -321,17 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--objects", default=None)
         p.add_argument("--queries", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--delta", type=int, default=100)
-        p.add_argument("--limit", type=int, default=ORACLE_CATEGORY_LIMIT)
-        p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("query", help="plan routes for a query file")
     add_query_flags(p)
     p.add_argument("--algorithm", choices=["gcnn", "gcnn-dom", "rank-once"], default="gcnn")
+    p.add_argument("--delta", type=int, default=100,
+                   help="gcnn-dom's preprocessing percentage, 0..100")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("oracle", help="exact routes (factorial guard applies)")
     add_query_flags(p)
+    p.add_argument("--limit", type=int, default=ORACLE_CATEGORY_LIMIT)
+    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="run an algorithm suite, emit CSV results")

@@ -120,9 +120,11 @@ def certified(points: list[IndoorPoint], alpha: float, reach: float) -> list[int
 
 @dataclass
 class PruneReport:
-    """Deterministic record of what preprocessing eliminated, at which alpha."""
+    """Deterministic record of what preprocessing eliminated, at which alpha
+    and among which categories (ascending)."""
 
     alpha: float
+    categories: tuple[int, ...] = ()
     eliminated: dict[int, dict[int, int]] = field(default_factory=dict)  # partition -> category -> count
     kept: int = 0
     removed: int = 0
@@ -156,7 +158,7 @@ def preprocess(index, frequent_categories, alpha: float = 0.5) -> tuple["object"
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     venue = index.venue
     reach = venue_reach(index)
-    report = PruneReport(alpha=alpha)
+    report = PruneReport(alpha=alpha, categories=tuple(sorted(frequent)))
     to_remove: list[int] = []
     for (pid, cat), ids in sorted(index._live_by_part_cat.items()):
         if cat in frequent and len(ids) > 1:

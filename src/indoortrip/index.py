@@ -1,11 +1,12 @@
-"""Per-snapshot index of live points, and category-nearest-neighbour search.
+"""Per-snapshot index of live points, the per-query distance tables, and
+category-nearest-neighbour search.
 
 A snapshot keeps its live points by (partition, category) and by
 category, and lays each category's live points out, on first use, as one
-block in id order.  `cnn` scores a category's whole block with one
-block-kernel call from the from location; the source and target terms
-are measured once per query, and each location a query touches is
-resolved and measured once.
+block in id order.  `QueryTables` holds the terms one query measures
+once on a snapshot and reads again; `cnn`, `rank_once_greedy` and the
+oracle score from it.  `cnn` scores a category's whole block with at most
+one block-kernel call, from the from location.
 """
 
 from __future__ import annotations
@@ -24,25 +25,35 @@ class CnnStats:
     evaluated: int = 0
 
 
-class _QueryMemo:
-    """Terms fixed for one query that its cnn calls on one snapshot reuse:
-    the door legs of each location seen, resolved and measured once and
-    keyed by the location as given and as resolved; one record per
-    category, made on the query's first cnn call for it, of the category's
-    block, its source and target distances and (1 - alpha) times its static
-    scores; and the (source, from, target) legs of each point cnn returned,
-    keyed by the resolved from location and the point, for the planner to
-    build its route from.  The query's context holds it
-    (`QueryContext.memo`), so it lives and dies with the query; it keeps no
-    reference back to the context.  Every array here is read, never
-    written: cnn builds its scores in a new array."""
+class QueryTables:
+    """The terms one query measures once on one snapshot and reads again.
+    `cnn`, `rank_once_greedy` and the oracle all score from these tables:
 
-    def __init__(self, ctx: QueryContext, engine: DistanceEngine):
-        self.engine = engine
+    - `legs(loc)`: a location's door legs, resolved and measured on first
+      sight and keyed by the location as given and as resolved; `source`
+      and `target` are the query's.
+    - `category(c)`: made on first use, the snapshot's block for c, its
+      source and target distances, and `(1 - alpha) * block.scores`.
+    - `between(a, b)`: the distances from each point of category a to
+      each point of b, for the oracle's layered DP.
+    - `winner_legs`: the (source, from, target) legs of each point `cnn`
+      returned, keyed by the resolved from location and the point id, for
+      `cnn_legs`.
+
+    `cnn` keeps one table per snapshot on the query's context
+    (`QueryContext.memo`), so it lives and dies with the query; it keeps no
+    reference back to the context.  The other planners build one per
+    query.  Every array here is read, never written."""
+
+    def __init__(self, index: "VenueIndex", source: Location, target: Location, alpha: float):
+        self.index = index
+        self.engine = index.engine
+        self.alpha = alpha
         self.located: dict[tuple, DoorLegs] = {}
-        self.source = self.legs(ctx.source)
-        self.target = self.legs(ctx.target)
-        self.categories: dict[int, tuple[PointBlock, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.source = self.legs(source)
+        self.target = self.legs(target)
+        self._categories: dict[int, tuple[PointBlock, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._between: dict[tuple[int, int], np.ndarray] = {}
         self.winner_legs: dict[tuple[tuple, int], tuple[float, float, float]] = {}
 
     def legs(self, loc: Location) -> DoorLegs:
@@ -52,6 +63,34 @@ class _QueryMemo:
         if got is None:
             got = self.located[key] = self.engine.legs(loc)
             self.located.setdefault(got.location.key(), got)
+        return got
+
+    def category(self, category: int) -> tuple[PointBlock, np.ndarray, np.ndarray, np.ndarray]:
+        """(block, source distances, target distances, (1 - alpha) * scores)
+        of the category.  Raises EmptyCategoryError when it has no live point."""
+        terms = self._categories.get(category)
+        if terms is None:
+            block = self.index.category_block(category)
+            terms = self._categories[category] = (
+                block,
+                self.engine.block_distances(self.source, block),
+                self.engine.block_distances(self.target, block),
+                (1.0 - self.alpha) * block.scores,
+            )
+        return terms
+
+    def between(self, a: int, b: int) -> np.ndarray:
+        """[i, j] = distance from point i of category a to point j of b."""
+        got = self._between.get((a, b))
+        if got is None:
+            if (b, a) in self._between:
+                return self._between[(b, a)].T  # the metric is exactly symmetric
+            block = self.category(b)[0]
+            got = np.array([
+                self.engine.block_distances(self.engine.legs(p.location), block)
+                for p in self.category(a)[0].points
+            ])
+            self._between[(a, b)] = got
         return got
 
 
@@ -100,43 +139,26 @@ class VenueIndex:
             self._blocks[category] = block
         return block
 
-    def _query_memo(self, ctx: QueryContext) -> _QueryMemo:
-        """The memo this snapshot keeps on the context, made on first use."""
-        memo = ctx.memo.get(self)
-        if memo is None:
-            memo = ctx.memo.setdefault(self, _QueryMemo(ctx, self.engine))
-        return memo
-
     def cnn(self, from_loc: Location, category: int, ctx: QueryContext,
             stats: CnnStats | None = None, counter: EvalCounter | None = None) -> IndoorPoint:
         """Live point of the category minimising the three-leg score.
 
         Scores the category's whole block of live points, in id order, so
-        it equals a linear scan and ties go to the smallest point id.  Terms
-        fixed by the query are memoized on ctx for later calls with the same
-        context object, as are the winner's legs for cnn_legs.
+        it equals a linear scan and ties go to the smallest point id.  It
+        reads the query's QueryTables, kept on ctx for later calls with the
+        same context object, and records the winner's legs there for cnn_legs.
         """
-        memo = self._query_memo(ctx)
-        a = ctx.alpha
-        terms = memo.categories.get(category)
-        if terms is None:
-            block = self.category_block(category)
-            terms = memo.categories[category] = (
-                block,
-                self.engine.block_distances(memo.source, block),
-                self.engine.block_distances(memo.target, block),
-                (1.0 - a) * block.scores,
-            )
-        block, to_source, to_target, static = terms
-        from_legs = memo.legs(from_loc)
-        if from_legs is memo.source:
-            from_here = to_source
-        else:
-            from_here = self.engine.block_distances(from_legs, block)
+        tables = ctx.memo.get(self)
+        if tables is None:
+            tables = ctx.memo.setdefault(self, QueryTables(self, ctx.source, ctx.target, ctx.alpha))
+        block, to_source, to_target, static = tables.category(category)
+        from_legs = tables.legs(from_loc)
+        from_here = (to_source if from_legs is tables.source
+                     else self.engine.block_distances(from_legs, block))
         # The kernel's score, ((s + f) + t) * a + static, in a new array.
         scores = to_source + from_here
         scores += to_target
-        scores *= a
+        scores *= ctx.alpha
         scores += static
         if stats is not None:
             stats.evaluated += len(block.points)
@@ -144,7 +166,7 @@ class VenueIndex:
             counter.point_evals += len(block.points)
         row = int(scores.argmin())  # first minimum: the smallest id among ties
         point = block.points[row]
-        memo.winner_legs[(from_legs.location.key(), point.id)] = (
+        tables.winner_legs[(from_legs.location.key(), point.id)] = (
             float(to_source[row]), float(from_here[row]), float(to_target[row]))
         return point
 
@@ -153,8 +175,8 @@ class VenueIndex:
         """The point's (source, from_loc, target) distances under ctx, as
         recorded by the cnn call on this snapshot that returned the point for
         from_loc with the same context object."""
-        memo = ctx.memo[self]
-        return memo.winner_legs[(memo.legs(from_loc).location.key(), point.id)]
+        tables = ctx.memo[self]
+        return tables.winner_legs[(tables.legs(from_loc).location.key(), point.id)]
 
     def remove_points(self, point_ids) -> "VenueIndex":
         """New snapshot with the given points dead; it shares the engine."""

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .d2d import PointBlock
+from .index import QueryTables
 from .routing import EvalCounter, Route, TripQuery, route_cost
 
 ORACLE_CATEGORY_LIMIT = 7
@@ -22,75 +22,45 @@ class OracleScaleError(Exception):
     """Too many categories for factorial enumeration."""
 
 
-class _QueryTables:
-    """The distances a query's layered DP reads, measured once per query:
-    from the source and to the target for each category's points, and
-    between the points of each pair of categories."""
-
-    def __init__(self, query: TripQuery, index):
-        self.engine = index.engine
-        self.source = index.venue.resolve(query.source)
-        self.target = index.venue.resolve(query.target)
-        self.blocks = {c: index.category_block(c) for c in query.categories}
-        source_legs = self.engine.legs(self.source)
-        target_legs = self.engine.legs(self.target)
-        self.from_source = {c: self.engine.block_distances(source_legs, b)
-                            for c, b in self.blocks.items()}
-        self.to_target = {c: self.engine.block_distances(target_legs, b)
-                          for c, b in self.blocks.items()}
-        self._between: dict[tuple[int, int], np.ndarray] = {}
-
-    def between(self, a: int, b: int) -> np.ndarray:
-        """[i, j] = distance from point i of category a to point j of b."""
-        got = self._between.get((a, b))
-        if got is None:
-            if (b, a) in self._between:
-                return self._between[(b, a)].T  # the metric is exactly symmetric
-            block = self.blocks[b]
-            got = np.array([
-                self.engine.block_distances(self.engine.legs(p.location), block)
-                for p in self.blocks[a].points
-            ])
-            self._between[(a, b)] = got
-        return got
-
-
-def _best_in_order(tables: _QueryTables, order: tuple[int, ...], alpha: float,
+def _best_in_order(tables: QueryTables, order: tuple[int, ...],
                    counter: EvalCounter | None) -> Route:
     """The layered DP over one category order: a min-plus step per layer.
 
     A first-index argmin keeps the earliest (smallest-id) predecessor among
     equal candidates."""
+    alpha = tables.alpha
     parent: list[np.ndarray] = []  # per layer, argmin index into the previous layer
     prev_costs = np.zeros(1)
     for k, cat in enumerate(order):
-        block = tables.blocks[cat]
+        _, from_source, _, static = tables.category(cat)
         if k == 0:
-            dist = tables.from_source[cat][None, :]
+            dist = from_source[None, :]
         else:
             dist = tables.between(order[k - 1], cat)
         cand = prev_costs[:, None] + alpha * dist
         if counter is not None:
             counter.point_evals += cand.size
         parent.append(cand.argmin(axis=0))
-        prev_costs = cand.min(axis=0) + (1.0 - alpha) * block.scores
+        prev_costs = cand.min(axis=0) + static
 
     # Close at the target, then walk parents back to recover the chosen rows.
-    idx = int((prev_costs + alpha * tables.to_target[order[-1]]).argmin())
+    to_target = tables.category(order[-1])[2]
+    idx = int((prev_costs + alpha * to_target).argmin())
     rows: list[int] = []
     for k in range(len(order) - 1, -1, -1):
         rows.append(idx)
         idx = int(parent[k][idx])
     rows.reverse()
     # Each leg is the table entry the DP read for it.
-    route = Route(waypoints=(tables.source,), stops=(), leg_lengths=())
+    route = Route(waypoints=(tables.source.location,), stops=(), leg_lengths=())
     for k, (cat, row) in enumerate(zip(order, rows)):
+        block, from_source, _, _ = tables.category(cat)
         if k == 0:
-            leg = tables.from_source[cat][row]
+            leg = from_source[row]
         else:
             leg = tables.between(order[k - 1], cat)[rows[k - 1], row]
-        route = route.then(tables.blocks[cat].points[row], float(leg))
-    return route.to(tables.target, float(tables.to_target[order[-1]][rows[-1]]))
+        route = route.then(block.points[row], float(leg))
+    return route.to(tables.target.location, float(to_target[rows[-1]]))
 
 
 def fixed_order_best(query: TripQuery, order: tuple[int, ...], index,
@@ -102,7 +72,8 @@ def fixed_order_best(query: TripQuery, order: tuple[int, ...], index,
     """
     if sorted(order) != sorted(query.categories):
         raise ValueError("order must be a permutation of the query categories")
-    return _best_in_order(_QueryTables(query, index), tuple(order), query.alpha, counter)
+    tables = QueryTables(index, query.source, query.target, query.alpha)
+    return _best_in_order(tables, tuple(order), counter)
 
 
 def exact_route(query: TripQuery, index, limit: int = ORACLE_CATEGORY_LIMIT,
@@ -116,11 +87,11 @@ def exact_route(query: TripQuery, index, limit: int = ORACLE_CATEGORY_LIMIT,
         raise OracleScaleError(
             f"{len(cats)} categories exceed the factorial guard of {limit}"
         )
-    tables = _QueryTables(query, index)
+    tables = QueryTables(index, query.source, query.target, query.alpha)
     best_route: Route | None = None
     best_cost = float("inf")
     for order in itertools.permutations(cats):
-        route = _best_in_order(tables, order, query.alpha, counter)
+        route = _best_in_order(tables, order, counter)
         cost = route_cost(route, query.alpha)
         if cost < best_cost:
             best_cost = cost
@@ -163,37 +134,32 @@ def rank_once_greedy(query: TripQuery, index, top_k: int = 8,
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     engine = index.engine
-    venue = index.venue
-    source = venue.resolve(query.source)
-    target = venue.resolve(query.target)
-    source_legs = engine.legs(source)
-    target_legs = engine.legs(target)
+    tables = QueryTables(index, query.source, query.target, query.alpha)
     alpha = query.alpha
 
     # Rank by the three-leg score from the source (so the source leg counts
-    # twice), ties to the smaller id; keep each category's top k.
-    # Each shortlist keeps its points' target distances for the closing leg.
-    shortlists: dict[int, tuple[PointBlock, np.ndarray]] = {}
+    # twice), ties to the smaller id; keep each category's top k with its
+    # rows' source, target and static terms.
+    shortlists = {}
     for cat in sorted(set(query.categories)):
-        block = index.category_block(cat)
-        from_source = engine.block_distances(source_legs, block)
-        to_target = engine.block_distances(target_legs, block)
+        block, from_source, to_target, static = tables.category(cat)
         travel = from_source + from_source + to_target
-        scores = alpha * travel + (1.0 - alpha) * block.scores
+        scores = alpha * travel + static
         if counter is not None:
             counter.point_evals += len(block.points)
         rows = np.lexsort((block.ids, scores))[:top_k]
-        shortlists[cat] = (block.take(rows), to_target[rows])
+        shortlists[cat] = (block.take(rows), from_source[rows], to_target[rows], static[rows])
 
-    route = Route(waypoints=(source,), stops=(), leg_lengths=())
+    route = Route(waypoints=(tables.source.location,), stops=(), leg_lengths=())
     uncovered = set(query.categories)
     while uncovered:
         best = None  # (step cost, category, point id, point, leg, target leg)
-        current = engine.legs(route.end())
+        current = tables.legs(route.end())
         for cat in sorted(uncovered):
-            short, to_target = shortlists[cat]
-            legs = engine.block_distances(current, short)
-            steps = alpha * legs + (1.0 - alpha) * short.scores
+            short, from_source, to_target, static = shortlists[cat]
+            legs = (from_source if current is tables.source
+                    else engine.block_distances(current, short))
+            steps = alpha * legs + static
             if counter is not None:
                 counter.point_evals += len(short.points)
             row = np.lexsort((short.ids, steps))[0]
@@ -204,4 +170,4 @@ def rank_once_greedy(query: TripQuery, index, top_k: int = 8,
         _, cat, _, point, leg, closing = best
         route = route.then(point, leg)
         uncovered.discard(cat)
-    return route.to(target, closing)
+    return route.to(tables.target.location, closing)

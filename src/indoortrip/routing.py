@@ -25,9 +25,9 @@ class EmptyCategoryError(Exception):
 class QueryContext:
     """Fixed per-query data every candidate score depends on.
 
-    `memo` holds what the cnn calls made with this context object share,
-    one entry per index snapshot they ran on.  It takes no part in ==,
-    hash or repr, and is freed with the context.
+    `memo` holds what the cnn calls made with this context object share:
+    one `index.QueryTables` per index snapshot they ran on.  It takes no
+    part in ==, hash or repr, and is freed with the context.
     """
 
     source: Location
@@ -153,17 +153,13 @@ def gcnn(query: TripQuery, index, counter: EvalCounter | None = None) -> Route:
     key is the extended route's cost plus the candidate's source and
     target legs.  Every leg is one cnn has already measured
     (`VenueIndex.cnn_legs`), and only the winner's route is built.  The
-    rounds share one context, and with it cnn's memo of the query.
+    rounds share one context, and with it cnn's tables of the query.
     """
     venue: Venue = index.venue
     source = venue.resolve(query.source)
     target = venue.resolve(query.target)
     ctx = QueryContext(source, target, query.alpha)
     alpha = query.alpha
-
-    for cat in query.categories:
-        if index.live_count(cat) == 0:
-            raise EmptyCategoryError(f"category {cat} has no live points")
 
     best = Route(waypoints=(source,), stops=(), leg_lengths=())
     scores: tuple[float, ...] = ()  # the static score of each stop of best

@@ -76,6 +76,13 @@ class WorkloadSpec:
             raise ValueError("need at least one category")
         if self.bucket not in BUCKET_RANGES:
             raise ValueError(f"unknown bucket {self.bucket!r}")
+        if self.count_range is not None and not 0 <= self.count_range[0] <= self.count_range[1]:
+            raise ValueError(f"count range must have 0 <= lo <= hi, got {self.count_range}")
+        hosts = self.hosts_per_category
+        if hosts is not None and hosts < 1:
+            raise ValueError(f"hosts per category must be at least 1, got {hosts}")
+        if hosts is not None and self.store_rooms < 1:
+            raise ValueError(f"clustered placement needs at least 1 store room, got {self.store_rooms}")
         if isinstance(self.query_categories, int):
             self.query_categories = (self.query_categories,)
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from indoortrip import build_d2d_graph, build_index, gcnn, load_checked_venue, preprocess
-from indoortrip.bench import frequent_categories
+from indoortrip.bench import frequent_categories, pruned_index
 from indoortrip.cli import main
 from indoortrip.routing import load_queries
 
@@ -161,6 +161,51 @@ def test_a_delta_outside_0_to_100_exits_1(generated, capsys, command, delta):
               "--queries", generated["queries"]]
     assert run([*command, *inputs, "--delta", delta]) == 1
     assert f"delta must lie in 0..100, got {delta}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", ["gcnn", "rank-once"])
+def test_query_rejects_a_delta_outside_0_to_100_for_every_algorithm(generated, capsys,
+                                                                     algorithm):
+    inputs = ["--venue", generated["venue"], "--objects", generated["objects"],
+              "--queries", generated["queries"]]
+    assert run(["query", *inputs, "--algorithm", algorithm, "--delta", "999"]) == 1
+    assert "delta must lie in 0..100, got 999" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    pytest.param("oracle", ["--delta", "500"], id="oracle--delta"),
+    pytest.param("query", ["--limit", "1"], id="query--limit"),
+    pytest.param("query", ["--force"], id="query--force"),
+])
+def test_a_subcommand_refuses_flags_it_does_not_read(generated, capsys, command, flags):
+    inputs = ["--venue", generated["venue"], "--objects", generated["objects"],
+              "--queries", generated["queries"]]
+    with pytest.raises(SystemExit) as exit_:
+        run([command, *inputs, *flags])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+
+def test_prune_queries_reports_what_bench_prunes(generated, capsys):
+    inputs = ["--venue", generated["venue"], "--objects", generated["objects"],
+              "--queries", generated["queries"]]
+    assert run(["prune", *inputs, "--delta", 60]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    venue = load_checked_venue(generated["venue"], generated["objects"])
+    index = build_index(venue, build_d2d_graph(venue))
+    _, report = pruned_index(index, load_queries(generated["queries"]), 60)
+    assert printed == dict(report.to_dict(), categories=list(report.categories))
+    assert 0 < len(printed["categories"]) < 5
+    assert run(["prune", *inputs, "--delta", 0]) == 1
+    assert "error: no categories selected for pruning" in capsys.readouterr().err
+
+
+def test_gen_objects_with_no_stores_names_the_value(generated, tmp_path, capsys):
+    assert run(["gen-objects", "--stores", 0, "--venue", generated["venue"],
+                "--out", tmp_path / "none.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: clustered placement needs at least 1 store room, got 0")
+    assert not (tmp_path / "none.csv").exists()
 
 
 def test_a_non_integer_delta_exits_1(generated, tmp_path, capsys):

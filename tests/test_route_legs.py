@@ -136,6 +136,35 @@ def test_gcnn_makes_one_kernel_call_per_category_end_and_per_cnn_call_off_the_so
             assert len(calls) == 2 * m + m * (m - 1) // 2
 
 
+def test_every_planner_measures_its_source_and_target_terms_once_per_category(monkeypatch):
+    """Every planner reads its source, target and static terms from one
+    QueryTables per query: m kernel calls from the query's resolved source
+    and m from its resolved target, one per category.  rank-once's first
+    round reads its shortlists' source distances from the table, so, like
+    gcnn, it makes 2m + m(m - 1)/2 calls in all; the oracle's other calls
+    are from the points of the query's categories."""
+    index, pruned, queries = build_fixture()
+    engine, venue = index.engine, index.venue
+    calls = []
+    block_distances = engine.block_distances
+    monkeypatch.setattr(engine, "block_distances",
+                        lambda src, block: calls.append(src.location) or block_distances(src, block))
+    for name, plan, idx in runs(index, pruned):
+        for q in queries:
+            calls.clear()
+            assert plan(q, idx).complete
+            m = len(q.categories)
+            source, target = venue.resolve(q.source), venue.resolve(q.target)
+            assert calls.count(source) == m, name
+            assert calls.count(target) == m, name
+            if name == "rank-once":
+                assert len(calls) == 2 * m + m * (m - 1) // 2
+            if name == "oracle":
+                stops = {p.location for c in q.categories for p in idx.live_points(c)}
+                assert len(calls) > 2 * m
+                assert all(loc in stops for loc in calls if loc not in (source, target))
+
+
 def route_and_evals(query, index, other=None):
     """gcnn's route for the query, and the block evaluations made inside its
     own cnn and cnn_legs calls.  With other, gcnn(other) runs on the same

@@ -149,6 +149,24 @@ def test_generate_queries_rejects_negative_count_and_m_below_one(count, m, messa
         generate_queries([0, 1], count=count, m=m, alpha=0.5, venue=venue, seed=0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"count_range": (10, 5)}, r"0 <= lo <= hi, got \(10, 5\)", id="lo>hi"),
+    pytest.param({"count_range": (-1, 5)}, r"0 <= lo <= hi, got \(-1, 5\)", id="lo<0"),
+    pytest.param({"hosts_per_category": 0}, "hosts per category must be at least 1, got 0",
+                 id="hosts0"),
+    pytest.param({"store_rooms": 0}, "needs at least 1 store room, got 0", id="stores0"),
+])
+def test_spec_rejects_a_bad_placement_field_by_value(fields, message):
+    with pytest.raises(ValueError, match=message):
+        WorkloadSpec(seed=3, categories=3, **fields)
+
+
+def test_uniform_placement_needs_no_store_rooms():
+    spec = WorkloadSpec(seed=3, categories=2, count_range=(0, 4), store_rooms=0,
+                        hosts_per_category=None)
+    assert len(place_objects(generate_venue(spec), spec)) <= 8
+
+
 def test_generated_queries_are_feasible_and_in_bounds():
     spec = WorkloadSpec(seed=21, categories=5, count_range=(3, 7), query_count=20)
     venue, points, queries = build_workload(spec)
