@@ -69,8 +69,10 @@ def _spec_from_args(args) -> WorkloadSpec:
 
 
 def cmd_gen_venue(args) -> int:
-    spec = _spec_from_args(args)
-    venue = generate_venue(spec)
+    venue = generate_venue(WorkloadSpec(
+        floors=args.floors, rooms_per_floor=args.rooms_per_floor,
+        doors_per_room=args.doors_per_room, categories=args.categories,
+    ))
     report = validate_venue(venue)
     if not report.ok:
         raise CliError(f"generated venue failed validation: {report.findings[:5]}")
@@ -248,12 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_spec_flags(p):
-        p.add_argument("--seed", type=int, default=0)
+    def add_venue_flags(p):
         p.add_argument("--floors", type=int, default=4)
         p.add_argument("--rooms-per-floor", type=int, default=12)
         p.add_argument("--doors-per-room", type=int, default=1)
         p.add_argument("--categories", type=int, default=8)
+
+    def add_spec_flags(p):
+        add_venue_flags(p)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--bucket", choices=["XS", "S", "M", "L", "XL"], default="M")
         p.add_argument("--scale", type=float, default=0.1,
                        help="bucket range scale (1.0 = reference ranges)")
@@ -265,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lo,hi override for objects per category")
 
     p = sub.add_parser("gen-venue", help="generate a synthetic venue JSON")
-    add_spec_flags(p)
+    add_venue_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_venue)
 

@@ -4,13 +4,16 @@ Doors are vertices; two doors sharing a partition get an edge weighted by
 their intra-partition distance.  All longer-range distances reduce to
 shortest paths over this graph plus straight-line legs inside the first
 and last partition.  The engine evaluates that formula for one location
-against a whole block of points in a single numpy expression.
+against a whole block of points in a single numpy expression, its one
+kernel (`door_distances`), and then patches the rows in the location's
+own partition to their straight-line distance (`patch`), in one Python
+comprehension whose `math.hypot` calls are `intra_distance`'s.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -121,14 +124,6 @@ class PointBlock:
     ids: np.ndarray          # (P,) point ids
     scores: np.ndarray       # (P,) static scores
 
-    @cached_property
-    def partition_rows(self) -> dict[int, list[int]]:
-        """Each partition's rows in the block, in row order."""
-        rows: dict[int, list[int]] = {}
-        for row, pid in enumerate(self.partitions.tolist()):
-            rows.setdefault(pid, []).append(row)
-        return rows
-
     def take(self, rows) -> "PointBlock":
         """The sub-block of the given rows, in that order."""
         rows = np.asarray(rows, dtype=int)
@@ -147,8 +142,10 @@ class DistanceEngine:
     partition) pairs.  The entry/exit legs are added to each other before
     the door-graph term so that both evaluation directions sum in the
     same order: the metric is exactly symmetric, not just within float
-    noise.  `distance` and `block_distances` share that one formula, so a
-    block entry equals the scalar distance bit for bit.
+    noise.  `distance` and `block_distances` share that one formula (the
+    `door_distances` kernel, then `patch`), so a block entry equals the
+    scalar distance bit for bit.  The query tables of `index` call the two
+    parts themselves, to patch only the rows they read.
 
     The kernel gathers the door-matrix rows of the location's doors once
     per call and takes the block's door columns from them in one 2-D
@@ -209,23 +206,29 @@ class DistanceEngine:
             scores=np.array([p.static_score for p in points], dtype=float),
         )
 
-    def _door_min(self, src: DoorLegs, doors: np.ndarray, legs: np.ndarray) -> np.ndarray:
+    def door_distances(self, src: DoorLegs, doors: np.ndarray, legs: np.ndarray) -> np.ndarray:
         """min over (i, j) of (src.legs[i] + legs[p, j]) + door_matrix[src.doors[i], doors[p, j]]
-        for every row p: the through-doors distance, same-partition pairs unpatched."""
+        for every row p: the through-doors distance, same-partition pairs
+        unpatched.  The block kernel: every distance is measured through it."""
         rows = self.graph.distance_matrix().take(src.doors, axis=0)  # (I, doors)
         total = (src.legs[:, None, None] + legs) + rows.take(doors, axis=1)  # (I, P, K)
         return np.minimum.reduce(total, axis=(0, 2), initial=np.inf)
 
     def block_distances(self, src: DoorLegs, block: PointBlock) -> np.ndarray:
         """Distance from src's location to every point of the block."""
-        out = self._door_min(src, block.doors, block.legs)
-        loc = src.location
-        rows = block.partition_rows.get(loc.partition_id)
-        if rows:
-            part = self.venue.partitions[loc.partition_id]
-            for row in rows:
-                out[row] = intra_distance(part, loc, block.points[row])
+        out = self.door_distances(src, block.doors, block.legs)
+        rows = (block.partitions == src.location.partition_id).nonzero()[0]
+        if rows.size:
+            self.patch(out, src.location, rows, [block.points[r] for r in rows.tolist()])
         return out
+
+    def patch(self, out: np.ndarray, loc: Location, rows, points) -> None:
+        """Set out[rows] to the distance from loc to each of the points, which
+        lie in loc's partition: `intra_distance`'s calls, so the same bits."""
+        x, y, floor = loc.x, loc.y, loc.floor
+        diagonal = self.venue.partitions[loc.partition_id].diagonal
+        out[rows] = [math.hypot(x - p.x, y - p.y) if p.floor == floor else diagonal
+                     for p in points]
 
     def door_vector(self, loc: Location) -> np.ndarray:
         """Distance from loc to every door, through its partition's doors.
@@ -241,4 +244,4 @@ class DistanceEngine:
         if a.partition_id == b.partition_id:
             return intra_distance(self.venue.partitions[a.partition_id], a, b)
         other = self._legs(b)
-        return float(self._door_min(self._legs(a), other.doors[None, :], other.legs[None, :])[0])
+        return float(self.door_distances(self._legs(a), other.doors[None, :], other.legs[None, :])[0])

@@ -3,10 +3,14 @@ category-nearest-neighbour search.
 
 A snapshot keeps its live points by (partition, category) and by
 category, and lays each category's live points out, on first use, as one
-block in id order.  `QueryTables` holds the terms one query measures
-once on a snapshot and reads again; `cnn`, `rank_once_greedy` and the
-oracle score from it.  `cnn` scores a category's whole block with at most
-one block-kernel call, from the from location.
+block in id order.  `QueryTables` joins the blocks of one query's
+categories and holds the terms the query measures once on a snapshot and
+reads again; `cnn`, `rank_once_greedy` and the oracle score from it.  It
+measures the source, the target and each other from location once, with
+one kernel call over the joined block, and patches a from location's own
+partition rows of a category when `cnn` first reads that category from
+it.  So `cnn` is one argmin over its category's slice of a scored row, and
+a `gcnn` query of m categories makes m + 1 kernel calls.
 """
 
 from __future__ import annotations
@@ -25,36 +29,74 @@ class CnnStats:
     evaluated: int = 0
 
 
+def _stack(columns: list[np.ndarray], width: int, fill) -> np.ndarray:
+    """The blocks' door or leg columns, one block after another, padded to width."""
+    return np.concatenate([
+        c if c.shape[1] == width
+        else np.pad(c, ((0, 0), (0, width - c.shape[1])), constant_values=fill)
+        for c in columns])
+
+
+_NO_ROWS = (np.zeros(0, dtype=int), ())
+
+
 class QueryTables:
-    """The terms one query measures once on one snapshot and reads again.
-    `cnn`, `rank_once_greedy` and the oracle all score from these tables:
+    """The terms one query measures once on one snapshot and reads again;
+    `cnn`, `rank_once_greedy` and the oracle all score from them.
+
+    The query's categories (all the snapshot's live ones when none are
+    given) are laid out as one joined block, their blocks in ascending
+    order, with a row range (`span`) each.
 
     - `legs(loc)`: a location's door legs, resolved and measured on first
-      sight and keyed by the location as given and as resolved; `source`
-      and `target` are the query's.
-    - `category(c)`: made on first use, the snapshot's block for c, its
-      source and target distances, and `(1 - alpha) * block.scores`.
-    - `between(a, b)`: the distances from each point of category a to
-      each point of b, for the oracle's layered DP.
+      sight, keyed by the location as given and as resolved.
+    - `from_source`, `to_target`: every row's distance from the source and
+      to the target, one kernel call each; `static` is
+      `(1 - alpha) * scores`.  `category(c)` slices them.
+    - `measured(legs, c)`: a from location's distance and score rows.  The
+      first read measures the whole joined block with one kernel call and
+      scores it, `((s + f) + t) * alpha + static` in the kernel's order.
+      The rows of c in the location's own partition are patched, and
+      scored again, the first time c is read from it.
+    - `between(a, b)`: category a's points' distances to b's, for the oracle.
     - `winner_legs`: the (source, from, target) legs of each point `cnn`
-      returned, keyed by the resolved from location and the point id, for
-      `cnn_legs`.
+      returned, for `cnn_legs`.
 
-    `cnn` keeps one table per snapshot on the query's context
-    (`QueryContext.memo`), so it lives and dies with the query; it keeps no
-    reference back to the context.  The other planners build one per
-    query.  Every array here is read, never written."""
+    `cnn` keeps one per snapshot on the query's context
+    (`VenueIndex.tables`), so it dies with the query; it keeps no reference
+    back to the context.  The other planners build one per query."""
 
-    def __init__(self, index: "VenueIndex", source: Location, target: Location, alpha: float):
+    def __init__(self, index: "VenueIndex", source: Location, target: Location, alpha: float,
+                 categories=()):
         self.index = index
         self.engine = index.engine
         self.alpha = alpha
         self.located: dict[tuple, DoorLegs] = {}
         self.source = self.legs(source)
         self.target = self.legs(target)
-        self._categories: dict[int, tuple[PointBlock, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._spans: dict[int, tuple[PointBlock, slice]] = {}
+        at = 0
+        for cat in sorted(set(categories)) or index.live_categories():
+            block = index.category_block(cat)
+            self._spans[cat] = (block, slice(at, at + len(block.points)))
+            at += len(block.points)
+        if not self._spans:
+            raise EmptyCategoryError("the snapshot has no live points")
+        blocks = [block for block, _ in self._spans.values()]
+        width = max(block.doors.shape[1] for block in blocks)
+        self.doors = _stack([block.doors for block in blocks], width, 0)
+        self.door_legs = _stack([block.legs for block in blocks], width, np.inf)
+        self.static = (1.0 - alpha) * np.concatenate([block.scores for block in blocks])
+        self.from_source = self.engine.door_distances(self.source, self.doors, self.door_legs)
+        self.to_target = self.engine.door_distances(self.target, self.doors, self.door_legs)
+        for loc, dist in ((self.source.location, self.from_source),
+                          (self.target.location, self.to_target)):
+            for cat in self._spans:
+                self._patch(loc, cat, dist)
+        # Keyed by the id of the DoorLegs, which `located` keeps alive.
+        self._from: dict[int, tuple[np.ndarray, np.ndarray, set[int]]] = {}
         self._between: dict[tuple[int, int], np.ndarray] = {}
-        self.winner_legs: dict[tuple[tuple, int], tuple[float, float, float]] = {}
+        self.winner_legs: dict[tuple[int, int], tuple[float, float, float]] = {}
 
     def legs(self, loc: Location) -> DoorLegs:
         """loc's legs to the doors of its partition, resolved on first sight."""
@@ -65,19 +107,53 @@ class QueryTables:
             self.located.setdefault(got.location.key(), got)
         return got
 
+    def span(self, category: int) -> tuple[PointBlock, slice]:
+        """The category's block and its rows in the joined block.  Raises
+        EmptyCategoryError when it has no live point and ValueError when it
+        is not one of the query's categories."""
+        got = self._spans.get(category)
+        if got is None:
+            self.index.category_block(category)
+            raise ValueError(f"category {category} is not one of the query's categories")
+        return got
+
     def category(self, category: int) -> tuple[PointBlock, np.ndarray, np.ndarray, np.ndarray]:
         """(block, source distances, target distances, (1 - alpha) * scores)
-        of the category.  Raises EmptyCategoryError when it has no live point."""
-        terms = self._categories.get(category)
-        if terms is None:
-            block = self.index.category_block(category)
-            terms = self._categories[category] = (
-                block,
-                self.engine.block_distances(self.source, block),
-                self.engine.block_distances(self.target, block),
-                (1.0 - self.alpha) * block.scores,
-            )
-        return terms
+        of the category."""
+        block, rows = self.span(category)
+        return block, self.from_source[rows], self.to_target[rows], self.static[rows]
+
+    def _patch(self, loc: Location, category: int, dist: np.ndarray) -> np.ndarray:
+        """Patch dist's rows of the category in loc's partition; returns them."""
+        rows, points = self.index.partition_rows(loc.partition_id, category)
+        if points:
+            rows = rows + self._spans[category][1].start
+            self.engine.patch(dist, loc, rows, points)
+        return rows
+
+    def measured(self, legs: DoorLegs, category: int) -> tuple[np.ndarray, np.ndarray]:
+        """The from location's whole distance and score rows, with the
+        category's rows in its own partition patched."""
+        got = self._from.get(id(legs))
+        if got is None:
+            if legs is self.source:
+                dist, patched = self.from_source, set(self._spans)
+            else:
+                dist = self.engine.door_distances(legs, self.doors, self.door_legs)
+                patched = set()
+            scores = self.from_source + dist
+            scores += self.to_target
+            scores *= self.alpha
+            scores += self.static
+            got = self._from[id(legs)] = (dist, scores, patched)
+        dist, scores, patched = got
+        if category not in patched:
+            patched.add(category)
+            rows = self._patch(legs.location, category, dist)
+            if rows.size:
+                scores[rows] = (((self.from_source[rows] + dist[rows]) + self.to_target[rows])
+                                * self.alpha + self.static[rows])
+        return dist, scores
 
     def between(self, a: int, b: int) -> np.ndarray:
         """[i, j] = distance from point i of category a to point j of b."""
@@ -112,8 +188,10 @@ class VenueIndex:
         for (_, cat), ids in by_part_cat.items():
             by_cat.setdefault(cat, []).extend(ids)
         self._live_by_cat = {cat: tuple(sorted(ids)) for cat, ids in by_cat.items()}
-        # Each category's block, built on first use.
+        # Each category's block, and its rows and points in one partition,
+        # built on first use.
         self._blocks: dict[int, PointBlock] = {}
+        self._partition_rows: dict[tuple[int, int], tuple] = {}
 
     def live_categories(self) -> list[int]:
         """The categories with a live point, in id order."""
@@ -139,35 +217,51 @@ class VenueIndex:
             self._blocks[category] = block
         return block
 
+    def partition_rows(self, partition_id: int, category: int) -> tuple:
+        """(rows, points): the category's block rows in the partition, and their points."""
+        key = (partition_id, category)
+        got = self._partition_rows.get(key)
+        if got is None:
+            ids = self._live_by_part_cat.get(key)
+            if ids is None:
+                return _NO_ROWS
+            got = self._partition_rows[key] = (
+                np.searchsorted(self.category_block(category).ids, ids),
+                tuple(self.venue.points[i] for i in ids))
+        return got
+
+    def tables(self, ctx: QueryContext) -> QueryTables:
+        """The query's tables on this snapshot, kept on ctx.memo for every
+        later call with the same context object."""
+        got = ctx.memo.get(self)
+        if got is None:
+            got = ctx.memo[self] = QueryTables(self, ctx.source, ctx.target, ctx.alpha,
+                                               ctx.categories)
+        return got
+
     def cnn(self, from_loc: Location, category: int, ctx: QueryContext,
             stats: CnnStats | None = None, counter: EvalCounter | None = None) -> IndoorPoint:
         """Live point of the category minimising the three-leg score.
 
-        Scores the category's whole block of live points, in id order, so
-        it equals a linear scan and ties go to the smallest point id.  It
-        reads the query's QueryTables, kept on ctx for later calls with the
-        same context object, and records the winner's legs there for cnn_legs.
+        One argmin over the category's slice of the from location's scored
+        row in the query's QueryTables (kept on ctx for later calls with the
+        same context object): every live point, in id order, so it equals a
+        linear scan and ties go to the smallest point id.  Records the
+        winner's legs there for cnn_legs.
         """
-        tables = ctx.memo.get(self)
-        if tables is None:
-            tables = ctx.memo.setdefault(self, QueryTables(self, ctx.source, ctx.target, ctx.alpha))
-        block, to_source, to_target, static = tables.category(category)
+        tables = self.tables(ctx)
+        block, rows = tables.span(category)
         from_legs = tables.legs(from_loc)
-        from_here = (to_source if from_legs is tables.source
-                     else self.engine.block_distances(from_legs, block))
-        # The kernel's score, ((s + f) + t) * a + static, in a new array.
-        scores = to_source + from_here
-        scores += to_target
-        scores *= ctx.alpha
-        scores += static
+        dist, scores = tables.measured(from_legs, category)
         if stats is not None:
             stats.evaluated += len(block.points)
         if counter is not None:
             counter.point_evals += len(block.points)
-        row = int(scores.argmin())  # first minimum: the smallest id among ties
+        row = int(scores[rows].argmin())  # first minimum: the smallest id among ties
+        at = rows.start + row
         point = block.points[row]
-        tables.winner_legs[(from_legs.location.key(), point.id)] = (
-            float(to_source[row]), float(from_here[row]), float(to_target[row]))
+        tables.winner_legs[(id(from_legs), point.id)] = (
+            float(tables.from_source[at]), float(dist[at]), float(tables.to_target[at]))
         return point
 
     def cnn_legs(self, from_loc: Location, point: IndoorPoint,
@@ -176,7 +270,7 @@ class VenueIndex:
         recorded by the cnn call on this snapshot that returned the point for
         from_loc with the same context object."""
         tables = ctx.memo[self]
-        return tables.winner_legs[(tables.legs(from_loc).location.key(), point.id)]
+        return tables.winner_legs[(id(tables.legs(from_loc)), point.id)]
 
     def remove_points(self, point_ids) -> "VenueIndex":
         """New snapshot with the given points dead; it shares the engine."""

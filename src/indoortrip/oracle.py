@@ -72,7 +72,7 @@ def fixed_order_best(query: TripQuery, order: tuple[int, ...], index,
     """
     if sorted(order) != sorted(query.categories):
         raise ValueError("order must be a permutation of the query categories")
-    tables = QueryTables(index, query.source, query.target, query.alpha)
+    tables = QueryTables(index, query.source, query.target, query.alpha, query.categories)
     return _best_in_order(tables, tuple(order), counter)
 
 
@@ -87,7 +87,7 @@ def exact_route(query: TripQuery, index, limit: int = ORACLE_CATEGORY_LIMIT,
         raise OracleScaleError(
             f"{len(cats)} categories exceed the factorial guard of {limit}"
         )
-    tables = QueryTables(index, query.source, query.target, query.alpha)
+    tables = QueryTables(index, query.source, query.target, query.alpha, query.categories)
     best_route: Route | None = None
     best_cost = float("inf")
     for order in itertools.permutations(cats):
@@ -134,7 +134,7 @@ def rank_once_greedy(query: TripQuery, index, top_k: int = 8,
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     engine = index.engine
-    tables = QueryTables(index, query.source, query.target, query.alpha)
+    tables = QueryTables(index, query.source, query.target, query.alpha, query.categories)
     alpha = query.alpha
 
     # Rank by the three-leg score from the source (so the source leg counts

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .venue import IndoorPoint, Location, Venue
+from .venue import IndoorPoint, Location
 
 
 class EmptyCategoryError(Exception):
@@ -25,6 +25,8 @@ class EmptyCategoryError(Exception):
 class QueryContext:
     """Fixed per-query data every candidate score depends on.
 
+    `categories` are the query's; `index.QueryTables` lays out their
+    blocks, or every live category of the snapshot when it is empty.
     `memo` holds what the cnn calls made with this context object share:
     one `index.QueryTables` per index snapshot they ran on.  It takes no
     part in ==, hash or repr, and is freed with the context.
@@ -33,6 +35,7 @@ class QueryContext:
     source: Location
     target: Location
     alpha: float
+    categories: tuple[int, ...] = ()
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -56,7 +59,7 @@ class TripQuery:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
     def context(self) -> QueryContext:
-        return QueryContext(self.source, self.target, self.alpha)
+        return QueryContext(self.source, self.target, self.alpha, self.categories)
 
 
 @dataclass(frozen=True)
@@ -153,12 +156,12 @@ def gcnn(query: TripQuery, index, counter: EvalCounter | None = None) -> Route:
     key is the extended route's cost plus the candidate's source and
     target legs.  Every leg is one cnn has already measured
     (`VenueIndex.cnn_legs`), and only the winner's route is built.  The
-    rounds share one context, and with it cnn's tables of the query.
+    rounds share one context, and with it cnn's tables of the query, which
+    resolve its source and target.
     """
-    venue: Venue = index.venue
-    source = venue.resolve(query.source)
-    target = venue.resolve(query.target)
-    ctx = QueryContext(source, target, query.alpha)
+    ctx = query.context()
+    tables = index.tables(ctx)
+    source, target = tables.source.location, tables.target.location
     alpha = query.alpha
 
     best = Route(waypoints=(source,), stops=(), leg_lengths=())

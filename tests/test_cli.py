@@ -17,10 +17,10 @@ def generated(tmp_path):
     venue = tmp_path / "venue.json"
     objects = tmp_path / "objects.csv"
     queries = tmp_path / "queries.jsonl"
-    common = ["--seed", 4, "--floors", 2, "--rooms-per-floor", 8, "--categories", 5,
-              "--count-range", "6,10", "--stores", 5, "--hosts", 2]
-    assert run(["gen-venue", *common, "--out", venue]) == 0
-    assert run(["gen-objects", *common, "--venue", venue, "--out", objects]) == 0
+    shape = ["--floors", 2, "--rooms-per-floor", 8, "--categories", 5]
+    placement = ["--seed", 4, "--count-range", "6,10", "--stores", 5, "--hosts", 2]
+    assert run(["gen-venue", *shape, "--out", venue]) == 0
+    assert run(["gen-objects", *shape, *placement, "--venue", venue, "--out", objects]) == 0
     assert run([
         "gen-queries", "--venue", venue, "--objects", objects, "--out", queries,
         "--seed", 4, "--count", 4, "--m", "2", "--categories-list", "0,1,2,3,4",
@@ -38,9 +38,8 @@ def test_generation_pipeline_products_exist(generated):
 
 def test_gen_is_deterministic(tmp_path, generated):
     venue2 = tmp_path / "venue2.json"
-    common = ["--seed", 4, "--floors", 2, "--rooms-per-floor", 8, "--categories", 5,
-              "--count-range", "6,10", "--stores", 5, "--hosts", 2]
-    assert run(["gen-venue", *common, "--out", venue2]) == 0
+    assert run(["gen-venue", "--floors", 2, "--rooms-per-floor", 8, "--categories", 5,
+                "--out", venue2]) == 0
     assert venue2.read_bytes() == generated["venue"].read_bytes()
 
 
@@ -184,6 +183,18 @@ def test_a_subcommand_refuses_flags_it_does_not_read(generated, capsys, command,
         run([command, *inputs, *flags])
     assert exit_.value.code == 2
     assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "4"], ["--stores", "0"], ["--hosts", "2"], ["--count-range", "6,10"],
+    ["--bucket", "S"], ["--scale", "1.0"],
+], ids=lambda flags: "gen-venue" + flags[0])
+def test_gen_venue_refuses_the_placement_flags_it_does_not_read(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exit_:
+        run(["gen-venue", "--out", tmp_path / "venue.json", *flags])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not (tmp_path / "venue.json").exists()
 
 
 def test_prune_queries_reports_what_bench_prunes(generated, capsys):

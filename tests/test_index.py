@@ -114,6 +114,59 @@ def test_cnn_empty_category_raises():
         index.cnn(Location(1, 5, 0), 777, ctx)
 
 
+def test_cnn_from_a_dead_category_raises_with_or_without_context_categories():
+    venue, graph, index, _ = small_workload(seed=5)
+    cat = index.live_categories()[0]
+    dead = index.remove_points(p.id for p in index.live_points(cat))
+    here = Location(1, 5, 0)
+    for categories in ((), (cat,), tuple(index.live_categories())):
+        ctx = QueryContext(here, here, 0.5, categories)
+        with pytest.raises(EmptyCategoryError, match=f"category {cat} has no live points"):
+            dead.cnn(here, cat, ctx)
+    empty = index.remove_points(index.alive)
+    with pytest.raises(EmptyCategoryError):
+        empty.cnn(here, cat, QueryContext(here, here, 0.5))
+
+
+def test_cnn_of_a_category_outside_the_context_raises_naming_it():
+    venue, graph, index, _ = small_workload(seed=5)
+    first, second, *_ = index.live_categories()
+    here = Location(1, 5, 0)
+    ctx = QueryContext(here, here, 0.5, (first,))
+    assert index.cnn(here, first, ctx).category == first
+    with pytest.raises(ValueError, match=f"category {second} is not one of the query's categories"):
+        index.cnn(here, second, ctx)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cnn_from_a_stop_in_a_crowded_store_room_equals_linear_scan(seed, alpha):
+    """From each point of the store room with the most live points, cnn of
+    every other category equals the linear scan.  The from location's row is
+    measured once per context and its own room's rows are patched only for
+    the category read, so every category is read from one context, in
+    turn, and from a fresh one."""
+    venue, graph, index, _ = small_workload(seed=seed)
+    rooms = {}
+    for p in venue.points.values():
+        rooms.setdefault(p.partition_id, []).append(p)
+    room, stops = max(rooms.items(), key=lambda item: (len(item[1]), -item[0]))
+    assert len({p.category for p in stops}) > 1
+    rng = random.Random(seed)
+    ctx, _ = random_context(rng, venue, alpha)
+    in_room = 0
+    for stop in sorted(stops, key=lambda p: p.id):
+        shared = QueryContext(ctx.source, ctx.target, alpha)
+        for cat in index.live_categories():
+            if cat == stop.category:
+                continue
+            want = linear_scan_cnn(index, stop.location, cat, ctx)
+            assert index.cnn(stop.location, cat, shared).id == want.id
+            assert index.cnn(stop.location, cat, QueryContext(ctx.source, ctx.target, alpha)).id == want.id
+            in_room += want.partition_id == room
+    assert in_room > 0
+
+
 def test_cnn_equals_linear_scan_on_random_trials():
     rng = random.Random(17)
     for seed in (0, 1, 2):
@@ -284,6 +337,35 @@ def test_inner_legs_equal_the_least_distance_from_their_door(seed):
                         assert got <= leg
                     checked += 1
     assert checked > 20
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cnn_equals_linear_scan_over_blocks_of_different_widths(seed):
+    """One more category's points stand in hallways and stairs, whose many
+    doors make its block wider than the rooms' categories': the query's
+    joined block pads the narrower ones, and cnn still equals the linear
+    scan for every category."""
+    venue, graph, _, _ = small_workload(seed=seed)
+    rng = random.Random(seed)
+    wide = max(venue.category_ids()) + 1
+    extra = []
+    for pid, part in sorted(venue.partitions.items()):
+        if part.kind in ("hallway", "stairs"):
+            x0, y0, x1, y1 = part.bounds
+            extra.append(IndoorPoint(
+                id=100_000 + pid, partition_id=pid, x=rng.uniform(x0, x1), y=rng.uniform(y0, y1),
+                floor=rng.choice(part.floors), category=wide, static_score=rng.uniform(1.0, 5.0)))
+    venue = venue.with_points(list(venue.points.values()) + extra)
+    index = build_index(venue, graph)
+    cats = index.live_categories()
+    assert len({index.category_block(c).doors.shape[1] for c in cats}) > 1
+    doors = door_spots(venue)
+    for _ in range(20):
+        ctx = QueryContext(any_spot(rng, venue, doors), any_spot(rng, venue, doors),
+                           rng.random(), tuple(cats))
+        from_loc = any_spot(rng, venue, doors)
+        for cat in cats:
+            assert index.cnn(from_loc, cat, ctx).id == linear_scan_cnn(index, from_loc, cat, ctx).id
 
 
 def test_remove_points_rerouting_and_min_static_rise():

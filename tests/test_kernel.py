@@ -1,10 +1,12 @@
 """The block distance kernel: exact agreement with the scalar metric, the
 cnn tie rule on blocks, and an engine that keeps no per-query state."""
 
+import random
 import sys
 import threading
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from indoortrip import (
     build_index,
     gcnn,
 )
+
+from indoortrip.venue import intra_distance
 
 from conftest import make_corridor_venue, small_workload
 
@@ -86,6 +90,33 @@ def test_block_kernel_equals_scalar_distance(data, seed):
     assert list(got) == [scalar.distance(source, p.location) for p in block.points]
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_vector_patch_equals_intra_distance_bit_for_bit(seed):
+    """For every partition, every (location, point) pair of spots in it:
+    each door, and random spots on each floor it reaches (so stairs pairs
+    on two floors).  The patch writes exactly intra_distance's floats into
+    its rows and leaves the other rows alone."""
+    venue, graph, index, _ = workload(seed)
+    engine = index.engine
+    rng = random.Random(seed)
+    kinds = set()
+    for pid, part in sorted(venue.partitions.items()):
+        x0, y0, x1, y1 = part.bounds
+        spots = [Location(d.x, d.y, d.floor, pid) for d in venue.partition_doors(pid)]
+        spots += [Location(rng.uniform(x0, x1), rng.uniform(y0, y1), floor, pid)
+                  for floor in part.floors for _ in range(6)]
+        points = [point_at(i, loc) for i, loc in enumerate(spots)]
+        rows = np.arange(len(points)) * 3 + 1
+        for loc in spots:
+            out = np.full(3 * len(points) + 1, -1.0)
+            engine.patch(out, loc, rows, points)
+            want = np.array([intra_distance(part, loc, p) for p in points])
+            assert out[rows].tobytes() == want.tobytes()
+            assert (np.delete(out, rows) == -1.0).all()
+            kinds.update("other floor" if p.floor != loc.floor else "same floor" for p in points)
+    assert kinds == {"same floor", "other floor"}
+
+
 def tie_venue(points):
     """Four rooms in a row, doors at x = 0, 10, 20, 30, 40."""
     venue = make_corridor_venue(rooms=4)
@@ -138,6 +169,7 @@ def test_engine_keeps_no_per_query_state_over_a_stream():
     assert all(vars(index)[name] is value for name, value in built.items())
     categories = set(venue.categories)
     assert index._blocks and set(index._blocks) <= categories
+    assert set(index._partition_rows) <= {(pid, c) for pid in venue.partitions for c in categories}
 
 
 def test_concurrent_queries_on_one_snapshot_match_sequential_routes():

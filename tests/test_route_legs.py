@@ -93,9 +93,27 @@ def test_gcnn_resolves_each_query_location_once(monkeypatch):
     for q in queries:
         calls.clear()
         assert gcnn(q, index).complete
-        # gcnn's source and target, the memo's source and target, and the
-        # from location of every round after the first, once each.
-        assert 0 < len(calls) <= len(q.categories) + 3
+        # The tables' source and target, and the from location of every
+        # round after the first, once each.
+        assert len(calls) == len(q.categories) + 1
+
+
+def test_gcnn_resolves_its_source_and_target_exactly_once(monkeypatch):
+    """gcnn starts and ends its route at the locations its query tables
+    resolved, and resolves neither again."""
+    index, pruned, queries = build_fixture()
+    venue = index.venue
+    calls = []
+    resolve = venue.resolve
+    monkeypatch.setattr(venue, "resolve", lambda loc: calls.append(loc) or resolve(loc))
+    for q in queries:
+        source, target = resolve(q.source), resolve(q.target)
+        assert source != target
+        calls.clear()
+        route = gcnn(q, index)
+        assert route.waypoints[0] == source and route.waypoints[-1] == target
+        assert sum(loc in (q.source, source) for loc in calls) == 1
+        assert sum(loc in (q.target, target) for loc in calls) == 1
 
 
 def test_gcnn_builds_one_route_extension_per_round(monkeypatch):
@@ -116,52 +134,53 @@ def test_gcnn_builds_one_route_extension_per_round(monkeypatch):
 
 
 def test_gcnn_makes_one_kernel_call_per_category_end_and_per_cnn_call_off_the_source(monkeypatch):
-    """cnn scores a category's whole live block with one kernel call from
-    its from location, and none from the source, whose distances the query
-    memo already holds.  So a query of m categories makes 2m calls from the
-    source and the target, one per category, and m(m - 1)/2 from the stops
-    of rounds 2 to m."""
+    """The query's tables measure the source and the target with one kernel
+    call each, over the joined block of all its categories, and every other
+    from location with one call on its first cnn call.  So a query of m
+    categories makes m + 1 calls: 1 from the source, 1 from the target and
+    1 from each of the m - 1 stops of rounds 2 to m."""
     index, pruned, queries = build_fixture()
     engine = index.engine
     assert pruned.engine is engine
     calls = []
-    block_distances = engine.block_distances
-    monkeypatch.setattr(engine, "block_distances",
-                        lambda src, block: calls.append(src) or block_distances(src, block))
+    door_distances = engine.door_distances
+    monkeypatch.setattr(engine, "door_distances",
+                        lambda src, doors, legs: calls.append(src) or door_distances(src, doors, legs))
     for idx in (index, pruned):
         for q in queries:
             calls.clear()
             assert gcnn(q, idx).complete
             m = len(set(q.categories))
-            assert len(calls) == 2 * m + m * (m - 1) // 2
+            assert len(calls) == m + 1
 
 
 def test_every_planner_measures_its_source_and_target_terms_once_per_category(monkeypatch):
     """Every planner reads its source, target and static terms from one
-    QueryTables per query: m kernel calls from the query's resolved source
-    and m from its resolved target, one per category.  rank-once's first
-    round reads its shortlists' source distances from the table, so, like
-    gcnn, it makes 2m + m(m - 1)/2 calls in all; the oracle's other calls
-    are from the points of the query's categories."""
+    QueryTables per query: 1 kernel call from the query's resolved source
+    and 1 from its resolved target, over the joined block of its
+    categories.  rank-once's first round reads its shortlists' source
+    distances from the table, so it makes 2 + m(m - 1)/2 calls in all; the
+    oracle's other calls are from the points of the query's categories."""
     index, pruned, queries = build_fixture()
     engine, venue = index.engine, index.venue
     calls = []
-    block_distances = engine.block_distances
-    monkeypatch.setattr(engine, "block_distances",
-                        lambda src, block: calls.append(src.location) or block_distances(src, block))
+    door_distances = engine.door_distances
+    monkeypatch.setattr(engine, "door_distances",
+                        lambda src, doors, legs: calls.append(src.location)
+                        or door_distances(src, doors, legs))
     for name, plan, idx in runs(index, pruned):
         for q in queries:
             calls.clear()
             assert plan(q, idx).complete
             m = len(q.categories)
             source, target = venue.resolve(q.source), venue.resolve(q.target)
-            assert calls.count(source) == m, name
-            assert calls.count(target) == m, name
+            assert calls.count(source) == 1, name
+            assert calls.count(target) == 1, name
             if name == "rank-once":
-                assert len(calls) == 2 * m + m * (m - 1) // 2
+                assert len(calls) == 2 + m * (m - 1) // 2
             if name == "oracle":
                 stops = {p.location for c in q.categories for p in idx.live_points(c)}
-                assert len(calls) > 2 * m
+                assert len(calls) > 2
                 assert all(loc in stops for loc in calls if loc not in (source, target))
 
 
@@ -171,12 +190,12 @@ def route_and_evals(query, index, other=None):
     snapshot ahead of each of the query's cnn calls; its work is not counted."""
     engine = index.engine
     state = {"in": None, "other": False, "evals": {"cnn": 0, "cnn_legs": 0}, "others": 0}
-    block_distances = engine.block_distances
+    door_distances = engine.door_distances
 
-    def counted_block_distances(src, block):
+    def counted_door_distances(src, doors, legs):
         if state["in"] is not None:
             state["evals"][state["in"]] += 1
-        return block_distances(src, block)
+        return door_distances(src, doors, legs)
 
     def own(name, fn):
         def call(*args, **kwargs):
@@ -194,12 +213,12 @@ def route_and_evals(query, index, other=None):
                 state["in"] = None
         return call
 
-    engine.block_distances = counted_block_distances
+    engine.door_distances = counted_door_distances
     index.cnn, index.cnn_legs = own("cnn", index.cnn), own("cnn_legs", index.cnn_legs)
     try:
         route = gcnn(query, index)
     finally:
-        del engine.block_distances, index.cnn, index.cnn_legs
+        del engine.door_distances, index.cnn, index.cnn_legs
     m = len(query.categories)
     assert state["others"] == (0 if other is None else m * (m + 1) // 2)  # one per cnn call
     return route, state["evals"]
