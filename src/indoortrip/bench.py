@@ -223,7 +223,7 @@ def summarize(rows: list[ResultRow], config: ExperimentConfig, preprocess_us: in
         algo_rows = [r for r in rows if r.algorithm == algorithm]
         ok = [r for r in algo_rows if r.cost is not None]
         ratios = [r.ratio for r in ok if r.ratio is not None]
-        runtimes = [r.runtime_us for r in algo_rows]
+        runtimes = [r.runtime_us for r in ok]
         entry = {
             "queries": len(algo_rows),
             "errors": len(algo_rows) - len(ok),

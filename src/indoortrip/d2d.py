@@ -124,15 +124,6 @@ class PointBlock:
     ids: np.ndarray          # (P,) point ids
     scores: np.ndarray       # (P,) static scores
 
-    def take(self, rows) -> "PointBlock":
-        """The sub-block of the given rows, in that order."""
-        rows = np.asarray(rows, dtype=int)
-        return PointBlock(
-            points=tuple(self.points[i] for i in rows),
-            doors=self.doors[rows], legs=self.legs[rows],
-            partitions=self.partitions[rows], ids=self.ids[rows], scores=self.scores[rows],
-        )
-
 
 class DistanceEngine:
     """Indoor distance through the door matrix.
@@ -144,8 +135,10 @@ class DistanceEngine:
     same order: the metric is exactly symmetric, not just within float
     noise.  `distance` and `block_distances` share that one formula (the
     `door_distances` kernel, then `patch`), so a block entry equals the
-    scalar distance bit for bit.  The query tables of `index` call the two
-    parts themselves, to patch only the rows they read.
+    scalar distance bit for bit.  Planners measure only through the query
+    tables of `index`, which call the two parts themselves, to patch only
+    the rows they read; `block_distances` is the reference the tests
+    compare those tables against.
 
     The kernel gathers the door-matrix rows of the location's doors once
     per call and takes the block's door columns from them in one 2-D
@@ -215,7 +208,9 @@ class DistanceEngine:
         return np.minimum.reduce(total, axis=(0, 2), initial=np.inf)
 
     def block_distances(self, src: DoorLegs, block: PointBlock) -> np.ndarray:
-        """Distance from src's location to every point of the block."""
+        """Distance from src's location to every point of the block.  No
+        planner calls it: they read the query tables of `index`, and the
+        tests compare those tables against it."""
         out = self.door_distances(src, block.doors, block.legs)
         rows = (block.partitions == src.location.partition_id).nonzero()[0]
         if rows.size:
@@ -232,8 +227,8 @@ class DistanceEngine:
 
     def door_vector(self, loc: Location) -> np.ndarray:
         """Distance from loc to every door, through its partition's doors.
-        No query path calls it: cnn, rank-once and the oracle measure with
-        the block kernel."""
+        No query path calls it: every planner measures with the block
+        kernel, through the query tables."""
         src = self.legs(loc)
         matrix = self.graph.distance_matrix()
         return (src.legs[:, None] + matrix[src.doors]).min(axis=0, initial=np.inf)

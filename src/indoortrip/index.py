@@ -5,12 +5,13 @@ A snapshot keeps its live points by (partition, category) and by
 category, and lays each category's live points out, on first use, as one
 block in id order.  `QueryTables` joins the blocks of one query's
 categories and holds the terms the query measures once on a snapshot and
-reads again; `cnn`, `rank_once_greedy` and the oracle score from it.  It
-measures the source, the target and each other from location once, with
-one kernel call over the joined block, and patches a from location's own
-partition rows of a category when `cnn` first reads that category from
-it.  So `cnn` is one argmin over its category's slice of a scored row, and
-a `gcnn` query of m categories makes m + 1 kernel calls.
+reads again; it is the only way a planner measures a location.  It
+measures the source, the target and each other location once, with one
+kernel call over the joined block, and patches a location's own
+partition rows of a category when that category is first read from it.
+So `cnn` is one argmin over its category's slice of a scored row, a
+`gcnn` or rank-once query of m categories makes m + 1 kernel calls, and
+the oracle one per distinct location it reads from.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _NO_ROWS = (np.zeros(0, dtype=int), ())
 
 class QueryTables:
     """The terms one query measures once on one snapshot and reads again;
-    `cnn`, `rank_once_greedy` and the oracle all score from them.
+    `cnn`, `rank_once_greedy` and the oracle measure only through them.
 
     The query's categories (all the snapshot's live ones when none are
     given) are laid out as one joined block, their blocks in ascending
@@ -57,8 +58,10 @@ class QueryTables:
       first read measures the whole joined block with one kernel call and
       scores it, `((s + f) + t) * alpha + static` in the kernel's order.
       The rows of c in the location's own partition are patched, and
-      scored again, the first time c is read from it.
-    - `between(a, b)`: category a's points' distances to b's, for the oracle.
+      scored again, the first time c is read from it.  The source's
+      distance row is `from_source`; its score row ranks rank-once's picks.
+    - `between(a, b)`: category a's points' distances to b's, for the
+      oracle: b's slice of each a point's `measured` row.
     - `winner_legs`: the (source, from, target) legs of each point `cnn`
       returned, for `cnn_legs`.
 
@@ -156,17 +159,15 @@ class QueryTables:
         return dist, scores
 
     def between(self, a: int, b: int) -> np.ndarray:
-        """[i, j] = distance from point i of category a to point j of b."""
+        """[i, j] = distance from point i of category a to point j of b:
+        b's slice of each point's measured row."""
         got = self._between.get((a, b))
         if got is None:
             if (b, a) in self._between:
                 return self._between[(b, a)].T  # the metric is exactly symmetric
-            block = self.category(b)[0]
-            got = np.array([
-                self.engine.block_distances(self.engine.legs(p.location), block)
-                for p in self.category(a)[0].points
-            ])
-            self._between[(a, b)] = got
+            rows = self.span(b)[1]
+            got = self._between[(a, b)] = np.array([
+                self.measured(self.legs(p.location), b)[0][rows] for p in self.span(a)[0].points])
         return got
 
 

@@ -4,6 +4,9 @@ The exact solver enumerates category visiting orders; within one order a
 layered dynamic program picks the best point per category, which is
 exponentially cheaper than enumerating point tuples.  A naive full
 enumeration is kept for cross-checking the DP on tiny instances.
+
+Both measure only through the query's `QueryTables`: one kernel call per
+location they read from.
 """
 
 from __future__ import annotations
@@ -127,47 +130,45 @@ def rank_once_greedy(query: TripQuery, index, top_k: int = 8,
     """Baseline that ranks each category once, up front, from the source.
 
     Extensions are then chosen only among each category's frozen top-k,
-    scored against the route's current endpoint.  Stands in for planners
-    that do all their ranking before construction starts.  top_k must be
-    at least 1.
+    scored against the route's current endpoint's measured row.  Stands in
+    for planners that do all their ranking before construction starts.
+    top_k must be at least 1.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
-    engine = index.engine
     tables = QueryTables(index, query.source, query.target, query.alpha, query.categories)
     alpha = query.alpha
 
-    # Rank by the three-leg score from the source (so the source leg counts
-    # twice), ties to the smaller id; keep each category's top k with its
-    # rows' source, target and static terms.
+    # Rank by the source's scored row, the three-leg score with the source
+    # leg counted twice, ties to the smaller id; keep each category's top k
+    # as rows of the joined block.
     shortlists = {}
     for cat in sorted(set(query.categories)):
-        block, from_source, to_target, static = tables.category(cat)
-        travel = from_source + from_source + to_target
-        scores = alpha * travel + static
+        block, span = tables.span(cat)
+        ranked = tables.measured(tables.source, cat)[1][span]
         if counter is not None:
             counter.point_evals += len(block.points)
-        rows = np.lexsort((block.ids, scores))[:top_k]
-        shortlists[cat] = (block.take(rows), from_source[rows], to_target[rows], static[rows])
+        shortlists[cat] = span.start + np.lexsort((block.ids, ranked))[:top_k]
 
     route = Route(waypoints=(tables.source.location,), stops=(), leg_lengths=())
     uncovered = set(query.categories)
     while uncovered:
-        best = None  # (step cost, category, point id, point, leg, target leg)
+        best = None  # (step cost, category, point id, point, leg, row)
         current = tables.legs(route.end())
         for cat in sorted(uncovered):
-            short, from_source, to_target, static = shortlists[cat]
-            legs = (from_source if current is tables.source
-                    else engine.block_distances(current, short))
-            steps = alpha * legs + static
+            block, span = tables.span(cat)
+            rows = shortlists[cat]
+            legs = tables.measured(current, cat)[0][rows]
+            steps = alpha * legs + tables.static[rows]
             if counter is not None:
-                counter.point_evals += len(short.points)
-            row = np.lexsort((short.ids, steps))[0]
-            cand = (float(steps[row]), cat, int(short.ids[row]), short.points[row],
-                    float(legs[row]), float(to_target[row]))
+                counter.point_evals += len(rows)
+            ids = block.ids[rows - span.start]
+            at = np.lexsort((ids, steps))[0]
+            cand = (float(steps[at]), cat, int(ids[at]), block.points[rows[at] - span.start],
+                    float(legs[at]), rows[at])
             if best is None or cand[:3] < best[:3]:
                 best = cand
-        _, cat, _, point, leg, closing = best
+        _, cat, _, point, leg, row = best
         route = route.then(point, leg)
         uncovered.discard(cat)
-    return route.to(tables.target.location, closing)
+    return route.to(tables.target.location, float(tables.to_target[row]))

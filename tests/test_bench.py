@@ -13,7 +13,9 @@ from indoortrip import (
     save_venue,
     sweep_delta,
 )
-from indoortrip.bench import CSV_HEADER, config_from_dict, frequent_categories, write_summary
+from indoortrip.bench import (
+    CSV_HEADER, config_from_dict, frequent_categories, summarize, write_summary,
+)
 from indoortrip.routing import TripQuery, save_queries
 from indoortrip.venue import Location
 
@@ -146,7 +148,7 @@ def test_summary_matches_recomputation_from_rows(tmp_path):
             assert entry["mean_ratio"] == pytest.approx(float(np.mean(ratios)))
             assert entry["median_ratio"] == pytest.approx(float(np.median(ratios)))
         assert entry["mean_runtime_us"] == pytest.approx(
-            float(np.mean([r.runtime_us for r in rows]))
+            float(np.mean([r.runtime_us for r in rows if r.cost is not None]))
         )
 
 
@@ -161,6 +163,31 @@ def test_missing_category_yields_error_row_and_run_continues(tmp_path):
     assert errors[0].cost is None
     assert len(result.rows) == len(queries) + 1
     assert result.summary["algorithms"]["gcnn"]["errors"] == 1
+
+
+def test_runtime_summary_leaves_out_error_rows(tmp_path):
+    """An error row's runtime_us is a placeholder: the runtime mean and
+    median are taken over the rows that returned a route, and are None
+    when none did.  The CSV keeps the error row as it is."""
+    paths, queries = write_workload(tmp_path, categories=8)
+    too_many = TripQuery(queries[0].source, queries[0].target, categories=tuple(range(8)),
+                         alpha=0.5)
+    save_queries(list(queries) + [too_many], paths["queries"])
+    config = base_config(paths, algorithms=("oracle",), output_path=str(tmp_path / "out.csv"))
+    result = run_experiment(config)
+    errors = [r for r in result.rows if r.error]
+    assert [r.error.split(":")[0] for r in errors] == ["OracleScaleError"]
+    assert errors[0].runtime_us == 1
+    ok = [r.runtime_us for r in result.rows if r.cost is not None]
+    assert len(ok) == len(queries)
+    entry = result.summary["algorithms"]["oracle"]
+    assert entry["errors"] == 1
+    assert entry["mean_runtime_us"] == pytest.approx(float(np.mean(ok)))
+    assert entry["median_runtime_us"] == pytest.approx(float(np.median(ok)))
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == len(queries) + 2
+    only_errors = summarize(errors, config, 0)["algorithms"]["oracle"]
+    assert only_errors["mean_runtime_us"] is None
+    assert only_errors["median_runtime_us"] is None
 
 
 def test_preprocessing_time_recorded_separately(tmp_path):

@@ -254,9 +254,9 @@ def test_cnn_equals_linear_scan_from_doors_and_stairs(seed, alpha):
 @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 0.8, 1.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_every_leaf_bound_is_at_most_its_least_block_score(seed, alpha):
-    """A category's live block is the one leaf cnn scans, and the score of
-    the point it returns bounds the block: it is the least kernel score
-    over the block, bit for bit, at its first row, so no point scores below
+    """cnn scans its category's whole live block, and the score of the
+    point it returns bounds the block: it is the least kernel score over
+    the block, bit for bit, at its first row, so no point scores below
     it."""
     venue, graph, index, _ = small_workload(seed=seed)
     engine = index.engine
@@ -344,7 +344,9 @@ def test_cnn_equals_linear_scan_over_blocks_of_different_widths(seed):
     """One more category's points stand in hallways and stairs, whose many
     doors make its block wider than the rooms' categories': the query's
     joined block pads the narrower ones, and cnn still equals the linear
-    scan for every category."""
+    scan for every category.  The oracle's `between(a, b)`, for every
+    ordered pair, is row for row the reference block kernel from each of
+    a's points to b's block, bit for bit."""
     venue, graph, _, _ = small_workload(seed=seed)
     rng = random.Random(seed)
     wide = max(venue.category_ids()) + 1
@@ -355,6 +357,13 @@ def test_cnn_equals_linear_scan_over_blocks_of_different_widths(seed):
             extra.append(IndoorPoint(
                 id=100_000 + pid, partition_id=pid, x=rng.uniform(x0, x1), y=rng.uniform(y0, y1),
                 floor=rng.choice(part.floors), category=wide, static_score=rng.uniform(1.0, 5.0)))
+    for p in list(extra):  # stairs points on every floor, so some pairs cross floors
+        part = venue.partitions[p.partition_id]
+        for floor in set(part.floors) - {p.floor} if part.kind == "stairs" else ():
+            extra.append(IndoorPoint(
+                id=200_000 + 10 * p.partition_id + floor, partition_id=p.partition_id,
+                x=(part.bounds[0] + part.bounds[2]) / 2, y=(part.bounds[1] + part.bounds[3]) / 2,
+                floor=floor, category=wide, static_score=p.static_score))
     venue = venue.with_points(list(venue.points.values()) + extra)
     index = build_index(venue, graph)
     cats = index.live_categories()
@@ -366,6 +375,16 @@ def test_cnn_equals_linear_scan_over_blocks_of_different_widths(seed):
         from_loc = any_spot(rng, venue, doors)
         for cat in cats:
             assert index.cnn(from_loc, cat, ctx).id == linear_scan_cnn(index, from_loc, cat, ctx).id
+    engine = index.engine
+    tables = index.tables(ctx)
+    assert len({p.floor for p in extra if venue.partitions[p.partition_id].kind == "stairs"}) > 1
+    for a in cats:
+        for b in cats:
+            got = tables.between(a, b)
+            block = index.category_block(b)
+            for row, p in zip(got, index.category_block(a).points):
+                want = engine.block_distances(engine.legs(p.location), block)
+                assert row.tobytes() == want.tobytes(), (a, b, p.id)
 
 
 def test_remove_points_rerouting_and_min_static_rise():
