@@ -13,7 +13,6 @@ from .d2d import (
     DisconnectedVenueError,
     DistanceEngine,
     build_d2d_graph,
-    door_distance,
 )
 from .dominance import PruneReport, preprocess
 from .index import VenueIndex, build_index

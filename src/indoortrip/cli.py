@@ -50,24 +50,6 @@ class CliError(Exception):
     """User-facing command failure; printed and mapped to exit code 1."""
 
 
-def _spec_from_args(args) -> WorkloadSpec:
-    spec = WorkloadSpec(
-        seed=args.seed,
-        floors=args.floors,
-        rooms_per_floor=args.rooms_per_floor,
-        doors_per_room=args.doors_per_room,
-        categories=args.categories,
-        bucket=args.bucket,
-        bucket_scale=args.scale,
-        store_rooms=args.stores,
-        hosts_per_category=None if args.hosts == 0 else args.hosts,
-    )
-    if args.count_range:
-        lo, hi = (int(v) for v in args.count_range.split(","))
-        spec = replace(spec, count_range=(lo, hi))
-    return spec
-
-
 def cmd_gen_venue(args) -> int:
     venue = generate_venue(WorkloadSpec(
         floors=args.floors, rooms_per_floor=args.rooms_per_floor,
@@ -82,7 +64,17 @@ def cmd_gen_venue(args) -> int:
 
 
 def cmd_gen_objects(args) -> int:
-    spec = _spec_from_args(args)
+    spec = WorkloadSpec(
+        seed=args.seed,
+        categories=args.categories,
+        bucket=args.bucket,
+        bucket_scale=args.scale,
+        store_rooms=args.stores,
+        hosts_per_category=None if args.hosts == 0 else args.hosts,
+    )
+    if args.count_range:
+        lo, hi = (int(v) for v in args.count_range.split(","))
+        spec = replace(spec, count_range=(lo, hi))
     venue = load_venue(args.venue)
     points = place_objects(venue, spec)
     save_objects_csv(points, args.out)
@@ -170,12 +162,7 @@ def _run_queries(args, algorithm: str) -> int:
     for query in queries:
         limits = {}
         if algorithm == "oracle":
-            if len(query.categories) > args.limit and not args.force:
-                raise CliError(
-                    f"query has {len(query.categories)} categories; "
-                    f"pass --force to exceed the limit of {args.limit}"
-                )
-            limits["limit"] = len(query.categories)  # the guard above replaces the library's
+            limits["limit"] = len(query.categories) if args.force else args.limit
         counter = EvalCounter()
         route = planner(query, index, counter=counter, **limits)
         payload = route_to_dict(route, query.alpha)
@@ -250,32 +237,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_venue_flags(p):
-        p.add_argument("--floors", type=int, default=4)
-        p.add_argument("--rooms-per-floor", type=int, default=12)
-        p.add_argument("--doors-per-room", type=int, default=1)
-        p.add_argument("--categories", type=int, default=8)
-
-    def add_spec_flags(p):
-        add_venue_flags(p)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--bucket", choices=["XS", "S", "M", "L", "XL"], default="M")
-        p.add_argument("--scale", type=float, default=0.1,
-                       help="bucket range scale (1.0 = reference ranges)")
-        p.add_argument("--stores", type=int, default=8,
-                       help="rooms that carry objects at all")
-        p.add_argument("--hosts", type=int, default=3,
-                       help="host stores per category; 0 scatters uniformly")
-        p.add_argument("--count-range", default=None,
-                       help="lo,hi override for objects per category")
-
     p = sub.add_parser("gen-venue", help="generate a synthetic venue JSON")
-    add_venue_flags(p)
+    p.add_argument("--floors", type=int, default=4)
+    p.add_argument("--rooms-per-floor", type=int, default=12)
+    p.add_argument("--doors-per-room", type=int, default=1)
+    p.add_argument("--categories", type=int, default=8)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_venue)
 
     p = sub.add_parser("gen-objects", help="place category objects into a venue")
-    add_spec_flags(p)
+    p.add_argument("--categories", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bucket", choices=["XS", "S", "M", "L", "XL"], default="M")
+    p.add_argument("--scale", type=float, default=0.1,
+                   help="bucket range scale (1.0 = reference ranges)")
+    p.add_argument("--stores", type=int, default=8,
+                   help="rooms that carry objects at all")
+    p.add_argument("--hosts", type=int, default=3,
+                   help="host stores per category; 0 scatters uniformly")
+    p.add_argument("--count-range", default=None,
+                   help="lo,hi override for objects per category")
     p.add_argument("--venue", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_objects)

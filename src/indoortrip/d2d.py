@@ -3,10 +3,12 @@
 Doors are vertices; two doors sharing a partition get an edge weighted by
 their intra-partition distance.  All longer-range distances reduce to
 shortest paths over this graph plus straight-line legs inside the first
-and last partition.  The engine evaluates that formula for one location
-against a whole block of points in a single numpy expression, its one
-kernel (`door_distances`), and then patches the rows in the location's
-own partition to their straight-line distance (`patch`), in one Python
+and last partition.  `build_d2d_graph` measures the shortest path of
+every door pair once, into the graph's door matrix, before it returns
+the graph.  The engine evaluates that formula for one location against
+a whole block of points in a single numpy expression, its one kernel
+(`door_distances`), and then patches the rows in the location's own
+partition to their straight-line distance (`patch`), in one Python
 comprehension whose `math.hypot` calls are `intra_distance`'s.
 """
 
@@ -30,16 +32,16 @@ class DisconnectedVenueError(Exception):
         super().__init__(f"door {door_id} is unreachable in the door graph")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class D2DGraph:
+    """A venue's door graph and its all-pairs shortest door distances,
+    complete and immutable from construction: `build_d2d_graph` measures
+    the matrix first and leaves it read-only."""
+
     door_ids: tuple[int, ...]                      # sorted; row/column order of the matrix
     edges: dict[tuple[int, int], float]            # (low id, high id) -> weight
-    _index: dict[int, int] = field(default_factory=dict, repr=False)
-    _matrix: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if not self._index:
-            self._index = {d: i for i, d in enumerate(self.door_ids)}
+    matrix: np.ndarray = field(repr=False)         # (doors, doors) shortest door-path lengths (m)
+    _index: dict[int, int] = field(repr=False)     # door id -> its row/column
 
     def index_of(self, door_id: int) -> int:
         try:
@@ -47,29 +49,14 @@ class D2DGraph:
         except KeyError:
             raise KeyError(f"unknown door {door_id}") from None
 
-    def distance_matrix(self) -> np.ndarray:
-        """All-pairs shortest-path door distances (meters), cached.
-
-        Symmetrized after the fact: per-source runs can disagree in the
-        last ulp because they sum path edges in opposite orders.
-        """
-        if self._matrix is None:
-            n = len(self.door_ids)
-            rows, cols, weights = [], [], []
-            for (a, b), w in self.edges.items():
-                ia, ib = self._index[a], self._index[b]
-                rows.extend((ia, ib))
-                cols.extend((ib, ia))
-                weights.extend((w, w))
-            graph = csr_matrix((weights, (rows, cols)), shape=(n, n))
-            dist = dijkstra(graph, directed=False)
-            self._matrix = np.minimum(dist, dist.T)
-        return self._matrix
-
 
 def build_d2d_graph(venue: Venue) -> D2DGraph:
-    """Connect every door pair of every partition; shared pairs keep the
-    minimum weight.  Raises DisconnectedVenueError if any door is cut off."""
+    """Connect every door pair of every partition (shared pairs keep the
+    minimum weight) and measure all-pairs shortest paths over them.
+
+    The matrix is symmetrized after the fact: per-source runs can disagree
+    in the last ulp because they sum path edges in opposite orders.
+    Raises DisconnectedVenueError if any door is cut off."""
     edges: dict[tuple[int, int], float] = {}
     for part in venue.partitions.values():
         doors = venue.partition_doors(part.id)
@@ -83,23 +70,20 @@ def build_d2d_graph(venue: Venue) -> D2DGraph:
                     edges[key] = w
 
     door_ids = tuple(sorted(venue.doors))
-    graph = D2DGraph(door_ids=door_ids, edges=edges)
-
-    if door_ids:
-        matrix = graph.distance_matrix()
-        unreachable = np.isinf(matrix[0])
-        if unreachable.any():
-            bad = door_ids[int(np.argmax(unreachable))]
-            raise DisconnectedVenueError(bad)
-    return graph
-
-
-def door_distance(graph: D2DGraph, a: int, b: int) -> float:
-    """Minimum-weight path length between two doors."""
-    got = float(graph.distance_matrix()[graph.index_of(a), graph.index_of(b)])
-    if not np.isfinite(got):
-        raise DisconnectedVenueError(b)
-    return got
+    index = {d: i for i, d in enumerate(door_ids)}
+    rows, cols, weights = [], [], []
+    for (a, b), w in edges.items():
+        rows.extend((index[a], index[b]))
+        cols.extend((index[b], index[a]))
+        weights.extend((w, w))
+    n = len(door_ids)
+    dist = dijkstra(csr_matrix((weights, (rows, cols)), shape=(n, n)), directed=False)
+    matrix = np.minimum(dist, dist.T)
+    unreachable = np.isinf(matrix[:1]).nonzero()[1]
+    if unreachable.size:
+        raise DisconnectedVenueError(door_ids[int(unreachable[0])])
+    matrix.flags.writeable = False
+    return D2DGraph(door_ids=door_ids, edges=edges, matrix=matrix, _index=index)
 
 
 @dataclass(frozen=True)
@@ -203,7 +187,7 @@ class DistanceEngine:
         """min over (i, j) of (src.legs[i] + legs[p, j]) + door_matrix[src.doors[i], doors[p, j]]
         for every row p: the through-doors distance, same-partition pairs
         unpatched.  The block kernel: every distance is measured through it."""
-        rows = self.graph.distance_matrix().take(src.doors, axis=0)  # (I, doors)
+        rows = self.graph.matrix.take(src.doors, axis=0)  # (I, doors)
         total = (src.legs[:, None, None] + legs) + rows.take(doors, axis=1)  # (I, P, K)
         return np.minimum.reduce(total, axis=(0, 2), initial=np.inf)
 
@@ -230,8 +214,7 @@ class DistanceEngine:
         No query path calls it: every planner measures with the block
         kernel, through the query tables."""
         src = self.legs(loc)
-        matrix = self.graph.distance_matrix()
-        return (src.legs[:, None] + matrix[src.doors]).min(axis=0, initial=np.inf)
+        return (src.legs[:, None] + self.graph.matrix[src.doors]).min(axis=0, initial=np.inf)
 
     def distance(self, a: Location, b: Location) -> float:
         a = self.venue.resolve(a)

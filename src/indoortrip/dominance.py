@@ -44,7 +44,7 @@ def venue_reach(index) -> float:
     its doors, points and query locations, and the longest door path."""
     leg = max((p.diagonal for p in index.venue.partitions.values()), default=0.0) \
         + 4.0 * BOUNDARY_EPS
-    return 2.0 * leg + float(index.graph.distance_matrix().max(initial=0.0))
+    return 2.0 * leg + float(index.graph.matrix.max(initial=0.0))
 
 
 def certified(points: list[IndoorPoint], alpha: float, reach: float) -> list[int]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .venue import IndoorPoint, Location
+from .venue import IndoorPoint, Location, as_int
 
 
 class EmptyCategoryError(Exception):
@@ -88,10 +88,6 @@ class Route:
     @property
     def covered(self) -> frozenset[tuple[int, int]]:
         return frozenset((s.category, s.point_id) for s in self.stops)
-
-    @property
-    def covered_categories(self) -> frozenset[int]:
-        return frozenset(s.category for s in self.stops)
 
     def end(self) -> Location:
         return self.waypoints[-1]
@@ -203,8 +199,8 @@ def location_from_dict(data: dict) -> Location:
     return Location(
         x=float(data["x"]),
         y=float(data["y"]),
-        floor=int(data["floor"]),
-        partition_id=int(data["partition_id"]) if "partition_id" in data else None,
+        floor=as_int(data["floor"]),
+        partition_id=as_int(data["partition_id"]) if "partition_id" in data else None,
     )
 
 
@@ -221,7 +217,7 @@ def query_from_dict(data: dict) -> TripQuery:
     return TripQuery(
         source=location_from_dict(data["source"]),
         target=location_from_dict(data["target"]),
-        categories=tuple(int(c) for c in data["categories"]),
+        categories=tuple(as_int(c) for c in data["categories"]),
         alpha=float(data["alpha"]),
     )
 

@@ -19,7 +19,8 @@ PARTITION_KINDS = ("room", "hallway", "stairs")
 
 OBJECT_CSV_HEADER = ["id", "partition_id", "x", "y", "floor", "category", "static_score"]
 
-# Tolerance for "door sits on the partition boundary" checks (meters).
+# Tolerance of `Partition.contains` and `on_boundary` (meters); the margin
+# of `dominance.venue_reach` assumes this one.
 BOUNDARY_EPS = 1e-6
 
 
@@ -56,23 +57,23 @@ class Partition:
         x0, y0, x1, y1 = self.bounds
         return math.hypot(x1 - x0, y1 - y0)
 
-    def contains(self, x: float, y: float, floor: int, eps: float = BOUNDARY_EPS) -> bool:
+    def contains(self, x: float, y: float, floor: int) -> bool:
         x0, y0, x1, y1 = self.bounds
         return (
             floor in self.floors
-            and x0 - eps <= x <= x1 + eps
-            and y0 - eps <= y <= y1 + eps
+            and x0 - BOUNDARY_EPS <= x <= x1 + BOUNDARY_EPS
+            and y0 - BOUNDARY_EPS <= y <= y1 + BOUNDARY_EPS
         )
 
-    def on_boundary(self, x: float, y: float, floor: int, eps: float = BOUNDARY_EPS) -> bool:
-        if not self.contains(x, y, floor, eps):
+    def on_boundary(self, x: float, y: float, floor: int) -> bool:
+        if not self.contains(x, y, floor):
             return False
         x0, y0, x1, y1 = self.bounds
         return (
-            abs(x - x0) <= eps
-            or abs(x - x1) <= eps
-            or abs(y - y0) <= eps
-            or abs(y - y1) <= eps
+            abs(x - x0) <= BOUNDARY_EPS
+            or abs(x - x1) <= BOUNDARY_EPS
+            or abs(y - y0) <= BOUNDARY_EPS
+            or abs(y - y1) <= BOUNDARY_EPS
         )
 
 
@@ -115,17 +116,6 @@ class Venue:
 
     def partition_doors(self, partition_id: int) -> list[Door]:
         return [self.doors[d] for d in self.partitions[partition_id].door_ids]
-
-    def points_of_category(self, category: int) -> list[IndoorPoint]:
-        return sorted(
-            (p for p in self.points.values() if p.category == category),
-            key=lambda p: p.id,
-        )
-
-    def category_ids(self) -> list[int]:
-        seen = set(self.categories)
-        seen.update(p.category for p in self.points.values())
-        return sorted(seen)
 
     def resolve(self, loc: Location) -> Location:
         """Attach a partition id to a location; smallest id wins on overlap.
@@ -318,46 +308,58 @@ def venue_to_dict(venue: Venue) -> dict:
     return {"partitions": parts, "doors": doors, "points": points, "categories": categories}
 
 
+def as_int(value) -> int:
+    """An integer field of a venue or query file, refusing what int()
+    would truncate: a bool or a non-integral float."""
+    if type(value) is int:  # the common case, and faster than int()
+        return value
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _partition_entry(entry: dict) -> Partition:
     bounds = tuple(float(v) for v in entry["bounds"])
     if len(bounds) != 4:
         raise ValueError(f"bounds need 4 numbers, got {len(bounds)}")
     return Partition(
-        id=int(entry["id"]),
-        floor=int(entry["floor"]),
+        id=as_int(entry["id"]),
+        floor=as_int(entry["floor"]),
         bounds=bounds,
         kind=entry.get("kind", "room"),
-        door_ids=tuple(int(d) for d in entry.get("door_ids", [])),
-        floor2=int(entry["floor2"]) if "floor2" in entry else None,
+        door_ids=tuple(as_int(d) for d in entry.get("door_ids", [])),
+        floor2=as_int(entry["floor2"]) if "floor2" in entry else None,
     )
 
 
 def _door_entry(entry: dict) -> Door:
     return Door(
-        id=int(entry["id"]),
+        id=as_int(entry["id"]),
         x=float(entry["x"]),
         y=float(entry["y"]),
-        floor=int(entry["floor"]),
-        partition_ids=tuple(int(p) for p in entry["partition_ids"]),
+        floor=as_int(entry["floor"]),
+        partition_ids=tuple(as_int(p) for p in entry["partition_ids"]),
     )
 
 
-def _point_entry(entry: dict) -> IndoorPoint:
+def _point_entry(entry: dict, integer=as_int) -> IndoorPoint:
+    """A venue JSON point, or with integer=int an objects CSV row: its
+    cells are strings, which int() already parses strictly."""
     return IndoorPoint(
-        id=int(entry["id"]),
-        partition_id=int(entry["partition_id"]),
+        id=integer(entry["id"]),
+        partition_id=integer(entry["partition_id"]),
         x=float(entry["x"]),
         y=float(entry["y"]),
-        floor=int(entry["floor"]),
-        category=int(entry["category"]),
+        floor=integer(entry["floor"]),
+        category=integer(entry["category"]),
         static_score=float(entry["static_score"]),
     )
 
 
 def _category_entry(entry) -> tuple[int, str]:
     if isinstance(entry, dict):
-        return int(entry["id"]), str(entry.get("name", entry["id"]))
-    return int(entry), str(entry)
+        return as_int(entry["id"]), str(entry.get("name", entry["id"]))
+    return as_int(entry), str(entry)
 
 
 def _entries(data: dict, section: str, noun: str, parse) -> dict:
@@ -424,7 +426,7 @@ def load_objects_csv(path: str | Path) -> list[IndoorPoint]:
                     raise ValueError("more cells than the header has")
                 if None in row.values():
                     raise ValueError("fewer cells than the header has")
-                point = _point_entry(row)
+                point = _point_entry(row, int)
             except ValueError as exc:
                 raise ValueError(f"object CSV line {line} is malformed: {exc}") from None
             if point.id in seen:

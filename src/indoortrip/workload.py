@@ -183,9 +183,7 @@ def generate_venue(spec: WorkloadSpec) -> Venue:
 
 def venue_diameter(venue: Venue) -> float:
     """Largest door-to-door distance; static scores share this scale."""
-    graph = build_d2d_graph(venue)
-    matrix = graph.distance_matrix()
-    diameter = float(matrix.max()) if matrix.size else 0.0
+    diameter = float(build_d2d_graph(venue).matrix.max(initial=0.0))
     if diameter <= 0.0:
         xs = [b for p in venue.partitions.values() for b in (p.bounds[0], p.bounds[2])]
         ys = [b for p in venue.partitions.values() for b in (p.bounds[1], p.bounds[3])]

@@ -17,10 +17,11 @@ def generated(tmp_path):
     venue = tmp_path / "venue.json"
     objects = tmp_path / "objects.csv"
     queries = tmp_path / "queries.jsonl"
-    shape = ["--floors", 2, "--rooms-per-floor", 8, "--categories", 5]
+    categories = ["--categories", 5]
     placement = ["--seed", 4, "--count-range", "6,10", "--stores", 5, "--hosts", 2]
-    assert run(["gen-venue", *shape, "--out", venue]) == 0
-    assert run(["gen-objects", *shape, *placement, "--venue", venue, "--out", objects]) == 0
+    assert run(["gen-venue", "--floors", 2, "--rooms-per-floor", 8, *categories,
+                "--out", venue]) == 0
+    assert run(["gen-objects", *categories, *placement, "--venue", venue, "--out", objects]) == 0
     assert run([
         "gen-queries", "--venue", venue, "--objects", objects, "--out", queries,
         "--seed", 4, "--count", 4, "--m", "2", "--categories-list", "0,1,2,3,4",
@@ -131,7 +132,8 @@ def test_query_and_oracle_routes(generated, tmp_path):
 def test_oracle_guard_refuses_large_queries(generated, tmp_path, capsys):
     inputs = ["--venue", generated["venue"], "--objects", generated["objects"],
               "--queries", generated["queries"]]
-    assert run(["oracle", *inputs, "--limit", "1"]) != 0
+    assert run(["oracle", *inputs, "--limit", "1"]) == 1
+    assert "2 categories exceed the factorial guard of 1" in capsys.readouterr().err
     plain, forced = tmp_path / "plain.jsonl", tmp_path / "forced.jsonl"
     assert run(["oracle", *inputs, "--out", plain]) == 0
     assert run(["oracle", *inputs, "--limit", "1", "--force", "--out", forced]) == 0
@@ -185,16 +187,24 @@ def test_a_subcommand_refuses_flags_it_does_not_read(generated, capsys, command,
     assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [
-    ["--seed", "4"], ["--stores", "0"], ["--hosts", "2"], ["--count-range", "6,10"],
-    ["--bucket", "S"], ["--scale", "1.0"],
-], ids=lambda flags: "gen-venue" + flags[0])
-def test_gen_venue_refuses_the_placement_flags_it_does_not_read(tmp_path, capsys, flags):
+@pytest.mark.parametrize("command, flags", [
+    *(pytest.param("gen-venue", flags, id="gen-venue" + flags[0]) for flags in (
+        ["--seed", "4"], ["--stores", "0"], ["--hosts", "2"], ["--count-range", "6,10"],
+        ["--bucket", "S"], ["--scale", "1.0"])),
+    *(pytest.param("gen-objects", flags, id="gen-objects" + flags[0]) for flags in (
+        ["--floors", "2"], ["--rooms-per-floor", "8"], ["--doors-per-room", "2"])),
+])
+def test_gen_venue_refuses_the_placement_flags_it_does_not_read(tmp_path, capsys, command,
+                                                                 flags):
+    """gen-venue refuses the placement flags, and gen-objects, which reads
+    the venue's shape from --venue, refuses the shape flags."""
+    out = tmp_path / "out"
+    inputs = ["--venue", tmp_path / "venue.json"] if command == "gen-objects" else []
     with pytest.raises(SystemExit) as exit_:
-        run(["gen-venue", "--out", tmp_path / "venue.json", *flags])
+        run([command, *inputs, "--out", out, *flags])
     assert exit_.value.code == 2
     assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
-    assert not (tmp_path / "venue.json").exists()
+    assert not out.exists()
 
 
 def test_prune_queries_reports_what_bench_prunes(generated, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -14,11 +15,14 @@ from indoortrip import (
     WorkloadSpec,
     build_d2d_graph,
     build_workload,
-    door_distance,
 )
 from indoortrip.venue import intra_distance
 
 from conftest import make_corridor_venue, make_two_room_venue
+
+
+def door_distance(graph, a, b):
+    return graph.matrix[graph.index_of(a), graph.index_of(b)]
 
 
 def bellman_ford(graph, source):
@@ -106,12 +110,23 @@ def test_door_distance_matches_bellman_ford_on_random_venue():
     venue, _, _ = build_workload(spec)
     graph = build_d2d_graph(venue)
     assert len(graph.door_ids) >= 20
-    matrix = graph.distance_matrix()
+    matrix = graph.matrix
     for source in graph.door_ids:
         reference = bellman_ford(graph, source)
         for target in graph.door_ids:
             got = matrix[graph.index_of(source), graph.index_of(target)]
             assert got == pytest.approx(reference[target], abs=1e-9)
+
+
+def test_the_door_matrix_is_built_with_the_graph_and_read_only(two_room_venue):
+    graph = build_d2d_graph(two_room_venue)
+    assert graph.matrix.tolist() == [[0.0]]
+    with pytest.raises(ValueError):
+        graph.matrix[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        graph.matrix = np.zeros((1, 1))
+    room = Partition(id=0, floor=0, bounds=(0, 0, 10, 10), kind="room")
+    assert build_d2d_graph(Venue(partitions={0: room}, doors={})).matrix.shape == (0, 0)
 
 
 def test_edge_count_formula_on_generated_venue():

@@ -61,14 +61,12 @@ def test_aggregation_invariants_hold_everywhere():
     assert_blocks_match_live_points(index)
 
 
-def test_min_static_matches_linear_scan_at_root():
-    """A category's block, the root of every cnn scan of it, holds the
+def test_category_block_holds_the_least_static_score():
+    """A category's block, the whole of every cnn scan of it, holds the
     category's least static score."""
     venue, graph, index, _ = small_workload(seed=4)
-    for cat in venue.category_ids():
-        points = venue.points_of_category(cat)
-        if not points:
-            continue
+    for cat in index.live_categories():
+        points = index.live_points(cat)
         expected = min(p.static_score for p in points)
         assert index.category_block(cat).scores.min() == expected
 
@@ -253,7 +251,7 @@ def test_cnn_equals_linear_scan_from_doors_and_stairs(seed, alpha):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 0.8, 1.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_every_leaf_bound_is_at_most_its_least_block_score(seed, alpha):
+def test_cnn_score_is_the_least_kernel_score_of_its_block(seed, alpha):
     """cnn scans its category's whole live block, and the score of the
     point it returns bounds the block: it is the least kernel score over
     the block, bit for bit, at its first row, so no point scores below
@@ -279,7 +277,7 @@ def test_every_leaf_bound_is_at_most_its_least_block_score(seed, alpha):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_entry_bounds_are_at_most_every_block_distance_into_their_leaf(seed):
+def test_door_vector_entry_bounds_are_at_most_every_block_distance(seed):
     """From a door, a stair or anywhere, a point's entry bound, the least
     door-vector entry over its partition's doors, is never above the
     kernel distance to it; rows in the location's own partition are
@@ -349,7 +347,7 @@ def test_cnn_equals_linear_scan_over_blocks_of_different_widths(seed):
     a's points to b's block, bit for bit."""
     venue, graph, _, _ = small_workload(seed=seed)
     rng = random.Random(seed)
-    wide = max(venue.category_ids()) + 1
+    wide = max(venue.categories) + 1
     extra = []
     for pid, part in sorted(venue.partitions.items()):
         if part.kind in ("hallway", "stairs"):

@@ -15,6 +15,7 @@ from indoortrip import (
     Partition,
     TripQuery,
     Venue,
+    load_checked_venue,
     load_objects_csv,
     load_venue,
     save_objects_csv,
@@ -22,6 +23,8 @@ from indoortrip import (
 )
 from indoortrip.routing import load_queries, save_queries
 from indoortrip.venue import PARTITION_KINDS, Door, venue_to_dict
+
+from conftest import make_two_room_venue
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -41,6 +44,14 @@ def _numeric(text):
 # Values no int or float field accepts.
 bad_cells = st.text("abcdefghijklmnopqrstuvwxyz", max_size=6).filter(lambda t: not _numeric(t))
 bad_values = st.one_of(st.none(), bad_cells, st.lists(small, max_size=2), st.just({}))
+# Values an int field refuses, though int() would truncate them to one.
+truncated = st.one_of(st.booleans(), st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer()))
+
+
+def bad_value(data, integral):
+    """A value the field refuses: for an int field, half the time one
+    that int() would truncate."""
+    return data.draw(truncated if integral and data.draw(st.booleans()) else bad_values)
 
 
 @st.composite
@@ -89,14 +100,18 @@ def test_venue_round_trip(tmp_path_factory, venue):
     assert load_venue(path) == venue
 
 
-# Per section: the singular noun in messages, required keys, numeric keys.
+# Per section: the singular noun in messages, required keys, numeric keys,
+# and the integer keys among them.
 SECTIONS = {
-    "partitions": ("partition", ("id", "floor", "bounds"), ("id", "floor", "bounds", "door_ids")),
+    "partitions": ("partition", ("id", "floor", "bounds"),
+                   ("id", "floor", "bounds", "door_ids", "floor2"),
+                   ("id", "floor", "door_ids", "floor2")),
     "doors": ("door", ("id", "x", "y", "floor", "partition_ids"),
-              ("id", "x", "y", "floor", "partition_ids")),
+              ("id", "x", "y", "floor", "partition_ids"), ("id", "floor", "partition_ids")),
     "points": ("point", ("id", "partition_id", "x", "y", "floor", "category", "static_score"),
-               ("id", "partition_id", "x", "y", "floor", "category", "static_score")),
-    "categories": ("category", ("id",), ("id",)),
+               ("id", "partition_id", "x", "y", "floor", "category", "static_score"),
+               ("id", "partition_id", "floor", "category")),
+    "categories": ("category", ("id",), ("id",), ("id",)),
 }
 LISTS = ("bounds", "door_ids", "partition_ids")
 
@@ -131,13 +146,13 @@ def test_venue_with_a_bad_or_missing_cell_raises(tmp_path_factory, venue, data):
     if not any(venue_dict[s] for s in SECTIONS):
         return
     section, entries, n = nonempty_section(venue_dict, data)
-    _, required, numeric = SECTIONS[section]
+    _, required, numeric, integral = SECTIONS[section]
     entry = entries[n]
     if data.draw(st.booleans()):
         del entry[data.draw(st.sampled_from(required))]
     else:
         key = data.draw(st.sampled_from(numeric))
-        bad = data.draw(bad_values)
+        bad = bad_value(data, key in integral)
         entry[key] = [bad] + entry[key][1:] if key in LISTS else bad
     path = tmp_path_factory.mktemp("venue") / "venue.json"
     path.write_text(json.dumps(venue_dict))
@@ -214,6 +229,21 @@ def test_objects_csv_short_row_names_its_line(tmp_path):
         load_objects_csv(path)
 
 
+def test_objects_csv_replaces_the_venue_points(tmp_path):
+    """load_checked_venue does not merge the CSV's rows with the venue's
+    points: an 8-point venue and a 2-row CSV load as the CSV's 2 points."""
+    def point(pid, category):
+        return IndoorPoint(id=pid, partition_id=pid % 2, x=1.0 + 10 * (pid % 2), y=float(pid),
+                           floor=0, category=category, static_score=float(pid))
+
+    venue_path, objects_path = tmp_path / "venue.json", tmp_path / "objects.csv"
+    save_venue(make_two_room_venue([point(i, 0) for i in range(8)]), venue_path)
+    objects = [point(2, 1), point(9, 1)]
+    save_objects_csv(objects, objects_path)
+    assert len(load_venue(venue_path).points) == 8
+    assert load_checked_venue(venue_path, objects_path).points == {p.id: p for p in objects}
+
+
 locations = st.builds(Location, coords, coords, small, st.one_of(st.none(), ids))
 queries = st.builds(
     TripQuery, locations, locations,
@@ -242,7 +272,7 @@ def test_queries_with_a_bad_cell_raise(tmp_path_factory, batch, data):
     if where == "categories":
         cats = query["categories"]
         query["categories"] = data.draw(st.sampled_from(
-            ([], cats + cats[:1], [data.draw(bad_values)] + cats[1:])))
+            ([], cats + cats[:1], [bad_value(data, True)] + cats[1:])))
     elif where == "alpha":
         query["alpha"] = data.draw(st.one_of(bad_values, st.sampled_from((-0.5, 1.5))))
     else:
@@ -250,7 +280,7 @@ def test_queries_with_a_bad_cell_raise(tmp_path_factory, batch, data):
         if data.draw(st.booleans()) and key != "partition_id":
             del query[where][key]
         else:
-            query[where][key] = data.draw(bad_values)
+            query[where][key] = bad_value(data, key in ("floor", "partition_id"))
     lines[n] = json.dumps(query)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"queries line {n + 1} is malformed"):

@@ -268,7 +268,7 @@ def test_gcnn_completeness_and_monotone_coverage(planner):
     for route, source, target, categories, dist in cases:
         assert route.complete
         assert len(route.stops) == len(categories)
-        assert route.covered_categories == set(categories)
+        assert {s.category for s in route.stops} == set(categories)
         stop_categories = [s.category for s in route.stops]
         assert len(set(stop_categories)) == len(stop_categories)
         assert route.waypoints[0] == source
