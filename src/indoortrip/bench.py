@@ -19,7 +19,7 @@ from .dominance import PruneReport, preprocess
 from .index import VenueIndex, build_index
 from .oracle import OracleScaleError, exact_route, rank_once_greedy
 from .routing import EmptyCategoryError, EvalCounter, TripQuery, gcnn, load_queries, route_cost
-from .venue import Venue, load_checked_venue
+from .venue import Venue, as_int, load_checked_venue
 
 CSV_HEADER = "query_id,algorithm,cost,travel,static,runtime_us,points_evaluated,ratio"
 
@@ -58,8 +58,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    data = dict(data)
     if "algorithms" in data:
-        data = dict(data, algorithms=tuple(data["algorithms"]))
+        data["algorithms"] = tuple(data["algorithms"])
+    for key in sorted({"delta", "repetitions"} & set(data)):
+        try:
+            data[key] = as_int(data[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
     return ExperimentConfig(**data)
 
 

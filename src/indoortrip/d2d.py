@@ -54,6 +54,11 @@ def build_d2d_graph(venue: Venue) -> D2DGraph:
     """Connect every door pair of every partition (shared pairs keep the
     minimum weight) and measure all-pairs shortest paths over them.
 
+    The CSR holds both directions of every edge, so a directed Dijkstra
+    gives the undirected matrix bit for bit: weights are non-negative, so a
+    node u settled at or after v has fl(d[u] + w) >= d[u] >= d[v], and by
+    induction each d[v] is the same float minimum over the same candidates.
+
     The matrix is symmetrized after the fact: per-source runs can disagree
     in the last ulp because they sum path edges in opposite orders.
     Raises DisconnectedVenueError if any door is cut off."""
@@ -77,7 +82,7 @@ def build_d2d_graph(venue: Venue) -> D2DGraph:
         cols.extend((index[b], index[a]))
         weights.extend((w, w))
     n = len(door_ids)
-    dist = dijkstra(csr_matrix((weights, (rows, cols)), shape=(n, n)), directed=False)
+    dist = dijkstra(csr_matrix((weights, (rows, cols)), shape=(n, n)), directed=True)
     matrix = np.minimum(dist, dist.T)
     unreachable = np.isinf(matrix[:1]).nonzero()[1]
     if unreachable.size:

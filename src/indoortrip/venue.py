@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -342,16 +343,14 @@ def _door_entry(entry: dict) -> Door:
     )
 
 
-def _point_entry(entry: dict, integer=as_int) -> IndoorPoint:
-    """A venue JSON point, or with integer=int an objects CSV row: its
-    cells are strings, which int() already parses strictly."""
+def _point_entry(entry: dict) -> IndoorPoint:
     return IndoorPoint(
-        id=integer(entry["id"]),
-        partition_id=integer(entry["partition_id"]),
+        id=as_int(entry["id"]),
+        partition_id=as_int(entry["partition_id"]),
         x=float(entry["x"]),
         y=float(entry["y"]),
-        floor=integer(entry["floor"]),
-        category=integer(entry["category"]),
+        floor=as_int(entry["floor"]),
+        category=as_int(entry["category"]),
         static_score=float(entry["static_score"]),
     )
 
@@ -412,25 +411,35 @@ def save_objects_csv(points: Iterable[IndoorPoint], path: str | Path) -> None:
 
 
 def load_objects_csv(path: str | Path) -> list[IndoorPoint]:
+    """An objects CSV's points in file order; columns are found by header
+    name (extra ones ignored, the last of a repeated name wins) and blank
+    lines skipped.  Cells are strings, which int() parses strictly.
+    Raises ValueError on a missing column, or naming the line of a row
+    with too many or too few cells, a non-numeric cell or a repeated id."""
     points = []
     seen: set[int] = set()
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(OBJECT_CSV_HEADER) - set(reader.fieldnames or [])
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = set(OBJECT_CSV_HEADER) - set(header)
         if missing:
             raise ValueError(f"object CSV is missing columns: {sorted(missing)}")
+        position = {name: i for i, name in enumerate(header)}
+        cells = itemgetter(*(position[name] for name in OBJECT_CSV_HEADER))
+        width = len(header)
         for row in reader:
-            line = reader.line_num
+            if not row:
+                continue
             try:
-                if None in row:
-                    raise ValueError("more cells than the header has")
-                if None in row.values():
-                    raise ValueError("fewer cells than the header has")
-                point = _point_entry(row, int)
+                if len(row) != width:
+                    raise ValueError(f"{'more' if len(row) > width else 'fewer'} cells than the header has")
+                pid, part, x, y, floor, category, score = cells(row)
+                point = IndoorPoint(int(pid), int(part), float(x), float(y), int(floor),
+                                    int(category), float(score))
             except ValueError as exc:
-                raise ValueError(f"object CSV line {line} is malformed: {exc}") from None
+                raise ValueError(f"object CSV line {reader.line_num} is malformed: {exc}") from None
             if point.id in seen:
-                raise ValueError(f"object CSV line {line} repeats id {point.id}")
+                raise ValueError(f"object CSV line {reader.line_num} repeats id {point.id}")
             seen.add(point.id)
             points.append(point)
     return points

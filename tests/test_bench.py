@@ -71,6 +71,20 @@ def test_config_validation():
         config_from_dict({"venue_path": "v", "queries_path": "q", "bogus": 1})
 
 
+@pytest.mark.parametrize("key", ["delta", "repetitions"])
+@pytest.mark.parametrize("value", [True, 50.5, None])
+def test_config_from_dict_refuses_a_value_int_would_truncate(key, value):
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        config_from_dict({"venue_path": "v", "queries_path": "q", key: value})
+
+
+def test_config_from_dict_reads_an_integral_float_as_an_int():
+    cfg = config_from_dict({"venue_path": "v", "queries_path": "q", "delta": 50.0,
+                            "repetitions": 2.0})
+    assert (cfg.delta, cfg.repetitions) == (50, 2)
+    assert type(cfg.delta) is int and type(cfg.repetitions) is int
+
+
 def test_frequent_categories_ranked_and_truncated():
     loc = Location(1, 5, 0, 0)
     queries = [

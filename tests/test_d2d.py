@@ -1,9 +1,14 @@
 import dataclasses
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from indoortrip import (
     DisconnectedVenueError,
@@ -78,9 +83,9 @@ def test_door_distance_identity_and_forced_chain():
     assert door_distance(graph, 0, 2) == pytest.approx(20.0)
 
 
-def test_duplicate_door_pairs_keep_minimum_weight():
-    # two partitions share both doors; the taller one yields the longer edge
-    venue = Venue(
+def make_shared_pair_venue():
+    """Two partitions that share both doors; the taller one yields the longer edge."""
+    return Venue(
         partitions={
             0: Partition(id=0, floor=0, bounds=(0, 0, 10, 4), kind="room", door_ids=(0, 1)),
             1: Partition(id=1, floor=0, bounds=(0, 4, 10, 20), kind="room", door_ids=(0, 1)),
@@ -90,7 +95,10 @@ def test_duplicate_door_pairs_keep_minimum_weight():
             1: Door(id=1, x=10.0, y=4.0, floor=0, partition_ids=(0, 1)),
         },
     )
-    graph = build_d2d_graph(venue)
+
+
+def test_duplicate_door_pairs_keep_minimum_weight():
+    graph = build_d2d_graph(make_shared_pair_venue())
     assert graph.edges == {(0, 1): 10.0}
 
 
@@ -127,6 +135,59 @@ def test_the_door_matrix_is_built_with_the_graph_and_read_only(two_room_venue):
         graph.matrix = np.zeros((1, 1))
     room = Partition(id=0, floor=0, bounds=(0, 0, 10, 10), kind="room")
     assert build_d2d_graph(Venue(partitions={0: room}, doors={})).matrix.shape == (0, 0)
+
+
+def undirected_reference(graph):
+    """The door matrix of scipy's undirected Dijkstra over a CSR of both
+    directions of every edge, built from Python lists in edge order."""
+    index = {d: i for i, d in enumerate(graph.door_ids)}
+    rows, cols, weights = [], [], []
+    for (a, b), w in graph.edges.items():
+        rows += [index[a], index[b]]
+        cols += [index[b], index[a]]
+        weights += [w, w]
+    n = len(graph.door_ids)
+    u = dijkstra(csr_matrix((weights, (rows, cols)), shape=(n, n)), directed=False)
+    return np.minimum(u, u.T)
+
+
+def perfbench_workloads():
+    """The benchmark's pinned workloads, read from its own file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def generated_venue(**spec):
+    return lambda: build_workload(WorkloadSpec(**spec))[0]
+
+
+REFERENCE_VENUES = {
+    "two-room": make_two_room_venue,
+    "corridor-2": lambda: make_corridor_venue(rooms=2),
+    "corridor-4": make_corridor_venue,
+    "shared-pair": make_shared_pair_venue,
+    "doorless": lambda: Venue(partitions={0: Partition(id=0, floor=0, bounds=(0, 0, 10, 10))},
+                              doors={}),
+    "random-9": generated_venue(seed=5, floors=2, rooms_per_floor=9, categories=2,
+                                count_range=(1, 2), query_count=1, doors_per_room=2,
+                                query_categories=(2,)),
+    "stairs": generated_venue(seed=1, floors=2, rooms_per_floor=4, categories=2,
+                              count_range=(1, 2), query_count=1, query_categories=(2,)),
+    "desk-workload": generated_venue(seed=11, categories=8, count_range=(25, 35),
+                                     query_count=10),
+    **{f"{w.name}-{seed}": (lambda w=w, seed=seed: build_workload(w.workload_spec(seed))[0])
+       for w in perfbench_workloads().values() for seed in (w.seed, w.holdout_seed)},
+}
+
+
+@pytest.mark.parametrize("make_venue", REFERENCE_VENUES.values(), ids=REFERENCE_VENUES.keys())
+def test_the_door_matrix_is_the_undirected_reference_bit_for_bit(make_venue):
+    graph = build_d2d_graph(make_venue())
+    assert np.array_equal(graph.matrix, undirected_reference(graph))
 
 
 def test_edge_count_formula_on_generated_venue():

@@ -131,7 +131,7 @@ def pt(pid, part, x, score=2.0):
 
 
 @pytest.mark.parametrize("ids", [(3, 8), (8, 3)])
-def test_cnn_tie_within_a_leaf_goes_to_the_smaller_id(ids):
+def test_cnn_tie_between_co_located_points_goes_to_the_smaller_id(ids):
     # Co-located, equal scores, in adjacent partitions.
     venue, index = tie_venue([pt(ids[0], 0, 10.0), pt(ids[1], 1, 10.0), pt(20, 0, 2.0, 30.0)])
     here = Location(4.0, 5.0, 0, 0)
@@ -140,7 +140,7 @@ def test_cnn_tie_within_a_leaf_goes_to_the_smaller_id(ids):
 
 
 @pytest.mark.parametrize("ids", [(3, 8), (8, 3)])
-def test_cnn_tie_across_leaves_goes_to_the_smaller_id(ids):
+def test_cnn_tie_across_a_doorway_goes_to_the_smaller_id(ids):
     # Standing in the doorway between rooms 1 and 2, a point 5 m into
     # each room is equally far.
     venue, index = tie_venue([pt(ids[0], 1, 15.0), pt(ids[1], 2, 25.0)])

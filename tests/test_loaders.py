@@ -22,7 +22,7 @@ from indoortrip import (
     save_venue,
 )
 from indoortrip.routing import load_queries, save_queries
-from indoortrip.venue import PARTITION_KINDS, Door, venue_to_dict
+from indoortrip.venue import OBJECT_CSV_HEADER, PARTITION_KINDS, Door, venue_to_dict
 
 from conftest import make_two_room_venue
 
@@ -227,6 +227,70 @@ def test_objects_csv_short_row_names_its_line(tmp_path):
                     "2,0,1.0\n")
     with pytest.raises(ValueError, match="line 3 is malformed: fewer cells"):
         load_objects_csv(path)
+
+
+def dict_reader_objects(path):
+    """The objects CSV loader as written on csv.DictReader, one dict per
+    row: the reference the loader's reading by column position matches."""
+    points, seen = [], set()
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = set(OBJECT_CSV_HEADER) - set(reader.fieldnames or [])
+        if missing:
+            raise ValueError(f"object CSV is missing columns: {sorted(missing)}")
+        for row in reader:
+            line = reader.line_num
+            try:
+                if None in row:
+                    raise ValueError("more cells than the header has")
+                if None in row.values():
+                    raise ValueError("fewer cells than the header has")
+                point = IndoorPoint(
+                    id=int(row["id"]), partition_id=int(row["partition_id"]),
+                    x=float(row["x"]), y=float(row["y"]), floor=int(row["floor"]),
+                    category=int(row["category"]), static_score=float(row["static_score"]),
+                )
+            except ValueError as exc:
+                raise ValueError(f"object CSV line {line} is malformed: {exc}") from None
+            if point.id in seen:
+                raise ValueError(f"object CSV line {line} repeats id {point.id}")
+            seen.add(point.id)
+            points.append(point)
+    return points
+
+
+HEADER = ",".join(OBJECT_CSV_HEADER)
+ROWS = "1,0,1.0,2.0,0,3,4.5\n2,1,11.0,2.5,0,3,0.25\n"
+REFERENCE_FILES = {
+    "shuffled-and-extra": "note,static_score,category,floor,y,x,partition_id,id\n"
+                          "shop,4.5,3,0,2.0,1.0,0,1\nkiosk,0.25,3,0,2.5,11.0,1,2\n",
+    "blank-lines": f"{HEADER}\n\n1,0,1.0,2.0,0,3,4.5\n\n\n2,1,11.0,2.5,0,3,0.25\n\n",
+    "repeated-column": f"{HEADER},x\n1,0,9.0,2.0,0,3,4.5,1.0\n2,1,9.0,2.5,0,3,0.25,11.0\n",
+    "header-only": f"{HEADER}\n",
+    "empty": "",
+    "missing-column": "id,partition_id,x,y,floor,category\n1,0,1.0,2.0,0,3\n",
+    "blank-line-before-header": f"\n{HEADER}\n{ROWS}",
+    "short-row-after-blank-lines": f"{HEADER}\n{ROWS}\n\n3,0,1.0\n",
+    "long-row": f"{HEADER}\n{ROWS}3,0,1.0,2.0,0,3,4.5,9\n",
+    "repeated-id-after-a-blank-line": f"{HEADER}\n{ROWS}\n2,0,1.0,2.0,0,3,4.5\n",
+    "bad-cells-in-a-shuffled-row": "static_score,id,x,partition_id,y,floor,category\n"
+                                   "nan,one,two,0,2.0,0,3\n",
+    "quoted-line-break-then-a-short-row": f'{HEADER}\n1,0,"1.0\n",2.0,0,3,4.5\n2,1\n',
+}
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("text", REFERENCE_FILES.values(), ids=REFERENCE_FILES.keys())
+def test_objects_csv_reads_what_the_dict_reader_reference_reads(tmp_path, text):
+    path = tmp_path / "objects.csv"
+    path.write_text(text)
+    assert outcome(load_objects_csv, path) == outcome(dict_reader_objects, path)
 
 
 def test_objects_csv_replaces_the_venue_points(tmp_path):
