@@ -48,6 +48,9 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
+        repeated = {a for a in self.algorithms if self.algorithms.count(a) > 1}
+        if repeated:
+            raise ValueError(f"repeated algorithms: {sorted(repeated)}")
         frequent_categories([], self.delta)  # raises on a delta outside 0..100
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")

@@ -36,18 +36,13 @@ class DisconnectedVenueError(Exception):
 class D2DGraph:
     """A venue's door graph and its all-pairs shortest door distances,
     complete and immutable from construction: `build_d2d_graph` measures
-    the matrix first and leaves it read-only."""
+    the matrix first and leaves it, and each partition's `door_rows`
+    (its doors' matrix rows, in the partition's `door_ids` order), read-only."""
 
     door_ids: tuple[int, ...]                      # sorted; row/column order of the matrix
     edges: dict[tuple[int, int], float]            # (low id, high id) -> weight
     matrix: np.ndarray = field(repr=False)         # (doors, doors) shortest door-path lengths (m)
-    _index: dict[int, int] = field(repr=False)     # door id -> its row/column
-
-    def index_of(self, door_id: int) -> int:
-        try:
-            return self._index[door_id]
-        except KeyError:
-            raise KeyError(f"unknown door {door_id}") from None
+    door_rows: dict[int, np.ndarray] = field(repr=False)  # partition id -> its doors' rows
 
 
 def build_d2d_graph(venue: Venue) -> D2DGraph:
@@ -62,8 +57,13 @@ def build_d2d_graph(venue: Venue) -> D2DGraph:
     The matrix is symmetrized after the fact: per-source runs can disagree
     in the last ulp because they sum path edges in opposite orders.
     Raises DisconnectedVenueError if any door is cut off."""
+    door_ids = tuple(sorted(venue.doors))
+    index = {d: i for i, d in enumerate(door_ids)}
     edges: dict[tuple[int, int], float] = {}
+    door_rows: dict[int, np.ndarray] = {}
     for part in venue.partitions.values():
+        door_rows[part.id] = own = np.array([index[d] for d in part.door_ids], dtype=int)
+        own.flags.writeable = False
         doors = venue.partition_doors(part.id)
         for i, da in enumerate(doors):
             for db in doors[i + 1:]:
@@ -74,8 +74,6 @@ def build_d2d_graph(venue: Venue) -> D2DGraph:
                 if key not in edges or w < edges[key]:
                     edges[key] = w
 
-    door_ids = tuple(sorted(venue.doors))
-    index = {d: i for i, d in enumerate(door_ids)}
     rows, cols, weights = [], [], []
     for (a, b), w in edges.items():
         rows.extend((index[a], index[b]))
@@ -88,10 +86,10 @@ def build_d2d_graph(venue: Venue) -> D2DGraph:
     if unreachable.size:
         raise DisconnectedVenueError(door_ids[int(unreachable[0])])
     matrix.flags.writeable = False
-    return D2DGraph(door_ids=door_ids, edges=edges, matrix=matrix, _index=index)
+    return D2DGraph(door_ids=door_ids, edges=edges, matrix=matrix, door_rows=door_rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoorLegs:
     """A resolved location's straight-line legs to its partition's doors."""
 
@@ -104,14 +102,15 @@ class DoorLegs:
 class PointBlock:
     """Points laid out for the block kernel: one row per point, one column
     per door slot of its partition, padded to the widest partition with
-    door index 0 and an infinite leg."""
+    door index 0 and an infinite leg.  `by_partition` gives the rows
+    (ascending) and points in each partition: the rows a location there patches."""
 
     points: tuple[IndoorPoint, ...]
     doors: np.ndarray        # (P, K) door-matrix indices
     legs: np.ndarray         # (P, K) intra legs, inf where padded
-    partitions: np.ndarray   # (P,) partition ids
     ids: np.ndarray          # (P,) point ids
     scores: np.ndarray       # (P,) static scores
+    by_partition: dict[int, tuple[np.ndarray, tuple[IndoorPoint, ...]]]
 
 
 class DistanceEngine:
@@ -134,33 +133,23 @@ class DistanceEngine:
     `take`, so a location with many doors (a hallway) costs one row
     gather, not a 3-D fancy index per door and point slot.
 
-    The engine keeps only venue-derived state: each partition's door
-    indices and the door legs of every venue point it has laid out in a
-    block.  Nothing is kept per pair or per query location.
+    The engine keeps one cache, of venue-derived state: the door legs of
+    every venue point it has laid out in a block.  A partition's door rows
+    are the graph's `door_rows`.  Nothing is kept per pair or per query
+    location.
     """
 
     def __init__(self, venue: Venue, graph: D2DGraph):
         self.venue = venue
         self.graph = graph
-        self._part_door_idx: dict[int, np.ndarray] = {}
         self._point_legs: dict[tuple, DoorLegs] = {}
-
-    def _door_indices(self, partition_id: int) -> np.ndarray:
-        idx = self._part_door_idx.get(partition_id)
-        if idx is None:
-            idx = np.array(
-                [self.graph.index_of(d) for d in self.venue.partitions[partition_id].door_ids],
-                dtype=int,
-            )
-            self._part_door_idx[partition_id] = idx
-        return idx
 
     def _legs(self, loc: Location) -> DoorLegs:
         got = self._point_legs.get(loc.key())
         if got is None:
             part = self.venue.partitions[loc.partition_id]
             legs = [intra_distance(part, loc, d) for d in self.venue.partition_doors(part.id)]
-            got = DoorLegs(loc, self._door_indices(part.id), np.array(legs, dtype=float))
+            got = DoorLegs(loc, self.graph.door_rows[part.id], np.array(legs, dtype=float))
         return got
 
     def legs(self, loc: Location) -> DoorLegs:
@@ -178,14 +167,17 @@ class DistanceEngine:
         width = max((got.doors.size for got in rows), default=0)
         doors = np.zeros((len(points), width), dtype=int)
         legs = np.full((len(points), width), np.inf)
+        by_partition: dict[int, list[int]] = {}
         for row, got in enumerate(rows):
             doors[row, :got.doors.size] = got.doors
             legs[row, :got.legs.size] = got.legs
+            by_partition.setdefault(got.location.partition_id, []).append(row)
         return PointBlock(
             points=points, doors=doors, legs=legs,
-            partitions=np.array([p.partition_id for p in points], dtype=int),
             ids=np.array([p.id for p in points], dtype=int),
             scores=np.array([p.static_score for p in points], dtype=float),
+            by_partition={part: (np.array(at), tuple(points[r] for r in at))
+                          for part, at in by_partition.items()},
         )
 
     def door_distances(self, src: DoorLegs, doors: np.ndarray, legs: np.ndarray) -> np.ndarray:
@@ -201,9 +193,9 @@ class DistanceEngine:
         planner calls it: they read the query tables of `index`, and the
         tests compare those tables against it."""
         out = self.door_distances(src, block.doors, block.legs)
-        rows = (block.partitions == src.location.partition_id).nonzero()[0]
-        if rows.size:
-            self.patch(out, src.location, rows, [block.points[r] for r in rows.tolist()])
+        here = block.by_partition.get(src.location.partition_id)
+        if here is not None:
+            self.patch(out, src.location, *here)
         return out
 
     def patch(self, out: np.ndarray, loc: Location, rows, points) -> None:

@@ -38,7 +38,7 @@ def _stack(columns: list[np.ndarray], width: int, fill) -> np.ndarray:
         for c in columns])
 
 
-_NO_ROWS = (np.zeros(0, dtype=int), ())
+_NO_ROWS = np.zeros(0, dtype=int)
 
 
 class QueryTables:
@@ -96,10 +96,9 @@ class QueryTables:
                           (self.target.location, self.to_target)):
             for cat in self._spans:
                 self._patch(loc, cat, dist)
-        # Keyed by the id of the DoorLegs, which `located` keeps alive.
-        self._from: dict[int, tuple[np.ndarray, np.ndarray, set[int]]] = {}
+        self._from: dict[DoorLegs, tuple[np.ndarray, np.ndarray, set[int]]] = {}
         self._between: dict[tuple[int, int], np.ndarray] = {}
-        self.winner_legs: dict[tuple[int, int], tuple[float, float, float]] = {}
+        self.winner_legs: dict[tuple[DoorLegs, int], tuple[float, float, float]] = {}
 
     def legs(self, loc: Location) -> DoorLegs:
         """loc's legs to the doors of its partition, resolved on first sight."""
@@ -128,16 +127,18 @@ class QueryTables:
 
     def _patch(self, loc: Location, category: int, dist: np.ndarray) -> np.ndarray:
         """Patch dist's rows of the category in loc's partition; returns them."""
-        rows, points = self.index.partition_rows(loc.partition_id, category)
-        if points:
-            rows = rows + self._spans[category][1].start
-            self.engine.patch(dist, loc, rows, points)
+        block, span = self._spans[category]
+        here = block.by_partition.get(loc.partition_id)
+        if here is None:
+            return _NO_ROWS
+        rows = here[0] + span.start
+        self.engine.patch(dist, loc, rows, here[1])
         return rows
 
     def measured(self, legs: DoorLegs, category: int) -> tuple[np.ndarray, np.ndarray]:
         """The from location's whole distance and score rows, with the
         category's rows in its own partition patched."""
-        got = self._from.get(id(legs))
+        got = self._from.get(legs)
         if got is None:
             if legs is self.source:
                 dist, patched = self.from_source, set(self._spans)
@@ -148,7 +149,7 @@ class QueryTables:
             scores += self.to_target
             scores *= self.alpha
             scores += self.static
-            got = self._from[id(legs)] = (dist, scores, patched)
+            got = self._from[legs] = (dist, scores, patched)
         dist, scores, patched = got
         if category not in patched:
             patched.add(category)
@@ -189,10 +190,7 @@ class VenueIndex:
         for (_, cat), ids in by_part_cat.items():
             by_cat.setdefault(cat, []).extend(ids)
         self._live_by_cat = {cat: tuple(sorted(ids)) for cat, ids in by_cat.items()}
-        # Each category's block, and its rows and points in one partition,
-        # built on first use.
-        self._blocks: dict[int, PointBlock] = {}
-        self._partition_rows: dict[tuple[int, int], tuple] = {}
+        self._blocks: dict[int, PointBlock] = {}  # each category's block, built on first use
 
     def live_categories(self) -> list[int]:
         """The categories with a live point, in id order."""
@@ -217,19 +215,6 @@ class VenueIndex:
             block = self.engine.block(self.live_points(category))
             self._blocks[category] = block
         return block
-
-    def partition_rows(self, partition_id: int, category: int) -> tuple:
-        """(rows, points): the category's block rows in the partition, and their points."""
-        key = (partition_id, category)
-        got = self._partition_rows.get(key)
-        if got is None:
-            ids = self._live_by_part_cat.get(key)
-            if ids is None:
-                return _NO_ROWS
-            got = self._partition_rows[key] = (
-                np.searchsorted(self.category_block(category).ids, ids),
-                tuple(self.venue.points[i] for i in ids))
-        return got
 
     def tables(self, ctx: QueryContext) -> QueryTables:
         """The query's tables on this snapshot, kept on ctx.memo for every
@@ -261,7 +246,7 @@ class VenueIndex:
         row = int(scores[rows].argmin())  # first minimum: the smallest id among ties
         at = rows.start + row
         point = block.points[row]
-        tables.winner_legs[(id(from_legs), point.id)] = (
+        tables.winner_legs[(from_legs, point.id)] = (
             float(tables.from_source[at]), float(dist[at]), float(tables.to_target[at]))
         return point
 
@@ -271,7 +256,7 @@ class VenueIndex:
         recorded by the cnn call on this snapshot that returned the point for
         from_loc with the same context object."""
         tables = ctx.memo[self]
-        return tables.winner_legs[(id(tables.legs(from_loc)), point.id)]
+        return tables.winner_legs[(tables.legs(from_loc), point.id)]
 
     def remove_points(self, point_ids) -> "VenueIndex":
         """New snapshot with the given points dead; it shares the engine."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .venue import IndoorPoint, Location, as_int
+from .venue import IndoorPoint, Location, as_float, as_int
 
 
 class EmptyCategoryError(Exception):
@@ -197,8 +197,8 @@ def location_to_dict(loc: Location) -> dict:
 
 def location_from_dict(data: dict) -> Location:
     return Location(
-        x=float(data["x"]),
-        y=float(data["y"]),
+        x=as_float(data["x"]),
+        y=as_float(data["y"]),
         floor=as_int(data["floor"]),
         partition_id=as_int(data["partition_id"]) if "partition_id" in data else None,
     )
@@ -218,7 +218,7 @@ def query_from_dict(data: dict) -> TripQuery:
         source=location_from_dict(data["source"]),
         target=location_from_dict(data["target"]),
         categories=tuple(as_int(c) for c in data["categories"]),
-        alpha=float(data["alpha"]),
+        alpha=as_float(data["alpha"]),
     )
 
 

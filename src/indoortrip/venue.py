@@ -319,8 +319,16 @@ def as_int(value) -> int:
     return int(value)
 
 
+def as_float(value) -> float:
+    """A float field of a venue or query file, refusing a bool, which
+    float() would read as 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _partition_entry(entry: dict) -> Partition:
-    bounds = tuple(float(v) for v in entry["bounds"])
+    bounds = tuple(as_float(v) for v in entry["bounds"])
     if len(bounds) != 4:
         raise ValueError(f"bounds need 4 numbers, got {len(bounds)}")
     return Partition(
@@ -336,8 +344,8 @@ def _partition_entry(entry: dict) -> Partition:
 def _door_entry(entry: dict) -> Door:
     return Door(
         id=as_int(entry["id"]),
-        x=float(entry["x"]),
-        y=float(entry["y"]),
+        x=as_float(entry["x"]),
+        y=as_float(entry["y"]),
         floor=as_int(entry["floor"]),
         partition_ids=tuple(as_int(p) for p in entry["partition_ids"]),
     )
@@ -347,11 +355,11 @@ def _point_entry(entry: dict) -> IndoorPoint:
     return IndoorPoint(
         id=as_int(entry["id"]),
         partition_id=as_int(entry["partition_id"]),
-        x=float(entry["x"]),
-        y=float(entry["y"]),
+        x=as_float(entry["x"]),
+        y=as_float(entry["y"]),
         floor=as_int(entry["floor"]),
         category=as_int(entry["category"]),
-        static_score=float(entry["static_score"]),
+        static_score=as_float(entry["static_score"]),
     )
 
 

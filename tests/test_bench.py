@@ -60,6 +60,8 @@ def test_approximation_ratio_basics():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(venue_path="v", queries_path="q", algorithms=("magic",))
+    with pytest.raises(ValueError, match=r"repeated algorithms: \['gcnn'\]"):
+        ExperimentConfig(venue_path="v", queries_path="q", algorithms=("gcnn", "oracle", "gcnn"))
     for delta in (-1, 101):
         with pytest.raises(ValueError, match="delta"):
             ExperimentConfig(venue_path="v", queries_path="q", delta=delta)

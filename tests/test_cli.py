@@ -240,6 +240,17 @@ def test_a_non_integer_delta_exits_1(generated, tmp_path, capsys):
     assert not (tmp_path / "never.csv").exists()
 
 
+def test_a_repeated_algorithm_exits_1(generated, tmp_path, capsys):
+    inputs = ["--venue", generated["venue"], "--objects", generated["objects"],
+              "--queries", generated["queries"]]
+    assert run(["bench", *inputs, "--algorithms", "gcnn,gcnn",
+                "--out", tmp_path / "never.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: repeated algorithms: ['gcnn']")
+    assert "Traceback" not in err
+    assert not (tmp_path / "never.csv").exists()
+
+
 @pytest.mark.parametrize("x, y", [(float("nan"), float("nan")), (1e6, 1e6)], ids=["nan", "far"])
 def test_query_rejects_an_endpoint_outside_its_partition(generated, tmp_path, capsys, x, y):
     lines = generated["queries"].read_text().splitlines()

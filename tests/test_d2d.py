@@ -27,7 +27,7 @@ from conftest import make_corridor_venue, make_two_room_venue
 
 
 def door_distance(graph, a, b):
-    return graph.matrix[graph.index_of(a), graph.index_of(b)]
+    return graph.matrix[graph.door_ids.index(a), graph.door_ids.index(b)]
 
 
 def bellman_ford(graph, source):
@@ -122,7 +122,7 @@ def test_door_distance_matches_bellman_ford_on_random_venue():
     for source in graph.door_ids:
         reference = bellman_ford(graph, source)
         for target in graph.door_ids:
-            got = matrix[graph.index_of(source), graph.index_of(target)]
+            got = matrix[graph.door_ids.index(source), graph.door_ids.index(target)]
             assert got == pytest.approx(reference[target], abs=1e-9)
 
 

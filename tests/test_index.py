@@ -320,7 +320,7 @@ def test_inner_legs_equal_the_least_distance_from_their_door(seed):
         for row, p in enumerate(block.points):
             door_ids = venue.partition_doors(p.partition_id)
             assert block.doors[row, :len(door_ids)].tolist() == [
-                graph.index_of(d.id) for d in door_ids]
+                graph.door_ids.index(d.id) for d in door_ids]
             assert np.isinf(block.legs[row, len(door_ids):]).all()
             for slot, door in enumerate(door_ids):
                 leg = block.legs[row, slot]
@@ -337,16 +337,10 @@ def test_inner_legs_equal_the_least_distance_from_their_door(seed):
     assert checked > 20
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_cnn_equals_linear_scan_over_blocks_of_different_widths(seed):
-    """One more category's points stand in hallways and stairs, whose many
-    doors make its block wider than the rooms' categories': the query's
-    joined block pads the narrower ones, and cnn still equals the linear
-    scan for every category.  The oracle's `between(a, b)`, for every
-    ordered pair, is row for row the reference block kernel from each of
-    a's points to b's block, bit for bit."""
-    venue, graph, _, _ = small_workload(seed=seed)
-    rng = random.Random(seed)
+def with_many_door_points(venue, rng):
+    """The venue plus one more category's points in its hallways and
+    stairs, whose many doors make that category's block wider than the
+    rooms' categories', and a stairs point on every floor; and those points."""
     wide = max(venue.categories) + 1
     extra = []
     for pid, part in sorted(venue.partitions.items()):
@@ -362,7 +356,56 @@ def test_cnn_equals_linear_scan_over_blocks_of_different_widths(seed):
                 id=200_000 + 10 * p.partition_id + floor, partition_id=p.partition_id,
                 x=(part.bounds[0] + part.bounds[2]) / 2, y=(part.bounds[1] + part.bounds[3]) / 2,
                 floor=floor, category=wide, static_score=p.static_score))
-    venue = venue.with_points(list(venue.points.values()) + extra)
+    return venue.with_points(list(venue.points.values()) + extra), extra
+
+
+def test_door_rows_and_block_partitions_match_their_references(desk_workload):
+    """The graph's door_rows are each partition's doors as read-only matrix
+    rows, in door_ids order; each category block's by_partition holds, per
+    partition, its rows there in ascending order and their points."""
+    def point(pid, part, x, cat):
+        return IndoorPoint(id=pid, partition_id=part, x=x, y=5.0, floor=0, category=cat,
+                           static_score=1.0 + pid)
+
+    two_rooms = make_two_room_venue([point(0, 1, 12, 0), point(1, 0, 3, 0), point(2, 1, 18, 0),
+                                     point(3, 0, 7, 1)])
+    corridor = make_corridor_venue().with_points(
+        [point(i, i % 4, 10 * (i % 4) + 1 + i, i % 2) for i in range(8)])
+    many_doors, _ = with_many_door_points(small_workload(seed=0)[0], random.Random(0))
+    venues = [two_rooms, corridor, desk_workload[0], many_doors]
+    assert any(len(part.door_ids) > 2 for part in many_doors.partitions.values())
+    for venue in venues:
+        graph = build_d2d_graph(venue)
+        assert set(graph.door_rows) == set(venue.partitions)
+        for pid, part in venue.partitions.items():
+            rows = graph.door_rows[pid]
+            assert rows.tolist() == [graph.door_ids.index(d) for d in part.door_ids]
+            assert not rows.flags.writeable
+        index = build_index(venue, graph)
+        assert index.live_categories()
+        for cat in index.live_categories():
+            block = index.category_block(cat)
+            want: dict[int, tuple[list, list]] = {}
+            for row, p in enumerate(block.points):
+                want.setdefault(p.partition_id, ([], []))[0].append(row)
+                want[p.partition_id][1].append(p)
+            assert set(block.by_partition) == set(want)
+            for pid, (rows, points) in block.by_partition.items():
+                assert rows.tolist() == want[pid][0]
+                assert points == tuple(want[pid][1])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cnn_equals_linear_scan_over_blocks_of_different_widths(seed):
+    """One more category's points stand in hallways and stairs, whose many
+    doors make its block wider than the rooms' categories': the query's
+    joined block pads the narrower ones, and cnn still equals the linear
+    scan for every category.  The oracle's `between(a, b)`, for every
+    ordered pair, is row for row the reference block kernel from each of
+    a's points to b's block, bit for bit."""
+    venue, graph, _, _ = small_workload(seed=seed)
+    rng = random.Random(seed)
+    venue, extra = with_many_door_points(venue, rng)
     index = build_index(venue, graph)
     cats = index.live_categories()
     assert len({index.category_block(c).doors.shape[1] for c in cats}) > 1

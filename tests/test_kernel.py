@@ -159,9 +159,8 @@ def test_engine_keeps_no_per_query_state_over_a_stream():
     for q in queries:
         gcnn(q, index)
     engine = index.engine
-    # Only venue-derived state: door indices per partition, legs per venue point.
-    assert set(vars(engine)) == {"venue", "graph", "_part_door_idx", "_point_legs"}
-    assert set(engine._part_door_idx) <= set(venue.partitions)
+    # Only venue-derived state: legs per venue point.
+    assert set(vars(engine)) == {"venue", "graph", "_point_legs"}
     assert set(engine._point_legs) <= {p.location.key() for p in venue.points.values()}
     # The snapshot keeps what it was built with; only its caches filled, and
     # those by category, never by query.
@@ -169,7 +168,6 @@ def test_engine_keeps_no_per_query_state_over_a_stream():
     assert all(vars(index)[name] is value for name, value in built.items())
     categories = set(venue.categories)
     assert index._blocks and set(index._blocks) <= categories
-    assert set(index._partition_rows) <= {(pid, c) for pid in venue.partitions for c in categories}
 
 
 def test_concurrent_queries_on_one_snapshot_match_sequential_routes():

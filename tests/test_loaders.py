@@ -49,9 +49,10 @@ truncated = st.one_of(st.booleans(), st.floats(-1e6, 1e6).filter(lambda v: not v
 
 
 def bad_value(data, integral):
-    """A value the field refuses: for an int field, half the time one
-    that int() would truncate."""
-    return data.draw(truncated if integral and data.draw(st.booleans()) else bad_values)
+    """A value the field refuses, or one it refuses though int() would
+    truncate it (an int field) or float() read it as 0.0 or 1.0 (a float
+    field: a boolean)."""
+    return data.draw(st.one_of(truncated if integral else st.booleans(), bad_values))
 
 
 @st.composite
@@ -338,7 +339,8 @@ def test_queries_with_a_bad_cell_raise(tmp_path_factory, batch, data):
         query["categories"] = data.draw(st.sampled_from(
             ([], cats + cats[:1], [bad_value(data, True)] + cats[1:])))
     elif where == "alpha":
-        query["alpha"] = data.draw(st.one_of(bad_values, st.sampled_from((-0.5, 1.5))))
+        query["alpha"] = data.draw(st.one_of(bad_values, st.booleans(),
+                                             st.sampled_from((-0.5, 1.5))))
     else:
         key = data.draw(st.sampled_from(("x", "y", "floor", "partition_id")))
         if data.draw(st.booleans()) and key != "partition_id":
