@@ -31,9 +31,6 @@ PLANNERS = {
     "rank-once": (rank_once_greedy, False),
 }
 
-ALGORITHMS = tuple(PLANNERS)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     venue_path: str
@@ -45,7 +42,9 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        unknown = set(self.algorithms) - set(ALGORITHMS)
+        if not self.algorithms:
+            raise ValueError("the suite needs at least one algorithm")
+        unknown = set(self.algorithms) - set(PLANNERS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
         repeated = {a for a in self.algorithms if self.algorithms.count(a) > 1}
@@ -63,6 +62,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     data = dict(data)
     if "algorithms" in data:
+        if not isinstance(data["algorithms"], list):
+            raise ValueError(f"config key 'algorithms' must be a list of names, "
+                             f"got {data['algorithms']!r}")
         data["algorithms"] = tuple(data["algorithms"])
     for key in sorted({"delta", "repetitions"} & set(data)):
         try:

@@ -14,7 +14,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bench import (
-    ALGORITHMS,
     PLANNERS,
     ExperimentConfig,
     config_from_dict,
@@ -37,6 +36,8 @@ from .venue import (
     validate_venue,
 )
 from .workload import (
+    BUCKET_RANGES,
+    DESK_SCALE,
     WorkloadSpec,
     bucket_categories,
     generate_queries,
@@ -248,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-objects", help="place category objects into a venue")
     p.add_argument("--categories", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bucket", choices=["XS", "S", "M", "L", "XL"], default="M")
-    p.add_argument("--scale", type=float, default=0.1,
+    p.add_argument("--bucket", choices=list(BUCKET_RANGES), default="M")
+    p.add_argument("--scale", type=float, default=DESK_SCALE,
                    help="bucket range scale (1.0 = reference ranges)")
     p.add_argument("--stores", type=int, default=8,
                    help="rooms that carry objects at all")
@@ -269,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--m", default="2,3,4", help="category counts per query, cycled")
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--bucket", choices=["XS", "S", "M", "L", "XL"], default="M")
-    p.add_argument("--scale", type=float, default=0.1)
+    p.add_argument("--bucket", choices=list(BUCKET_RANGES), default="M")
+    p.add_argument("--scale", type=float, default=DESK_SCALE)
     p.add_argument("--categories-list", default=None,
                    help="explicit category ids (bypasses bucket selection)")
     p.set_defaults(func=cmd_gen_queries)
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objects", default=None)
     p.add_argument("--queries")
     p.add_argument("--algorithms", default="gcnn,gcnn-dom,oracle",
-                   help=f"comma list from {ALGORITHMS}")
+                   help=f"comma list from {tuple(PLANNERS)}")
     p.add_argument("--delta", dest="delta_list", default=None,
                    help="preprocessing percentage, or comma list to sweep")
     p.add_argument("--repetitions", type=int, default=1)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .routing import check_alpha
 from .venue import BOUNDARY_EPS, IndoorPoint
 
 # The certificate's margin, relative to the scale of a query's score
@@ -154,17 +155,19 @@ def preprocess(index, frequent_categories, alpha: float = 0.5) -> tuple["object"
     frequent = set(frequent_categories)
     if not frequent:
         raise ValueError("preprocess needs at least one category")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    venue = index.venue
+    check_alpha(alpha)
     reach = venue_reach(index)
     report = PruneReport(alpha=alpha, categories=tuple(sorted(frequent)))
     to_remove: list[int] = []
-    for (pid, cat), ids in sorted(index._live_by_part_cat.items()):
-        if cat in frequent and len(ids) > 1:
-            gone = certified([venue.points[i] for i in ids], alpha, reach)
-            report.add(pid, cat, len(gone))
-            to_remove.extend(gone)
+    for cat in report.categories:
+        by_part: dict[int, list[IndoorPoint]] = {}
+        for p in index.live_points(cat):  # in id order
+            by_part.setdefault(p.partition_id, []).append(p)
+        for pid, points in by_part.items():
+            if len(points) > 1:
+                gone = certified(points, alpha, reach)
+                report.add(pid, cat, len(gone))
+                to_remove.extend(gone)
 
     new_index = index.remove_points(to_remove)
     report.kept = len(new_index.alive)

@@ -1,17 +1,17 @@
 """Per-snapshot index of live points, the per-query distance tables, and
 category-nearest-neighbour search.
 
-A snapshot keeps its live points by (partition, category) and by
-category, and lays each category's live points out, on first use, as one
-block in id order.  `QueryTables` joins the blocks of one query's
-categories and holds the terms the query measures once on a snapshot and
-reads again; it is the only way a planner measures a location.  It
-measures the source, the target and each other location once, with one
-kernel call over the joined block, and patches a location's own
-partition rows of a category when that category is first read from it.
-So `cnn` is one argmin over its category's slice of a scored row, a
-`gcnn` or rank-once query of m categories makes m + 1 kernel calls, and
-the oracle one per distinct location it reads from.
+A snapshot keeps its live point ids by category, and lays each
+category's live points out, on first use, as one block in id order.
+`QueryTables` joins the blocks of one query's categories and holds the
+terms the query measures once on a snapshot and reads again; it is the
+only way a planner measures a location.  It measures the source, the
+target and each other location once, with one kernel call over the
+joined block, and patches a location's own partition rows of a category
+when that category is first read from it.  So `cnn` is one argmin over
+its category's slice of a scored row, a `gcnn` or rank-once query of m
+categories makes m + 1 kernel calls, and the oracle one per distinct
+location it reads from.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ class QueryTables:
     order, with a row range (`span`) each.
 
     - `legs(loc)`: a location's door legs, resolved and measured on first
-      sight, keyed by the location as given and as resolved.
+      sight, keyed by the location as given and as resolved: one object
+      for every form of the location.
     - `from_source`, `to_target`: every row's distance from the source and
       to the target, one kernel call each; `static` is
       `(1 - alpha) * scores`.  `category(c)` slices them.
@@ -105,8 +106,8 @@ class QueryTables:
         key = loc.key()
         got = self.located.get(key)
         if got is None:
-            got = self.located[key] = self.engine.legs(loc)
-            self.located.setdefault(got.location.key(), got)
+            fresh = self.engine.legs(loc)
+            got = self.located[key] = self.located.setdefault(fresh.location.key(), fresh)
         return got
 
     def span(self, category: int) -> tuple[PointBlock, slice]:
@@ -181,14 +182,10 @@ class VenueIndex:
         self.graph = graph
         self.alive = alive
         self.engine = engine or DistanceEngine(venue, graph)
-        by_part_cat: dict[tuple[int, int], list[int]] = {}
+        by_cat: dict[int, list[int]] = {}
         for p in venue.points.values():
             if p.id in alive:
-                by_part_cat.setdefault((p.partition_id, p.category), []).append(p.id)
-        self._live_by_part_cat = {k: tuple(sorted(v)) for k, v in by_part_cat.items()}
-        by_cat: dict[int, list[int]] = {}
-        for (_, cat), ids in by_part_cat.items():
-            by_cat.setdefault(cat, []).extend(ids)
+                by_cat.setdefault(p.category, []).append(p.id)
         self._live_by_cat = {cat: tuple(sorted(ids)) for cat, ids in by_cat.items()}
         self._blocks: dict[int, PointBlock] = {}  # each category's block, built on first use
 

@@ -21,6 +21,12 @@ class EmptyCategoryError(Exception):
     """A query category has no live point to visit."""
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless alpha, a cost's travel weight, lies in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
 @dataclass(frozen=True)
 class QueryContext:
     """Fixed per-query data every candidate score depends on.
@@ -39,8 +45,7 @@ class QueryContext:
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,7 @@ class TripQuery:
             raise ValueError("a query needs at least one category")
         if len(set(self.categories)) != len(self.categories):
             raise ValueError("query categories must be distinct")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        check_alpha(self.alpha)
 
     def context(self) -> QueryContext:
         return QueryContext(self.source, self.target, self.alpha, self.categories)

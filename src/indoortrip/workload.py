@@ -33,7 +33,6 @@ BUCKET_RANGES = {
     "L": (1450, 1550),
     "XL": (1950, 2050),
 }
-BUCKET_ORDER = ("XS", "S", "M", "L", "XL")
 
 DESK_SCALE = 0.1
 
@@ -195,9 +194,21 @@ def room_ids(venue: Venue) -> list[int]:
     return sorted(p.id for p in venue.partitions.values() if p.kind == "room")
 
 
+def random_location(rng: random.Random, venue: Venue, rooms: list[int]) -> Location:
+    """A spot drawn uniformly in a room drawn from rooms: the room, then x,
+    then y.  Every object placement and query end is drawn this way."""
+    pid = rng.choice(rooms)
+    part = venue.partitions[pid]
+    x0, y0, x1, y1 = part.bounds
+    return Location(
+        x=rng.uniform(x0, x1), y=rng.uniform(y0, y1), floor=part.floor, partition_id=pid
+    )
+
+
 def place_objects(venue: Venue, spec: WorkloadSpec) -> list[IndoorPoint]:
     """Per-category object counts from the bucket range, placed inside the
-    category's host stores; scores uniform on [0, venue diameter].
+    category's host stores; scores uniform on [0, venue diameter].  A
+    point's id is its position in the list.
 
     Objects live in a shared pool of store rooms so that categories
     co-occur inside partitions, the way products share retail outlets.
@@ -211,7 +222,6 @@ def place_objects(venue: Venue, spec: WorkloadSpec) -> list[IndoorPoint]:
     score_scale = venue_diameter(venue)
 
     points: list[IndoorPoint] = []
-    next_id = 0
     for cat in range(spec.categories):
         count = rng.randint(lo, hi)
         if spec.hosts_per_category is None:
@@ -219,21 +229,9 @@ def place_objects(venue: Venue, spec: WorkloadSpec) -> list[IndoorPoint]:
         else:
             hosts = sorted(rng.sample(stores, min(spec.hosts_per_category, len(stores))))
         for _ in range(count):
-            pid = rng.choice(hosts)
-            part = venue.partitions[pid]
-            x0, y0, x1, y1 = part.bounds
-            points.append(
-                IndoorPoint(
-                    id=next_id,
-                    partition_id=pid,
-                    x=rng.uniform(x0, x1),
-                    y=rng.uniform(y0, y1),
-                    floor=part.floor,
-                    category=cat,
-                    static_score=rng.uniform(0.0, score_scale),
-                )
-            )
-            next_id += 1
+            at = random_location(rng, venue, hosts)
+            points.append(IndoorPoint(len(points), at.partition_id, at.x, at.y, at.floor, cat,
+                                      rng.uniform(0.0, score_scale)))
     return points
 
 
@@ -243,23 +241,13 @@ def bucket_categories(points, scale: float = 1.0) -> dict[str, list[int]]:
     for p in points:
         counts[p.category] = counts.get(p.category, 0) + 1
     ranges = scaled_bucket_ranges(scale)
-    buckets: dict[str, list[int]] = {name: [] for name in BUCKET_ORDER}
+    buckets: dict[str, list[int]] = {name: [] for name in ranges}
     for cat in sorted(counts):
-        for name in BUCKET_ORDER:
-            lo, hi = ranges[name]
+        for name, (lo, hi) in ranges.items():
             if lo <= counts[cat] <= hi:
                 buckets[name].append(cat)
                 break
     return buckets
-
-
-def random_location(rng: random.Random, venue: Venue, rooms: list[int]) -> Location:
-    pid = rng.choice(rooms)
-    part = venue.partitions[pid]
-    x0, y0, x1, y1 = part.bounds
-    return Location(
-        x=rng.uniform(x0, x1), y=rng.uniform(y0, y1), floor=part.floor, partition_id=pid
-    )
 
 
 def generate_queries(categories: list[int], count: int, m, alpha: float,
@@ -294,26 +282,18 @@ def generate_queries(categories: list[int], count: int, m, alpha: float,
 def replicate_dataset(venue: Venue, points: list[IndoorPoint], k: int,
                       seed: int) -> list[IndoorPoint]:
     """k relocated copies of the object set; categories and scores travel
-    with each copy, locations are drawn fresh."""
+    with each copy, locations are drawn fresh.  A point's id is its
+    position in the list."""
     if k < 1:
         raise ValueError("replication factor must be at least 1")
     rng = stream(seed, "replicate")
     rooms = room_ids(venue)
     out: list[IndoorPoint] = []
-    next_id = 0
     for _ in range(k):
         for p in sorted(points, key=lambda p: p.id):
-            pid = rng.choice(rooms)
-            part = venue.partitions[pid]
-            x0, y0, x1, y1 = part.bounds
-            out.append(
-                IndoorPoint(
-                    id=next_id, partition_id=pid,
-                    x=rng.uniform(x0, x1), y=rng.uniform(y0, y1),
-                    floor=part.floor, category=p.category, static_score=p.static_score,
-                )
-            )
-            next_id += 1
+            at = random_location(rng, venue, rooms)
+            out.append(IndoorPoint(len(out), at.partition_id, at.x, at.y, at.floor,
+                                   p.category, p.static_score))
     return out
 
 

@@ -71,6 +71,12 @@ def test_config_validation():
     assert cfg.delta == 37
     with pytest.raises(ValueError):
         config_from_dict({"venue_path": "v", "queries_path": "q", "bogus": 1})
+    with pytest.raises(ValueError, match="at least one algorithm"):
+        ExperimentConfig(venue_path="v", queries_path="q", algorithms=())
+    with pytest.raises(ValueError, match="at least one algorithm"):
+        config_from_dict({"venue_path": "v", "queries_path": "q", "algorithms": []})
+    with pytest.raises(ValueError, match="config key 'algorithms' must be a list"):
+        config_from_dict({"venue_path": "v", "queries_path": "q", "algorithms": "gcnn"})
 
 
 @pytest.mark.parametrize("key", ["delta", "repetitions"])

@@ -308,6 +308,23 @@ def test_bench_config_with_an_unknown_key_exits_1(generated, tmp_path, capsys):
     assert "unknown config keys: ['bogus']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algorithms, message", [
+    pytest.param([], "the suite needs at least one algorithm", id="empty"),
+    pytest.param("gcnn", "config key 'algorithms' must be a list of names, got 'gcnn'",
+                 id="string"),
+])
+def test_bench_config_with_no_algorithm_list_exits_1(generated, tmp_path, capsys,
+                                                     algorithms, message):
+    out = tmp_path / "none.csv"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"venue_path": str(generated["venue"]),
+                                  "queries_path": str(generated["queries"]),
+                                  "algorithms": algorithms, "output_path": str(out)}))
+    assert run(["bench", "--config", config]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_accepts_json_config(generated, tmp_path, capsys):
     out = tmp_path / "viaconfig.csv"
     config = {

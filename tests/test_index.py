@@ -458,8 +458,10 @@ def test_remove_sole_point_drops_partition_from_inverted_file():
     graph = build_d2d_graph(venue)
     index = build_index(venue, graph)
     smaller = index.remove_points([0])
-    assert (0, 3) not in smaller._live_by_part_cat
-    assert smaller._live_by_part_cat[(1, 3)] == (1,)
+    assert [p.id for p in smaller.live_points(3)] == [1]
+    assert 0 not in smaller.category_block(3).by_partition
+    rows, there = smaller.category_block(3).by_partition[1]
+    assert rows.tolist() == [0] and [p.id for p in there] == [1]
     assert index.category_block(3).ids.tolist() == [0, 1]
     assert smaller.category_block(3).ids.tolist() == [1]
 
@@ -469,7 +471,6 @@ def test_remove_nothing_is_deep_equal():
     clone = index.remove_points([])
     assert clone.alive == index.alive
     assert clone.engine is index.engine
-    assert clone._live_by_part_cat == index._live_by_part_cat
     assert clone.live_categories() == index.live_categories()
     for cat in index.live_categories():
         assert clone.live_points(cat) == index.live_points(cat)
@@ -477,6 +478,8 @@ def test_remove_nothing_is_deep_equal():
         assert a.points == b.points
         assert a.doors.tolist() == b.doors.tolist()
         assert a.legs.tolist() == b.legs.tolist()
+        assert {part: (rows.tolist(), there) for part, (rows, there) in a.by_partition.items()} \
+            == {part: (rows.tolist(), there) for part, (rows, there) in b.by_partition.items()}
 
 
 def test_remove_points_unknown_or_dead_id_errors():

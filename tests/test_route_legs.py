@@ -270,3 +270,22 @@ def test_contexts_keep_value_semantics_after_serving_cnn():
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
     assert "memo" not in repr(used)
+
+
+def test_a_location_given_bare_and_resolved_is_measured_once(monkeypatch):
+    """cnn from the bare form of a context's resolved source reuses the
+    source's legs: it makes no kernel call of its own, and cnn_legs finds
+    the winner from either form."""
+    venue, graph, index, queries = small_workload(seed=0)
+    query = queries[0]
+    source, target = venue.resolve(query.source), venue.resolve(query.target)
+    bare = Location(source.x, source.y, source.floor)
+    ctx = QueryContext(source, target, query.alpha)
+    engine = index.engine
+    calls = []
+    door_distances = engine.door_distances
+    monkeypatch.setattr(engine, "door_distances",
+                        lambda src, doors, legs: calls.append(src) or door_distances(src, doors, legs))
+    point = index.cnn(bare, query.categories[0], ctx)
+    assert len(calls) == 2  # the source and the target, once each
+    assert index.cnn_legs(source, point, ctx) == index.cnn_legs(bare, point, ctx)

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -215,3 +216,27 @@ def test_replicate_rejects_nonpositive_k():
     points = place_objects(venue, spec)
     with pytest.raises(ValueError):
         replicate_dataset(venue, points, k=0, seed=1)
+
+
+CLUSTERED = WorkloadSpec(seed=11, categories=5, count_range=(10, 20))
+UNIFORM = WorkloadSpec(seed=12, categories=5, count_range=(10, 20), hosts_per_category=None)
+
+
+@pytest.mark.parametrize("make, digest", [
+    pytest.param(lambda: place_objects(generate_venue(CLUSTERED), CLUSTERED),
+                 "ef5f311ca9e3f4e4e8c98ba7896b1fd69311ef73db7f9d89880677daa686e20f",
+                 id="clustered"),
+    pytest.param(lambda: place_objects(generate_venue(UNIFORM), UNIFORM),
+                 "1f416ab08f3011a7b36b69153d5188d3799602e13d071992f27368f214e3e75d",
+                 id="uniform"),
+    pytest.param(lambda: replicate_dataset(generate_venue(CLUSTERED),
+                                           place_objects(generate_venue(CLUSTERED), CLUSTERED),
+                                           k=3, seed=13),
+                 "5b65ef87c48c9732fc2d159a7e96a1408b849618f01b79eda90a029000d10acb",
+                 id="replicate-k3"),
+])
+def test_generated_objects_are_pinned(tmp_path, make, digest):
+    """The objects file of a clustered placement, a uniform one (as the
+    spread workload draws) and a 3x replication, byte for byte."""
+    save_objects_csv(make(), tmp_path / "objects.csv")
+    assert hashlib.sha256((tmp_path / "objects.csv").read_bytes()).hexdigest() == digest
