@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +20,6 @@ from .index import VenueIndex, build_index
 from .oracle import OracleScaleError, exact_route, rank_once_greedy
 from .routing import EmptyCategoryError, EvalCounter, TripQuery, gcnn, load_queries, route_cost
 from .venue import Venue, as_int, load_checked_venue
-
-CSV_HEADER = "query_id,algorithm,cost,travel,static,runtime_us,points_evaluated,ratio"
 
 # name -> (planner(query, index, counter=...), whether it runs on the pruned index)
 PLANNERS = {
@@ -50,7 +48,7 @@ class ExperimentConfig:
         repeated = {a for a in self.algorithms if self.algorithms.count(a) > 1}
         if repeated:
             raise ValueError(f"repeated algorithms: {sorted(repeated)}")
-        frequent_categories([], self.delta)  # raises on a delta outside 0..100
+        check_delta(self.delta)
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
 
@@ -76,6 +74,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 @dataclass
 class ResultRow:
+    """One result row; its fields before `error` are the CSV's columns."""
     query_id: int
     algorithm: str
     cost: float | None
@@ -87,19 +86,11 @@ class ResultRow:
     error: str | None = None
 
     def csv_fields(self) -> list[str]:
-        def num(v):
-            return "" if v is None else repr(v)
+        values = (getattr(self, f.name) for f in fields(self)[:-1])
+        return ["" if v is None else str(v) for v in values]
 
-        return [
-            str(self.query_id),
-            self.algorithm,
-            num(self.cost),
-            num(self.travel),
-            num(self.static),
-            str(self.runtime_us),
-            str(self.points_evaluated),
-            num(self.ratio),
-        ]
+
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow)[:-1])
 
 
 def approximation_ratio(cost: float, optimal_cost: float) -> float:
@@ -108,11 +99,15 @@ def approximation_ratio(cost: float, optimal_cost: float) -> float:
     return cost / optimal_cost
 
 
-def frequent_categories(queries: list[TripQuery], delta: int) -> list[int]:
-    """The delta% most frequent query categories, most frequent first;
-    delta must lie in 0..100."""
+def check_delta(delta: int) -> None:
+    """The preprocessing percentage must lie in 0..100."""
     if not 0 <= delta <= 100:
         raise ValueError(f"delta must lie in 0..100, got {delta}")
+
+
+def frequent_categories(queries: list[TripQuery], delta: int) -> list[int]:
+    """The delta% most frequent query categories, most frequent first."""
+    check_delta(delta)
     counts: dict[int, int] = {}
     for q in queries:
         for c in q.categories:
@@ -148,11 +143,28 @@ def pruned_index(index: VenueIndex, queries: list[TripQuery],
     return preprocess(index, cats, alpha=max(q.alpha for q in queries))
 
 
-def _run_algorithm(algorithm: str, query: TripQuery, indices: dict[str, VenueIndex]):
+def set_up(venue: Venue, queries: list[TripQuery], algorithms, delta: int
+           ) -> tuple[dict[str, VenueIndex], PruneReport | None, int]:
+    """The full index as "full", plus the pruned_index snapshot as "pruned"
+    when a listed planner runs pruned; with the prune report and the
+    pruning time in microseconds, 0 when nothing was pruned."""
+    indices = {"full": build_index(venue, build_d2d_graph(venue))}
+    report, preprocess_us = None, 0
+    if any(PLANNERS[a][1] for a in algorithms):
+        start = time.perf_counter_ns()
+        indices["pruned"], report = pruned_index(indices["full"], queries, delta)
+        if report is not None:
+            preprocess_us = max(1, (time.perf_counter_ns() - start) // 1000)
+    return indices, report, preprocess_us
+
+
+def run_planner(algorithm: str, query: TripQuery, indices: dict[str, VenueIndex], **limits):
+    """One counted, timed planner call on the algorithm's index: the route,
+    the points it evaluated and its runtime in microseconds."""
     planner, pruned = PLANNERS[algorithm]
     counter = EvalCounter()
     start = time.perf_counter_ns()
-    route = planner(query, indices["pruned" if pruned else "full"], counter=counter)
+    route = planner(query, indices["pruned" if pruned else "full"], counter=counter, **limits)
     elapsed_us = max(1, (time.perf_counter_ns() - start) // 1000)
     return route, counter.point_evals, elapsed_us
 
@@ -165,17 +177,8 @@ def load_experiment_inputs(config: ExperimentConfig) -> tuple[Venue, list[TripQu
 def run_experiment(config: ExperimentConfig,
                    inputs: tuple[Venue, list[TripQuery]] | None = None) -> ExperimentResult:
     venue, queries = inputs if inputs is not None else load_experiment_inputs(config)
-    graph = build_d2d_graph(venue)
-    index = build_index(venue, graph)
-    indices = {"full": index}
-
-    prune_report = None
-    preprocess_us = 0
-    if any(PLANNERS[a][1] for a in config.algorithms):
-        start = time.perf_counter_ns()
-        indices["pruned"], prune_report = pruned_index(index, queries, config.delta)
-        if prune_report is not None:
-            preprocess_us = max(1, (time.perf_counter_ns() - start) // 1000)
+    indices, prune_report, preprocess_us = set_up(venue, queries, config.algorithms,
+                                                  config.delta)
 
     rows: list[ResultRow] = []
     optima: dict[int, float] = {}
@@ -185,7 +188,7 @@ def run_experiment(config: ExperimentConfig,
         for algorithm in sorted(config.algorithms):
             for _ in range(config.repetitions):
                 try:
-                    route, evals, elapsed_us = _run_algorithm(algorithm, query, indices)
+                    route, evals, elapsed_us = run_planner(algorithm, query, indices)
                 except (OracleScaleError, EmptyCategoryError) as exc:
                     rows.append(
                         ResultRow(
@@ -212,7 +215,6 @@ def run_experiment(config: ExperimentConfig,
             if row.cost is not None and opt is not None and opt > 0.0:
                 row.ratio = approximation_ratio(row.cost, opt)
 
-    rows.sort(key=lambda r: (r.query_id, r.algorithm))
     summary = summarize(rows, config, preprocess_us)
     result = ExperimentResult(
         config=config, rows=rows, summary=summary,

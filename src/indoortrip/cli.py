@@ -16,9 +16,11 @@ from pathlib import Path
 from .bench import (
     PLANNERS,
     ExperimentConfig,
+    check_delta,
     config_from_dict,
-    frequent_categories,
     pruned_index,
+    run_planner,
+    set_up,
     sweep_delta,
     write_summary,
 )
@@ -26,7 +28,7 @@ from .d2d import build_d2d_graph
 from .dominance import preprocess
 from .index import build_index
 from .oracle import ORACLE_CATEGORY_LIMIT
-from .routing import EvalCounter, load_queries, route_to_dict
+from .routing import load_queries, route_to_dict
 from .venue import (
     load_checked_venue,
     load_objects_csv,
@@ -150,42 +152,37 @@ def cmd_prune(args) -> int:
     return 0
 
 
-def _run_queries(args, algorithm: str) -> int:
+def _run_queries(args, algorithm: str, delta: int) -> int:
+    """One JSON line per query, each route with the points it evaluated."""
     venue = load_checked_venue(args.venue, args.objects)
-    index = build_index(venue, build_d2d_graph(venue))
     queries = load_queries(args.queries)
+    indices, _, _ = set_up(venue, queries, (algorithm,), delta)
 
-    planner, pruned = PLANNERS[algorithm]
-    if pruned:
-        index, _ = pruned_index(index, queries, args.delta)
-
-    outputs = []
+    lines = []
     for query in queries:
         limits = {}
         if algorithm == "oracle":
             limits["limit"] = len(query.categories) if args.force else args.limit
-        counter = EvalCounter()
-        route = planner(query, index, counter=counter, **limits)
+        route, evals, _ = run_planner(algorithm, query, indices, **limits)
         payload = route_to_dict(route, query.alpha)
-        payload["points_evaluated"] = counter.point_evals
-        outputs.append(payload)
+        payload["points_evaluated"] = evals
+        lines.append(json.dumps(payload, sort_keys=True) + "\n")
 
-    text = "\n".join(json.dumps(o, sort_keys=True) for o in outputs)
     if args.out:
-        Path(args.out).write_text(text + "\n")
-        print(f"wrote {args.out}: {len(outputs)} routes")
+        Path(args.out).write_text("".join(lines))
+        print(f"wrote {args.out}: {len(lines)} routes")
     else:
-        print(text)
+        sys.stdout.write("".join(lines))
     return 0
 
 
 def cmd_query(args) -> int:
-    frequent_categories([], args.delta)  # raises on a delta outside 0..100
-    return _run_queries(args, args.algorithm)
+    check_delta(args.delta)
+    return _run_queries(args, args.algorithm, args.delta)
 
 
 def cmd_oracle(args) -> int:
-    return _run_queries(args, "oracle")
+    return _run_queries(args, "oracle", delta=0)  # the oracle runs unpruned
 
 
 def _delta_list(text: str) -> list[int]:

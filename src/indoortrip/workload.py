@@ -91,36 +91,30 @@ class WorkloadSpec:
         return scaled_bucket_ranges(self.bucket_scale)[self.bucket]
 
 
-def generate_venue(spec: WorkloadSpec) -> Venue:
-    """Grid-of-rooms floors on a hallway spine, stairs between floors."""
-    partitions: dict[int, Partition] = {}
-    doors: dict[int, Door] = {}
-    next_part = 0
-    next_door = 0
-
+def _layout(spec: WorkloadSpec) -> tuple[list[dict], list[Door]]:
+    """Each partition's fields but its door list, and each door, both in id
+    order: per floor its hallway then its rooms, then the stairs."""
+    parts: list[dict] = []
+    doors: list[Door] = []  # a door's id is its position
     if spec.floors == 1 and spec.rooms_per_floor == 1:
         # Degenerate single-room venue: one partition, one exterior door.
-        partitions[0] = Partition(
-            id=0, floor=0, bounds=(0.0, 0.0, ROOM_W, ROOM_D), kind="room", door_ids=(0,)
-        )
-        doors[0] = Door(id=0, x=ROOM_W / 2.0, y=0.0, floor=0, partition_ids=(0,))
-        return Venue(partitions=partitions, doors=doors)
+        parts.append(dict(floor=0, bounds=(0.0, 0.0, ROOM_W, ROOM_D), kind="room"))
+        doors.append(Door(0, ROOM_W / 2.0, 0.0, 0, (0,)))
+        return parts, doors
 
     north = math.ceil(spec.rooms_per_floor / 2)
     south = spec.rooms_per_floor - north
     width = north * ROOM_W
 
-    hall_ids: dict[int, int] = {}
+    hall_ids: list[int] = []
     for floor in range(spec.floors):
-        hall_id = next_part
-        next_part += 1
-        hall_ids[floor] = hall_id
-        hall_doors: list[int] = []
+        hall_id = len(parts)
+        hall_ids.append(hall_id)
+        parts.append(dict(floor=floor, bounds=(0.0, 0.0, width, HALL_D), kind="hallway"))
 
         room_specs = [(i, True) for i in range(north)] + [(i, False) for i in range(south)]
         for i, is_north in room_specs:
-            room_id = next_part
-            next_part += 1
+            room_id = len(parts)
             x0 = i * ROOM_W
             if is_north:
                 bounds = (x0, HALL_D, x0 + ROOM_W, HALL_D + ROOM_D)
@@ -128,56 +122,36 @@ def generate_venue(spec: WorkloadSpec) -> Venue:
             else:
                 bounds = (x0, -ROOM_D, x0 + ROOM_W, 0.0)
                 door_y = 0.0
-            room_doors = []
+            parts.append(dict(floor=floor, bounds=bounds, kind="room"))
             for j in range(spec.doors_per_room):
                 door_x = x0 + ROOM_W * (j + 1) / (spec.doors_per_room + 1)
-                doors[next_door] = Door(
-                    id=next_door, x=door_x, y=door_y, floor=floor,
-                    partition_ids=(hall_id, room_id),
-                )
-                room_doors.append(next_door)
-                hall_doors.append(next_door)
-                next_door += 1
-            partitions[room_id] = Partition(
-                id=room_id, floor=floor, bounds=bounds, kind="room",
-                door_ids=tuple(room_doors),
-            )
-
-        partitions[hall_id] = Partition(
-            id=hall_id, floor=floor, bounds=(0.0, 0.0, width, HALL_D),
-            kind="hallway", door_ids=tuple(hall_doors),
-        )
+                doors.append(Door(len(doors), door_x, door_y, floor, (hall_id, room_id)))
 
     for floor in range(spec.floors - 1):
-        stairs_id = next_part
-        next_part += 1
+        stairs_id = len(parts)
         east = floor % 2 == 0
-        if east:
-            bounds = (width, 0.0, width + STAIR_W, HALL_D)
-            door_x = width
-        else:
-            bounds = (-STAIR_W, 0.0, 0.0, HALL_D)
-            door_x = 0.0
-        lower = Door(id=next_door, x=door_x, y=HALL_D / 2.0, floor=floor,
-                     partition_ids=(hall_ids[floor], stairs_id))
-        upper = Door(id=next_door + 1, x=door_x, y=HALL_D / 2.0, floor=floor + 1,
-                     partition_ids=(hall_ids[floor + 1], stairs_id))
-        doors[lower.id] = lower
-        doors[upper.id] = upper
-        next_door += 2
-        partitions[stairs_id] = Partition(
-            id=stairs_id, floor=floor, bounds=bounds, kind="stairs",
-            door_ids=(lower.id, upper.id), floor2=floor + 1,
-        )
-        for hid, did in ((hall_ids[floor], lower.id), (hall_ids[floor + 1], upper.id)):
-            hall = partitions[hid]
-            partitions[hid] = Partition(
-                id=hall.id, floor=hall.floor, bounds=hall.bounds, kind=hall.kind,
-                door_ids=hall.door_ids + (did,),
-            )
+        bounds = (width, 0.0, width + STAIR_W, HALL_D) if east else (-STAIR_W, 0.0, 0.0, HALL_D)
+        parts.append(dict(floor=floor, bounds=bounds, kind="stairs", floor2=floor + 1))
+        for f in (floor, floor + 1):
+            doors.append(Door(len(doors), width if east else 0.0, HALL_D / 2.0, f,
+                              (hall_ids[f], stairs_id)))
+    return parts, doors
 
-    categories = {i: f"cat-{i}" for i in range(spec.categories)}
-    return Venue(partitions=partitions, doors=doors, categories=categories)
+
+def generate_venue(spec: WorkloadSpec) -> Venue:
+    """Grid-of-rooms floors on a hallway spine, stairs between floors.  A
+    partition lists the doors that name it, in ascending id order."""
+    parts, doors = _layout(spec)
+    door_ids: list[list[int]] = [[] for _ in parts]
+    for d in doors:
+        for pid in d.partition_ids:
+            door_ids[pid].append(d.id)
+    return Venue(
+        partitions={pid: Partition(id=pid, door_ids=tuple(door_ids[pid]), **fields)
+                    for pid, fields in enumerate(parts)},
+        doors={d.id: d for d in doors},
+        categories={i: f"cat-{i}" for i in range(spec.categories)},
+    )
 
 
 def venue_diameter(venue: Venue) -> float:

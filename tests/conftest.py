@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from indoortrip import (
@@ -35,6 +39,16 @@ def make_corridor_venue(rooms=4, width=10.0):
         ids = tuple(p for p in (j - 1, j) if 0 <= p < rooms)
         doors[j] = Door(id=j, x=j * width, y=width / 2, floor=0, partition_ids=ids)
     return Venue(partitions=partitions, doors=doors)
+
+
+def perfbench_workloads():
+    """The benchmark's pinned workloads, read from its own file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
 
 def small_workload(seed=0, **overrides):

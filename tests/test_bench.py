@@ -128,6 +128,10 @@ def test_full_suite_produces_ratios_of_at_least_one(tmp_path):
     assert all(r.ratio == 1.0 for r in oracle_rows)
 
 
+def test_csv_header_is_the_documented_one():
+    assert CSV_HEADER == "query_id,algorithm,cost,travel,static,runtime_us,points_evaluated,ratio"
+
+
 def test_csv_schema_and_determinism_excluding_runtime(tmp_path):
     paths, _ = write_workload(tmp_path)
     outputs = []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -127,6 +128,50 @@ def test_query_and_oracle_routes(generated, tmp_path):
     opt = [json.loads(l) for l in exact.read_text().splitlines()]
     for got, best in zip(entries, opt):
         assert best["cost"] <= got["cost"] + 1e-9
+
+
+# sha256 of each output file on the fixture's inputs; the bench CSV with its
+# runtime column blanked.
+OUTPUT_PINS = {
+    ("query", "--algorithm", "gcnn"):
+        "d2d09da2371a518ccb7974e04c27e5c3a6540b6cf59fbca183ee7a9ec1e129d3",
+    ("query", "--algorithm", "gcnn-dom"):
+        "5e29dc8bcf4e633e3d764baebf7d51cc4ff78d59015281c039e210b63272b657",
+    ("query", "--algorithm", "rank-once"):
+        "810855d7947aae65f225953a452ed44dbee87131bda407b60f84de02658ac7bd",
+    ("oracle",): "0ec739b1cdf86e11079c57daee78af53da910605a842a8f4cba771a0e7b8829f",
+    ("prune", "--delta", "50"): "bdee1ef2d013cfe6b5611a72e872d6f0abc9f090c422a76376c39b19a72c1143",
+    ("bench", "--algorithms", "gcnn,gcnn-dom,oracle,rank-once", "--delta", "50"):
+        "b50ea81eade6d3a5c13f0c745633bfe95cac2b6dbbc0fc64b03e554a39a3b865",
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_PINS, ids=lambda c: " ".join(c))
+def test_outputs_are_pinned(generated, tmp_path, command):
+    out = tmp_path / "out"
+    assert run([*command, "--venue", generated["venue"], "--objects", generated["objects"],
+                "--queries", generated["queries"], "--out", out]) == 0
+    data = out.read_bytes()
+    if command[0] == "bench":
+        lines = [line.split(b",") for line in data.splitlines(keepends=True)]
+        for cells in lines[1:]:
+            cells[5] = b""
+        data = b"".join(b",".join(cells) for cells in lines)
+    assert hashlib.sha256(data).hexdigest() == OUTPUT_PINS[command]
+
+
+@pytest.mark.parametrize("command", [["query"], ["query", "--algorithm", "gcnn-dom"], ["oracle"]],
+                         ids=" ".join)
+def test_an_empty_queries_file_gives_no_routes(generated, tmp_path, capsys, command):
+    queries, out = tmp_path / "none.jsonl", tmp_path / "routes.jsonl"
+    queries.write_text("")
+    inputs = ["--venue", generated["venue"], "--objects", generated["objects"],
+              "--queries", queries]
+    assert run([*command, *inputs, "--out", out]) == 0
+    assert out.read_bytes() == b""
+    assert "0 routes" in capsys.readouterr().out
+    assert run([*command, *inputs]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_oracle_guard_refuses_large_queries(generated, tmp_path, capsys):

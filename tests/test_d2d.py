@@ -1,9 +1,6 @@
 import dataclasses
-import importlib.util
 import math
 import random
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +20,7 @@ from indoortrip import (
 )
 from indoortrip.venue import intra_distance
 
-from conftest import make_corridor_venue, make_two_room_venue
+from conftest import make_corridor_venue, make_two_room_venue, perfbench_workloads
 
 
 def door_distance(graph, a, b):
@@ -149,16 +146,6 @@ def undirected_reference(graph):
     n = len(graph.door_ids)
     u = dijkstra(csr_matrix((weights, (rows, cols)), shape=(n, n)), directed=False)
     return np.minimum(u, u.T)
-
-
-def perfbench_workloads():
-    """The benchmark's pinned workloads, read from its own file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
 
 
 def generated_venue(**spec):

@@ -2,6 +2,7 @@
 measured: pinned routes on the acceptance fixture, no scalar distance call
 on a query path, and a cnn memo that lives with its query context."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -19,13 +20,14 @@ from indoortrip import (
     build_workload,
     exact_route,
     gcnn,
+    generate_queries,
     preprocess,
     rank_once_greedy,
 )
-from indoortrip.bench import frequent_categories
+from indoortrip.bench import frequent_categories, pruned_index
 from indoortrip.routing import route_to_dict
 
-from conftest import small_workload
+from conftest import perfbench_workloads, small_workload
 
 # sha256 of the JSON list of route dicts over the fixture's 50 queries, as
 # the planners produced them when every leg was a scalar distance call.
@@ -56,12 +58,72 @@ def runs(index, pruned):
             ("rank-once", rank_once_greedy, index), ("oracle", exact_route, index))
 
 
+def routes_digest(plan, queries, index):
+    dicts = [route_to_dict(plan(q, index), q.alpha) for q in queries]
+    return hashlib.sha256(json.dumps(dicts, sort_keys=True).encode()).hexdigest()
+
+
 def test_routes_on_the_acceptance_fixture_are_pinned():
     index, pruned, queries = build_fixture()
     for name, plan, idx in runs(index, pruned):
-        dicts = [route_to_dict(plan(q, idx), q.alpha) for q in queries]
-        digest = hashlib.sha256(json.dumps(dicts, sort_keys=True).encode()).hexdigest()
+        digest = routes_digest(plan, queries, idx)
         assert digest == PINNED["gcnn" if name == "gcnn-dom" else name], name
+
+
+# sha256 of the route dicts over the benchmark's `big` (seed 3) and `spread`
+# (seed 7) query streams, as the planners produced them before the venue
+# generator listed partitions in id order.  gcnn-dom runs on the snapshot
+# bench.pruned_index gives at delta 100, so it must hash to gcnn's.
+WORKLOAD_PINS = {
+    "big": {
+        "gcnn": "7a5c209a75de6d5bfbd2b81f9d0ecad04eca8139ccfb0c5ee8d21f776548fe3a",
+        "rank-once": "76510d8b8d10a627c045f9724dacc9f5f70ef707a4c5d39379c0d715ff36c419",
+    },
+    "spread": {
+        "gcnn": "0c927fc422893c0539cc4b273a81a711c21111e4c009eb25c75dacdc24a966cf",
+        "rank-once": "6d1246f80e0660239982c3915554aafd26bceda28eca8011746e472d90ddcfd1",
+        "oracle": "e5ab1d8b12f9f8b7747d73eaf8a8263b3bb8c10c8b2502b95277644f2d097e1e",
+    },
+}
+
+
+@pytest.mark.parametrize("name, seed", [("big", 3), ("spread", 7)])
+def test_routes_on_the_benchmark_workloads_are_pinned(name, seed):
+    """Each planner the benchmark runs on the workload, generated in-process;
+    its alphas split over the stream in order, as the benchmark's inputs
+    split them."""
+    workload = perfbench_workloads()[name]
+    venue, _, queries = build_workload(workload.workload_spec(seed))
+    if workload.alphas:
+        share = len(workload.alphas)
+        queries = [dataclasses.replace(q, alpha=workload.alphas[i * share // len(queries)])
+                   for i, q in enumerate(queries)]
+    index = build_index(venue, build_d2d_graph(venue))
+    pruned, _ = pruned_index(index, queries, 100)
+    plans = {"gcnn": (gcnn, index), "gcnn-dom": (gcnn, pruned),
+             "rank-once": (rank_once_greedy, index), "oracle": (exact_route, index)}
+    for algorithm in workload.planners:
+        plan, idx = plans[algorithm]
+        digest = routes_digest(plan, queries, idx)
+        pin = WORKLOAD_PINS[name]["gcnn" if algorithm == "gcnn-dom" else algorithm]
+        assert digest == pin, algorithm
+
+
+# sha256 of exact_route's route dicts over three desk queries of m categories.
+EXACT_PINS = {
+    5: "f8e6ef25cb9dbfd6b051be74fa15fea79e9c51d8a6561d61f820382deb2ee698",
+    6: "d75bdd360047d44dd27681c1c937ce64c4d24fbd31a305650a703b2fd3e3b174",
+}
+
+
+def test_exact_routes_on_desk_at_five_and_six_categories_are_pinned():
+    desk = perfbench_workloads()["desk"]
+    venue, points, _ = build_workload(desk.workload_spec(desk.seed))
+    index = build_index(venue, build_d2d_graph(venue))
+    eligible = sorted({p.category for p in points})
+    for m, pin in EXACT_PINS.items():
+        queries = generate_queries(eligible, 3, m, 0.5, venue, desk.seed)
+        assert routes_digest(exact_route, queries, index) == pin, m
 
 
 def test_no_scalar_distance_call_on_a_query_path(monkeypatch):

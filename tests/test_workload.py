@@ -1,4 +1,5 @@
 import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -17,7 +18,7 @@ from indoortrip import (
     validate_venue,
 )
 from indoortrip.routing import save_queries
-from indoortrip.venue import IndoorPoint
+from indoortrip.venue import IndoorPoint, venue_to_dict
 
 
 def test_single_room_venue_is_minimal_and_valid():
@@ -27,6 +28,47 @@ def test_single_room_venue_is_minimal_and_valid():
     assert len(venue.partitions) == 1
     assert len(venue.doors) >= 1
     assert validate_venue(venue).ok
+
+
+def test_single_room_venue_names_its_categories():
+    venue = generate_venue(WorkloadSpec(floors=1, rooms_per_floor=1, categories=3))
+    assert venue.categories == {0: "cat-0", 1: "cat-1", 2: "cat-2"}
+
+
+# sha256 of the venue JSON per (floors, rooms per floor, doors per room),
+# with the default 8 categories.  The single-room venue read 50e9a37c...
+# while it dropped its category names.
+VENUE_PINS = {
+    (1, 1, 1): "aa10b1d2e99af912119e1cbd00aa362161ce9f2b420ce27ec257cbe28b64215c",
+    (1, 2, 1): "0f8d297e2eca0df37db9dae662481e4d6fd727c95aa60d9290840543a381ca00",
+    (1, 7, 2): "d8cfc2f955c71fbd01c588983cd18438e7f69268aa6e492b13f945ae1f02fb88",
+    (2, 8, 1): "7c7e0efc9b314279c5dc95c3f5e3bac50898a861cab64209406e13f988c40028",
+    (3, 16, 1): "2edb314d286893e29bb0f4270ee7b13fbaca6060cd8fd0c7206a5e8711b154e1",
+    (4, 12, 3): "1e50e8432f96a1e7b2cb6b346381495494804f17527c0c22ef584599c2331ee4",
+    (6, 30, 1): "ccb7df16596bc32fd62c11ca55aa377317b38ad070b149c7c21d56c6c1b8f376",
+}
+
+
+@pytest.mark.parametrize("shape", VENUE_PINS, ids=lambda s: "x".join(map(str, s)))
+def test_generated_venues_are_pinned(shape):
+    floors, rooms, doors = shape
+    venue = generate_venue(WorkloadSpec(floors=floors, rooms_per_floor=rooms,
+                                        doors_per_room=doors))
+    text = json.dumps(venue_to_dict(venue), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == VENUE_PINS[shape]
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 7, 2), (3, 5, 3), (4, 12, 1)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_generated_partitions_come_in_id_order_and_list_the_doors_naming_them(shape):
+    floors, rooms, doors = shape
+    venue = generate_venue(WorkloadSpec(floors=floors, rooms_per_floor=rooms,
+                                        doors_per_room=doors))
+    assert list(venue.partitions) == sorted(venue.partitions)
+    for pid, part in venue.partitions.items():
+        assert part.id == pid
+        naming = sorted(d.id for d in venue.doors.values() if pid in d.partition_ids)
+        assert list(part.door_ids) == naming
 
 
 def test_default_venue_validates_and_connects():
