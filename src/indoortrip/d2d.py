@@ -5,7 +5,8 @@ their intra-partition distance.  All longer-range distances reduce to
 shortest paths over this graph plus straight-line legs inside the first
 and last partition.  `build_d2d_graph` measures the shortest path of
 every door pair once, into the graph's door matrix, before it returns
-the graph.  The engine evaluates that formula for one location against
+the graph: a block Bellman-Ford in numpy, one partition's door clique
+per step.  The engine evaluates that formula for one location against
 a whole block of points in a single numpy expression, its one kernel
 (`door_distances`), and then patches the rows in the location's own
 partition to their straight-line distance (`patch`), in one Python
@@ -16,12 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .venue import IndoorPoint, Location, Venue, intra_distance
+
+# Floats in one block relaxation's (doors, doors, sources) temporary.
+_RELAX_FLOATS = 2 ** 18
 
 
 class DisconnectedVenueError(Exception):
@@ -49,13 +52,17 @@ def build_d2d_graph(venue: Venue) -> D2DGraph:
     """Connect every door pair of every partition (shared pairs keep the
     minimum weight) and measure all-pairs shortest paths over them.
 
-    The CSR holds both directions of every edge, so a directed Dijkstra
-    gives the undirected matrix bit for bit: weights are non-negative, so a
-    node u settled at or after v has fl(d[u] + w) >= d[u] >= d[v], and by
-    induction each d[v] is the same float minimum over the same candidates.
-
-    The matrix is symmetrized after the fact: per-source runs can disagree
-    in the last ulp because they sum path edges in opposite orders.
+    A block Bellman-Ford: each partition relaxes its door clique for every
+    source at once, over a breadth-first walk of the partitions, deepest
+    first, then back and forth until a sweep changes nothing.  This is
+    directed Dijkstra's matrix bit for bit.  A relaxation forms fl(d[u] + w),
+    the sum Dijkstra forms, and min is exact; fl(a + w) never decreases as
+    a grows and is at least a for w >= 0, so a walk that repeats a door
+    never beats the same walk without the loop.  The fixpoint is thus, per
+    source, the least left-to-right float sum over simple door paths:
+    Dijkstra's result.  A sweep that changes something lowers an entry to
+    such a sum, so at most n sweeps run.  The matrix is then symmetrized:
+    a path summed from its two ends can differ in the last ulp.
     Raises DisconnectedVenueError if any door is cut off."""
     door_ids = tuple(sorted(venue.doors))
     index = {d: i for i, d in enumerate(door_ids)}
@@ -74,13 +81,35 @@ def build_d2d_graph(venue: Venue) -> D2DGraph:
                 if key not in edges or w < edges[key]:
                     edges[key] = w
 
-    rows, cols, weights = [], [], []
-    for (a, b), w in edges.items():
-        rows.extend((index[a], index[b]))
-        cols.extend((index[b], index[a]))
-        weights.extend((w, w))
     n = len(door_ids)
-    dist = dijkstra(csr_matrix((weights, (rows, cols)), shape=(n, n)), directed=True)
+    weight = np.full((n, n), np.inf)
+    u, v = np.searchsorted(door_ids, np.fromiter(chain.from_iterable(edges), int)).reshape(-1, 2).T
+    weight[u, v] = weight[v, u] = np.fromiter(edges.values(), float, len(edges))
+    adjacency, seen, order = venue.adjacency(), set(), []
+    for start in sorted(adjacency):
+        queue = [] if start in seen else [start]
+        seen.add(start)
+        for pid in queue:
+            queue += sorted(adjacency[pid] - seen)
+            seen |= adjacency[pid]
+        order += queue
+    blocks = [(rows, weight[np.ix_(rows, rows)]) for rows in map(door_rows.get, reversed(order))
+              if rows.size > 1]
+    dist = np.full((n, n), np.inf)  # dist[v, s]: from door s to door v
+    np.fill_diagonal(dist, 0.0)
+    changed = True
+    while changed:
+        changed = False
+        for rows, w in blocks:
+            cur, step = dist[rows], np.empty((rows.size, n))
+            width = max(1, _RELAX_FLOATS // rows.size ** 2)
+            for lo in range(0, n, width):
+                np.minimum.reduce(cur[:, None, lo:lo + width] + w[:, :, None], axis=0,
+                                  out=step[:, lo:lo + width])
+            if (step < cur).any():
+                dist[rows] = np.minimum(cur, step)
+                changed = True
+        blocks.reverse()
     matrix = np.minimum(dist, dist.T)
     unreachable = np.isinf(matrix[:1]).nonzero()[1]
     if unreachable.size:

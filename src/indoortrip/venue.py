@@ -216,6 +216,8 @@ def validate_venue(venue: Venue) -> ValidationReport:
             report.add("floor span", f"non-stairs partition {part.id} spans two floors")
         if not part.door_ids:
             report.add("no doors", f"partition {part.id} has no doors")
+        if len(set(part.door_ids)) < len(part.door_ids):
+            report.add("duplicate listing", f"partition {part.id} lists a door twice: {part.door_ids}")
         for did in part.door_ids:
             if did not in venue.doors:
                 report.add("dangling reference", f"partition {part.id} lists unknown door {did}")
@@ -223,6 +225,8 @@ def validate_venue(venue: Venue) -> ValidationReport:
     for door in venue.doors.values():
         if len(door.partition_ids) not in (1, 2):
             report.add("door arity", f"door {door.id} connects {len(door.partition_ids)} partitions")
+        if len(set(door.partition_ids)) < len(door.partition_ids):
+            report.add("duplicate listing", f"door {door.id} names a partition twice: {door.partition_ids}")
         finite = isfinite(door.x) and isfinite(door.y)
         if not finite:
             report.add("non-finite coordinates", f"door {door.id} sits at ({door.x}, {door.y})")

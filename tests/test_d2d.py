@@ -1,6 +1,9 @@
 import dataclasses
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,7 +108,7 @@ def test_disconnected_graph_names_an_unreachable_door():
     venue.doors[1] = Door(id=1, x=30.0, y=5.0, floor=0, partition_ids=(2,))
     with pytest.raises(DisconnectedVenueError) as err:
         build_d2d_graph(venue)
-    assert err.value.door_id in venue.doors
+    assert err.value.door_id == 1
 
 
 def test_door_distance_matches_bellman_ford_on_random_venue():
@@ -152,6 +155,45 @@ def generated_venue(**spec):
     return lambda: build_workload(WorkloadSpec(**spec))[0]
 
 
+def make_shuffled_corridor_venue(rooms, seed):
+    """A corridor whose partition ids are shuffled, so that id order is not
+    the order of the rooms along it."""
+    venue = make_corridor_venue(rooms=rooms)
+    new = dict(zip(venue.partitions, random.Random(seed).sample(sorted(venue.partitions), rooms)))
+    return Venue(
+        partitions={new[p.id]: dataclasses.replace(p, id=new[p.id]) for p in venue.partitions.values()},
+        doors={d.id: dataclasses.replace(d, partition_ids=tuple(new[q] for q in d.partition_ids))
+               for d in venue.doors.values()},
+    )
+
+
+def make_repeated_listing_venue():
+    """Partition 0 lists door 0 twice, and door 1 names partition 0 twice:
+    input `validate_venue` refuses and `build_d2d_graph` still accepts."""
+    return Venue(
+        partitions={
+            0: Partition(id=0, floor=0, bounds=(0, 0, 10, 10), kind="room", door_ids=(0, 0, 1, 2)),
+            1: Partition(id=1, floor=0, bounds=(10, 0, 20, 10), kind="room", door_ids=(0, 3)),
+        },
+        doors={
+            0: Door(id=0, x=10.0, y=5.0, floor=0, partition_ids=(0, 1)),
+            1: Door(id=1, x=0.0, y=5.0, floor=0, partition_ids=(0, 0)),
+            2: Door(id=2, x=5.0, y=0.0, floor=0, partition_ids=(0,)),
+            3: Door(id=3, x=20.0, y=5.0, floor=0, partition_ids=(1,)),
+        },
+    )
+
+
+def make_coincident_doors_venue():
+    """A corridor with a second door at the point of door 1: a zero-weight edge."""
+    venue = make_corridor_venue(rooms=3)
+    venue.doors[9] = Door(id=9, x=10.0, y=5.0, floor=0, partition_ids=(0, 1))
+    for pid in (0, 1):
+        part = venue.partitions[pid]
+        venue.partitions[pid] = dataclasses.replace(part, door_ids=part.door_ids + (9,))
+    return venue
+
+
 REFERENCE_VENUES = {
     "two-room": make_two_room_venue,
     "corridor-2": lambda: make_corridor_venue(rooms=2),
@@ -166,6 +208,15 @@ REFERENCE_VENUES = {
                               count_range=(1, 2), query_count=1, query_categories=(2,)),
     "desk-workload": generated_venue(seed=11, categories=8, count_range=(25, 35),
                                      query_count=10),
+    "corridor-60-shuffled": lambda: make_shuffled_corridor_venue(60, seed=4),
+    "repeated-listings": make_repeated_listing_venue,
+    "coincident-doors": make_coincident_doors_venue,
+    # One hallway with 120 doors: its relaxation runs in several column chunks.
+    "hallway-1x120": generated_venue(seed=2, floors=1, rooms_per_floor=120, categories=2,
+                                     count_range=(1, 2), query_count=1, query_categories=(2,)),
+    "multi-door-4x12x3": generated_venue(seed=3, floors=4, rooms_per_floor=12, categories=2,
+                                         count_range=(1, 2), query_count=1, doors_per_room=3,
+                                         query_categories=(2,)),
     **{f"{w.name}-{seed}": (lambda w=w, seed=seed: build_workload(w.workload_spec(seed))[0])
        for w in perfbench_workloads().values() for seed in (w.seed, w.holdout_seed)},
 }
@@ -174,7 +225,19 @@ REFERENCE_VENUES = {
 @pytest.mark.parametrize("make_venue", REFERENCE_VENUES.values(), ids=REFERENCE_VENUES.keys())
 def test_the_door_matrix_is_the_undirected_reference_bit_for_bit(make_venue):
     graph = build_d2d_graph(make_venue())
+    assert all(a < b for a, b in graph.edges)
     assert np.array_equal(graph.matrix, undirected_reference(graph))
+
+
+def test_importing_the_library_loads_no_scipy():
+    """Scipy is a test dependency only: the library and its CLI run on numpy."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import indoortrip, indoortrip.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_edge_count_formula_on_generated_venue():

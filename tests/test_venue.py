@@ -36,6 +36,20 @@ def test_door_with_three_partitions_is_a_door_arity_finding():
     assert "door arity" in report.codes()
 
 
+def test_a_partition_or_door_listed_twice_is_a_duplicate_listing():
+    venue = make_two_room_venue()
+    venue.partitions[0] = Partition(id=0, floor=0, bounds=(0, 0, 10, 10),
+                                    kind="room", door_ids=(0, 0, 1))
+    venue.doors[1] = Door(id=1, x=0.0, y=5.0, floor=0, partition_ids=(0,))
+    assert validate_venue(venue).codes() == ["duplicate listing"]
+
+    venue = make_two_room_venue()
+    venue.partitions[0] = Partition(id=0, floor=0, bounds=(0, 0, 10, 10),
+                                    kind="room", door_ids=(0, 1))
+    venue.doors[1] = Door(id=1, x=0.0, y=5.0, floor=0, partition_ids=(0, 0))
+    assert validate_venue(venue).codes() == ["duplicate listing"]
+
+
 def test_point_outside_bounds_is_reported():
     stray = IndoorPoint(id=0, partition_id=0, x=50, y=50, floor=0, category=0, static_score=0.0)
     report = validate_venue(make_two_room_venue(points=[stray]))
