@@ -182,7 +182,6 @@ def run_experiment(config: ExperimentConfig,
 
     rows: list[ResultRow] = []
     optima: dict[int, float] = {}
-    want_ratio = "oracle" in config.algorithms
 
     for qid, query in enumerate(queries):
         for algorithm in sorted(config.algorithms):
@@ -209,11 +208,10 @@ def run_experiment(config: ExperimentConfig,
                     )
                 )
 
-    if want_ratio:
-        for row in rows:
-            opt = optima.get(row.query_id)
-            if row.cost is not None and opt is not None and opt > 0.0:
-                row.ratio = approximation_ratio(row.cost, opt)
+    for row in rows:  # optima is empty unless the oracle ran
+        opt = optima.get(row.query_id)
+        if row.cost is not None and opt is not None and opt > 0.0:
+            row.ratio = approximation_ratio(row.cost, opt)
 
     summary = summarize(rows, config, preprocess_us)
     result = ExperimentResult(
@@ -252,13 +250,13 @@ def summarize(rows: list[ResultRow], config: ExperimentConfig, preprocess_us: in
 
 
 def sweep_delta(config: ExperimentConfig, deltas: list[int]) -> dict[int, ExperimentResult]:
-    """Re-run the experiment at several preprocessing percentages."""
+    """Re-run the experiment at several distinct preprocessing percentages."""
+    repeated = {d for d in deltas if deltas.count(d) > 1}
+    if repeated:
+        raise ValueError(f"repeated deltas: {sorted(repeated)}")
     inputs = load_experiment_inputs(config)
-    results = {}
-    for delta in deltas:
-        cfg = replace(config, delta=delta, output_path=None)
-        results[delta] = run_experiment(cfg, inputs=inputs)
-    return results
+    return {delta: run_experiment(replace(config, delta=delta, output_path=None), inputs=inputs)
+            for delta in deltas}
 
 
 def write_summary(result: ExperimentResult, path: str | Path) -> None:

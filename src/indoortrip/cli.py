@@ -28,7 +28,7 @@ from .d2d import build_d2d_graph
 from .dominance import preprocess
 from .index import build_index
 from .oracle import ORACLE_CATEGORY_LIMIT
-from .routing import load_queries, route_to_dict
+from .routing import load_queries, route_to_dict, save_queries
 from .venue import (
     load_checked_venue,
     load_objects_csv,
@@ -89,18 +89,20 @@ def cmd_gen_objects(args) -> int:
 def cmd_gen_queries(args) -> int:
     venue = load_venue(args.venue)
     points = load_objects_csv(args.objects)
-    venue = venue.with_points(points)
     if args.categories_list:
         pool = [int(c) for c in args.categories_list.split(",")]
+        repeated = sorted({c for c in pool if pool.count(c) > 1})
+        if repeated:
+            raise CliError(f"--categories-list repeats categories {repeated}")
+        absent = sorted(set(pool) - {p.category for p in points})
+        if absent:
+            raise CliError(f"--categories-list names categories with no objects: {absent}")
     else:
-        buckets = bucket_categories(points, scale=args.scale)
-        pool = buckets[args.bucket]
+        pool = bucket_categories(points, scale=args.scale)[args.bucket]
         if not pool:
             raise CliError(f"no categories fall in bucket {args.bucket} at scale {args.scale}")
     m = tuple(int(v) for v in args.m.split(","))
     queries = generate_queries(pool, args.count, m, args.alpha, venue, args.seed)
-    from .routing import save_queries
-
     save_queries(queries, args.out)
     print(f"wrote {args.out}: {len(queries)} queries over categories {pool}")
     return 0
@@ -201,8 +203,7 @@ def _per_delta(path: str, delta: int, sweep: bool) -> Path:
 def cmd_bench(args) -> int:
     deltas = _delta_list(args.delta_list) if args.delta_list is not None else None
     if args.config:
-        data = json.loads(Path(args.config).read_text())
-        config = config_from_dict(data)
+        config = config_from_dict(json.loads(Path(args.config).read_text()))
         deltas = deltas or [config.delta]
     else:
         deltas = deltas or [50]

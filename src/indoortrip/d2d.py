@@ -53,8 +53,8 @@ def build_d2d_graph(venue: Venue) -> D2DGraph:
     minimum weight) and measure all-pairs shortest paths over them.
 
     A block Bellman-Ford: each partition relaxes its door clique for every
-    source at once, over a breadth-first walk of the partitions, deepest
-    first, then back and forth until a sweep changes nothing.  This is
+    source at once, in the breadth-first order of `Venue.components()`,
+    deepest first, then back and forth until a sweep changes nothing.  This is
     directed Dijkstra's matrix bit for bit.  A relaxation forms fl(d[u] + w),
     the sum Dijkstra forms, and min is exact; fl(a + w) never decreases as
     a grows and is at least a for w >= 0, so a walk that repeats a door
@@ -85,14 +85,7 @@ def build_d2d_graph(venue: Venue) -> D2DGraph:
     weight = np.full((n, n), np.inf)
     u, v = np.searchsorted(door_ids, np.fromiter(chain.from_iterable(edges), int)).reshape(-1, 2).T
     weight[u, v] = weight[v, u] = np.fromiter(edges.values(), float, len(edges))
-    adjacency, seen, order = venue.adjacency(), set(), []
-    for start in sorted(adjacency):
-        queue = [] if start in seen else [start]
-        seen.add(start)
-        for pid in queue:
-            queue += sorted(adjacency[pid] - seen)
-            seen |= adjacency[pid]
-        order += queue
+    order = list(chain.from_iterable(venue.components()))
     blocks = [(rows, weight[np.ix_(rows, rows)]) for rows in map(door_rows.get, reversed(order))
               if rows.size > 1]
     dist = np.full((n, n), np.inf)  # dist[v, s]: from door s to door v

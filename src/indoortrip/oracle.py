@@ -19,6 +19,7 @@ from .index import QueryTables
 from .routing import EvalCounter, Route, TripQuery, route_cost
 
 ORACLE_CATEGORY_LIMIT = 7
+RANK_ONCE_SHORTLIST = 8  # points per category rank-once keeps from its ranking
 
 
 class OracleScaleError(Exception):
@@ -125,30 +126,27 @@ def enumerate_route(query: TripQuery, index) -> Route:
     return best_route
 
 
-def rank_once_greedy(query: TripQuery, index, top_k: int = 8,
-                     counter: EvalCounter | None = None) -> Route:
+def rank_once_greedy(query: TripQuery, index, counter: EvalCounter | None = None) -> Route:
     """Baseline that ranks each category once, up front, from the source.
 
-    Extensions are then chosen only among each category's frozen top-k,
-    scored against the route's current endpoint's measured row.  Stands in
-    for planners that do all their ranking before construction starts.
-    top_k must be at least 1.
+    Extensions are then chosen only among each category's frozen
+    `RANK_ONCE_SHORTLIST` best, scored against the route's current
+    endpoint's measured row.  Stands in for planners that do all their
+    ranking before construction starts.
     """
-    if top_k < 1:
-        raise ValueError(f"top_k must be at least 1, got {top_k}")
     tables = QueryTables(index, query.source, query.target, query.alpha, query.categories)
     alpha = query.alpha
 
     # Rank by the source's scored row, the three-leg score with the source
-    # leg counted twice, ties to the smaller id; keep each category's top k
-    # as rows of the joined block.
+    # leg counted twice, ties to the smaller id; keep each category's
+    # shortlist as rows of the joined block.
     shortlists = {}
     for cat in sorted(set(query.categories)):
         block, span = tables.span(cat)
         ranked = tables.measured(tables.source, cat)[1][span]
         if counter is not None:
             counter.point_evals += len(block.points)
-        shortlists[cat] = span.start + np.lexsort((block.ids, ranked))[:top_k]
+        shortlists[cat] = span.start + np.lexsort((block.ids, ranked))[:RANK_ONCE_SHORTLIST]
 
     route = Route(waypoints=(tables.source.location,), stops=(), leg_lengths=())
     uncovered = set(query.categories)

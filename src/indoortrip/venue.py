@@ -143,16 +143,25 @@ class Venue:
                 return replace(loc, partition_id=pid)
         raise ValueError(f"location ({loc.x}, {loc.y}, floor {loc.floor}) is outside all partitions")
 
-    def adjacency(self) -> dict[int, set[int]]:
-        """Partition adjacency through shared doors."""
+    def components(self) -> list[list[int]]:
+        """Connected components of the partitions through shared doors, by
+        smallest id, each breadth-first from it with neighbours in id order.
+        A door joins the known partitions it names (a partition's own id in
+        its set is harmless: it is seen before the set is read)."""
         adj: dict[int, set[int]] = {pid: set() for pid in self.partitions}
         for door in self.doors.values():
-            ids = [p for p in door.partition_ids if p in self.partitions]
+            ids = [p for p in door.partition_ids if p in adj]
             for a in ids:
-                for b in ids:
-                    if a != b:
-                        adj[a].add(b)
-        return adj
+                adj[a].update(ids)
+        seen, components = set(), []
+        for start in sorted(adj):
+            if start not in seen:
+                seen.add(start)
+                components.append(queue := [start])
+                for pid in queue:
+                    queue += sorted(adj[pid] - seen)
+                    seen |= adj[pid]
+        return components
 
     def with_points(self, points: Iterable[IndoorPoint]) -> "Venue":
         return Venue(
@@ -198,7 +207,9 @@ class ValidationReport:
 
 
 def validate_venue(venue: Venue) -> ValidationReport:
-    """Collect every invariant violation; an empty report means valid."""
+    """Collect every invariant violation; an empty report means valid.  Door
+    distances are undefined in every partition outside the first of
+    `Venue.components()`: each is "disconnected"."""
     report = ValidationReport()
 
     isfinite = math.isfinite
@@ -255,20 +266,9 @@ def validate_venue(venue: Venue) -> ValidationReport:
         elif point.static_score < 0:
             report.add("negative score", f"point {point.id} has static score {point.static_score}")
 
-    # Connectivity over the partition adjacency; unreachable partitions make
-    # door-graph distances undefined.
-    if venue.partitions:
-        adj = venue.adjacency()
-        start = min(venue.partitions)
-        seen = {start}
-        stack = [start]
-        while stack:
-            for other in adj[stack.pop()]:
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        for pid in sorted(set(venue.partitions) - seen):
-            report.add("disconnected", f"partition {pid} is unreachable from partition {start}")
+    components = venue.components()
+    for pid in sorted(pid for part in components[1:] for pid in part):
+        report.add("disconnected", f"partition {pid} is unreachable from partition {components[0][0]}")
 
     return report
 

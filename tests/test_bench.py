@@ -244,6 +244,14 @@ def test_delta_sweep_monotone_points_evaluated(tmp_path):
     assert totals[0] >= totals[1] >= totals[2]
 
 
+def test_a_sweep_refuses_a_repeated_delta_before_it_runs(tmp_path):
+    # The inputs do not exist: the refusal comes before anything is loaded.
+    config = ExperimentConfig(venue_path=str(tmp_path / "none.json"),
+                              queries_path=str(tmp_path / "none.jsonl"))
+    with pytest.raises(ValueError, match=r"^repeated deltas: \[0, 50\]$"):
+        sweep_delta(config, [50, 0, 100, 50, 0])
+
+
 def test_write_summary_includes_prune_report(tmp_path):
     paths, _ = write_workload(tmp_path)
     result = run_experiment(base_config(paths, algorithms=("gcnn-dom",)))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -7,6 +8,8 @@ from indoortrip import build_d2d_graph, build_index, gcnn, load_checked_venue, p
 from indoortrip.bench import frequent_categories, pruned_index
 from indoortrip.cli import main
 from indoortrip.routing import load_queries
+from indoortrip.venue import load_objects_csv
+from indoortrip.workload import scaled_bucket_ranges
 
 
 def run(args):
@@ -294,6 +297,61 @@ def test_a_repeated_algorithm_exits_1(generated, tmp_path, capsys):
     assert err.startswith("error: repeated algorithms: ['gcnn']")
     assert "Traceback" not in err
     assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("deltas, repeated", [("50,50", [50]), ("0,100,0", [0])],
+                         ids=["50,50", "0,100,0"])
+def test_a_repeated_delta_exits_1(generated, tmp_path, capsys, deltas, repeated):
+    """A repeated delta used to run its experiment twice, report it once and
+    write <stem>_delta<d>.csv as if it were a sweep."""
+    inputs = ["--venue", generated["venue"], "--objects", generated["objects"],
+              "--queries", generated["queries"]]
+    assert run(["bench", *inputs, "--algorithms", "gcnn", "--delta", deltas,
+                "--out", tmp_path / "never.csv"]) == 1
+    assert capsys.readouterr().err == f"error: repeated deltas: {repeated}\n"
+    assert not list(tmp_path.glob("never*"))
+
+
+@pytest.mark.parametrize("categories, message", [
+    pytest.param("1,99", "--categories-list names categories with no objects: [99]", id="absent"),
+    pytest.param("7,0,5", "--categories-list names categories with no objects: [5, 7]",
+                 id="two-absent"),
+    pytest.param("1,1,2", "--categories-list repeats categories [1]", id="repeated"),
+    pytest.param("3,9,3", "--categories-list repeats categories [3]", id="repeated-and-absent"),
+])
+def test_gen_queries_refuses_a_category_list_no_planner_can_answer(generated, tmp_path, capsys,
+                                                                  categories, message):
+    out = tmp_path / "never.jsonl"
+    assert run(["gen-queries", "--venue", generated["venue"], "--objects", generated["objects"],
+                "--out", out, "--count", 5, "--m", "2", "--categories-list", categories]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("objects_bucket, queries_bucket, code, printed", [
+    pytest.param("XS", "XS", 0, "wrote {out}: 6 queries over categories [0, 1, 2]", id="XS"),
+    pytest.param("S", "S", 0, "wrote {out}: 6 queries over categories [0, 1, 2]", id="S"),
+    pytest.param("XS", "L", 1, "error: no categories fall in bucket L at scale 0.1", id="empty"),
+])
+def test_the_bucket_paths_of_gen_objects_and_gen_queries(tmp_path, capsys, objects_bucket,
+                                                         queries_bucket, code, printed):
+    """Without --count-range, gen-objects draws each category's count from
+    its scaled bucket, and gen-queries draws from the categories whose
+    counts fall in its bucket."""
+    venue, objects, out = tmp_path / "venue.json", tmp_path / "objects.csv", tmp_path / "q.jsonl"
+    assert run(["gen-venue", "--floors", 1, "--rooms-per-floor", 6, "--categories", 3,
+                "--out", venue]) == 0
+    assert run(["gen-objects", "--categories", 3, "--bucket", objects_bucket, "--scale", 0.1,
+                "--seed", 2, "--venue", venue, "--out", objects]) == 0
+    lo, hi = scaled_bucket_ranges(0.1)[objects_bucket]
+    counts = Counter(p.category for p in load_objects_csv(objects))
+    assert sorted(counts) == [0, 1, 2] and all(lo <= n <= hi for n in counts.values())
+    capsys.readouterr()
+    assert run(["gen-queries", "--venue", venue, "--objects", objects, "--out", out,
+                "--bucket", queries_bucket, "--scale", 0.1, "--count", 6, "--m", "2"]) == code
+    captured = capsys.readouterr()
+    assert (captured.out if code == 0 else captured.err) == printed.format(out=out) + "\n"
+    assert out.exists() == (code == 0)
 
 
 @pytest.mark.parametrize("x, y", [(float("nan"), float("nan")), (1e6, 1e6)], ids=["nan", "far"])

@@ -17,7 +17,7 @@ from indoortrip import (
     rank_once_greedy,
     route_cost,
 )
-from indoortrip.oracle import fixed_order_best
+from indoortrip.oracle import RANK_ONCE_SHORTLIST, fixed_order_best
 
 from conftest import make_two_room_venue, small_workload
 
@@ -172,13 +172,14 @@ def test_rank_once_single_category_matches_gcnn():
 def test_rank_once_pays_for_frozen_shortlists():
     # The up-front ranking double-counts source distance, so the cheap decoys
     # (near, pricey) crowd the shortlist while the partner that pairs best
-    # with the first stop (far from the source, free) falls outside top-k.
+    # with the first stop (far from the source, free) falls outside the
+    # shortlist.
     points = [
         IndoorPoint(id=0, partition_id=0, x=5, y=5, floor=0, category=0, static_score=0.0),
         # the good partner: 8m from the source but adjacent to the first stop
         IndoorPoint(id=1, partition_id=0, x=9, y=5, floor=0, category=1, static_score=0.0),
     ]
-    for i in range(4):
+    for i in range(RANK_ONCE_SHORTLIST + 1):
         points.append(
             IndoorPoint(id=2 + i, partition_id=0, x=3.0, y=1.4 + 0.1 * i, floor=0,
                         category=1, static_score=10.0)
@@ -187,19 +188,10 @@ def test_rank_once_pays_for_frozen_shortlists():
     graph = build_d2d_graph(venue)
     index = build_index(venue, graph)
     query = TripQuery(Location(1, 5, 0), Location(1, 5, 0), categories=(0, 1), alpha=0.5)
-    base = route_cost(rank_once_greedy(query, index, top_k=4), query.alpha)
+    base = route_cost(rank_once_greedy(query, index), query.alpha)
     smart = route_cost(gcnn(query, index), query.alpha)
     assert smart == pytest.approx(8.0)
     assert base > smart
-
-
-@pytest.mark.parametrize("top_k", [0, -1])
-def test_rank_once_rejects_a_shortlist_below_one(top_k):
-    # -1 used to slice off the last-ranked point; 0 died in an IndexError.
-    query, index = tiny_instance(seed=8, m=2, per_category=6)
-    with pytest.raises(ValueError, match="top_k"):
-        rank_once_greedy(query, index, top_k=top_k)
-    assert rank_once_greedy(query, index, top_k=1).complete
 
 
 def test_rank_once_mean_ratio_not_better_than_gcnn():
