@@ -53,6 +53,19 @@ class CliError(Exception):
     """User-facing command failure; printed and mapped to exit code 1."""
 
 
+def category_list(text: str, flag: str, points) -> list[int]:
+    """The categories a flag's comma list names, refusing a repeated one
+    and one that none of the points has."""
+    cats = [int(c) for c in text.split(",")]
+    repeated = sorted({c for c in cats if cats.count(c) > 1})
+    if repeated:
+        raise CliError(f"{flag} repeats categories {repeated}")
+    absent = sorted(set(cats) - {p.category for p in points})
+    if absent:
+        raise CliError(f"{flag} names categories with no objects: {absent}")
+    return cats
+
+
 def cmd_gen_venue(args) -> int:
     venue = generate_venue(WorkloadSpec(
         floors=args.floors, rooms_per_floor=args.rooms_per_floor,
@@ -90,13 +103,7 @@ def cmd_gen_queries(args) -> int:
     venue = load_venue(args.venue)
     points = load_objects_csv(args.objects)
     if args.categories_list:
-        pool = [int(c) for c in args.categories_list.split(",")]
-        repeated = sorted({c for c in pool if pool.count(c) > 1})
-        if repeated:
-            raise CliError(f"--categories-list repeats categories {repeated}")
-        absent = sorted(set(pool) - {p.category for p in points})
-        if absent:
-            raise CliError(f"--categories-list names categories with no objects: {absent}")
+        pool = category_list(args.categories_list, "--categories-list", points)
     else:
         pool = bucket_categories(points, scale=args.scale)[args.bucket]
         if not pool:
@@ -133,12 +140,16 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_prune(args) -> int:
+    if args.categories_list and (args.queries or args.delta is not None):
+        raise CliError("prune --categories takes neither --queries nor --delta")
     venue = load_checked_venue(args.venue, args.objects)
     index = build_index(venue, build_d2d_graph(venue))
     if args.categories_list:
-        _, report = preprocess(index, [int(c) for c in args.categories_list.split(",")])
+        _, report = preprocess(index, category_list(args.categories_list, "--categories",
+                                                    venue.points.values()))
     elif args.queries:
-        _, report = pruned_index(index, load_queries(args.queries), args.delta)
+        _, report = pruned_index(index, load_queries(args.queries),
+                                 50 if args.delta is None else args.delta)
     else:
         raise CliError("prune needs --categories or --queries with --delta")
     if report is None:
@@ -292,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objects", default=None)
     p.add_argument("--categories", dest="categories_list", default=None)
     p.add_argument("--queries", default=None)
-    p.add_argument("--delta", type=int, default=50)
+    p.add_argument("--delta", type=int, default=None, help="with --queries (default 50)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_prune)
 

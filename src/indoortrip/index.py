@@ -63,8 +63,6 @@ class QueryTables:
       distance row is `from_source`; its score row ranks rank-once's picks.
     - `between(a, b)`: category a's points' distances to b's, for the
       oracle: b's slice of each a point's `measured` row.
-    - `winner_legs`: the (source, from, target) legs of each point `cnn`
-      returned, for `cnn_legs`.
 
     `cnn` keeps one per snapshot on the query's context
     (`VenueIndex.tables`), so it dies with the query; it keeps no reference
@@ -99,7 +97,6 @@ class QueryTables:
                 self._patch(loc, cat, dist)
         self._from: dict[DoorLegs, tuple[np.ndarray, np.ndarray, set[int]]] = {}
         self._between: dict[tuple[int, int], np.ndarray] = {}
-        self.winner_legs: dict[tuple[DoorLegs, int], tuple[float, float, float]] = {}
 
     def legs(self, loc: Location) -> DoorLegs:
         """loc's legs to the doors of its partition, resolved on first sight."""
@@ -223,37 +220,28 @@ class VenueIndex:
         return got
 
     def cnn(self, from_loc: Location, category: int, ctx: QueryContext,
-            stats: CnnStats | None = None, counter: EvalCounter | None = None) -> IndoorPoint:
-        """Live point of the category minimising the three-leg score.
+            stats: CnnStats | None = None, counter: EvalCounter | None = None
+            ) -> tuple[IndoorPoint, tuple[float, float, float]]:
+        """Live point of the category minimising the three-leg score, and
+        its (source, from_loc, target) legs.
 
         One argmin over the category's slice of the from location's scored
         row in the query's QueryTables (kept on ctx for later calls with the
         same context object): every live point, in id order, so it equals a
-        linear scan and ties go to the smallest point id.  Records the
-        winner's legs there for cnn_legs.
+        linear scan and ties go to the smallest point id.  The legs are the
+        winning row's entries of the distance rows it was scored from.
         """
         tables = self.tables(ctx)
         block, rows = tables.span(category)
-        from_legs = tables.legs(from_loc)
-        dist, scores = tables.measured(from_legs, category)
+        dist, scores = tables.measured(tables.legs(from_loc), category)
         if stats is not None:
             stats.evaluated += len(block.points)
         if counter is not None:
             counter.point_evals += len(block.points)
         row = int(scores[rows].argmin())  # first minimum: the smallest id among ties
         at = rows.start + row
-        point = block.points[row]
-        tables.winner_legs[(from_legs, point.id)] = (
-            float(tables.from_source[at]), float(dist[at]), float(tables.to_target[at]))
-        return point
-
-    def cnn_legs(self, from_loc: Location, point: IndoorPoint,
-                 ctx: QueryContext) -> tuple[float, float, float]:
-        """The point's (source, from_loc, target) distances under ctx, as
-        recorded by the cnn call on this snapshot that returned the point for
-        from_loc with the same context object."""
-        tables = ctx.memo[self]
-        return tables.winner_legs[(tables.legs(from_loc), point.id)]
+        return block.points[row], (float(tables.from_source[at]), float(dist[at]),
+                                   float(tables.to_target[at]))
 
     def remove_points(self, point_ids) -> "VenueIndex":
         """New snapshot with the given points dead; it shares the engine."""

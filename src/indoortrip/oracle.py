@@ -31,40 +31,32 @@ def _best_in_order(tables: QueryTables, order: tuple[int, ...],
     """The layered DP over one category order: a min-plus step per layer.
 
     A first-index argmin keeps the earliest (smallest-id) predecessor among
-    equal candidates."""
+    equal candidates.  Each layer keeps the distance table it read, and
+    the route's legs are that table's entries at the chosen rows."""
     alpha = tables.alpha
-    parent: list[np.ndarray] = []  # per layer, argmin index into the previous layer
+    layers = []  # per layer: its block, the distances it read, argmin parents
     prev_costs = np.zeros(1)
     for k, cat in enumerate(order):
-        _, from_source, _, static = tables.category(cat)
-        if k == 0:
-            dist = from_source[None, :]
-        else:
-            dist = tables.between(order[k - 1], cat)
+        block, from_source, _, static = tables.category(cat)
+        dist = from_source[None, :] if k == 0 else tables.between(order[k - 1], cat)
         cand = prev_costs[:, None] + alpha * dist
         if counter is not None:
             counter.point_evals += cand.size
-        parent.append(cand.argmin(axis=0))
+        layers.append((block, dist, cand.argmin(axis=0)))
         prev_costs = cand.min(axis=0) + static
 
-    # Close at the target, then walk parents back to recover the chosen rows.
+    # Close at the target, then walk parents back to the chosen rows.
     to_target = tables.category(order[-1])[2]
-    idx = int((prev_costs + alpha * to_target).argmin())
-    rows: list[int] = []
-    for k in range(len(order) - 1, -1, -1):
-        rows.append(idx)
-        idx = int(parent[k][idx])
-    rows.reverse()
-    # Each leg is the table entry the DP read for it.
+    row = last = int((prev_costs + alpha * to_target).argmin())
+    stops = []
+    for block, dist, parent in reversed(layers):
+        prev = int(parent[row])
+        stops.append((block.points[row], float(dist[prev, row])))
+        row = prev
     route = Route(waypoints=(tables.source.location,), stops=(), leg_lengths=())
-    for k, (cat, row) in enumerate(zip(order, rows)):
-        block, from_source, _, _ = tables.category(cat)
-        if k == 0:
-            leg = from_source[row]
-        else:
-            leg = tables.between(order[k - 1], cat)[rows[k - 1], row]
-        route = route.then(block.points[row], float(leg))
-    return route.to(tables.target.location, float(to_target[rows[-1]]))
+    for point, leg in reversed(stops):
+        route = route.then(point, leg)
+    return route.to(tables.target.location, float(to_target[last]))
 
 
 def fixed_order_best(query: TripQuery, order: tuple[int, ...], index,

@@ -154,10 +154,10 @@ def gcnn(query: TripQuery, index, counter: EvalCounter | None = None) -> Route:
     extends the current best partial route by the one with the least key
     (then the smaller category and point id) and discards the rest.  The
     key is the extended route's cost plus the candidate's source and
-    target legs.  Every leg is one cnn has already measured
-    (`VenueIndex.cnn_legs`), and only the winner's route is built.  The
-    rounds share one context, and with it cnn's tables of the query, which
-    resolve its source and target.
+    target legs.  Every leg is one `cnn` returned with its candidate, so
+    each candidate costs one call on the index, and only the winner's
+    route is built.  The rounds share one context, and with it cnn's
+    tables of the query, which resolve its source and target.
     """
     ctx = query.context()
     tables = index.tables(ctx)
@@ -173,8 +173,7 @@ def gcnn(query: TripQuery, index, counter: EvalCounter | None = None) -> Route:
         # (key, category, point id, point, its (source, from, target) legs)
         batch = []
         for cat in uncovered:
-            point = index.cnn(current, cat, ctx, counter=counter)
-            legs = index.cnn_legs(current, point, ctx)
+            point, legs = index.cnn(current, cat, ctx, counter=counter)
             # route_cost of the extended route: the same sums of the same
             # floats in the same order as Route.travel and Route.static.
             key = (alpha * sum(best.leg_lengths + (legs[1],))

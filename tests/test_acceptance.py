@@ -129,7 +129,7 @@ def test_criterion_1_cnn_matches_linear_scan_on_1000_trials():
                 )
                 from_loc = random_location_in(venue, rng)
                 cat = rng.choice(cats)
-                got = index.cnn(from_loc, cat, ctx)
+                got, _ = index.cnn(from_loc, cat, ctx)
                 best = None
                 for p in index.live_points(cat):
                     s = point_score(ctx, from_loc, p, index.engine)

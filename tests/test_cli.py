@@ -328,6 +328,48 @@ def test_gen_queries_refuses_a_category_list_no_planner_can_answer(generated, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("categories, message", [
+    pytest.param("1,99", "--categories names categories with no objects: [99]", id="absent"),
+    pytest.param("7,0,5", "--categories names categories with no objects: [5, 7]",
+                 id="two-absent"),
+    pytest.param("1,1", "--categories repeats categories [1]", id="repeated"),
+    pytest.param("3,9,3", "--categories repeats categories [3]", id="repeated-and-absent"),
+])
+def test_prune_refuses_a_category_list_it_cannot_prune(generated, tmp_path, capsys, categories,
+                                                       message):
+    """prune --categories used to report a repeated category once and an
+    absent one as pruned, and exit 0."""
+    out = tmp_path / "never.json"
+    assert run(["prune", "--venue", generated["venue"], "--objects", generated["objects"],
+                "--categories", categories, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+NOT_BOTH = "prune --categories takes neither --queries nor --delta"
+NEITHER = "prune needs --categories or --queries with --delta"
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--categories", "0", "--queries", "nowhere.jsonl", "--delta", "100"], NOT_BOTH,
+                 id="categories-missing-queries-delta"),
+    pytest.param(["--categories", "0", "--queries", "QUERIES"], NOT_BOTH,
+                 id="categories-queries"),
+    pytest.param(["--categories", "0", "--delta", "50"], NOT_BOTH, id="categories-delta"),
+    pytest.param(["--delta", "50"], NEITHER, id="delta"),
+    pytest.param([], NEITHER, id="nothing"),
+])
+def test_prune_refuses_flags_it_would_not_read(generated, tmp_path, capsys, flags, message):
+    """prune --categories with --queries used to prune the categories at 0.5
+    and exit 0 without opening the queries file, even a missing one."""
+    out = tmp_path / "never.json"
+    flags = [generated["queries"] if f == "QUERIES" else f for f in flags]
+    assert run(["prune", "--venue", generated["venue"], "--objects", generated["objects"],
+                *flags, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("objects_bucket, queries_bucket, code, printed", [
     pytest.param("XS", "XS", 0, "wrote {out}: 6 queries over categories [0, 1, 2]", id="XS"),
     pytest.param("S", "S", 0, "wrote {out}: 6 queries over categories [0, 1, 2]", id="S"),

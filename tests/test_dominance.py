@@ -202,7 +202,7 @@ def test_a_nearly_tight_certificate_prunes_only_a_strictly_worse_score(alpha):
             for source in probes:
                 for target in probes:
                     ctx = QueryContext(source, target, a)
-                    assert index.cnn(source, 0, ctx).id == 1, (k, a, source, target)
+                    assert index.cnn(source, 0, ctx)[0].id == 1, (k, a, source, target)
     # The decision flips once, inside the window: the margin is there, and
     # it is no wider than its formula.
     assert pruned_flags == sorted(pruned_flags)
@@ -352,7 +352,7 @@ def test_prune_points_matches_per_point_re_evaluation():
                     ctx = QueryContext(source, target, a)
                     for from_loc in probes:
                         for cat in (0, 1):
-                            assert index.cnn(from_loc, cat, ctx).id not in gone
+                            assert index.cnn(from_loc, cat, ctx)[0].id not in gone
     assert removed
 
 

@@ -77,7 +77,7 @@ def test_cnn_single_point_category_returns_it():
     graph = build_d2d_graph(venue)
     index = build_index(venue, graph)
     ctx = QueryContext(Location(1, 1, 0), Location(2, 2, 0), 0.5)
-    assert index.cnn(Location(1, 1, 0), 2, ctx).id == 5
+    assert index.cnn(Location(1, 1, 0), 2, ctx)[0].id == 5
 
 
 def test_cnn_alpha_zero_returns_global_min_score():
@@ -85,7 +85,7 @@ def test_cnn_alpha_zero_returns_global_min_score():
     # (1, 5) lies in room 1, so the location is left for cnn to resolve.
     ctx = QueryContext(Location(1, 5, 0), Location(1, 5, 0), alpha=0.0)
     for cat in index.live_categories():
-        got = index.cnn(Location(1, 5, 0), cat, ctx)
+        got, _ = index.cnn(Location(1, 5, 0), cat, ctx)
         pool = index.live_points(cat)
         best = min(pool, key=lambda p: (p.static_score, p.id))
         assert got.id == best.id
@@ -101,7 +101,7 @@ def test_cnn_alpha_one_is_geometric_argmin_within_partition():
     index = build_index(venue, graph)
     src = Location(0.0, 1.0, 0)
     ctx = QueryContext(src, src, alpha=1.0)
-    got = index.cnn(src, 1, ctx)
+    got, _ = index.cnn(src, 1, ctx)
     assert got.id == 0  # nearest three-leg sum, score ignored at alpha=1
 
 
@@ -131,7 +131,7 @@ def test_cnn_of_a_category_outside_the_context_raises_naming_it():
     first, second, *_ = index.live_categories()
     here = Location(1, 5, 0)
     ctx = QueryContext(here, here, 0.5, (first,))
-    assert index.cnn(here, first, ctx).category == first
+    assert index.cnn(here, first, ctx)[0].category == first
     with pytest.raises(ValueError, match=f"category {second} is not one of the query's categories"):
         index.cnn(here, second, ctx)
 
@@ -159,8 +159,8 @@ def test_cnn_from_a_stop_in_a_crowded_store_room_equals_linear_scan(seed, alpha)
             if cat == stop.category:
                 continue
             want = linear_scan_cnn(index, stop.location, cat, ctx)
-            assert index.cnn(stop.location, cat, shared).id == want.id
-            assert index.cnn(stop.location, cat, QueryContext(ctx.source, ctx.target, alpha)).id == want.id
+            assert index.cnn(stop.location, cat, shared)[0].id == want.id
+            assert index.cnn(stop.location, cat, QueryContext(ctx.source, ctx.target, alpha))[0].id == want.id
             in_room += want.partition_id == room
     assert in_room > 0
 
@@ -176,7 +176,7 @@ def test_cnn_equals_linear_scan_on_random_trials():
             from_loc = sample()
             cat = rng.choice(cats)
             stats = CnnStats()
-            got = index.cnn(from_loc, cat, ctx, stats=stats)
+            got, _ = index.cnn(from_loc, cat, ctx, stats=stats)
             want = linear_scan_cnn(index, from_loc, cat, ctx)
             assert got.id == want.id
             # One exact scan: every live point of the category, once.
@@ -196,7 +196,7 @@ def test_cnn_accepts_unresolved_context_locations():
         )
         from_loc = sample()
         cat = rng.choice(cats)
-        got = index.cnn(from_loc, cat, bare)
+        got, _ = index.cnn(from_loc, cat, bare)
         want = linear_scan_cnn(index, from_loc, cat, ctx)
         assert got.id == want.id
 
@@ -246,7 +246,7 @@ def test_cnn_equals_linear_scan_from_doors_and_stairs(seed, alpha):
         ctx = QueryContext(any_spot(rng, venue, doors), any_spot(rng, venue, doors), alpha)
         for from_loc in (any_spot(rng, venue, doors), rng.choice(stairs)):
             cat = rng.choice(cats)
-            assert index.cnn(from_loc, cat, ctx).id == linear_scan_cnn(index, from_loc, cat, ctx).id
+            assert index.cnn(from_loc, cat, ctx)[0].id == linear_scan_cnn(index, from_loc, cat, ctx).id
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 0.8, 1.0])
@@ -265,12 +265,12 @@ def test_cnn_score_is_the_least_kernel_score_of_its_block(seed, alpha):
         ctx = QueryContext(any_spot(rng, venue, doors), any_spot(rng, venue, doors), alpha)
         from_loc = any_spot(rng, venue, doors)
         cat = rng.choice(cats)
-        got = index.cnn(from_loc, cat, ctx)
+        got, legs = index.cnn(from_loc, cat, ctx)
         block = index.category_block(cat)
         src, here, tgt = (engine.block_distances(engine.legs(loc), block)
                           for loc in (ctx.source, from_loc, ctx.target))
         scores = alpha * (src + here + tgt) + (1.0 - alpha) * block.scores
-        bound = alpha * sum(index.cnn_legs(from_loc, got, ctx)) + (1.0 - alpha) * got.static_score
+        bound = alpha * sum(legs) + (1.0 - alpha) * got.static_score
         assert got is block.points[int(scores.argmin())]
         assert bound == scores.min()
         assert (bound <= scores).all()
@@ -415,7 +415,7 @@ def test_cnn_equals_linear_scan_over_blocks_of_different_widths(seed):
                            rng.random(), tuple(cats))
         from_loc = any_spot(rng, venue, doors)
         for cat in cats:
-            assert index.cnn(from_loc, cat, ctx).id == linear_scan_cnn(index, from_loc, cat, ctx).id
+            assert index.cnn(from_loc, cat, ctx)[0].id == linear_scan_cnn(index, from_loc, cat, ctx).id
     engine = index.engine
     tables = index.tables(ctx)
     assert len({p.floor for p in extra if venue.partitions[p.partition_id].kind == "stairs"}) > 1
@@ -426,6 +426,41 @@ def test_cnn_equals_linear_scan_over_blocks_of_different_widths(seed):
             for row, p in zip(got, index.category_block(a).points):
                 want = engine.block_distances(engine.legs(p.location), block)
                 assert row.tobytes() == want.tobytes(), (a, b, p.id)
+
+
+@pytest.mark.parametrize("bare", [False, True], ids=["resolved", "bare"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cnn_returns_the_block_kernel_legs_of_its_winners_row(seed, bare):
+    """cnn's (source, from, target) legs are, bit for bit, the reference
+    block kernel's entries from the source, the from location and the
+    target at the winner's row of its category's block: on blocks of mixed
+    widths, with hallway and stairs points, from a door or any spot and
+    from a point of every category (its own partition's rows patched), the
+    from location given bare or with its partition."""
+    venue, graph, _, _ = small_workload(seed=seed)
+    rng = random.Random(100 + seed)
+    venue, _ = with_many_door_points(venue, rng)
+    index = build_index(venue, graph)
+    engine = index.engine
+    cats = index.live_categories()
+    assert len({index.category_block(c).doors.shape[1] for c in cats}) > 1
+    doors = door_spots(venue)
+    for _ in range(12):
+        ctx = QueryContext(any_spot(rng, venue, doors), any_spot(rng, venue, doors),
+                           rng.random(), tuple(cats))
+        froms = [any_spot(rng, venue, doors)] + [rng.choice(index.live_points(c)).location
+                                                 for c in cats]
+        for from_loc in froms:
+            if bare:
+                from_loc = Location(from_loc.x, from_loc.y, from_loc.floor)
+            for cat in cats:
+                point, legs = index.cnn(from_loc, cat, ctx)
+                block = index.category_block(cat)
+                row = block.points.index(point)
+                want = [engine.block_distances(engine.legs(loc), block)[row]
+                        for loc in (ctx.source, from_loc, ctx.target)]
+                assert all(type(leg) is float for leg in legs)
+                assert np.array(legs).tobytes() == np.array(want).tobytes(), (cat, point.id)
 
 
 def test_remove_points_rerouting_and_min_static_rise():
@@ -443,7 +478,7 @@ def test_remove_points_rerouting_and_min_static_rise():
     assert smaller.category_block(3).scores.min() == 5.0
     assert not smaller.is_live(0)
     ctx = QueryContext(Location(1, 1, 0), Location(1, 1, 0), 0.5)
-    assert smaller.cnn(Location(1, 1, 0), 3, ctx).id != 0
+    assert smaller.cnn(Location(1, 1, 0), 3, ctx)[0].id != 0
     # original snapshot untouched
     assert index.is_live(0)
     assert index.category_block(3).scores.min() == 2.0

@@ -136,7 +136,7 @@ def test_cnn_tie_between_co_located_points_goes_to_the_smaller_id(ids):
     venue, index = tie_venue([pt(ids[0], 0, 10.0), pt(ids[1], 1, 10.0), pt(20, 0, 2.0, 30.0)])
     here = Location(4.0, 5.0, 0, 0)
     ctx = QueryContext(here, here, 0.5)
-    assert index.cnn(here, 1, ctx).id == 3
+    assert index.cnn(here, 1, ctx)[0].id == 3
 
 
 @pytest.mark.parametrize("ids", [(3, 8), (8, 3)])
@@ -147,7 +147,7 @@ def test_cnn_tie_across_a_doorway_goes_to_the_smaller_id(ids):
     door = Location(20.0, 5.0, 0)
     for alpha in (0.0, 0.5, 1.0):
         ctx = QueryContext(door, door, alpha)
-        assert index.cnn(door, 1, ctx).id == 3
+        assert index.cnn(door, 1, ctx)[0].id == 3
         assert index.engine.distance(door, venue.points[3].location) == \
             index.engine.distance(door, venue.points[8].location)
 

@@ -249,42 +249,47 @@ def test_every_planner_measures_its_source_and_target_terms_once_per_category(mo
 
 
 def route_and_evals(query, index, other=None):
-    """gcnn's route for the query, and the block evaluations made inside its
-    own cnn and cnn_legs calls.  With other, gcnn(other) runs on the same
-    snapshot ahead of each of the query's cnn calls; its work is not counted."""
+    """gcnn's route for the query and the kernel calls made inside its own
+    cnn calls.  It also checks that gcnn reads nothing off the index but
+    its tables, once, and cnn, once per candidate.  With other,
+    gcnn(other) runs on the same snapshot ahead of each of the query's cnn
+    calls; its work is not counted."""
     engine = index.engine
-    state = {"in": None, "other": False, "evals": {"cnn": 0, "cnn_legs": 0}, "others": 0}
+    state = {"in": False, "other": False, "evals": 0, "others": 0}
+    reads = []
     door_distances = engine.door_distances
 
     def counted_door_distances(src, doors, legs):
-        if state["in"] is not None:
-            state["evals"][state["in"]] += 1
+        state["evals"] += state["in"]
         return door_distances(src, doors, legs)
 
-    def own(name, fn):
-        def call(*args, **kwargs):
-            if state["other"]:
-                return fn(*args, **kwargs)
-            if name == "cnn" and other is not None:
-                state["other"] = True
-                gcnn(other, index)
-                state["other"] = False
-                state["others"] += 1
-            state["in"] = name
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                state["in"] = None
-        return call
+    def cnn(*args, _cnn=index.cnn, **kwargs):
+        if state["other"]:
+            return _cnn(*args, **kwargs)
+        if other is not None:
+            state["other"] = True
+            gcnn(other, index)
+            state["other"] = False
+            state["others"] += 1
+        state["in"] = True
+        try:
+            return _cnn(*args, **kwargs)
+        finally:
+            state["in"] = False
 
-    engine.door_distances = counted_door_distances
-    index.cnn, index.cnn_legs = own("cnn", index.cnn), own("cnn_legs", index.cnn_legs)
+    class Reads:  # the index as gcnn sees it: each attribute read is recorded
+        def __getattr__(self, name):
+            reads.append(name)
+            return getattr(index, name)
+
+    engine.door_distances, index.cnn = counted_door_distances, cnn
     try:
-        route = gcnn(query, index)
+        route = gcnn(query, Reads())
     finally:
-        del engine.door_distances, index.cnn, index.cnn_legs
+        del engine.door_distances, index.cnn
     m = len(query.categories)
     assert state["others"] == (0 if other is None else m * (m + 1) // 2)  # one per cnn call
+    assert reads == ["tables"] + ["cnn"] * (m * (m + 1) // 2)
     return route, state["evals"]
 
 
@@ -296,8 +301,7 @@ def test_a_query_interleaved_with_another_on_one_snapshot_does_the_same_work(see
     alone, alone_evals = route_and_evals(a, build_index(venue, graph))
     interleaved, evals = route_and_evals(a, index, other=b)
     assert interleaved == alone
-    assert evals == alone_evals
-    assert evals["cnn"] > 0 and evals["cnn_legs"] == 0
+    assert evals == alone_evals > 0
     # The other query's routes were not disturbed either.
     assert gcnn(b, index) == gcnn(b, build_index(venue, graph))
 
@@ -307,13 +311,12 @@ def test_a_dropped_context_frees_its_memo_without_the_cycle_collector(bare):
     venue, graph, index, queries = small_workload(seed=0)
     query = queries[0]
     source, target = query.source, query.target
-    if bare:  # no partition: cnn and cnn_legs resolve them
+    if bare:  # no partition: cnn resolves them
         source, target = (Location(loc.x, loc.y, loc.floor) for loc in (source, target))
     gc.disable()
     try:
         ctx = QueryContext(source, target, query.alpha)
-        point = index.cnn(source, query.categories[0], ctx)
-        legs = index.cnn_legs(source, point, ctx)
+        _, legs = index.cnn(source, query.categories[0], ctx)
         assert all(type(leg) is float for leg in legs)
         memo = weakref.ref(ctx.memo[index])
         del ctx
@@ -336,8 +339,8 @@ def test_contexts_keep_value_semantics_after_serving_cnn():
 
 def test_a_location_given_bare_and_resolved_is_measured_once(monkeypatch):
     """cnn from the bare form of a context's resolved source reuses the
-    source's legs: it makes no kernel call of its own, and cnn_legs finds
-    the winner from either form."""
+    source's legs: it makes no kernel call of its own, and cnn from either
+    form returns the same winner and legs."""
     venue, graph, index, queries = small_workload(seed=0)
     query = queries[0]
     source, target = venue.resolve(query.source), venue.resolve(query.target)
@@ -348,6 +351,6 @@ def test_a_location_given_bare_and_resolved_is_measured_once(monkeypatch):
     door_distances = engine.door_distances
     monkeypatch.setattr(engine, "door_distances",
                         lambda src, doors, legs: calls.append(src) or door_distances(src, doors, legs))
-    point = index.cnn(bare, query.categories[0], ctx)
+    got = index.cnn(bare, query.categories[0], ctx)
+    assert index.cnn(source, query.categories[0], ctx) == got
     assert len(calls) == 2  # the source and the target, once each
-    assert index.cnn_legs(source, point, ctx) == index.cnn_legs(bare, point, ctx)

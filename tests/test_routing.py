@@ -191,7 +191,7 @@ def test_gcnn_single_category_is_source_cnn_target():
     query = TripQuery(src, tgt, categories=(1,), alpha=0.5)
     route = gcnn(query, index)
     ctx = QueryContext(venue.resolve(src), venue.resolve(tgt), 0.5)
-    expected = index.cnn(venue.resolve(src), 1, ctx)
+    expected, _ = index.cnn(venue.resolve(src), 1, ctx)
     assert [s.point_id for s in route.stops] == [expected.id]
     assert route.waypoints[0] == venue.resolve(src)
     assert route.waypoints[-1] == venue.resolve(tgt)
