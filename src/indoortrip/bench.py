@@ -254,9 +254,9 @@ def sweep_delta(config: ExperimentConfig, deltas: list[int]) -> dict[int, Experi
     repeated = {d for d in deltas if deltas.count(d) > 1}
     if repeated:
         raise ValueError(f"repeated deltas: {sorted(repeated)}")
-    inputs = load_experiment_inputs(config)
-    return {delta: run_experiment(replace(config, delta=delta, output_path=None), inputs=inputs)
-            for delta in deltas}
+    configs = {delta: replace(config, delta=delta, output_path=None) for delta in deltas}
+    inputs = load_experiment_inputs(config)  # after every delta is checked
+    return {delta: run_experiment(c, inputs=inputs) for delta, c in configs.items()}
 
 
 def write_summary(result: ExperimentResult, path: str | Path) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .bench import (
@@ -53,10 +52,22 @@ class CliError(Exception):
     """User-facing command failure; printed and mapped to exit code 1."""
 
 
+def int_list(text: str, flag: str, count: int | None = None) -> list[int]:
+    """The integers of a flag's comma list: count of them when count is given."""
+    try:
+        values = [int(v) for v in text.split(",")]
+        if count in (None, len(values)):
+            return values
+    except ValueError:
+        pass
+    takes = f"{count} comma-separated integers" if count else "an integer or a comma list of them"
+    raise CliError(f"{flag} takes {takes}, got {text!r}")
+
+
 def category_list(text: str, flag: str, points) -> list[int]:
     """The categories a flag's comma list names, refusing a repeated one
     and one that none of the points has."""
-    cats = [int(c) for c in text.split(",")]
+    cats = int_list(text, flag)
     repeated = sorted({c for c in cats if cats.count(c) > 1})
     if repeated:
         raise CliError(f"{flag} repeats categories {repeated}")
@@ -87,10 +98,9 @@ def cmd_gen_objects(args) -> int:
         bucket_scale=args.scale,
         store_rooms=args.stores,
         hosts_per_category=None if args.hosts == 0 else args.hosts,
+        count_range=(tuple(int_list(args.count_range, "--count-range", 2))
+                     if args.count_range else None),
     )
-    if args.count_range:
-        lo, hi = (int(v) for v in args.count_range.split(","))
-        spec = replace(spec, count_range=(lo, hi))
     venue = load_venue(args.venue)
     points = place_objects(venue, spec)
     save_objects_csv(points, args.out)
@@ -108,7 +118,7 @@ def cmd_gen_queries(args) -> int:
         pool = bucket_categories(points, scale=args.scale)[args.bucket]
         if not pool:
             raise CliError(f"no categories fall in bucket {args.bucket} at scale {args.scale}")
-    m = tuple(int(v) for v in args.m.split(","))
+    m = tuple(int_list(args.m, "--m"))
     queries = generate_queries(pool, args.count, m, args.alpha, venue, args.seed)
     save_queries(queries, args.out)
     print(f"wrote {args.out}: {len(queries)} queries over categories {pool}")
@@ -198,35 +208,27 @@ def cmd_oracle(args) -> int:
     return _run_queries(args, "oracle", delta=0)  # the oracle runs unpruned
 
 
-def _delta_list(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise CliError(f"--delta takes an integer or a comma list of them, got {text!r}") from None
-
-
 def _per_delta(path: str, delta: int, sweep: bool) -> Path:
     """The path itself, or in a sweep the delta's file <stem>_delta<d><suffix>."""
     path = Path(path)
     return path.with_name(f"{path.stem}_delta{delta}{path.suffix}") if sweep else path
 
 
+# bench's flags that set an ExperimentConfig field, which a --config file sets instead
+BENCH_CONFIG_FLAGS = {"venue": "venue_path", "objects": "objects_path", "queries": "queries_path",
+                      "algorithms": "algorithms", "repetitions": "repetitions",
+                      "out": "output_path"}
+
+
 def cmd_bench(args) -> int:
-    deltas = _delta_list(args.delta_list) if args.delta_list is not None else None
+    given = {f: v for f, v in vars(args).items() if f in BENCH_CONFIG_FLAGS and v is not None}
     if args.config:
+        if given:
+            raise CliError(f"bench --config does not take --{', --'.join(given)}")
         config = config_from_dict(json.loads(Path(args.config).read_text()))
-        deltas = deltas or [config.delta]
     else:
-        deltas = deltas or [50]
-        config = ExperimentConfig(
-            venue_path=args.venue,
-            objects_path=args.objects,
-            queries_path=args.queries,
-            algorithms=tuple(args.algorithms.split(",")),
-            delta=deltas[0],
-            repetitions=args.repetitions,
-            output_path=args.out,
-        )
+        config = ExperimentConfig(**{BENCH_CONFIG_FLAGS[f]: v for f, v in given.items()})
+    deltas = [config.delta] if args.delta_list is None else int_list(args.delta_list, "--delta")
     sweep = len(deltas) > 1
     for delta, result in sweep_delta(config, deltas).items():
         result.summary["seed"] = args.seed
@@ -327,15 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="run an algorithm suite, emit CSV results")
-    p.add_argument("--config", default=None, help="JSON config file (overrides flags)")
+    p.add_argument("--config", default=None,
+                   help="JSON config file, in place of --venue, --objects, --queries, "
+                        "--algorithms, --repetitions and --out")
     p.add_argument("--venue")
-    p.add_argument("--objects", default=None)
+    p.add_argument("--objects")
     p.add_argument("--queries")
-    p.add_argument("--algorithms", default="gcnn,gcnn-dom,oracle",
+    p.add_argument("--algorithms", type=lambda text: tuple(text.split(",")),
                    help=f"comma list from {tuple(PLANNERS)}")
     p.add_argument("--delta", dest="delta_list", default=None,
                    help="preprocessing percentage, or comma list to sweep")
-    p.add_argument("--repetitions", type=int, default=1)
+    p.add_argument("--repetitions", type=int)
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the summary for provenance")
     p.add_argument("--out", default=None)

@@ -122,15 +122,15 @@ class DoorLegs:
 
 @dataclass(frozen=True)
 class PointBlock:
-    """Points laid out for the block kernel: one row per point, one column
-    per door slot of its partition, padded to the widest partition with
-    door index 0 and an infinite leg.  `by_partition` gives the rows
-    (ascending) and points in each partition: the rows a location there patches."""
+    """Points laid out for the block kernel: one row per point, in the order
+    given (id order for a snapshot's category block), one column per door
+    slot of its partition, padded to the widest partition with door index 0
+    and an infinite leg.  `by_partition` gives the rows (ascending) and
+    points in each partition: the rows a location there patches."""
 
     points: tuple[IndoorPoint, ...]
     doors: np.ndarray        # (P, K) door-matrix indices
     legs: np.ndarray         # (P, K) intra legs, inf where padded
-    ids: np.ndarray          # (P,) point ids
     scores: np.ndarray       # (P,) static scores
     by_partition: dict[int, tuple[np.ndarray, tuple[IndoorPoint, ...]]]
 
@@ -196,7 +196,6 @@ class DistanceEngine:
             by_partition.setdefault(got.location.partition_id, []).append(row)
         return PointBlock(
             points=points, doors=doors, legs=legs,
-            ids=np.array([p.id for p in points], dtype=int),
             scores=np.array([p.static_score for p in points], dtype=float),
             by_partition={part: (np.array(at), tuple(points[r] for r in at))
                           for part, at in by_partition.items()},

@@ -76,24 +76,15 @@ def exact_route(query: TripQuery, index, limit: int = ORACLE_CATEGORY_LIMIT,
                 counter: EvalCounter | None = None) -> Route:
     """Optimal route: minimum over all category visiting orders.
 
-    Ties between orders keep the lexicographically smaller permutation.
+    Ties keep the lexicographically smaller order: `permutations` yields
+    that one first, and `min` keeps the first of equal costs.
     """
     cats = tuple(sorted(query.categories))
     if len(cats) > limit:
-        raise OracleScaleError(
-            f"{len(cats)} categories exceed the factorial guard of {limit}"
-        )
+        raise OracleScaleError(f"{len(cats)} categories exceed the factorial guard of {limit}")
     tables = QueryTables(index, query.source, query.target, query.alpha, query.categories)
-    best_route: Route | None = None
-    best_cost = float("inf")
-    for order in itertools.permutations(cats):
-        route = _best_in_order(tables, order, counter)
-        cost = route_cost(route, query.alpha)
-        if cost < best_cost:
-            best_cost = cost
-            best_route = route
-    assert best_route is not None
-    return best_route
+    return min((_best_in_order(tables, order, counter) for order in itertools.permutations(cats)),
+               key=lambda route: route_cost(route, query.alpha))
 
 
 def enumerate_route(query: TripQuery, index) -> Route:
@@ -124,41 +115,36 @@ def rank_once_greedy(query: TripQuery, index, counter: EvalCounter | None = None
     Extensions are then chosen only among each category's frozen
     `RANK_ONCE_SHORTLIST` best, scored against the route's current
     endpoint's measured row.  Stands in for planners that do all their
-    ranking before construction starts.
+    ranking before construction starts.  Ties go to the first minimum of
+    the scan: shortlists keep their rows in id order, categories ascend.
     """
     tables = QueryTables(index, query.source, query.target, query.alpha, query.categories)
-    alpha = query.alpha
+    uncovered = sorted(set(query.categories))
 
-    # Rank by the source's scored row, the three-leg score with the source
-    # leg counted twice, ties to the smaller id; keep each category's
-    # shortlist as rows of the joined block.
+    # Rank by the source's scored row, the source leg counted twice; a stable
+    # argsort keeps the smaller ids of equal scores.  Rows ascend, in id order.
     shortlists = {}
-    for cat in sorted(set(query.categories)):
+    for cat in uncovered:
         block, span = tables.span(cat)
         ranked = tables.measured(tables.source, cat)[1][span]
         if counter is not None:
             counter.point_evals += len(block.points)
-        shortlists[cat] = span.start + np.lexsort((block.ids, ranked))[:RANK_ONCE_SHORTLIST]
+        rows = np.sort(np.argsort(ranked, kind="stable")[:RANK_ONCE_SHORTLIST])
+        shortlists[cat] = ([block.points[r] for r in rows], span.start + rows)
 
     route = Route(waypoints=(tables.source.location,), stops=(), leg_lengths=())
-    uncovered = set(query.categories)
     while uncovered:
-        best = None  # (step cost, category, point id, point, leg, row)
+        batch = []  # (step cost, category, point, leg, row)
         current = tables.legs(route.end())
-        for cat in sorted(uncovered):
-            block, span = tables.span(cat)
-            rows = shortlists[cat]
+        for cat in uncovered:
+            points, rows = shortlists[cat]
             legs = tables.measured(current, cat)[0][rows]
-            steps = alpha * legs + tables.static[rows]
+            steps = tables.alpha * legs + tables.static[rows]
             if counter is not None:
                 counter.point_evals += len(rows)
-            ids = block.ids[rows - span.start]
-            at = np.lexsort((ids, steps))[0]
-            cand = (float(steps[at]), cat, int(ids[at]), block.points[rows[at] - span.start],
-                    float(legs[at]), rows[at])
-            if best is None or cand[:3] < best[:3]:
-                best = cand
-        _, cat, _, point, leg, row = best
+            at = int(steps.argmin())  # first minimum: the smallest id among ties
+            batch.append((float(steps[at]), cat, points[at], float(legs[at]), rows[at]))
+        _, cat, point, leg, row = min(batch, key=lambda item: item[:2])
         route = route.then(point, leg)
-        uncovered.discard(cat)
+        uncovered.remove(cat)
     return route.to(tables.target.location, float(tables.to_target[row]))

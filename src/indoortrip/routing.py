@@ -152,7 +152,7 @@ def gcnn(query: TripQuery, index, counter: EvalCounter | None = None) -> Route:
 
     Each round finds the best candidate of every uncovered category, then
     extends the current best partial route by the one with the least key
-    (then the smaller category and point id) and discards the rest.  The
+    (then the smaller category) and discards the rest.  The
     key is the extended route's cost plus the candidate's source and
     target legs.  Every leg is one `cnn` returned with its candidate, so
     each candidate costs one call on the index, and only the winner's
@@ -170,7 +170,7 @@ def gcnn(query: TripQuery, index, counter: EvalCounter | None = None) -> Route:
     uncovered = sorted(set(query.categories))
     while uncovered:
         current = best.end()
-        # (key, category, point id, point, its (source, from, target) legs)
+        # (key, category, point, its (source, from, target) legs)
         batch = []
         for cat in uncovered:
             point, legs = index.cnn(current, cat, ctx, counter=counter)
@@ -179,8 +179,8 @@ def gcnn(query: TripQuery, index, counter: EvalCounter | None = None) -> Route:
             key = (alpha * sum(best.leg_lengths + (legs[1],))
                    + (1.0 - alpha) * sum(scores + (point.static_score,)))
             key += legs[0] + legs[2]
-            batch.append((key, cat, point.id, point, legs))
-        _, cat, _, point, (_, leg, to_target) = min(batch, key=lambda item: item[:3])
+            batch.append((key, cat, point, legs))
+        _, cat, point, (_, leg, to_target) = min(batch, key=lambda item: item[:2])
         best = best.then(point, leg)
         scores += (point.static_score,)
         uncovered.remove(cat)

@@ -288,6 +288,34 @@ def test_a_non_integer_delta_exits_1(generated, tmp_path, capsys):
     assert not (tmp_path / "never.csv").exists()
 
 
+ANY_COUNT = "an integer or a comma list of them"
+
+
+@pytest.mark.parametrize("command, flag, text, takes", [
+    pytest.param("gen-queries", "--m", "2,y", ANY_COUNT, id="m"),
+    pytest.param("gen-queries", "--categories-list", "0,,1", ANY_COUNT, id="categories-list"),
+    pytest.param("gen-objects", "--count-range", "1,2,3", "2 comma-separated integers",
+                 id="count-range-three"),
+    pytest.param("gen-objects", "--count-range", "5", "2 comma-separated integers",
+                 id="count-range-one"),
+    pytest.param("gen-objects", "--count-range", "1,x", "2 comma-separated integers",
+                 id="count-range-text"),
+    pytest.param("prune", "--categories", "0,x", ANY_COUNT, id="prune-categories"),
+])
+def test_a_malformed_comma_list_names_its_flag(generated, tmp_path, capsys, command, flag,
+                                               text, takes):
+    """These flags used to print only int()'s or unpacking's own message."""
+    out = tmp_path / "never"
+    # gen-queries gets a valid category list, which a later --categories-list replaces.
+    inputs = {"gen-queries": ["--venue", generated["venue"], "--objects", generated["objects"],
+                              "--categories-list", "0,1"],
+              "gen-objects": ["--venue", generated["venue"]],
+              "prune": ["--venue", generated["venue"], "--objects", generated["objects"]]}[command]
+    assert run([command, *inputs, flag, text, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {flag} takes {takes}, got {text!r}\n"
+    assert not out.exists()
+
+
 def test_a_repeated_algorithm_exits_1(generated, tmp_path, capsys):
     inputs = ["--venue", generated["venue"], "--objects", generated["objects"],
               "--queries", generated["queries"]]
@@ -487,6 +515,59 @@ def test_bench_accepts_json_config(generated, tmp_path, capsys):
     # the config file's delta wins when no --delta flag is passed
     summary = json.loads(capsys.readouterr().out)
     assert summary["delta"] == 0
+
+
+@pytest.mark.parametrize("flags, named", [
+    *(pytest.param([flag, value], flag, id=flag) for flag, value in (
+        ("--venue", "VENUE"), ("--objects", "OBJECTS"), ("--queries", "QUERIES"),
+        ("--algorithms", "rank-once"), ("--repetitions", "3"), ("--out", "OUT"))),
+    pytest.param(["--out", "OUT", "--algorithms", "rank-once", "--repetitions", "3"],
+                 "--algorithms, --repetitions, --out", id="three"),
+])
+def test_bench_config_refuses_the_flags_its_file_sets(generated, tmp_path, capsys, flags,
+                                                      named):
+    """Beside --config these flags used to be ignored: bench ran the
+    config's suite and wrote no --out file, and exited 0."""
+    out = tmp_path / "x.csv"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"venue_path": str(generated["venue"]),
+                                  "objects_path": str(generated["objects"]),
+                                  "queries_path": str(generated["queries"]),
+                                  "algorithms": ["gcnn"]}))
+    paths = {"VENUE": generated["venue"], "OBJECTS": generated["objects"],
+             "QUERIES": generated["queries"], "OUT": out}
+    assert run(["bench", "--config", config, *(paths.get(f, f) for f in flags)]) == 1
+    assert capsys.readouterr() == ("", f"error: bench --config does not take {named}\n")
+    assert not out.exists()
+
+
+def test_bench_config_takes_delta_summary_and_seed(generated, tmp_path, capsys):
+    """The flags bench reads beside a config file: they override its delta
+    and add the summary file and seed."""
+    out, summary = tmp_path / "viaconfig.csv", tmp_path / "summary.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"venue_path": str(generated["venue"]),
+                                  "objects_path": str(generated["objects"]),
+                                  "queries_path": str(generated["queries"]),
+                                  "algorithms": ["gcnn-dom"], "delta": 0,
+                                  "output_path": str(out)}))
+    assert run(["bench", "--config", config, "--delta", "100", "--summary", summary,
+                "--seed", "7"]) == 0
+    data = json.loads(summary.read_text())
+    assert (data["delta"], data["seed"]) == (100, 7)
+    assert len(out.read_text().splitlines()) == 1 + 4
+
+
+def test_bench_flags_default_to_the_config_defaults(generated, tmp_path, capsys):
+    """Without --algorithms, --delta or --repetitions, bench runs
+    ExperimentConfig's default suite once per query at its default delta."""
+    out = tmp_path / "defaults.csv"
+    assert run(["bench", "--venue", generated["venue"], "--objects", generated["objects"],
+                "--queries", generated["queries"], "--out", out]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["delta"] == 50
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert Counter(row[1] for row in rows) == {"gcnn": 4, "gcnn-dom": 4, "oracle": 4}
 
 
 def test_query_rank_once_algorithm(generated, tmp_path):

@@ -52,7 +52,7 @@ def assert_blocks_match_live_points(index):
         assert index.live_count(cat) == len(pool)
         block = index.category_block(cat)
         assert block.points == tuple(pool)
-        assert block.ids.tolist() == [p.id for p in pool]
+        assert [p.id for p in block.points] == [p.id for p in pool]
         assert block.scores.tolist() == [p.static_score for p in pool]
 
 
@@ -497,8 +497,8 @@ def test_remove_sole_point_drops_partition_from_inverted_file():
     assert 0 not in smaller.category_block(3).by_partition
     rows, there = smaller.category_block(3).by_partition[1]
     assert rows.tolist() == [0] and [p.id for p in there] == [1]
-    assert index.category_block(3).ids.tolist() == [0, 1]
-    assert smaller.category_block(3).ids.tolist() == [1]
+    assert [p.id for p in index.category_block(3).points] == [0, 1]
+    assert [p.id for p in smaller.category_block(3).points] == [1]
 
 
 def test_remove_nothing_is_deep_equal():

@@ -1,5 +1,6 @@
 """The block distance kernel: exact agreement with the scalar metric, the
-cnn tie rule on blocks, and an engine that keeps no per-query state."""
+tie rule on blocks (cnn, gcnn and rank-once), and an engine that keeps no
+per-query state."""
 
 import random
 import sys
@@ -16,11 +17,14 @@ from indoortrip import (
     IndoorPoint,
     Location,
     QueryContext,
+    TripQuery,
     build_d2d_graph,
     build_index,
     gcnn,
+    rank_once_greedy,
 )
 
+from indoortrip.oracle import RANK_ONCE_SHORTLIST
 from indoortrip.venue import intra_distance
 
 from conftest import make_corridor_venue, small_workload
@@ -125,8 +129,8 @@ def tie_venue(points):
     return venue, index
 
 
-def pt(pid, part, x, score=2.0):
-    return IndoorPoint(id=pid, partition_id=part, x=x, y=5.0, floor=0, category=1,
+def pt(pid, part, x, score=2.0, category=1):
+    return IndoorPoint(id=pid, partition_id=part, x=x, y=5.0, floor=0, category=category,
                        static_score=score)
 
 
@@ -150,6 +154,38 @@ def test_cnn_tie_across_a_doorway_goes_to_the_smaller_id(ids):
         assert index.cnn(door, 1, ctx)[0].id == 3
         assert index.engine.distance(door, venue.points[3].location) == \
             index.engine.distance(door, venue.points[8].location)
+
+
+def test_rank_once_step_tie_goes_to_the_smaller_id():
+    # Two co-located points of equal score, both on the shortlist, ids on
+    # either side of a third, worse point's.
+    venue, index = tie_venue([pt(9, 2, 25.0), pt(5, 1, 15.0, 30.0), pt(2, 2, 25.0)])
+    here = Location(4.0, 5.0, 0)
+    route = rank_once_greedy(TripQuery(here, here, (1,), 0.5), index)
+    assert [s.point_id for s in route.stops] == [2]
+
+
+@pytest.mark.parametrize("planner", [gcnn, rank_once_greedy], ids=["gcnn", "rank-once"])
+def test_an_equal_step_across_categories_goes_to_the_smaller_category(planner):
+    # Co-located and of equal score, so the first round's candidates tie;
+    # the smaller category holds the larger id, so only the category decides.
+    venue, index = tie_venue([pt(8, 2, 25.0, category=1), pt(3, 2, 25.0, category=2)])
+    here = Location(4.0, 5.0, 0)
+    route = planner(TripQuery(here, here, (2, 1), 0.5), index)
+    assert [(s.category, s.point_id) for s in route.stops] == [(1, 8), (2, 3)]
+
+
+def test_rank_once_shortlist_keeps_the_smaller_id_of_a_tie_at_its_edge():
+    # From a source that is also the target, a point's source score is
+    # 1.5 d + 0.5 s and its first step 0.5 d + 0.5 s.  Seven points 1 m off
+    # with score 10 rank first (6.5); two co-located points 8 m off with
+    # score 0 tie at 12 for the last place, and either would be the first
+    # step (4 < 5.5), so the stop shows which one the shortlist kept.
+    near = [pt(pid, 0, 2.0, 10.0) for pid in range(1, RANK_ONCE_SHORTLIST)]
+    venue, index = tie_venue(near + [pt(20, 0, 9.0, 0.0), pt(0, 0, 9.0, 0.0)])
+    here = Location(1.0, 5.0, 0)
+    route = rank_once_greedy(TripQuery(here, here, (1,), 0.5), index)
+    assert [s.point_id for s in route.stops] == [0]
 
 
 def test_engine_keeps_no_per_query_state_over_a_stream():
