@@ -159,7 +159,7 @@ def cmd_prune(args) -> int:
                                                     venue.points.values()))
     elif args.queries:
         _, report = pruned_index(index, load_queries(args.queries),
-                                 50 if args.delta is None else args.delta)
+                                 ExperimentConfig.delta if args.delta is None else args.delta)
     else:
         raise CliError("prune needs --categories or --queries with --delta")
     if report is None:
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objects", default=None)
     p.add_argument("--categories", dest="categories_list", default=None)
     p.add_argument("--queries", default=None)
-    p.add_argument("--delta", type=int, default=None, help="with --queries (default 50)")
+    p.add_argument("--delta", type=int, default=None, help=f"with --queries (default {ExperimentConfig.delta})")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_prune)
 

@@ -10,7 +10,8 @@ per step.  The engine evaluates that formula for one location against
 a whole block of points in a single numpy expression, its one kernel
 (`door_distances`), and then patches the rows in the location's own
 partition to their straight-line distance (`patch`), in one Python
-comprehension whose `math.hypot` calls are `intra_distance`'s.
+comprehension whose `math.hypot` calls are `intra_distance`'s.  The engine
+keeps no cache: a laid-out point's door legs live only in its block row.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,9 +113,9 @@ def build_d2d_graph(venue: Venue) -> D2DGraph:
     return D2DGraph(door_ids=door_ids, edges=edges, matrix=matrix, door_rows=door_rows)
 
 
-@dataclass(frozen=True, eq=False)
-class DoorLegs:
-    """A resolved location's straight-line legs to its partition's doors."""
+class DoorLegs(NamedTuple):
+    """A resolved location's straight-line legs to its partition's doors: a
+    tuple, cheap to build for each stop a query reads off its block row."""
 
     location: Location
     doors: np.ndarray   # door-matrix indices of the partition's doors
@@ -125,7 +127,8 @@ class PointBlock:
     """Points laid out for the block kernel: one row per point, in the order
     given (id order for a snapshot's category block), one column per door
     slot of its partition, padded to the widest partition with door index 0
-    and an infinite leg.  `by_partition` gives the rows (ascending) and
+    and an infinite leg.  A row's leading slots are its point's `DoorLegs`,
+    the only copy of them.  `by_partition` gives the rows (ascending) and
     points in each partition: the rows a location there patches."""
 
     points: tuple[IndoorPoint, ...]
@@ -155,47 +158,43 @@ class DistanceEngine:
     `take`, so a location with many doors (a hallway) costs one row
     gather, not a 3-D fancy index per door and point slot.
 
-    The engine keeps one cache, of venue-derived state: the door legs of
-    every venue point it has laid out in a block.  A partition's door rows
-    are the graph's `door_rows`.  Nothing is kept per pair or per query
-    location.
+    The engine is a pure function of the venue and the graph: it keeps no
+    cache.  A partition's door rows are the graph's `door_rows`, and a
+    laid-out point's legs its block row.
     """
 
     def __init__(self, venue: Venue, graph: D2DGraph):
         self.venue = venue
         self.graph = graph
-        self._point_legs: dict[tuple, DoorLegs] = {}
-
-    def _legs(self, loc: Location) -> DoorLegs:
-        got = self._point_legs.get(loc.key())
-        if got is None:
-            part = self.venue.partitions[loc.partition_id]
-            legs = [intra_distance(part, loc, d) for d in self.venue.partition_doors(part.id)]
-            got = DoorLegs(loc, self.graph.door_rows[part.id], np.array(legs, dtype=float))
-        return got
 
     def legs(self, loc: Location) -> DoorLegs:
         """Resolve loc and measure its legs to the doors of its partition."""
-        return self._legs(self.venue.resolve(loc))
+        loc = self.venue.resolve(loc)
+        part = self.venue.partitions[loc.partition_id]
+        legs = [intra_distance(part, loc, d) for d in self.venue.partition_doors(part.id)]
+        return DoorLegs(loc, self.graph.door_rows[part.id], np.array(legs, dtype=float))
 
     def block(self, points) -> PointBlock:
-        """Lay points out as a block, in the given order."""
+        """Lay points out as a block, in the given order, one partition at a
+        time: its door rows, and each point's `intra_distance` to its doors.
+        Raises ValueError for a point its partition does not hold."""
         points = tuple(points)
-        rows = []
-        for p in points:
-            got = self.legs(p.location)
-            self._point_legs[got.location.key()] = got
-            rows.append(got)
-        width = max((got.doors.size for got in rows), default=0)
-        doors = np.zeros((len(points), width), dtype=int)
-        legs = np.full((len(points), width), np.inf)
         by_partition: dict[int, list[int]] = {}
-        for row, got in enumerate(rows):
-            doors[row, :got.doors.size] = got.doors
-            legs[row, :got.legs.size] = got.legs
-            by_partition.setdefault(got.location.partition_id, []).append(row)
+        for row, p in enumerate(points):
+            by_partition.setdefault(self.venue.partition_of(p).id, []).append(row)
+        width = max((self.graph.door_rows[part].size for part in by_partition), default=0)
+        doors, legs = [None] * len(points), [None] * len(points)  # row lists, one conversion each
+        for part, at in by_partition.items():
+            partition, there = self.venue.partitions[part], self.venue.partition_doors(part)
+            pad = width - len(there)
+            own = self.graph.door_rows[part].tolist() + [0] * pad
+            for r in at:
+                doors[r] = own
+                legs[r] = [intra_distance(partition, points[r], d) for d in there] + [math.inf] * pad
         return PointBlock(
-            points=points, doors=doors, legs=legs,
+            points=points,
+            doors=np.array(doors, dtype=int).reshape(len(points), width),
+            legs=np.array(legs, dtype=float).reshape(len(points), width),
             scores=np.array([p.static_score for p in points], dtype=float),
             by_partition={part: (np.array(at), tuple(points[r] for r in at))
                           for part, at in by_partition.items()},
@@ -235,9 +234,7 @@ class DistanceEngine:
         return (src.legs[:, None] + self.graph.matrix[src.doors]).min(axis=0, initial=np.inf)
 
     def distance(self, a: Location, b: Location) -> float:
-        a = self.venue.resolve(a)
-        b = self.venue.resolve(b)
-        if a.partition_id == b.partition_id:
-            return intra_distance(self.venue.partitions[a.partition_id], a, b)
-        other = self._legs(b)
-        return float(self.door_distances(self._legs(a), other.doors[None, :], other.legs[None, :])[0])
+        a, b = self.legs(a), self.legs(b)
+        if (part := a.location.partition_id) == b.location.partition_id:
+            return intra_distance(self.venue.partitions[part], a.location, b.location)
+        return float(self.door_distances(a, b.doors[None, :], b.legs[None, :])[0])

@@ -1,13 +1,14 @@
 """Per-snapshot index of live points, the per-query distance tables, and
 category-nearest-neighbour search.
 
-A snapshot keeps its live point ids by category, and lays each
-category's live points out, on first use, as one block in id order.
-`QueryTables` joins the blocks of one query's categories and holds the
-terms the query measures once on a snapshot and reads again; it is the
-only way a planner measures a location.  It measures the source, the
-target and each other location once, with one kernel call over the
-joined block, and patches a location's own partition rows of a category
+A snapshot keeps its live point ids by category, lays each category's
+live points out, on first use, as one block in id order, and finds a
+laid-out point's row by its location.  `QueryTables` joins the blocks of
+one query's categories and holds the terms the query measures once on a
+snapshot and reads again; it is the only way a planner measures a
+location.  It measures the source, the target and each other location
+once, with one kernel call over the joined block (a stop from its block
+row's legs), and patches a location's own partition rows of a category
 when that category is first read from it.  So `cnn` is one argmin over
 its category's slice of a scored row, a `gcnn` or rank-once query of m
 categories makes m + 1 kernel calls, and the oracle one per distinct
@@ -49,18 +50,18 @@ class QueryTables:
     given) are laid out as one joined block, their blocks in ascending
     order, with a row range (`span`) each.
 
-    - `legs(loc)`: a location's door legs, resolved and measured on first
-      sight, keyed by the location as given and as resolved: one object
-      for every form of the location.
+    - `source`, `target`: the query's ends, resolved once.
     - `from_source`, `to_target`: every row's distance from the source and
       to the target, one kernel call each; `static` is
       `(1 - alpha) * scores`.  `category(c)` slices them.
-    - `measured(legs, c)`: a from location's distance and score rows.  The
-      first read measures the whole joined block with one kernel call and
-      scores it, `((s + f) + t) * alpha + static` in the kernel's order.
-      The rows of c in the location's own partition are patched, and
-      scored again, the first time c is read from it.  The source's
-      distance row is `from_source`; its score row ranks rank-once's picks.
+    - `measured(loc, c)`: a from location's distance and score rows, one
+      record per location, keyed by it as given and as resolved.  The
+      first read measures the whole joined block with one kernel call,
+      from a laid-out point's block row or the resolved location's legs,
+      and scores it, `((s + f) + t) * alpha + static` in the kernel's
+      order.  The rows of c in the location's own partition are patched,
+      and scored again, the first time c is read from it.  The source's
+      record is made with the tables; its score row ranks rank-once's picks.
     - `between(a, b)`: category a's points' distances to b's, for the
       oracle: b's slice of each a point's `measured` row.
 
@@ -73,9 +74,8 @@ class QueryTables:
         self.index = index
         self.engine = index.engine
         self.alpha = alpha
-        self.located: dict[tuple, DoorLegs] = {}
-        self.source = self.legs(source)
-        self.target = self.legs(target)
+        src, tgt = self.engine.legs(source), self.engine.legs(target)
+        self.source, self.target = src.location, tgt.location
         self._spans: dict[int, tuple[PointBlock, slice]] = {}
         at = 0
         for cat in sorted(set(categories)) or index.live_categories():
@@ -89,23 +89,15 @@ class QueryTables:
         self.doors = _stack([block.doors for block in blocks], width, 0)
         self.door_legs = _stack([block.legs for block in blocks], width, np.inf)
         self.static = (1.0 - alpha) * np.concatenate([block.scores for block in blocks])
-        self.from_source = self.engine.door_distances(self.source, self.doors, self.door_legs)
-        self.to_target = self.engine.door_distances(self.target, self.doors, self.door_legs)
-        for loc, dist in ((self.source.location, self.from_source),
-                          (self.target.location, self.to_target)):
+        self.from_source = self.engine.door_distances(src, self.doors, self.door_legs)
+        self.to_target = self.engine.door_distances(tgt, self.doors, self.door_legs)
+        for loc, dist in ((self.source, self.from_source), (self.target, self.to_target)):
             for cat in self._spans:
                 self._patch(loc, cat, dist)
-        self._from: dict[DoorLegs, tuple[np.ndarray, np.ndarray, set[int]]] = {}
+        record = (self.source, self.from_source, self._scored(self.from_source), set(self._spans))
+        # key of a from location, as given and as resolved -> (resolved, dist, scores, patched)
+        self._from: dict[tuple, tuple] = {source.key(): record, self.source.key(): record}
         self._between: dict[tuple[int, int], np.ndarray] = {}
-
-    def legs(self, loc: Location) -> DoorLegs:
-        """loc's legs to the doors of its partition, resolved on first sight."""
-        key = loc.key()
-        got = self.located.get(key)
-        if got is None:
-            fresh = self.engine.legs(loc)
-            got = self.located[key] = self.located.setdefault(fresh.location.key(), fresh)
-        return got
 
     def span(self, category: int) -> tuple[PointBlock, slice]:
         """The category's block and its rows in the joined block.  Raises
@@ -133,25 +125,35 @@ class QueryTables:
         self.engine.patch(dist, loc, rows, here[1])
         return rows
 
-    def measured(self, legs: DoorLegs, category: int) -> tuple[np.ndarray, np.ndarray]:
+    def _scored(self, dist: np.ndarray) -> np.ndarray:
+        """Every row's score from a location dist away, in the kernel's order."""
+        scores = self.from_source + dist
+        scores += self.to_target
+        scores *= self.alpha
+        scores += self.static
+        return scores
+
+    def measured(self, loc: Location, category: int) -> tuple[np.ndarray, np.ndarray]:
         """The from location's whole distance and score rows, with the
         category's rows in its own partition patched."""
-        got = self._from.get(legs)
+        got = self._from.get(key := loc.key())
         if got is None:
-            if legs is self.source:
-                dist, patched = self.from_source, set(self._spans)
-            else:
+            at = self.index._rows.get(key)
+            if at is None:
+                legs = self.engine.legs(loc)
+            else:  # a laid-out live point: its block row holds its legs
+                block, row = at
+                doors = self.index.graph.door_rows[loc.partition_id]
+                legs = DoorLegs(loc, doors, block.legs[row, :doors.size])
+            got = self._from.get(legs.location.key())
+            if got is None:
                 dist = self.engine.door_distances(legs, self.doors, self.door_legs)
-                patched = set()
-            scores = self.from_source + dist
-            scores += self.to_target
-            scores *= self.alpha
-            scores += self.static
-            got = self._from[legs] = (dist, scores, patched)
-        dist, scores, patched = got
+                got = self._from[legs.location.key()] = (legs.location, dist, self._scored(dist), set())
+            self._from[key] = got
+        loc, dist, scores, patched = got
         if category not in patched:
             patched.add(category)
-            rows = self._patch(legs.location, category, dist)
+            rows = self._patch(loc, category, dist)
             if rows.size:
                 scores[rows] = (((self.from_source[rows] + dist[rows]) + self.to_target[rows])
                                 * self.alpha + self.static[rows])
@@ -166,7 +168,7 @@ class QueryTables:
                 return self._between[(b, a)].T  # the metric is exactly symmetric
             rows = self.span(b)[1]
             got = self._between[(a, b)] = np.array([
-                self.measured(self.legs(p.location), b)[0][rows] for p in self.span(a)[0].points])
+                self.measured(p.location, b)[0][rows] for p in self.span(a)[0].points])
         return got
 
 
@@ -185,6 +187,7 @@ class VenueIndex:
                 by_cat.setdefault(p.category, []).append(p.id)
         self._live_by_cat = {cat: tuple(sorted(ids)) for cat, ids in by_cat.items()}
         self._blocks: dict[int, PointBlock] = {}  # each category's block, built on first use
+        self._rows: dict[tuple, tuple[PointBlock, int]] = {}  # a laid-out point's Location.key() -> its row
 
     def live_categories(self) -> list[int]:
         """The categories with a live point, in id order."""
@@ -207,6 +210,8 @@ class VenueIndex:
             if category not in self._live_by_cat:
                 raise EmptyCategoryError(f"category {category} has no live points")
             block = self.engine.block(self.live_points(category))
+            self._rows.update(((p.x, p.y, p.floor, p.partition_id), (block, row))
+                              for row, p in enumerate(block.points))
             self._blocks[category] = block
         return block
 
@@ -233,7 +238,7 @@ class VenueIndex:
         """
         tables = self.tables(ctx)
         block, rows = tables.span(category)
-        dist, scores = tables.measured(tables.legs(from_loc), category)
+        dist, scores = tables.measured(from_loc, category)
         if stats is not None:
             stats.evaluated += len(block.points)
         if counter is not None:

@@ -53,10 +53,10 @@ def _best_in_order(tables: QueryTables, order: tuple[int, ...],
         prev = int(parent[row])
         stops.append((block.points[row], float(dist[prev, row])))
         row = prev
-    route = Route(waypoints=(tables.source.location,), stops=(), leg_lengths=())
+    route = Route(waypoints=(tables.source,), stops=(), leg_lengths=())
     for point, leg in reversed(stops):
         route = route.then(point, leg)
-    return route.to(tables.target.location, float(to_target[last]))
+    return route.to(tables.target, float(to_target[last]))
 
 
 def fixed_order_best(query: TripQuery, order: tuple[int, ...], index,
@@ -132,10 +132,10 @@ def rank_once_greedy(query: TripQuery, index, counter: EvalCounter | None = None
         rows = np.sort(np.argsort(ranked, kind="stable")[:RANK_ONCE_SHORTLIST])
         shortlists[cat] = ([block.points[r] for r in rows], span.start + rows)
 
-    route = Route(waypoints=(tables.source.location,), stops=(), leg_lengths=())
+    route = Route(waypoints=(tables.source,), stops=(), leg_lengths=())
     while uncovered:
         batch = []  # (step cost, category, point, leg, row)
-        current = tables.legs(route.end())
+        current = route.end()
         for cat in uncovered:
             points, rows = shortlists[cat]
             legs = tables.measured(current, cat)[0][rows]
@@ -147,4 +147,4 @@ def rank_once_greedy(query: TripQuery, index, counter: EvalCounter | None = None
         _, cat, point, leg, row = min(batch, key=lambda item: item[:2])
         route = route.then(point, leg)
         uncovered.remove(cat)
-    return route.to(tables.target.location, float(tables.to_target[row]))
+    return route.to(tables.target, float(tables.to_target[row]))

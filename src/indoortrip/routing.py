@@ -161,10 +161,9 @@ def gcnn(query: TripQuery, index, counter: EvalCounter | None = None) -> Route:
     """
     ctx = query.context()
     tables = index.tables(ctx)
-    source, target = tables.source.location, tables.target.location
     alpha = query.alpha
 
-    best = Route(waypoints=(source,), stops=(), leg_lengths=())
+    best = Route(waypoints=(tables.source,), stops=(), leg_lengths=())
     scores: tuple[float, ...] = ()  # the static score of each stop of best
     to_target = 0.0                 # best's last stop's target leg
     uncovered = sorted(set(query.categories))
@@ -184,7 +183,7 @@ def gcnn(query: TripQuery, index, counter: EvalCounter | None = None) -> Route:
         best = best.then(point, leg)
         scores += (point.static_score,)
         uncovered.remove(cat)
-    return best.to(target, to_target)
+    return best.to(tables.target, to_target)
 
 
 # ---------------------------------------------------------------------------

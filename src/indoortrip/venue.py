@@ -118,25 +118,23 @@ class Venue:
     def partition_doors(self, partition_id: int) -> list[Door]:
         return [self.doors[d] for d in self.partitions[partition_id].door_ids]
 
+    def partition_of(self, loc: Location | IndoorPoint) -> Partition:
+        """The partition loc names, which must hold it at finite coordinates;
+        otherwise a ValueError names the partition."""
+        part = self.partitions.get(loc.partition_id)
+        if part is None:
+            raise ValueError(f"location references unknown partition {loc.partition_id}")
+        if not (math.isfinite(loc.x) and math.isfinite(loc.y)):
+            raise ValueError(f"location in partition {part.id} has non-finite coordinates ({loc.x}, {loc.y})")
+        if not part.contains(loc.x, loc.y, loc.floor):
+            raise ValueError(f"location ({loc.x}, {loc.y}, floor {loc.floor}) lies outside its partition {part.id}")
+        return part
+
     def resolve(self, loc: Location) -> Location:
         """Attach a partition id to a location; smallest id wins on overlap.
-
-        A location that names its partition must lie inside it, with finite
-        coordinates; otherwise a ValueError names the partition.
-        """
+        A location that names its partition is checked by `partition_of`."""
         if loc.partition_id is not None:
-            part = self.partitions.get(loc.partition_id)
-            if part is None:
-                raise ValueError(f"location references unknown partition {loc.partition_id}")
-            if not (math.isfinite(loc.x) and math.isfinite(loc.y)):
-                raise ValueError(
-                    f"location in partition {part.id} has non-finite coordinates ({loc.x}, {loc.y})"
-                )
-            if not part.contains(loc.x, loc.y, loc.floor):
-                raise ValueError(
-                    f"location ({loc.x}, {loc.y}, floor {loc.floor}) lies outside "
-                    f"its partition {part.id}"
-                )
+            self.partition_of(loc)
             return loc
         for pid in sorted(self.partitions):
             if self.partitions[pid].contains(loc.x, loc.y, loc.floor):

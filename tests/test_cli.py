@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from indoortrip import build_d2d_graph, build_index, gcnn, load_checked_venue, preprocess
+from indoortrip import (ExperimentConfig, build_d2d_graph, build_index, gcnn,
+                        load_checked_venue, preprocess)
 from indoortrip.bench import frequent_categories, pruned_index
 from indoortrip.cli import main
 from indoortrip.routing import load_queries
@@ -265,6 +266,11 @@ def test_prune_queries_reports_what_bench_prunes(generated, capsys):
     _, report = pruned_index(index, load_queries(generated["queries"]), 60)
     assert printed == dict(report.to_dict(), categories=list(report.categories))
     assert 0 < len(printed["categories"]) < 5
+    # Without --delta, prune reads bench's default.
+    assert run(["prune", *inputs]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    _, report = pruned_index(index, load_queries(generated["queries"]), ExperimentConfig.delta)
+    assert printed == dict(report.to_dict(), categories=list(report.categories))
     assert run(["prune", *inputs, "--delta", 0]) == 1
     assert "error: no categories selected for pruning" in capsys.readouterr().err
 

@@ -11,6 +11,7 @@ from indoortrip import (
     build_d2d_graph,
     build_index,
     point_score,
+    preprocess,
 )
 from indoortrip.index import CnnStats
 from indoortrip.venue import intra_distance
@@ -393,6 +394,53 @@ def test_door_rows_and_block_partitions_match_their_references(desk_workload):
             for pid, (rows, points) in block.by_partition.items():
                 assert rows.tolist() == want[pid][0]
                 assert points == tuple(want[pid][1])
+
+
+@pytest.mark.parametrize("doors_per_room", [1, 2, 3])
+def test_block_rows_are_each_points_legs_padded(doors_per_room):
+    """Every category block's doors and legs are, byte for byte, each
+    point's `engine.legs` padded to the block's width with door 0 and an
+    infinite leg: on the full snapshot and on a preprocessed one, over
+    multi-door rooms and points in hallways and on two-floor stairs."""
+    venue = small_workload(seed=doors_per_room, doors_per_room=doors_per_room)[0]
+    venue, extra = with_many_door_points(venue, random.Random(doors_per_room))
+    stairs = {(p.partition_id, p.floor) for p in extra
+              if venue.partitions[p.partition_id].kind == "stairs"}
+    assert len(stairs) > len({pid for pid, _ in stairs}) > 0
+    full = build_index(venue, build_d2d_graph(venue))
+    pruned, report = preprocess(full, full.live_categories())
+    assert report.removed > 0
+    for index in (full, pruned):
+        for cat in index.live_categories():
+            block = index.category_block(cat)
+            rows = [index.engine.legs(p.location) for p in block.points]
+            width = max(got.doors.size for got in rows)
+            doors = np.zeros((len(rows), width), dtype=int)
+            legs = np.full((len(rows), width), np.inf)
+            for row, got in enumerate(rows):
+                doors[row, :got.doors.size] = got.doors
+                legs[row, :got.legs.size] = got.legs
+            assert block.doors.shape == doors.shape and block.doors.dtype == doors.dtype
+            assert block.doors.tobytes() == doors.tobytes()
+            assert block.legs.tobytes() == legs.tobytes()
+
+
+@pytest.mark.parametrize("point", [
+    dict(x=15.0),                # inside room 1, not its own room 0
+    dict(floor=1),               # a floor room 0 does not reach
+    dict(y=float("nan")),
+    dict(partition_id=7),        # no such partition
+], ids=["outside", "floor", "nan", "unknown"])
+def test_layout_refuses_a_point_its_partition_does_not_hold(point):
+    """Layout checks each point as `Venue.resolve` checks a location that
+    names its partition, even on a venue `validate_venue` never saw."""
+    fields = dict(id=1, partition_id=0, x=5.0, y=5.0, floor=0, category=0, static_score=1.0)
+    good = IndoorPoint(**dict(fields, id=0))
+    venue = make_two_room_venue([good, IndoorPoint(**dict(fields, **point))])
+    index = build_index(venue, build_d2d_graph(venue))
+    with pytest.raises(ValueError):
+        index.category_block(0)
+    assert build_index(venue.with_points([good]), index.graph).category_block(0).points == (good,)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

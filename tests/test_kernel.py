@@ -195,15 +195,17 @@ def test_engine_keeps_no_per_query_state_over_a_stream():
     for q in queries:
         gcnn(q, index)
     engine = index.engine
-    # Only venue-derived state: legs per venue point.
-    assert set(vars(engine)) == {"venue", "graph", "_point_legs"}
-    assert set(engine._point_legs) <= {p.location.key() for p in venue.points.values()}
+    # No state of its own: the engine is the venue and its door graph.
+    assert set(vars(engine)) == {"venue", "graph"}
     # The snapshot keeps what it was built with; only its caches filled, and
     # those by category, never by query.
     assert vars(index).keys() == built.keys()
     assert all(vars(index)[name] is value for name, value in built.items())
     categories = set(venue.categories)
     assert index._blocks and set(index._blocks) <= categories
+    # The row map holds laid-out points only, never a query's source or target.
+    assert set(index._rows) == {p.location.key() for block in index._blocks.values()
+                                for p in block.points}
 
 
 def test_concurrent_queries_on_one_snapshot_match_sequential_routes():

@@ -155,9 +155,9 @@ def test_gcnn_resolves_each_query_location_once(monkeypatch):
     for q in queries:
         calls.clear()
         assert gcnn(q, index).complete
-        # The tables' source and target, and the from location of every
-        # round after the first, once each.
-        assert len(calls) == len(q.categories) + 1
+        # The tables' source and target, once each: every later round's
+        # from location is a stop, whose legs its block row holds.
+        assert len(calls) == 2
 
 
 def test_gcnn_resolves_its_source_and_target_exactly_once(monkeypatch):
