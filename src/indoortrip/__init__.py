@@ -20,7 +20,6 @@ from .oracle import (
     OracleScaleError,
     enumerate_route,
     exact_route,
-    fixed_order_best,
     rank_once_greedy,
 )
 from .routing import (

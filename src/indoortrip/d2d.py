@@ -6,12 +6,12 @@ shortest paths over this graph plus straight-line legs inside the first
 and last partition.  `build_d2d_graph` measures the shortest path of
 every door pair once, into the graph's door matrix, before it returns
 the graph: a block Bellman-Ford in numpy, one partition's door clique
-per step.  The engine evaluates that formula for one location against
-a whole block of points in a single numpy expression, its one kernel
-(`door_distances`), and then patches the rows in the location's own
-partition to their straight-line distance (`patch`), in one Python
-comprehension whose `math.hypot` calls are `intra_distance`'s.  The engine
-keeps no cache: a laid-out point's door legs live only in its block row.
+per step.  The engine evaluates that formula for one location (or one
+block's rows: `pair_table`) against a whole block of points in a single
+numpy expression, its one kernel (`door_distances`), and then patches the
+rows in the location's own partition to their straight-line distance
+(`patch`), in one comprehension whose `math.hypot` calls are
+`intra_distance`'s.  The engine keeps no cache.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .venue import IndoorPoint, Location, Venue, intra_distance
 
 # Floats in one block relaxation's (doors, doors, sources) temporary.
 _RELAX_FLOATS = 2 ** 18
+# Floats in one pair-table chunk's (rows, I, P, K) temporary and row gather.
+_PAIR_FLOATS = 2 ** 18
 
 
 class DisconnectedVenueError(Exception):
@@ -114,12 +116,12 @@ def build_d2d_graph(venue: Venue) -> D2DGraph:
 
 
 class DoorLegs(NamedTuple):
-    """A resolved location's straight-line legs to its partition's doors: a
-    tuple, cheap to build for each stop a query reads off its block row."""
+    """A resolved location's straight-line legs to its partition's doors, cheap
+    to build off a stop's block row; location None for `pair_table`'s block rows."""
 
-    location: Location
-    doors: np.ndarray   # door-matrix indices of the partition's doors
-    legs: np.ndarray    # intra-partition distance to each of them
+    location: Location | None
+    doors: np.ndarray   # door-matrix indices of the partition's doors: (I,) or (rows, I)
+    legs: np.ndarray    # intra-partition distance to each of them, the same shape
 
 
 @dataclass(frozen=True)
@@ -150,13 +152,13 @@ class DistanceEngine:
     `door_distances` kernel, then `patch`), so a block entry equals the
     scalar distance bit for bit.  Planners measure only through the query
     tables of `index`, which call the two parts themselves, to patch only
-    the rows they read; `block_distances` is the reference the tests
-    compare those tables against.
+    the rows they read, and through `pair_table`; `block_distances` is
+    the reference the tests compare those tables against.
 
     The kernel gathers the door-matrix rows of the location's doors once
-    per call and takes the block's door columns from them in one 2-D
-    `take`, so a location with many doors (a hallway) costs one row
-    gather, not a 3-D fancy index per door and point slot.
+    per call and takes the block's door columns from them in one `take`,
+    so a location with many doors (a hallway) costs one row gather, not a
+    fancy index per door and point slot.
 
     The engine is a pure function of the venue and the graph: it keeps no
     cache.  A partition's door rows are the graph's `door_rows`, and a
@@ -202,11 +204,26 @@ class DistanceEngine:
 
     def door_distances(self, src: DoorLegs, doors: np.ndarray, legs: np.ndarray) -> np.ndarray:
         """min over (i, j) of (src.legs[i] + legs[p, j]) + door_matrix[src.doors[i], doors[p, j]]
-        for every row p: the through-doors distance, same-partition pairs
-        unpatched.  The block kernel: every distance is measured through it."""
-        rows = self.graph.matrix.take(src.doors, axis=0)  # (I, doors)
-        total = (src.legs[:, None, None] + legs) + rows.take(doors, axis=1)  # (I, P, K)
-        return np.minimum.reduce(total, axis=(0, 2), initial=np.inf)
+        for every row p, and every src row if src is a block: the through-doors distance,
+        same-partition pairs unpatched.  The block kernel: every distance is measured through it."""
+        rows = self.graph.matrix.take(src.doors, axis=0)  # ([rows,] I, doors)
+        total = (src.legs[..., None, None] + legs) + rows.take(doors, axis=-1)  # ([rows,] I, P, K)
+        return np.minimum.reduce(total, axis=(-3, -1), initial=np.inf)
+
+    def pair_table(self, a: PointBlock, b: PointBlock) -> np.ndarray:
+        """[i, j] = distance from a's point i to b's point j: the kernel from
+        chunks of a's rows, each (rows, I, P, K) temporary and (rows, I, doors)
+        row gather within `_PAIR_FLOATS`, then `patch` where two points share
+        a partition.  Row i is `block_distances` from point i, bit for bit."""
+        per_row = max(1, a.doors.shape[1] * max(b.doors.size, len(self.graph.door_ids)))
+        step = max(1, _PAIR_FLOATS // per_row)
+        cuts = range(step, len(a.points), step)
+        out = np.concatenate([self.door_distances(DoorLegs(None, *chunk), b.doors, b.legs)
+                              for chunk in zip(np.split(a.doors, cuts), np.split(a.legs, cuts))])
+        for part in a.by_partition.keys() & b.by_partition.keys():
+            for row, p in zip(*a.by_partition[part]):
+                self.patch(out[row], p.location, *b.by_partition[part])
+        return out
 
     def block_distances(self, src: DoorLegs, block: PointBlock) -> np.ndarray:
         """Distance from src's location to every point of the block.  No

@@ -11,8 +11,8 @@ once, with one kernel call over the joined block (a stop from its block
 row's legs), and patches a location's own partition rows of a category
 when that category is first read from it.  So `cnn` is one argmin over
 its category's slice of a scored row, a `gcnn` or rank-once query of m
-categories makes m + 1 kernel calls, and the oracle one per distinct
-location it reads from.
+categories makes m + 1 kernel calls, and the oracle 2: it reads its
+distances between categories from the engine's `pair_table`s.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ _NO_ROWS = np.zeros(0, dtype=int)
 
 class QueryTables:
     """The terms one query measures once on one snapshot and reads again;
-    `cnn`, `rank_once_greedy` and the oracle measure only through them.
+    `cnn` and `rank_once_greedy` measure only through them, the oracle its ends.
 
     The query's categories (all the snapshot's live ones when none are
     given) are laid out as one joined block, their blocks in ascending
@@ -62,8 +62,6 @@ class QueryTables:
       order.  The rows of c in the location's own partition are patched,
       and scored again, the first time c is read from it.  The source's
       record is made with the tables; its score row ranks rank-once's picks.
-    - `between(a, b)`: category a's points' distances to b's, for the
-      oracle: b's slice of each a point's `measured` row.
 
     `cnn` keeps one per snapshot on the query's context
     (`VenueIndex.tables`), so it dies with the query; it keeps no reference
@@ -97,7 +95,6 @@ class QueryTables:
         record = (self.source, self.from_source, self._scored(self.from_source), set(self._spans))
         # key of a from location, as given and as resolved -> (resolved, dist, scores, patched)
         self._from: dict[tuple, tuple] = {source.key(): record, self.source.key(): record}
-        self._between: dict[tuple[int, int], np.ndarray] = {}
 
     def span(self, category: int) -> tuple[PointBlock, slice]:
         """The category's block and its rows in the joined block.  Raises
@@ -158,18 +155,6 @@ class QueryTables:
                 scores[rows] = (((self.from_source[rows] + dist[rows]) + self.to_target[rows])
                                 * self.alpha + self.static[rows])
         return dist, scores
-
-    def between(self, a: int, b: int) -> np.ndarray:
-        """[i, j] = distance from point i of category a to point j of b:
-        b's slice of each point's measured row."""
-        got = self._between.get((a, b))
-        if got is None:
-            if (b, a) in self._between:
-                return self._between[(b, a)].T  # the metric is exactly symmetric
-            rows = self.span(b)[1]
-            got = self._between[(a, b)] = np.array([
-                self.measured(p.location, b)[0][rows] for p in self.span(a)[0].points])
-        return got
 
 
 class VenueIndex:

@@ -5,8 +5,8 @@ layered dynamic program picks the best point per category, which is
 exponentially cheaper than enumerating point tuples.  A naive full
 enumeration is kept for cross-checking the DP on tiny instances.
 
-Both measure only through the query's `QueryTables`: one kernel call per
-location they read from.
+Both read the query's ends from its `QueryTables`; rank-once measures its
+stops there too, and the exact solver reads one `pair_table` per category pair.
 """
 
 from __future__ import annotations
@@ -26,19 +26,19 @@ class OracleScaleError(Exception):
     """Too many categories for factorial enumeration."""
 
 
-def _best_in_order(tables: QueryTables, order: tuple[int, ...],
-                   counter: EvalCounter | None) -> Route:
+def _best_in_order(tables: QueryTables, pairs: dict[tuple[int, int], np.ndarray],
+                   order: tuple[int, ...], counter: EvalCounter | None) -> Route:
     """The layered DP over one category order: a min-plus step per layer.
 
     A first-index argmin keeps the earliest (smallest-id) predecessor among
-    equal candidates.  Each layer keeps the distance table it read, and
-    the route's legs are that table's entries at the chosen rows."""
+    equal candidates.  Each layer keeps the distance table it read (a pair
+    table after the first), and the route's legs are its entries at the chosen rows."""
     alpha = tables.alpha
     layers = []  # per layer: its block, the distances it read, argmin parents
     prev_costs = np.zeros(1)
     for k, cat in enumerate(order):
         block, from_source, _, static = tables.category(cat)
-        dist = from_source[None, :] if k == 0 else tables.between(order[k - 1], cat)
+        dist = from_source[None, :] if k == 0 else pairs[order[k - 1], cat]
         cand = prev_costs[:, None] + alpha * dist
         if counter is not None:
             counter.point_evals += cand.size
@@ -59,22 +59,10 @@ def _best_in_order(tables: QueryTables, order: tuple[int, ...],
     return route.to(tables.target, float(to_target[last]))
 
 
-def fixed_order_best(query: TripQuery, order: tuple[int, ...], index,
-                     counter: EvalCounter | None = None) -> Route:
-    """Cheapest route visiting the categories exactly in the given order.
-
-    Edge legs contribute alpha * distance, each chosen point contributes
-    (1 - alpha) * score; ties inside a layer go to the smaller point id.
-    """
-    if sorted(order) != sorted(query.categories):
-        raise ValueError("order must be a permutation of the query categories")
-    tables = QueryTables(index, query.source, query.target, query.alpha, query.categories)
-    return _best_in_order(tables, tuple(order), counter)
-
-
 def exact_route(query: TripQuery, index, limit: int = ORACLE_CATEGORY_LIMIT,
                 counter: EvalCounter | None = None) -> Route:
-    """Optimal route: minimum over all category visiting orders.
+    """Optimal route: minimum over all category visiting orders, each
+    ordered pair of categories measured once, as one `pair_table`.
 
     Ties keep the lexicographically smaller order: `permutations` yields
     that one first, and `min` keeps the first of equal costs.
@@ -83,7 +71,10 @@ def exact_route(query: TripQuery, index, limit: int = ORACLE_CATEGORY_LIMIT,
     if len(cats) > limit:
         raise OracleScaleError(f"{len(cats)} categories exceed the factorial guard of {limit}")
     tables = QueryTables(index, query.source, query.target, query.alpha, query.categories)
-    return min((_best_in_order(tables, order, counter) for order in itertools.permutations(cats)),
+    pairs = {(a, b): index.engine.pair_table(tables.span(a)[0], tables.span(b)[0])
+             for a, b in itertools.permutations(cats, 2)}
+    return min((_best_in_order(tables, pairs, order, counter)
+                for order in itertools.permutations(cats)),
                key=lambda route: route_cost(route, query.alpha))
 
 

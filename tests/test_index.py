@@ -13,6 +13,7 @@ from indoortrip import (
     point_score,
     preprocess,
 )
+from indoortrip import d2d
 from indoortrip.index import CnnStats
 from indoortrip.venue import intra_distance
 
@@ -425,6 +426,33 @@ def test_block_rows_are_each_points_legs_padded(doors_per_room):
             assert block.legs.tobytes() == legs.tobytes()
 
 
+@pytest.mark.parametrize("budget", [1, 7, 2 ** 10, None])
+@pytest.mark.parametrize("doors_per_room", [1, 2, 3])
+def test_pair_table_rows_are_the_reference_block_kernel(monkeypatch, doors_per_room, budget):
+    """For every ordered pair of categories, a == b included, each row of
+    `pair_table(a, b)` is, byte for byte, the reference block kernel from
+    that point of a to b's block, and `pair_table(b, a)` is its transpose:
+    over multi-door rooms and points in hallways and on two-floor stairs,
+    with chunks of one row (budgets 1 and 7), of several rows and a
+    shorter last one (2 ** 10), and the default budget."""
+    if budget is not None:
+        monkeypatch.setattr(d2d, "_PAIR_FLOATS", budget)
+    venue = small_workload(seed=doors_per_room, doors_per_room=doors_per_room)[0]
+    venue, extra = with_many_door_points(venue, random.Random(doors_per_room))
+    assert len({p.floor for p in extra if venue.partitions[p.partition_id].kind == "stairs"}) > 1
+    index = build_index(venue, build_d2d_graph(venue))
+    engine = index.engine
+    blocks = [index.category_block(c) for c in index.live_categories()]
+    for a in blocks:
+        for b in blocks:
+            got = engine.pair_table(a, b)
+            assert got.shape == (len(a.points), len(b.points))
+            for row, p in zip(got, a.points):
+                want = engine.block_distances(engine.legs(p.location), b)
+                assert row.tobytes() == want.tobytes(), (p.id, b.points[0].category)
+            assert engine.pair_table(b, a).tobytes() == got.T.tobytes()
+
+
 @pytest.mark.parametrize("point", [
     dict(x=15.0),                # inside room 1, not its own room 0
     dict(floor=1),               # a floor room 0 does not reach
@@ -448,7 +476,7 @@ def test_cnn_equals_linear_scan_over_blocks_of_different_widths(seed):
     """One more category's points stand in hallways and stairs, whose many
     doors make its block wider than the rooms' categories': the query's
     joined block pads the narrower ones, and cnn still equals the linear
-    scan for every category.  The oracle's `between(a, b)`, for every
+    scan for every category.  The oracle's `pair_table(a, b)`, for every
     ordered pair, is row for row the reference block kernel from each of
     a's points to b's block, bit for bit."""
     venue, graph, _, _ = small_workload(seed=seed)
@@ -465,12 +493,11 @@ def test_cnn_equals_linear_scan_over_blocks_of_different_widths(seed):
         for cat in cats:
             assert index.cnn(from_loc, cat, ctx)[0].id == linear_scan_cnn(index, from_loc, cat, ctx).id
     engine = index.engine
-    tables = index.tables(ctx)
     assert len({p.floor for p in extra if venue.partitions[p.partition_id].kind == "stairs"}) > 1
     for a in cats:
         for b in cats:
-            got = tables.between(a, b)
             block = index.category_block(b)
+            got = engine.pair_table(index.category_block(a), block)
             for row, p in zip(got, index.category_block(a).points):
                 want = engine.block_distances(engine.legs(p.location), block)
                 assert row.tobytes() == want.tobytes(), (a, b, p.id)

@@ -17,7 +17,7 @@ from indoortrip import (
     rank_once_greedy,
     route_cost,
 )
-from indoortrip.oracle import RANK_ONCE_SHORTLIST, fixed_order_best
+from indoortrip.oracle import RANK_ONCE_SHORTLIST
 
 from conftest import make_two_room_venue, small_workload
 
@@ -55,9 +55,9 @@ def tiny_instance(seed, m=2, per_category=4):
     return query, index
 
 
-def test_fixed_order_single_category_is_direct_argmin():
+def test_exact_route_single_category_is_direct_argmin():
     query, index = tiny_instance(seed=1, m=1, per_category=5)
-    route = fixed_order_best(query, (0,), index)
+    route = exact_route(query, index)
     engine = index.engine
     src = index.venue.resolve(query.source)
     tgt = index.venue.resolve(query.target)
@@ -70,49 +70,35 @@ def test_fixed_order_single_category_is_direct_argmin():
     assert [s.point_id for s in route.stops] == [best.id]
 
 
-def test_fixed_order_alpha_zero_picks_min_score_points():
+def test_exact_route_alpha_zero_picks_min_score_points():
     query, index = tiny_instance(seed=2, m=3, per_category=4)
     query = TripQuery(query.source, query.target, query.categories, alpha=0.0)
-    route = fixed_order_best(query, tuple(sorted(query.categories)), index)
+    route = exact_route(query, index)
     for stop in route.stops:
         pool = index.live_points(stop.category)
         assert stop.score == min(p.static_score for p in pool)
 
 
-def test_fixed_order_requires_a_permutation():
-    query, index = tiny_instance(seed=3, m=2)
-    with pytest.raises(ValueError):
-        fixed_order_best(query, (0,), index)
-
-
-def test_fixed_order_matches_exhaustive_tuple_enumeration():
+def test_exact_route_matches_exhaustive_tuple_enumeration():
     for seed in range(8):
         query, index = tiny_instance(seed=seed, m=2, per_category=5)
         engine = index.engine
         src = index.venue.resolve(query.source)
         tgt = index.venue.resolve(query.target)
-        for order in itertools.permutations(sorted(query.categories)):
-            route = fixed_order_best(query, order, index)
-            best = min(
-                query.alpha
-                * (
-                    engine.distance(src, a.location)
-                    + engine.distance(a.location, b.location)
-                    + engine.distance(b.location, tgt)
-                )
-                + (1 - query.alpha) * (a.static_score + b.static_score)
-                for a in index.live_points(order[0])
-                for b in index.live_points(order[1])
+        best = min(
+            query.alpha
+            * (
+                engine.distance(src, a.location)
+                + engine.distance(a.location, b.location)
+                + engine.distance(b.location, tgt)
             )
-            assert route_cost(route, query.alpha) == pytest.approx(best, rel=1e-12)
-
-
-def test_exact_route_single_category_equals_fixed_order():
-    query, index = tiny_instance(seed=4, m=1)
-    via_order = fixed_order_best(query, (0,), index)
-    via_exact = exact_route(query, index)
-    assert route_cost(via_exact, query.alpha) == route_cost(via_order, query.alpha)
-    assert [s.point_id for s in via_exact.stops] == [s.point_id for s in via_order.stops]
+            + (1 - query.alpha) * (a.static_score + b.static_score)
+            for order in itertools.permutations(sorted(query.categories))
+            for a in index.live_points(order[0])
+            for b in index.live_points(order[1])
+        )
+        route = exact_route(query, index)
+        assert route_cost(route, query.alpha) == pytest.approx(best, rel=1e-12)
 
 
 def test_exact_route_tie_keeps_first_permutation():
@@ -150,15 +136,6 @@ def test_exact_route_factorial_guard():
     big = TripQuery(query.source, query.target, categories=tuple(range(2)), alpha=0.5)
     with pytest.raises(OracleScaleError):
         exact_route(big, index, limit=1)
-
-
-def test_min_over_permutations_is_internally_consistent():
-    query, index = tiny_instance(seed=6, m=3, per_category=3)
-    best = min(
-        route_cost(fixed_order_best(query, order, index), query.alpha)
-        for order in itertools.permutations(sorted(query.categories))
-    )
-    assert route_cost(exact_route(query, index), query.alpha) == best
 
 
 def test_rank_once_single_category_matches_gcnn():
