@@ -148,12 +148,10 @@ class DistanceEngine:
     partition) pairs.  The entry/exit legs are added to each other before
     the door-graph term so that both evaluation directions sum in the
     same order: the metric is exactly symmetric, not just within float
-    noise.  `distance` and `block_distances` share that one formula (the
-    `door_distances` kernel, then `patch`), so a block entry equals the
-    scalar distance bit for bit.  Planners measure only through the query
-    tables of `index`, which call the two parts themselves, to patch only
-    the rows they read, and through `pair_table`; `block_distances` is
-    the reference the tests compare those tables against.
+    noise.  `distance`, `pair_table` and the query tables of `index` share
+    that one formula (the `door_distances` kernel, then `patch`), so a
+    block entry equals the scalar distance bit for bit.  The query tables
+    call the two parts themselves, to patch only the rows they read.
 
     The kernel gathers the door-matrix rows of the location's doors once
     per call and takes the block's door columns from them in one `take`,
@@ -214,7 +212,7 @@ class DistanceEngine:
         """[i, j] = distance from a's point i to b's point j: the kernel from
         chunks of a's rows, each (rows, I, P, K) temporary and (rows, I, doors)
         row gather within `_PAIR_FLOATS`, then `patch` where two points share
-        a partition.  Row i is `block_distances` from point i, bit for bit."""
+        a partition.  Row i is point i's own kernel row, patched, bit for bit."""
         per_row = max(1, a.doors.shape[1] * max(b.doors.size, len(self.graph.door_ids)))
         step = max(1, _PAIR_FLOATS // per_row)
         cuts = range(step, len(a.points), step)
@@ -223,16 +221,6 @@ class DistanceEngine:
         for part in a.by_partition.keys() & b.by_partition.keys():
             for row, p in zip(*a.by_partition[part]):
                 self.patch(out[row], p.location, *b.by_partition[part])
-        return out
-
-    def block_distances(self, src: DoorLegs, block: PointBlock) -> np.ndarray:
-        """Distance from src's location to every point of the block.  No
-        planner calls it: they read the query tables of `index`, and the
-        tests compare those tables against it."""
-        out = self.door_distances(src, block.doors, block.legs)
-        here = block.by_partition.get(src.location.partition_id)
-        if here is not None:
-            self.patch(out, src.location, *here)
         return out
 
     def patch(self, out: np.ndarray, loc: Location, rows, points) -> None:

@@ -54,14 +54,15 @@ class QueryTables:
     - `from_source`, `to_target`: every row's distance from the source and
       to the target, one kernel call each; `static` is
       `(1 - alpha) * scores`.  `category(c)` slices them.
-    - `measured(loc, c)`: a from location's distance and score rows, one
-      record per location, keyed by it as given and as resolved.  The
-      first read measures the whole joined block with one kernel call,
-      from a laid-out point's block row or the resolved location's legs,
-      and scores it, `((s + f) + t) * alpha + static` in the kernel's
-      order.  The rows of c in the location's own partition are patched,
-      and scored again, the first time c is read from it.  The source's
-      record is made with the tables; its score row ranks rank-once's picks.
+    - `measured(loc, c)`: a from location's distance row, one record per
+      location, keyed by it as given and as resolved, the source's made with
+      the tables.  A first read measures the whole joined block in one kernel
+      call, from a laid-out point's block row or the resolved location's legs;
+      the rows of c in the location's own partition are patched on c's first read.
+    - `scored(loc, c)`: that row and its scores, `((s + f) + t) * alpha + static`
+      in the kernel's order, the whole row on its first scored read (`cnn`,
+      rank-once's ranking); a later patch scores its rows again by the same
+      expression, elementwise, so scoring before or after it gives the same bits.
 
     `cnn` keeps one per snapshot on the query's context
     (`VenueIndex.tables`), so it dies with the query; it keeps no reference
@@ -92,9 +93,9 @@ class QueryTables:
         for loc, dist in ((self.source, self.from_source), (self.target, self.to_target)):
             for cat in self._spans:
                 self._patch(loc, cat, dist)
-        record = (self.source, self.from_source, self._scored(self.from_source), set(self._spans))
-        # key of a from location, as given and as resolved -> (resolved, dist, scores, patched)
-        self._from: dict[tuple, tuple] = {source.key(): record, self.source.key(): record}
+        record = [self.source, self.from_source, None, set(self._spans)]
+        # a from location's key, as given and as resolved -> [resolved, dist, scores|None, patched]
+        self._from: dict[tuple, list] = {source.key(): record, self.source.key(): record}
 
     def span(self, category: int) -> tuple[PointBlock, slice]:
         """The category's block and its rows in the joined block.  Raises
@@ -130,9 +131,9 @@ class QueryTables:
         scores += self.static
         return scores
 
-    def measured(self, loc: Location, category: int) -> tuple[np.ndarray, np.ndarray]:
-        """The from location's whole distance and score rows, with the
-        category's rows in its own partition patched."""
+    def _record(self, loc: Location, category: int) -> list:
+        """The from location's [resolved, distances, scores or None, patched categories],
+        the category's rows in its own partition patched (and scored again if scored)."""
         got = self._from.get(key := loc.key())
         if got is None:
             at = self.index._rows.get(key)
@@ -145,16 +146,27 @@ class QueryTables:
             got = self._from.get(legs.location.key())
             if got is None:
                 dist = self.engine.door_distances(legs, self.doors, self.door_legs)
-                got = self._from[legs.location.key()] = (legs.location, dist, self._scored(dist), set())
+                got = self._from[legs.location.key()] = [legs.location, dist, None, set()]
             self._from[key] = got
         loc, dist, scores, patched = got
         if category not in patched:
             patched.add(category)
             rows = self._patch(loc, category, dist)
-            if rows.size:
+            if rows.size and scores is not None:
                 scores[rows] = (((self.from_source[rows] + dist[rows]) + self.to_target[rows])
                                 * self.alpha + self.static[rows])
-        return dist, scores
+        return got
+
+    def measured(self, loc: Location, category: int) -> np.ndarray:
+        """The from location's whole distance row, its partition's category rows patched."""
+        return self._record(loc, category)[1]
+
+    def scored(self, loc: Location, category: int) -> tuple[np.ndarray, np.ndarray]:
+        """`measured`'s row and its scores, the whole row scored on its first scored read."""
+        got = self._record(loc, category)
+        if got[2] is None:
+            got[2] = self._scored(got[1])
+        return got[1], got[2]
 
 
 class VenueIndex:
@@ -223,7 +235,7 @@ class VenueIndex:
         """
         tables = self.tables(ctx)
         block, rows = tables.span(category)
-        dist, scores = tables.measured(from_loc, category)
+        dist, scores = tables.scored(from_loc, category)
         if stats is not None:
             stats.evaluated += len(block.points)
         if counter is not None:

@@ -100,6 +100,21 @@ def enumerate_route(query: TripQuery, index) -> Route:
     return best_route
 
 
+def _shortlist(ranked: np.ndarray, k: int) -> np.ndarray:
+    """`np.sort(np.argsort(ranked, kind="stable")[:k])` for k >= 1 and no NaN in
+    ranked (validation refuses NaN scores, coordinates and alpha), in linear time:
+    every row below `cut`, the k-th least entry, is kept (fewer than k are), then
+    the first rows equal to it, as a stable sort keeps the smaller of equal rows."""
+    if ranked.size <= k:
+        return np.arange(ranked.size)
+    cut = np.partition(ranked, k - 1)[k - 1]
+    rows = (ranked <= cut).nonzero()[0]
+    if rows.size > k:  # more rows tie at cut than places are left
+        below = ranked[rows] < cut
+        rows = rows[below | (np.cumsum(~below) <= k - np.count_nonzero(below))]
+    return rows
+
+
 def rank_once_greedy(query: TripQuery, index, counter: EvalCounter | None = None) -> Route:
     """Baseline that ranks each category once, up front, from the source.
 
@@ -107,20 +122,19 @@ def rank_once_greedy(query: TripQuery, index, counter: EvalCounter | None = None
     `RANK_ONCE_SHORTLIST` best, scored against the route's current
     endpoint's measured row.  Stands in for planners that do all their
     ranking before construction starts.  Ties go to the first minimum of
-    the scan: shortlists keep their rows in id order, categories ascend.
+    the scan: shortlists keep the smaller ids of equal scores, in id order; categories ascend.
     """
     tables = QueryTables(index, query.source, query.target, query.alpha, query.categories)
     uncovered = sorted(set(query.categories))
 
-    # Rank by the source's scored row, the source leg counted twice; a stable
-    # argsort keeps the smaller ids of equal scores.  Rows ascend, in id order.
+    # Rank by the source's scored row, the source leg counted twice.
     shortlists = {}
     for cat in uncovered:
         block, span = tables.span(cat)
-        ranked = tables.measured(tables.source, cat)[1][span]
+        ranked = tables.scored(tables.source, cat)[1][span]
         if counter is not None:
             counter.point_evals += len(block.points)
-        rows = np.sort(np.argsort(ranked, kind="stable")[:RANK_ONCE_SHORTLIST])
+        rows = _shortlist(ranked, RANK_ONCE_SHORTLIST)
         shortlists[cat] = ([block.points[r] for r in rows], span.start + rows)
 
     route = Route(waypoints=(tables.source,), stops=(), leg_lengths=())
@@ -129,7 +143,7 @@ def rank_once_greedy(query: TripQuery, index, counter: EvalCounter | None = None
         current = route.end()
         for cat in uncovered:
             points, rows = shortlists[cat]
-            legs = tables.measured(current, cat)[0][rows]
+            legs = tables.measured(current, cat)[rows]
             steps = tables.alpha * legs + tables.static[rows]
             if counter is not None:
                 counter.point_evals += len(rows)

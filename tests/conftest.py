@@ -41,6 +41,17 @@ def make_corridor_venue(rooms=4, width=10.0):
     return Venue(partitions=partitions, doors=doors)
 
 
+def block_distances(engine, src, block):
+    """Distance from src's location to every point of the block: the
+    engine's kernel, then its patch of the rows in src's partition.  The
+    reference the tests compare the query tables and pair tables against."""
+    out = engine.door_distances(src, block.doors, block.legs)
+    here = block.by_partition.get(src.location.partition_id)
+    if here is not None:
+        engine.patch(out, src.location, *here)
+    return out
+
+
 def perfbench_workloads():
     """The benchmark's pinned workloads, read from its own file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

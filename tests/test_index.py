@@ -14,10 +14,10 @@ from indoortrip import (
     preprocess,
 )
 from indoortrip import d2d
-from indoortrip.index import CnnStats
+from indoortrip.index import CnnStats, QueryTables
 from indoortrip.venue import intra_distance
 
-from conftest import make_corridor_venue, make_two_room_venue, small_workload
+from conftest import block_distances, make_corridor_venue, make_two_room_venue, small_workload
 
 
 def linear_scan_cnn(index, from_loc, category, ctx):
@@ -167,6 +167,29 @@ def test_cnn_from_a_stop_in_a_crowded_store_room_equals_linear_scan(seed, alpha)
     assert in_room > 0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_row_scored_after_a_patch_has_the_bits_of_one_scored_before_it(seed):
+    """From each live point, its own category's rows in its partition (itself
+    at least) are patched either before the row is first scored or after,
+    when they are scored again: the distance and score rows are the same
+    bits either way."""
+    venue, graph, index, queries = small_workload(seed=seed)
+    query = queries[0]
+    checked = 0
+    for p in venue.points.values():
+        other = next(c for c in index.live_categories() if c != p.category)
+        before, after = (QueryTables(index, query.source, query.target, query.alpha)
+                         for _ in range(2))
+        before.measured(p.location, p.category)
+        dist, scores = before.scored(p.location, other)
+        after.scored(p.location, other)
+        got = after.scored(p.location, p.category)
+        assert dist.tobytes() == got[0].tobytes()
+        assert scores.tobytes() == got[1].tobytes()
+        checked += 1
+    assert checked > 20
+
+
 def test_cnn_equals_linear_scan_on_random_trials():
     rng = random.Random(17)
     for seed in (0, 1, 2):
@@ -269,7 +292,7 @@ def test_cnn_score_is_the_least_kernel_score_of_its_block(seed, alpha):
         cat = rng.choice(cats)
         got, legs = index.cnn(from_loc, cat, ctx)
         block = index.category_block(cat)
-        src, here, tgt = (engine.block_distances(engine.legs(loc), block)
+        src, here, tgt = (block_distances(engine, engine.legs(loc), block)
                           for loc in (ctx.source, from_loc, ctx.target))
         scores = alpha * (src + here + tgt) + (1.0 - alpha) * block.scores
         bound = alpha * sum(legs) + (1.0 - alpha) * got.static_score
@@ -296,7 +319,7 @@ def test_door_vector_entry_bounds_are_at_most_every_block_distance(seed):
         block = index.category_block(cat)
         for loc in spots:
             legs = engine.legs(loc)
-            got = engine.block_distances(legs, block)
+            got = block_distances(engine, legs, block)
             entries = np.where(np.isinf(block.legs), np.inf,
                                engine.door_vector(loc)[block.doors]).min(axis=1)
             for row, p in enumerate(block.points):
@@ -330,7 +353,7 @@ def test_inner_legs_equal_the_least_distance_from_their_door(seed):
                     if pid not in venue.partitions:
                         continue
                     at_door = engine.legs(Location(door.x, door.y, door.floor, pid))
-                    got = engine.block_distances(at_door, block)[row]
+                    got = block_distances(engine, at_door, block)[row]
                     if pid == p.partition_id:
                         assert got == leg
                     else:
@@ -448,7 +471,7 @@ def test_pair_table_rows_are_the_reference_block_kernel(monkeypatch, doors_per_r
             got = engine.pair_table(a, b)
             assert got.shape == (len(a.points), len(b.points))
             for row, p in zip(got, a.points):
-                want = engine.block_distances(engine.legs(p.location), b)
+                want = block_distances(engine, engine.legs(p.location), b)
                 assert row.tobytes() == want.tobytes(), (p.id, b.points[0].category)
             assert engine.pair_table(b, a).tobytes() == got.T.tobytes()
 
@@ -499,7 +522,7 @@ def test_cnn_equals_linear_scan_over_blocks_of_different_widths(seed):
             block = index.category_block(b)
             got = engine.pair_table(index.category_block(a), block)
             for row, p in zip(got, index.category_block(a).points):
-                want = engine.block_distances(engine.legs(p.location), block)
+                want = block_distances(engine, engine.legs(p.location), block)
                 assert row.tobytes() == want.tobytes(), (a, b, p.id)
 
 
@@ -532,7 +555,7 @@ def test_cnn_returns_the_block_kernel_legs_of_its_winners_row(seed, bare):
                 point, legs = index.cnn(from_loc, cat, ctx)
                 block = index.category_block(cat)
                 row = block.points.index(point)
-                want = [engine.block_distances(engine.legs(loc), block)[row]
+                want = [block_distances(engine, engine.legs(loc), block)[row]
                         for loc in (ctx.source, from_loc, ctx.target)]
                 assert all(type(leg) is float for leg in legs)
                 assert np.array(legs).tobytes() == np.array(want).tobytes(), (cat, point.id)

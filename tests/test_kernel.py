@@ -2,6 +2,7 @@
 tie rule on blocks (cnn, gcnn and rank-once), and an engine that keeps no
 per-query state."""
 
+import math
 import random
 import sys
 import threading
@@ -24,10 +25,10 @@ from indoortrip import (
     rank_once_greedy,
 )
 
-from indoortrip.oracle import RANK_ONCE_SHORTLIST
+from indoortrip.oracle import RANK_ONCE_SHORTLIST, _shortlist
 from indoortrip.venue import intra_distance
 
-from conftest import make_corridor_venue, small_workload
+from conftest import block_distances, make_corridor_venue, small_workload
 
 SEEDS = (0, 1, 2)
 
@@ -82,7 +83,7 @@ def test_block_kernel_equals_scalar_distance(data, seed):
     points += index.live_points(category)
 
     engine = DistanceEngine(venue, graph)
-    got = engine.block_distances(engine.legs(source), engine.block(points))
+    got = block_distances(engine, engine.legs(source), engine.block(points))
     # A fresh engine has laid out no block, so it measures every leg itself.
     scalar = DistanceEngine(venue, graph)
     for p, d in zip(points, got):
@@ -90,7 +91,7 @@ def test_block_kernel_equals_scalar_distance(data, seed):
         assert d == want
         assert scalar.distance(p.location, source) == want
     block = index.category_block(category)
-    got = index.engine.block_distances(index.engine.legs(source), block)
+    got = block_distances(index.engine, index.engine.legs(source), block)
     assert list(got) == [scalar.distance(source, p.location) for p in block.points]
 
 
@@ -186,6 +187,22 @@ def test_rank_once_shortlist_keeps_the_smaller_id_of_a_tie_at_its_edge():
     here = Location(1.0, 5.0, 0)
     route = rank_once_greedy(TripQuery(here, here, (1,), 0.5), index)
     assert [s.point_id for s in route.stops] == [0]
+
+
+# Few distinct values, so ties are heavy, and infinities of both signs;
+# -0.0 and 0.0 compare equal.
+TIED = st.one_of(st.sampled_from([-math.inf, math.inf, -0.0]),
+                 st.integers(-3, 3).map(float), st.floats(allow_nan=False))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), k=st.integers(1, 10))
+def test_rank_once_shortlist_is_the_stable_argsort_prefix_in_row_order(data, k):
+    n = data.draw(st.one_of(st.sampled_from([k, k + 1]), st.integers(0, 3 * k)), label="n")
+    ranked = np.array(data.draw(st.lists(TIED, min_size=n, max_size=n), label="ranked"))
+    want = np.sort(np.argsort(ranked, kind="stable")[:k])
+    got = _shortlist(ranked, k)
+    assert got.tolist() == want.tolist()
 
 
 def test_engine_keeps_no_per_query_state_over_a_stream():

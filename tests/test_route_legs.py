@@ -25,6 +25,7 @@ from indoortrip import (
     rank_once_greedy,
 )
 from indoortrip.bench import frequent_categories, pruned_index
+from indoortrip.index import QueryTables
 from indoortrip.routing import route_to_dict
 
 from conftest import perfbench_workloads, small_workload
@@ -256,6 +257,25 @@ def test_every_planner_measures_its_source_and_target_terms_once_per_category(mo
             if name == "oracle":
                 assert calls.count(None) == m * (m - 1)
                 assert len(calls) == 2 + m * (m - 1)
+
+
+def test_only_readers_of_scores_score_a_row(monkeypatch):
+    """A from location's row is scored whole on its first scored read: gcnn
+    scores m rows per query, its source's and each of its m - 1 later
+    from locations' (every cnn call reads scores); rank-once scores 1, the
+    source's, for its ranking, as its rounds read distances only; the
+    oracle reads no score row and scores none."""
+    index, pruned, queries = build_fixture()
+    calls = []
+    scored = QueryTables._scored
+    monkeypatch.setattr(QueryTables, "_scored",
+                        lambda self, dist: calls.append(dist) or scored(self, dist))
+    for name, plan, idx in runs(index, pruned):
+        for q in queries:
+            calls.clear()
+            assert plan(q, idx).complete
+            m = len(set(q.categories))
+            assert len(calls) == {"rank-once": 1, "oracle": 0}.get(name, m), name
 
 
 def route_and_evals(query, index, other=None):
