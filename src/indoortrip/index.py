@@ -11,24 +11,17 @@ once, with one kernel call over the joined block (a stop from its block
 row's legs), and patches a location's own partition rows of a category
 when that category is first read from it.  So `cnn` is one argmin over
 its category's slice of a scored row, a `gcnn` or rank-once query of m
-categories makes m + 1 kernel calls, and the oracle 2: it reads its
-distances between categories from the engine's `pair_table`s.
+categories makes m + 1 kernel calls, and the oracle 2 plus m(m - 1)/2:
+one engine `pair_table` per unordered pair of its categories.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .d2d import D2DGraph, DistanceEngine, DoorLegs, PointBlock
 from .routing import EmptyCategoryError, EvalCounter, QueryContext
 from .venue import IndoorPoint, Location, Venue
-
-
-@dataclass
-class CnnStats:
-    evaluated: int = 0
 
 
 def _stack(columns: list[np.ndarray], width: int, fill) -> np.ndarray:
@@ -222,7 +215,7 @@ class VenueIndex:
         return got
 
     def cnn(self, from_loc: Location, category: int, ctx: QueryContext,
-            stats: CnnStats | None = None, counter: EvalCounter | None = None
+            stats: EvalCounter | None = None, counter: EvalCounter | None = None
             ) -> tuple[IndoorPoint, tuple[float, float, float]]:
         """Live point of the category minimising the three-leg score, and
         its (source, from_loc, target) legs.
@@ -231,13 +224,14 @@ class VenueIndex:
         row in the query's QueryTables (kept on ctx for later calls with the
         same context object): every live point, in id order, so it equals a
         linear scan and ties go to the smallest point id.  The legs are the
-        winning row's entries of the distance rows it was scored from.
+        winning row's entries of the distance rows it was scored from.  The
+        scan counts into counter, or into stats when only stats is given.
         """
         tables = self.tables(ctx)
         block, rows = tables.span(category)
         dist, scores = tables.scored(from_loc, category)
-        if stats is not None:
-            stats.evaluated += len(block.points)
+        if counter is None:
+            counter = stats
         if counter is not None:
             counter.point_evals += len(block.points)
         row = int(scores[rows].argmin())  # first minimum: the smallest id among ties

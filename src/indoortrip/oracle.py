@@ -6,7 +6,7 @@ exponentially cheaper than enumerating point tuples.  A naive full
 enumeration is kept for cross-checking the DP on tiny instances.
 
 Both read the query's ends from its `QueryTables`; rank-once measures its
-stops there too, and the exact solver reads one `pair_table` per category pair.
+stops there too; the exact solver reads one `pair_table` per unordered category pair.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _best_in_order(tables: QueryTables, pairs: dict[tuple[int, int], np.ndarray]
 def exact_route(query: TripQuery, index, limit: int = ORACLE_CATEGORY_LIMIT,
                 counter: EvalCounter | None = None) -> Route:
     """Optimal route: minimum over all category visiting orders, each
-    ordered pair of categories measured once, as one `pair_table`.
+    unordered pair of categories measured once, as one `pair_table`.
 
     Ties keep the lexicographically smaller order: `permutations` yields
     that one first, and `min` keeps the first of equal costs.
@@ -71,8 +71,10 @@ def exact_route(query: TripQuery, index, limit: int = ORACLE_CATEGORY_LIMIT,
     if len(cats) > limit:
         raise OracleScaleError(f"{len(cats)} categories exceed the factorial guard of {limit}")
     tables = QueryTables(index, query.source, query.target, query.alpha, query.categories)
-    pairs = {(a, b): index.engine.pair_table(tables.span(a)[0], tables.span(b)[0])
-             for a, b in itertools.permutations(cats, 2)}
+    pairs = {}
+    for a, b in itertools.combinations(cats, 2):  # b to a: the transpose, bit for bit
+        pairs[a, b] = index.engine.pair_table(tables.span(a)[0], tables.span(b)[0])
+        pairs[b, a] = pairs[a, b].T
     return min((_best_in_order(tables, pairs, order, counter)
                 for order in itertools.permutations(cats)),
                key=lambda route: route_cost(route, query.alpha))

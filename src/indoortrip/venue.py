@@ -456,7 +456,7 @@ def load_objects_csv(path: str | Path) -> list[IndoorPoint]:
 
 
 def load_checked_venue(venue_path: str | Path, objects_path: str | Path | None = None) -> Venue:
-    """Load a venue, add the objects CSV if given, and validate the result.
+    """Load a venue, its points replaced by the objects CSV's rows if given, and validate it.
 
     Raises ValueError naming the first five findings of a failed validation.
     """

@@ -5,6 +5,7 @@ import pytest
 
 from indoortrip import (
     EmptyCategoryError,
+    EvalCounter,
     IndoorPoint,
     Location,
     QueryContext,
@@ -14,7 +15,7 @@ from indoortrip import (
     preprocess,
 )
 from indoortrip import d2d
-from indoortrip.index import CnnStats, QueryTables
+from indoortrip.index import QueryTables
 from indoortrip.venue import intra_distance
 
 from conftest import block_distances, make_corridor_venue, make_two_room_venue, small_workload
@@ -200,12 +201,15 @@ def test_cnn_equals_linear_scan_on_random_trials():
             ctx, sample = ctx_factory()
             from_loc = sample()
             cat = rng.choice(cats)
-            stats = CnnStats()
-            got, _ = index.cnn(from_loc, cat, ctx, stats=stats)
             want = linear_scan_cnn(index, from_loc, cat, ctx)
-            assert got.id == want.id
-            # One exact scan: every live point of the category, once.
-            assert stats.evaluated == index.live_count(cat)
+            # One exact scan: every live point of the category, once, counted
+            # through counter= or stats=; a call with neither counts nothing.
+            assert index.cnn(from_loc, cat, ctx)[0].id == want.id
+            for keyword in ("counter", "stats"):
+                counter = EvalCounter()
+                got, _ = index.cnn(from_loc, cat, ctx, **{keyword: counter})
+                assert got.id == want.id
+                assert counter.point_evals == index.live_count(cat), keyword
 
 
 def test_cnn_accepts_unresolved_context_locations():

@@ -70,13 +70,19 @@ def test_exact_route_single_category_is_direct_argmin():
     assert [s.point_id for s in route.stops] == [best.id]
 
 
-def test_exact_route_alpha_zero_picks_min_score_points():
-    query, index = tiny_instance(seed=2, m=3, per_category=4)
-    query = TripQuery(query.source, query.target, query.categories, alpha=0.0)
-    route = exact_route(query, index)
-    for stop in route.stops:
-        pool = index.live_points(stop.category)
-        assert stop.score == min(p.static_score for p in pool)
+@pytest.mark.parametrize("plan", [exact_route, gcnn, rank_once_greedy],
+                         ids=["oracle", "gcnn", "rank-once"])
+def test_exact_route_alpha_zero_picks_min_score_points(plan):
+    """At alpha 0 distance weighs nothing: every planner's stop is a
+    least-scored live point of its category."""
+    for seed in range(2, 8):
+        query, index = tiny_instance(seed=seed, m=1 + seed % 3, per_category=4)
+        query = TripQuery(query.source, query.target, query.categories, alpha=0.0)
+        route = plan(query, index)
+        assert sorted(s.category for s in route.stops) == sorted(set(query.categories))
+        for stop in route.stops:
+            pool = index.live_points(stop.category)
+            assert stop.score == min(p.static_score for p in pool), seed
 
 
 def test_exact_route_matches_exhaustive_tuple_enumeration():

@@ -234,9 +234,9 @@ def test_every_planner_measures_its_source_and_target_terms_once_per_category(mo
     kernel call from the query's resolved source and 1 from its resolved
     target, over the joined block of its categories.  rank-once then makes
     1 call from each stop of rounds 2 to m, m + 1 in all.  The oracle
-    measures no other location: it makes m(m - 1) calls with no location,
-    one `pair_table` chunk for each ordered pair of its categories, and
-    nothing else."""
+    measures no other location: it makes m(m - 1)/2 calls with no location,
+    one `pair_table` chunk for each unordered pair of its categories (the
+    reverse direction reads its transpose), 2 + m(m - 1)/2 in all."""
     index, pruned, queries = build_fixture()
     engine, venue = index.engine, index.venue
     calls = []
@@ -255,8 +255,8 @@ def test_every_planner_measures_its_source_and_target_terms_once_per_category(mo
             if name == "rank-once":
                 assert len(calls) == m + 1
             if name == "oracle":
-                assert calls.count(None) == m * (m - 1)
-                assert len(calls) == 2 + m * (m - 1)
+                assert calls.count(None) == m * (m - 1) // 2
+                assert len(calls) == 2 + m * (m - 1) // 2
 
 
 def test_only_readers_of_scores_score_a_row(monkeypatch):
