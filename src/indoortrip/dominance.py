@@ -20,12 +20,15 @@ number of stops, repeated visits and any number of doors.  Its left side
 grows with alpha and its right side shrinks, so a snapshot pruned at
 alpha serves every query whose alpha is at most that; a query with a
 larger alpha runs on it unguarded, with no promise that it keeps its
-route.  Each category is pruned on its own.
+route.  One presorted pass prunes every (category, partition) group of
+the chosen categories at once: a point meets only the lower-scored
+rivals of its group on its floor, the only ones that can certify it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,6 +39,13 @@ from .venue import BOUNDARY_EPS, IndoorPoint
 # terms, and an absolute floor for products that underflow (`certified`).
 MARGIN_FACTOR = 2.0 ** -44
 UNDERFLOW_FLOOR = 2.0 ** -500
+# The pass's rank windows (`certified`): a point meets its _FIRST_WINDOW
+# lowest-scored rivals first, and each later window ends _WINDOW_GROWTH
+# times further down (2, then the next 14, ...).  A window's pairs go in
+# slices of at most _PAIR_BUDGET pairs.  Neither changes the result.
+_FIRST_WINDOW = 2
+_WINDOW_GROWTH = 8
+_PAIR_BUDGET = 2 ** 12
 
 
 def venue_reach(index) -> float:
@@ -48,9 +58,28 @@ def venue_reach(index) -> float:
     return 2.0 * leg + float(index.graph.matrix.max(initial=0.0))
 
 
-def certified(points: list[IndoorPoint], alpha: float, reach: float) -> list[int]:
-    """Ids of the points of one partition and category that a rival on
-    their floor certifies at alpha, in list order: one n x n pass.
+def point_columns(points: list[IndoorPoint]) -> tuple[np.ndarray, np.ndarray]:
+    """The points' (category, partition, floor, score, x, y) as the rows
+    of one float array, its columns sorted by the first four keys (NaN
+    scores last), and the sort order: column i is points[order[i]]."""
+    columns = np.array([np.fromiter(map(attrgetter(name), points), float, len(points))
+                        for name in ("category", "partition_id", "floor", "static_score",
+                                     "x", "y")])
+    order = np.lexsort(columns[3::-1])
+    return columns[:, order], order
+
+
+def _starts(keys: np.ndarray) -> np.ndarray:
+    """Whether each column of the rows of keys starts a run of equal keys."""
+    new = np.ones(keys.shape[1], dtype=bool)
+    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    return new
+
+
+def certified(columns: np.ndarray, alpha: float, reach: float) -> np.ndarray:
+    """Which of the points laid out by `point_columns` a rival of their
+    category and partition on their floor certifies at alpha, as a mask
+    over the columns: one presorted pass over every group at once.
 
     p is certified by q when 3*alpha*d + margin < (1 - alpha)*(s(p) -
     s(q)), with margin = MARGIN_FACTOR*(3*alpha*W + (1 - alpha)*S) +
@@ -101,22 +130,53 @@ def certified(points: list[IndoorPoint], alpha: float, reach: float) -> list[int
     transitive, so every certified point can be removed at once.  The
     lowest-scored point of a group is never certified, so no category
     empties.
+
+    Only a lower score certifies.  The pass rounds keep(p) = (1 -
+    alpha)*(s(p) - m*|s(p)|) and lose(q) = (1 - alpha)*(s(q) + m*|s(q)|)
+    as written and compares the detour with keep(p) - lose(q).  For
+    finite scores m*|s| rounds to a value >= 0 and rounding is monotone,
+    so s - m*|s| rounds to at most s and s + m*|s| to at least s; 1 -
+    alpha >= 0, so s(q) >= s(p) gives keep(p) <= lose(q) and a float
+    difference <= 0.  The detour is a rounded sum of terms >= 0 and the
+    floor, so it is at least 2**-500 > 0, and the test fails.  A NaN
+    score or distance never compares true.  So q certifies p only if
+    s(q) < s(p): q ranks ahead of p and of p's ties in their group
+    sorted by score (NaN last).
+
+    The pass therefore tests each point only against the rivals of its
+    group (category, partition and floor) ranked ahead of its ties, lowest
+    scores first, in rank windows (`_FIRST_WINDOW`, `_WINDOW_GROWTH`); a
+    certified point leaves the pass.  A window's pairs go in slices of
+    at most `_PAIR_BUDGET` pairs, or of one point's rivals in the window
+    when they are more, so transient memory grows with the points, not
+    with the square of a group's size.  Each pair is the float
+    expression above, so windows and slices change the speed only.
     """
-    x, y, floor, s = np.array([(p.x, p.y, p.floor, p.static_score) for p in points]).T
-    dx = x[:, None] - x
-    dy = y[:, None] - y
-    dx *= dx
-    dy *= dy
-    dx += dy
-    d = np.sqrt(dx, out=dx)
+    s, x, y = columns[3:]
+    at = np.arange(len(s))
+    start = np.maximum.accumulate(np.where(_starts(columns[:3]), at, 0))
+    rivals = np.maximum.accumulate(np.where(_starts(columns[:4]), at, 0)) - start
     slack = MARGIN_FACTOR * np.abs(s)
-    detour = (3.0 * alpha) * d
-    detour += MARGIN_FACTOR * (3.0 * alpha) * reach + UNDERFLOW_FLOOR
-    saving = ((1.0 - alpha) * (s - slack))[:, None] - (1.0 - alpha) * (s + slack)
-    beaten = detour < saving
-    if floor.min() < floor.max():
-        beaten &= floor[:, None] == floor
-    return [p.id for p, hit in zip(points, beaten.any(axis=1).tolist()) if hit]
+    keep = (1.0 - alpha) * (s - slack)
+    lose = (1.0 - alpha) * (s + slack)
+    margin = MARGIN_FACTOR * (3.0 * alpha) * reach + UNDERFLOW_FLOOR
+    beaten = np.zeros(len(s), dtype=bool)
+    lo, hi = 0, _FIRST_WINDOW
+    while (rows := np.flatnonzero((rivals > lo) & ~beaten)).size:
+        width = np.minimum(rivals[rows], hi) - lo
+        ends = np.cumsum(width)
+        shift = start[rows] + lo - (ends - width)  # a pair's rival: shift + its pair number
+        cut = done = 0
+        while cut < rows.size:
+            stop = max(cut + 1, int(ends.searchsorted(done + _PAIR_BUDGET, "right")))
+            p = np.repeat(rows[cut:stop], width[cut:stop])
+            q = np.repeat(shift[cut:stop], width[cut:stop]) + np.arange(done, ends[stop - 1])
+            dx, dy = x[p] - x[q], y[p] - y[q]
+            detour = (3.0 * alpha) * np.sqrt(dx * dx + dy * dy) + margin
+            beaten[p[detour < keep[p] - lose[q]]] = True
+            cut, done = stop, ends[stop - 1]
+        lo, hi = hi, hi * _WINDOW_GROWTH
+    return beaten
 
 
 @dataclass
@@ -156,19 +216,16 @@ def preprocess(index, frequent_categories, alpha: float = 0.5) -> tuple["object"
     if not frequent:
         raise ValueError("preprocess needs at least one category")
     check_alpha(alpha)
-    reach = venue_reach(index)
     report = PruneReport(alpha=alpha, categories=tuple(sorted(frequent)))
-    to_remove: list[int] = []
-    for cat in report.categories:
-        by_part: dict[int, list[IndoorPoint]] = {}
-        for p in index.live_points(cat):  # in id order
-            by_part.setdefault(p.partition_id, []).append(p)
-        for pid, points in by_part.items():
-            if len(points) > 1:
-                gone = certified(points, alpha, reach)
-                report.add(pid, cat, len(gone))
-                to_remove.extend(gone)
+    points = [p for cat in report.categories for p in index.live_points(cat)]
+    columns, order = point_columns(points)
+    beaten = certified(columns, alpha, venue_reach(index))
+    gone = columns[:2, beaten]
+    heads = np.flatnonzero(_starts(gone)).tolist()
+    for head, end in zip(heads, heads[1:] + [gone.shape[1]]):
+        report.add(int(gone[1, head]), int(gone[0, head]), end - head)
 
+    to_remove = [points[i].id for i in order[beaten].tolist()]
     new_index = index.remove_points(to_remove)
     report.kept = len(new_index.alive)
     return new_index, report

@@ -2,8 +2,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import indoortrip.dominance as dom
 from indoortrip import (
     Door,
     Partition,
@@ -50,6 +52,28 @@ def block_distances(engine, src, block):
     if here is not None:
         engine.patch(out, src.location, *here)
     return out
+
+
+def certified_all_pairs(points, alpha, reach):
+    """Ids of the points of one partition and category that a rival on
+    their floor certifies at alpha, in list order: all n x n pairs in one
+    numpy expression, n**2 floats per temporary.  The reference the
+    presorted pass in `dominance.certified` is compared against at scale."""
+    x, y, floor, s = np.array([(p.x, p.y, p.floor, p.static_score) for p in points]).T
+    dx = x[:, None] - x
+    dy = y[:, None] - y
+    dx *= dx
+    dy *= dy
+    dx += dy
+    d = np.sqrt(dx, out=dx)
+    slack = dom.MARGIN_FACTOR * np.abs(s)
+    detour = (3.0 * alpha) * d
+    detour += dom.MARGIN_FACTOR * (3.0 * alpha) * reach + dom.UNDERFLOW_FLOOR
+    saving = ((1.0 - alpha) * (s - slack))[:, None] - (1.0 - alpha) * (s + slack)
+    beaten = detour < saving
+    if floor.min() < floor.max():
+        beaten &= floor[:, None] == floor
+    return [p.id for p, hit in zip(points, beaten.any(axis=1).tolist()) if hit]
 
 
 def perfbench_workloads():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -28,7 +29,7 @@ from indoortrip.bench import frequent_categories
 from indoortrip.routing import route_cost
 from indoortrip.venue import Location
 
-from conftest import make_two_room_venue, small_workload
+from conftest import certified_all_pairs, make_two_room_venue, perfbench_workloads, small_workload
 
 
 def flat_partition(width=20.0, height=12.0):
@@ -129,9 +130,7 @@ def pruning_venues(draw):
 
 # -- the certificate ---------------------------------------------------------------
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(venue=pruning_venues(), alpha=st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
-def test_preprocess_removes_exactly_the_certified_points(venue, alpha):
+def assert_removes_exactly_the_certified_points(venue, alpha):
     index = build_index(venue, build_d2d_graph(venue))
     pruned, report = preprocess(index, [0, 1, 2], alpha=alpha)
     reach = dom.venue_reach(index)
@@ -147,6 +146,29 @@ def test_preprocess_removes_exactly_the_certified_points(venue, alpha):
     assert report.removed == len(want)
     assert report.kept == len(pruned.alive)
     assert report.alpha == alpha
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(venue=pruning_venues(), alpha=st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+def test_preprocess_removes_exactly_the_certified_points(venue, alpha):
+    assert_removes_exactly_the_certified_points(venue, alpha)
+
+
+@pytest.mark.parametrize("constant, value", [
+    ("_PAIR_BUDGET", 1), ("_PAIR_BUDGET", 7), ("_PAIR_BUDGET", 2 ** 10),
+    ("_FIRST_WINDOW", 1), ("_FIRST_WINDOW", 8),
+])
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(venue=pruning_venues(), alpha=st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+def test_the_removed_set_does_not_depend_on_windows_or_slices(constant, value, venue, alpha):
+    """Slices of one pair (so each point's rivals in a window make a
+    slice of their own, over the budget), of seven and of 1024 pairs, and
+    first windows of one rank (then 7, then 56) and of eight (each group
+    of these venues in one window): each removes the definition's set, as
+    the default constants do."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dom, constant, value)
+        assert_removes_exactly_the_certified_points(venue, alpha)
 
 
 def test_rivals_on_another_floor_certify_nothing():
@@ -281,7 +303,11 @@ def test_select_points_empty_input_is_noop():
     pruned, report = preprocess(index, [0, 1], alpha=0.0)
     assert pruned.alive == index.alive
     assert report.to_dict() == {"alpha": 0.0, "removed": 0, "kept": 1, "per_partition": {}}
-    assert dom.certified([index.venue.points[0]], 0.0, dom.venue_reach(index)) == []
+    reach = dom.venue_reach(index)
+    for points in ([], [index.venue.points[0]]):
+        columns, order = dom.point_columns(points)
+        assert columns.shape == (6, len(points)) and order.tolist() == list(range(len(points)))
+        assert dom.certified(columns, 0.0, reach).tolist() == [False] * len(points)
 
 
 def test_select_points_prunes_dominated_farther_partner():
@@ -462,12 +488,70 @@ PINNED_ALIVE = [
 ]
 
 
+def report_digest(report):
+    return hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
 def test_preprocess_on_acceptance_fixture_is_pinned(acceptance_fixture):
     _, index, cats = acceptance_fixture
     pruned, report = preprocess(index, cats)
-    digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
-    assert digest == PINNED_REPORT_SHA256
+    assert report_digest(report) == PINNED_REPORT_SHA256
     assert sorted(pruned.alive) == PINNED_ALIVE
+
+
+# Two benchmark workloads on their pinned seeds, every query category
+# pruned at three alphas, computed with the n x n pass per group:
+# (workload, alpha) -> (removed, sha256 of the report's to_dict(), sha256
+# of the JSON list of the snapshot's alive ids, ascending).
+PINNED_SNAPSHOTS = {
+    ("big", 0.2): (3385, "ecfce251b2bf21ef09414256e360e59d750ed89bb6893bd048be37afe03c72a4",
+                   "32feec1f52b7dff221f9b96dca0a60fe674091f130ba091435d2da05b2966e8c"),
+    ("big", 0.5): (3347, "1f99f4572f2d1bfc334801816d2755ddc3fcc6c9221481e558e0002d88fc1d25",
+                   "9672279136d67eefc1e4c39b2a16a663587b9c4073069423599ea82e950ac027"),
+    ("big", 0.8): (3239, "597edceb6b94098be2a03b0627052a18b69c1e1b5551ed23bd3f6219f04a6a26",
+                   "fe2b467f4f7cfd463b73430d8c044133663d76c87721d1ec0c3e4a0880224b76"),
+    ("spread", 0.2): (34, "4259dc89ebedfae8e1796cee2c665b4cc0225b5ba4dda47acb5ad834135b8545",
+                      "f965ac12c157431643b2bdbd1a685c27946d183960c919f52ac57cb1a7149ea3"),
+    ("spread", 0.5): (30, "dc3109ba275b3b5260b57268f2a6f3b1f3ac9b58da1d6e8d2c8ba1bc358d5a22",
+                      "2ecd8648919948350f2928b7dc9a9e1eda319d247870aaba60a6ffec5b1ef65e"),
+    ("spread", 0.8): (21, "fe8d53c3a0d7e7e6fd7137fb8d386c694ee5a83804f1ed17e82667ed53ec9bb5",
+                      "b94707df44dc97fadd5de0ff48721fdb10b02b7568d3e1bbbbdedd740d7fba9d"),
+}
+
+
+@pytest.mark.parametrize("name, seed", [("big", 3), ("spread", 7)])
+def test_preprocess_on_the_benchmark_workloads_is_pinned(name, seed):
+    venue, _, queries = build_workload(perfbench_workloads()[name].workload_spec(seed))
+    index = build_index(venue, build_d2d_graph(venue))
+    cats = frequent_categories(queries, 100)
+    for alpha in (0.2, 0.5, 0.8):
+        pruned, report = preprocess(index, cats, alpha=alpha)
+        alive = hashlib.sha256(json.dumps(sorted(pruned.alive)).encode()).hexdigest()
+        assert (report.removed, report_digest(report), alive) == PINNED_SNAPSHOTS[name, alpha]
+
+
+@pytest.mark.parametrize("scores", ["random", "equal"])
+def test_a_3000_point_group_prunes_as_the_all_pairs_pass_in_bounded_memory(scores):
+    """One room holding 3,000 points of one category.  The all-pairs
+    reference peaks near 284 MB here; the presorted pass stays under 8 MB
+    and removes the same points: most of them with random scores, none
+    with equal ones."""
+    rng = random.Random(5)
+    part, doors = flat_partition(100.0, 60.0)
+    points = [pt(i, rng.uniform(0, 100), rng.uniform(0, 60), 0,
+                 rng.uniform(0, 30) if scores == "random" else 5.0) for i in range(3000)]
+    venue = Venue(partitions={0: part}, doors=doors, points={p.id: p for p in points})
+    index = build_index(venue, build_d2d_graph(venue))
+    tracemalloc.start()
+    try:
+        pruned, report = preprocess(index, [0], alpha=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    want = set(certified_all_pairs(points, 0.5, dom.venue_reach(index)))
+    assert index.alive - pruned.alive == want
+    assert (len(want) > 2000) if scores == "random" else not want
 
 
 # -- soundness -----------------------------------------------------------------------
