@@ -157,10 +157,6 @@ class DistanceEngine:
     per call and takes the block's door columns from them in one `take`,
     so a location with many doors (a hallway) costs one row gather, not a
     fancy index per door and point slot.
-
-    The engine is a pure function of the venue and the graph: it keeps no
-    cache.  A partition's door rows are the graph's `door_rows`, and a
-    laid-out point's legs its block row.
     """
 
     def __init__(self, venue: Venue, graph: D2DGraph):
@@ -203,7 +199,17 @@ class DistanceEngine:
     def door_distances(self, src: DoorLegs, doors: np.ndarray, legs: np.ndarray) -> np.ndarray:
         """min over (i, j) of (src.legs[i] + legs[p, j]) + door_matrix[src.doors[i], doors[p, j]]
         for every row p, and every src row if src is a block: the through-doors distance,
-        same-partition pairs unpatched.  The block kernel: every distance is measured through it."""
+        same-partition pairs unpatched.  The block kernel: every distance is measured through it.
+
+        One-leg bound: let K be this kernel then `patch`, W bound every distance K
+        returns (`dominance.venue_reach`), u = 2**-53, and d be the distance of p
+        and q, on one floor of one partition, from float coordinate differences.
+        Then K(L, q) <= K(L, p) + d + 23u*W for every location L.  d and every leg
+        are within (1 -+ 4u) of the real distance, so the partition's triangle
+        inequality (straight lines on a floor, the diagonal to another) gives
+        leg_j(q) <= leg_j(p) + d + 8.1u*W, as leg_j(p) + d <= W.  From inside, that
+        is K itself; from outside, q's entry for the door pair (i, j) that gives
+        K(L, p) differs only in leg_j(q), and each sum's two roundings add 2u."""
         rows = self.graph.matrix.take(src.doors, axis=0)  # ([rows,] I, doors)
         total = (src.legs[..., None, None] + legs) + rows.take(doors, axis=-1)  # ([rows,] I, P, K)
         return np.minimum.reduce(total, axis=(-3, -1), initial=np.inf)

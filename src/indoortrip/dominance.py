@@ -10,7 +10,8 @@ touches it by at most d(p, q) (triangle inequality), so
   p's, p never wins a `cnn` call, and `gcnn` returns the same routes on
   the pruned snapshot as on the full one;
 - a complete route through p costs more than the same route through q
-  (two legs touch a stop, and 2 < 3), so the exact optimum survives too.
+  (two legs touch a stop, and 2 < 3), so the exact optimum survives too,
+  in real numbers; `routing.route_cost`'s lemma bounds the float costs.
 
 A float margin, derived in `certified`, keeps the first of these exact
 for the kernel's float distances and `cnn`'s float scores.
@@ -83,34 +84,17 @@ def certified(columns: np.ndarray, alpha: float, reach: float) -> np.ndarray:
 
     p is certified by q when 3*alpha*d + margin < (1 - alpha)*(s(p) -
     s(q)), with margin = MARGIN_FACTOR*(3*alpha*W + (1 - alpha)*S) +
-    UNDERFLOW_FLOOR.  Here W = reach, d is the float distance of p and q,
-    computed as sqrt(dx*dx + dy*dy) of float differences, and S = |s(p)|
-    + |s(q)|.  With this margin a certified point's float `cnn` score is
-    strictly above its rival's in every query whose alpha is at most
-    this one.
+    UNDERFLOW_FLOOR, W = reach, d = sqrt(dx*dx + dy*dy) of p's and q's
+    float differences, and S = |s(p)| + |s(q)|.  Then a certified point's
+    float `cnn` score is strictly above its rival's in every query whose
+    alpha is at most this one.  With u = 2**-53, each of q's three legs
+    exceeds p's by at most d + 23u*W (the one-leg bound at
+    `DistanceEngine.door_distances`), and each score is within
+    gamma_4*3a*W + gamma_3*(1 - a)*|s| of exact (the corollary at
+    `routing.route_cost`), so score(q) < score(p) whenever 3a*d +
+    94u*a*W + 3.1u*(1 - a)*S < (1 - a)*(s(p) - s(q)), and in particular
+    whenever 3a*d + 32u*(3a*W + (1 - a)*S) < (1 - a)*(s(p) - s(q)).
 
-    Let u = 2**-53.  A float op is within a factor (1 -+ u) of its real
-    result.  A distance computed from rounded coordinate differences is
-    within (1 -+ 4u) of the real one: `intra_distance`'s hypot (a
-    rounding per difference, under one ulp for hypot itself) and this
-    pass's d (a rounding per difference, square and sum, and one for
-    the square root) alike.
-
-    - One leg.  For any location L, K(L, q) <= K(L, p) + d + 23u*W,
-      where K is the kernel.  From outside the partition, take the door
-      pair (i, j) that gives K(L, p) = (leg_i + leg_j(p)) + M[i, j]: q's
-      entry for the same pair differs only in leg_j(q), and leg_j(q) <=
-      leg_j(p) + d + 8.1u*W by the triangle inequality of the partition's
-      metric (straight lines on p's floor, the footprint's diagonal to
-      another floor), which holds because p and q share a floor; leg_j(p)
-      + d <= W, as each is at most one leg.  The two roundings of each
-      sum add 2u per side.  From inside, K is the intra distance itself:
-      8.1u*W.
-    - The score.  cnn's score ((s + f) + t) * a + (1 - a) * static has
-      three legs, each at most W, and five roundings.  So score(q) <
-      score(p) whenever the real inequality 3a*d + 94u*a*W + 3.1u*(1 -
-      a)*S < (1 - a)*(s(p) - s(q)) holds, and in particular whenever
-      3a*d + 32u*(3a*W + (1 - a)*S) < (1 - a)*(s(p) - s(q)).
     - The check.  The pass evaluates the certificate in floats with the
       margin's terms moved to the sides they belong to: 3*alpha*d +
       (m*3*alpha*W + floor) < (1 - alpha)*(s(p) - m*|s(p)|) - (1 -
@@ -143,14 +127,12 @@ def certified(columns: np.ndarray, alpha: float, reach: float) -> np.ndarray:
     s(q) < s(p): q ranks ahead of p and of p's ties in their group
     sorted by score (NaN last).
 
-    The pass therefore tests each point only against the rivals of its
-    group (category, partition and floor) ranked ahead of its ties, lowest
-    scores first, in rank windows (`_FIRST_WINDOW`, `_WINDOW_GROWTH`); a
-    certified point leaves the pass.  A window's pairs go in slices of
-    at most `_PAIR_BUDGET` pairs, or of one point's rivals in the window
-    when they are more, so transient memory grows with the points, not
-    with the square of a group's size.  Each pair is the float
-    expression above, so windows and slices change the speed only.
+    So the pass tests each point only against the rivals ranked ahead of
+    its ties, lowest scores first, in rank windows (`_FIRST_WINDOW`,
+    `_WINDOW_GROWTH`), until one certifies it; a window's pairs go in
+    slices of at most `_PAIR_BUDGET` (or one point's rivals in it), so
+    transient memory grows with the points, not with a group's square.
+    Each pair is the float expression above, so neither changes the result.
     """
     s, x, y = columns[3:]
     at = np.arange(len(s))

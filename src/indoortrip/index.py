@@ -5,12 +5,9 @@ A snapshot keeps its live point ids by category, lays each category's
 live points out, on first use, as one block in id order, and finds a
 laid-out point's row by its location.  `QueryTables` joins the blocks of
 one query's categories and holds the terms the query measures once on a
-snapshot and reads again; it is the only way a planner measures a
-location.  It measures the source, the target and each other location
-once, with one kernel call over the joined block (a stop from its block
-row's legs), and patches a location's own partition rows of a category
-when that category is first read from it.  So `cnn` is one argmin over
-its category's slice of a scored row, a `gcnn` or rank-once query of m
+snapshot and reads again, one kernel call per location; it is the only
+way a planner measures a location.  So `cnn` is one argmin over its
+category's slice of a scored row, a `gcnn` or rank-once query of m
 categories makes m + 1 kernel calls, and the oracle 2 plus m(m - 1)/2:
 one engine `pair_table` per unordered pair of its categories.
 """
@@ -20,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .d2d import D2DGraph, DistanceEngine, DoorLegs, PointBlock
-from .routing import EmptyCategoryError, EvalCounter, QueryContext
+from .routing import EmptyCategoryError, EvalCounter, QueryContext, cnn_scores
 from .venue import IndoorPoint, Location, Venue
 
 
@@ -52,10 +49,9 @@ class QueryTables:
       the tables.  A first read measures the whole joined block in one kernel
       call, from a laid-out point's block row or the resolved location's legs;
       the rows of c in the location's own partition are patched on c's first read.
-    - `scored(loc, c)`: that row and its scores, `((s + f) + t) * alpha + static`
-      in the kernel's order, the whole row on its first scored read (`cnn`,
-      rank-once's ranking); a later patch scores its rows again by the same
-      expression, elementwise, so scoring before or after it gives the same bits.
+    - `scored(loc, c)`: that row and its `routing.cnn_scores`, the whole row on
+      its first scored read (`cnn`, rank-once's ranking); a later patch scores
+      its rows again by that function, so they get the same bits either way.
 
     `cnn` keeps one per snapshot on the query's context
     (`VenueIndex.tables`), so it dies with the query; it keeps no reference
@@ -91,12 +87,12 @@ class QueryTables:
         self._from: dict[tuple, list] = {source.key(): record, self.source.key(): record}
 
     def span(self, category: int) -> tuple[PointBlock, slice]:
-        """The category's block and its rows in the joined block.  Raises
-        EmptyCategoryError when it has no live point and ValueError when it
-        is not one of the query's categories."""
+        """The category's block and its rows in the joined block.  Raises EmptyCategoryError
+        when it has no live point and ValueError, laying nothing out, when the query lacks it."""
         got = self._spans.get(category)
         if got is None:
-            self.index.category_block(category)
+            if not self.index.live_count(category):
+                raise EmptyCategoryError(f"category {category} has no live points")
             raise ValueError(f"category {category} is not one of the query's categories")
         return got
 
@@ -117,12 +113,8 @@ class QueryTables:
         return rows
 
     def _scored(self, dist: np.ndarray) -> np.ndarray:
-        """Every row's score from a location dist away, in the kernel's order."""
-        scores = self.from_source + dist
-        scores += self.to_target
-        scores *= self.alpha
-        scores += self.static
-        return scores
+        """Every row's score from a location dist away."""
+        return cnn_scores(self.from_source, dist, self.to_target, self.alpha, self.static)
 
     def _record(self, loc: Location, category: int) -> list:
         """The from location's [resolved, distances, scores or None, patched categories],
@@ -146,8 +138,8 @@ class QueryTables:
             patched.add(category)
             rows = self._patch(loc, category, dist)
             if rows.size and scores is not None:
-                scores[rows] = (((self.from_source[rows] + dist[rows]) + self.to_target[rows])
-                                * self.alpha + self.static[rows])
+                scores[rows] = cnn_scores(self.from_source[rows], dist[rows],
+                                          self.to_target[rows], self.alpha, self.static[rows])
         return got
 
     def measured(self, loc: Location, category: int) -> np.ndarray:

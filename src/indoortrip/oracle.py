@@ -81,25 +81,15 @@ def exact_route(query: TripQuery, index, limit: int = ORACLE_CATEGORY_LIMIT,
 
 
 def enumerate_route(query: TripQuery, index) -> Route:
-    """Naive exhaustive search over orders x point tuples; tiny inputs only."""
-    engine = index.engine
-    venue = index.venue
-    source = venue.resolve(query.source)
-    target = venue.resolve(query.target)
+    """Naive exhaustive search over orders x point tuples; tiny inputs only.
+    Ties keep the first route of least `route_cost`, as in `exact_route`."""
+    source, target = index.venue.resolve(query.source), index.venue.resolve(query.target)
     cats = tuple(sorted(query.categories))
     pools = {c: index.category_block(c).points for c in cats}
-
-    best_route: Route | None = None
-    best_cost = float("inf")
-    for order in itertools.permutations(cats):
-        for combo in itertools.product(*(pools[c] for c in order)):
-            route = Route.through(engine.distance, source, combo, target)
-            cost = route_cost(route, query.alpha)
-            if cost < best_cost:
-                best_cost = cost
-                best_route = route
-    assert best_route is not None
-    return best_route
+    return min((Route.through(index.engine.distance, source, combo, target)
+                for order in itertools.permutations(cats)
+                for combo in itertools.product(*(pools[c] for c in order))),
+               key=lambda route: route_cost(route, query.alpha))
 
 
 def _shortlist(ranked: np.ndarray, k: int) -> np.ndarray:

@@ -126,7 +126,40 @@ class Route:
 
 
 def route_cost(route: Route, alpha: float) -> float:
+    """alpha * travel + (1 - alpha) * static, each sum taken left to right.
+
+    Float cost lemma.  Let u = 2**-53 and gamma_n = n*u/(1 - n*u).  For a
+    route of m stops, float legs l_0..l_m in [0, W] and float scores s_i,
+    `route_cost` and `oracle._best_in_order`'s DP value each lie within
+    gamma_(2m+3)*(alpha*(m+1)*W + (1 - alpha)*sum|s_i|) of the exact
+    alpha*sum(l_i) + (1 - alpha)*sum(s_i), plus 2**-1074 per product that
+    underflows.  Proof (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed. 2002, ch. 2-4): a float op is exact times 1 + d,
+    |d| <= u, and a product that underflows is off by under 2**-1075 more
+    (at most doubled by later sums); k such factors make 1 + t, |t| <=
+    gamma_k; a left-to-right sum of n terms gives a term at most n - 1.  In
+    `route_cost` a leg gets m from travel and one each from alpha*travel and
+    the final sum; a score m - 1 from static and one each from fl(1 - alpha),
+    its product and the final sum.  The DP's value of the route it picks (a
+    min is exact) sums alpha*l_0, w_1, alpha*l_1, ..., w_m, alpha*l_m left to
+    right, w = fl(fl(1 - alpha)*s): 2m factors from the sum, two from a term.
+    From Python 3.12 on, `sum` is compensated, within (2u + O(n*u*u))*sum|x|
+    (Higham 4.3), under gamma_3*sum|x| below millions of terms: gamma_6 for
+    m >= 2; one or two terms round once.  Corollary: cnn's score ((s + f) +
+    t)*alpha + w (`cnn_scores`) is within gamma_4*alpha*(s + f + t) +
+    gamma_3*(1 - alpha)*|score| of exact.
+    """
     return alpha * route.travel + (1.0 - alpha) * route.static
+
+
+def cnn_scores(from_source, dist, to_target, alpha: float, static):
+    """cnn's scores of rows, ((from_source + dist) + to_target) * alpha + static in place
+    on the first sum's temporary, so whole rows and patched ones get the same bits."""
+    scores = from_source + dist
+    scores += to_target
+    scores *= alpha
+    scores += static
+    return scores
 
 
 def point_score(ctx: QueryContext, current: Location, point: IndoorPoint, engine) -> float:
@@ -173,8 +206,8 @@ def gcnn(query: TripQuery, index, counter: EvalCounter | None = None) -> Route:
         batch = []
         for cat in uncovered:
             point, legs = index.cnn(current, cat, ctx, counter=counter)
-            # route_cost of the extended route: the same sums of the same
-            # floats in the same order as Route.travel and Route.static.
+            # route_cost of the extended route, summed as Route.travel and
+            # Route.static do, so route_cost's float cost lemma bounds it too.
             key = (alpha * sum(best.leg_lengths + (legs[1],))
                    + (1.0 - alpha) * sum(scores + (point.static_score,)))
             key += legs[0] + legs[2]

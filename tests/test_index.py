@@ -139,6 +139,21 @@ def test_cnn_of_a_category_outside_the_context_raises_naming_it():
         index.cnn(here, second, ctx)
 
 
+def test_a_refused_cnn_lays_out_nothing():
+    """A live category outside the query's is refused before its block is
+    laid out, so the snapshot caches no block or row for it."""
+    venue, graph, index, _ = small_workload(seed=0)
+    here = Location(1, 5, 0)
+    ctx = QueryContext(here, here, 0.5, (1, 2))
+    index.cnn(here, 1, ctx)
+    assert sorted(index._blocks) == [1, 2]
+    rows = dict(index._rows)
+    with pytest.raises(ValueError, match="category 0 is not one of the query's categories"):
+        index.cnn(here, 0, ctx)
+    assert sorted(index._blocks) == [1, 2]
+    assert index._rows == rows
+
+
 @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cnn_from_a_stop_in_a_crowded_store_room_equals_linear_scan(seed, alpha):

@@ -6,6 +6,8 @@ import math
 import random
 import sys
 import threading
+from dataclasses import replace
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -25,6 +27,7 @@ from indoortrip import (
     rank_once_greedy,
 )
 
+from indoortrip.dominance import venue_reach
 from indoortrip.oracle import RANK_ONCE_SHORTLIST, _shortlist
 from indoortrip.venue import intra_distance
 
@@ -93,6 +96,45 @@ def test_block_kernel_equals_scalar_distance(data, seed):
     block = index.category_block(category)
     got = block_distances(index.engine, index.engine.legs(source), block)
     assert list(got) == [scalar.distance(source, p.location) for p in block.points]
+
+
+@cache
+def doors_workload(doors):
+    return small_workload(seed=doors, doors_per_room=doors)
+
+
+@st.composite
+def neighbours(draw, venue):
+    """p and q on one floor of one partition: q anywhere there, at p, or
+    both on one segment from a door, q the farther (the triangle
+    inequality's equality case through that door)."""
+    p = draw(located(venue))
+    how = draw(st.sampled_from(("anywhere", "co-located", "in line")))
+    if how == "in line":
+        door = venue.doors[draw(st.sampled_from(venue.partitions[p.partition_id].door_ids))]
+        near, far = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+        return [Location(door.x + t * (p.x - door.x), door.y + t * (p.y - door.y), door.floor,
+                         p.partition_id) for t in (near, far)]
+    q = p if how == "co-located" else replace(draw(located(venue, p.partition_id)), floor=p.floor)
+    return [p, q]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), doors=st.integers(1, 3))
+def test_a_leg_to_a_neighbour_exceeds_the_leg_by_at_most_their_distance(data, doors):
+    """The one-leg bound at `DistanceEngine.door_distances`: for p and q on
+    one floor of one partition, K(L, q) <= K(L, p) + d + 23u*W, with d their
+    distance as `intra_distance` or `dominance.certified` computes it and W
+    `venue_reach`, from doors, hallway and stairs spots, on 1-3 doors a room."""
+    venue, _, index, _ = doors_workload(doors)
+    engine = index.engine
+    p, q = data.draw(neighbours(venue), label="p, q")
+    at = data.draw(st.one_of(at_door(venue), located(venue)), label="L")
+    kp, kq = block_distances(engine, engine.legs(at), engine.block([point_at(0, p), point_at(1, q)]))
+    dx, dy = p.x - q.x, p.y - q.y
+    slack = 23 * Fraction(venue_reach(index)) / 2 ** 53
+    for d in (math.hypot(dx, dy), math.sqrt(dx * dx + dy * dy)):
+        assert Fraction(kq) <= Fraction(kp) + Fraction(d) + slack
 
 
 @pytest.mark.parametrize("seed", SEEDS)

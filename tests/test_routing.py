@@ -1,7 +1,12 @@
 import random
 from dataclasses import replace
+from fractions import Fraction
+from functools import cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indoortrip import (
     EmptyCategoryError,
@@ -20,7 +25,8 @@ from indoortrip import (
     rank_once_greedy,
     route_cost,
 )
-from indoortrip.routing import Stop
+from indoortrip.oracle import ORACLE_CATEGORY_LIMIT
+from indoortrip.routing import Stop, cnn_scores
 from indoortrip.venue import intra_distance
 
 from conftest import make_two_room_venue, small_workload
@@ -126,6 +132,94 @@ def test_route_cost_blends_travel_and_static():
     assert route_cost(route, 1.0) == 10.0
     assert route_cost(route, 0.0) == 4.0
     assert route_cost(route, 0.5) == 7.0
+
+
+U = Fraction(1, 2 ** 53)
+TINY = Fraction(1, 2 ** 1074)  # the least subnormal float
+
+
+def gamma(n):
+    """gamma_n = n*u / (1 - n*u), exactly."""
+    return n * U / (1 - n * U)
+
+
+def dp_value(legs, scores, alpha):
+    """The value `oracle._best_in_order` gives the route it picks, in its
+    order: per layer prev + alpha*dist, then + (1 - alpha)*score, closed by
+    + alpha*to_target."""
+    value = 0.0
+    for leg, score in zip(legs, scores):
+        value = (value + alpha * leg) + (1.0 - alpha) * score
+    return value + alpha * legs[-1]
+
+
+def assert_within_the_lemma(value, legs, scores, alpha):
+    """value lies within the float cost lemma's bound of the exact
+    alpha*sum(legs) + (1 - alpha)*sum(scores): gamma_(2m+3) times
+    alpha*(m+1)*W + (1 - alpha)*sum|s|, with W the longest leg, plus
+    2**-1074 for each of the 2m + 1 products that may underflow."""
+    m, a = len(scores), Fraction(alpha)
+    exact = a * sum(map(Fraction, legs)) + (1 - a) * sum(map(Fraction, scores))
+    scale = (a * (m + 1) * Fraction(max(legs))
+             + (1 - a) * sum(abs(Fraction(s)) for s in scores))
+    assert abs(Fraction(value) - exact) <= gamma(2 * m + 3) * scale + (2 * m + 1) * TINY
+
+
+@cache
+def lemma_venue():
+    venue, _, index, _ = small_workload(seed=0)
+    return venue, index.engine
+
+
+@st.composite
+def grid_spot(draw, venue):
+    """A spot on a 1/64 grid of a room, a hallway or a two-floor stairs, on
+    any floor it reaches, so that spots often share a line or a corner."""
+    kind = draw(st.sampled_from(("room", "hallway", "stairs")))
+    part = venue.partitions[draw(st.sampled_from(
+        sorted(pid for pid, p in venue.partitions.items() if p.kind == kind)))]
+    x0, y0, x1, y1 = part.bounds
+    fx, fy = draw(st.integers(0, 64)) / 64, draw(st.integers(0, 64)) / 64
+    return Location(x0 + fx * (x1 - x0), y0 + fy * (y1 - y0), draw(st.sampled_from(part.floors)),
+                    part.id)
+
+
+# Scores far apart in size, subnormal ones and negative ones too.
+LEMMA_SCORES = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1e-9, 1e12, 5e-324]),
+                         st.floats(-1e100, 1e100), st.floats(0.0, 100.0))
+# alpha near 0, near 1 and in between.
+LEMMA_ALPHAS = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.1]), st.floats(0.0, 2.0 ** -20),
+                         st.floats(2.0 ** -20, 1.0 - 2.0 ** -20),
+                         st.floats(0.0, 2.0 ** -20).map(lambda e: 1.0 - e))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), m=st.integers(0, ORACLE_CATEGORY_LIMIT), alpha=LEMMA_ALPHAS)
+def test_route_cost_and_the_dp_value_keep_within_the_float_cost_lemma(data, m, alpha):
+    """`route_cost`'s float cost lemma against exact rational sums, for routes
+    measured on a venue with stairs and hallways, stops co-located with the
+    spot before them or anywhere, and for cnn's three-leg score its corollary."""
+    venue, engine = lemma_venue()
+    spots = [data.draw(grid_spot(venue), label="source")]
+    for i in range(m + 1):
+        spots.append(data.draw(st.one_of(st.just(spots[-1]), grid_spot(venue)), label=f"spot {i}"))
+    scores = data.draw(st.lists(LEMMA_SCORES, min_size=m, max_size=m), label="scores")
+    points = [IndoorPoint(i, loc.partition_id, loc.x, loc.y, loc.floor, i, score)
+              for i, (loc, score) in enumerate(zip(spots[1:], scores))]
+    route = Route.through(engine.distance, spots[0], points, spots[-1])
+    legs = route.leg_lengths
+    assert_within_the_lemma(route_cost(route, alpha), legs, scores, alpha)
+    if m:
+        assert_within_the_lemma(dp_value(legs, scores, alpha), legs, scores, alpha)
+
+    three = (legs[0], legs[len(legs) // 2], legs[-1])
+    score = scores[0] if scores else 1.0
+    got = cnn_scores(*(np.array([leg]) for leg in three), alpha, np.array([(1.0 - alpha) * score]))
+    a = Fraction(alpha)
+    exact = a * sum(map(Fraction, three)) + (1 - a) * Fraction(score)
+    assert abs(Fraction(float(got[0])) - exact) <= (
+        gamma(4) * a * sum(map(Fraction, three)) + gamma(3) * (1 - a) * abs(Fraction(score))
+        + 4 * TINY)
 
 
 def test_point_score_alpha_zero_is_static_score(two_room_venue):
