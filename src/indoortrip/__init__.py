@@ -37,6 +37,7 @@ from .venue import (
     IndoorPoint,
     Location,
     Partition,
+    PointTable,
     ValidationReport,
     Venue,
     load_checked_venue,

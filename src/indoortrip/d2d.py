@@ -11,7 +11,9 @@ block's rows: `pair_table`) against a whole block of points in a single
 numpy expression, its one kernel (`door_distances`), and then patches the
 rows in the location's own partition to their straight-line distance
 (`patch`), in one comprehension whose `math.hypot` calls are
-`intra_distance`'s.  The engine keeps no cache.
+`intra_distance`'s.  A point table is laid out for the kernel in one
+gather (`DistanceEngine.layout`); a block is some of its rows.  The
+engine keeps no cache.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .venue import IndoorPoint, Location, Venue, intra_distance
+from .venue import (IndoorPoint, Location, PointTable, Venue, fits_int64, intra_distance,
+                    point_partitions)
 
 # Floats in one block relaxation's (doors, doors, sources) temporary.
 _RELAX_FLOATS = 2 ** 18
 # Floats in one pair-table chunk's (rows, I, P, K) temporary and row gather.
 _PAIR_FLOATS = 2 ** 18
+_NO_DOORS = np.zeros(0, dtype=int)
 
 
 class DisconnectedVenueError(Exception):
@@ -129,15 +133,44 @@ class PointBlock:
     """Points laid out for the block kernel: one row per point, in the order
     given (id order for a snapshot's category block), one column per door
     slot of its partition, padded to the widest partition with door index 0
-    and an infinite leg.  A row's leading slots are its point's `DoorLegs`,
-    the only copy of them.  `by_partition` gives the rows (ascending) and
-    points in each partition: the rows a location there patches."""
+    and an infinite leg.  A row's leading slots are its point's `DoorLegs`.
+    `by_partition` gives the rows (ascending) and points in each
+    partition: the rows a location there patches."""
 
     points: tuple[IndoorPoint, ...]
     doors: np.ndarray        # (P, K) door-matrix indices
     legs: np.ndarray         # (P, K) intra legs, inf where padded
     scores: np.ndarray       # (P,) static scores
     by_partition: dict[int, tuple[np.ndarray, tuple[IndoorPoint, ...]]]
+
+
+class PointLayout(NamedTuple):
+    """A point table's rows laid out for the block kernel, as
+    `PointBlock`'s rows are, padded to the widest partition of the table.
+    A row its partition does not hold (`held`) is laid out as nothing."""
+
+    doors: np.ndarray   # (n, K) door-matrix indices
+    legs: np.ndarray    # (n, K) intra legs, inf where padded
+    count: np.ndarray   # (n,) door slots of each row's partition
+    held: np.ndarray    # (n,) whether `Venue.partition_of` accepts the row
+
+    def block(self, venue: Venue, table: PointTable, rows: np.ndarray) -> PointBlock:
+        """The table's rows, in the given order, as a block: their rows of
+        this layout, cut to the widest of them, and their points.  Raises
+        `Venue.partition_of`'s ValueError for the first row its partition
+        does not hold."""
+        held = self.held[rows]
+        if not held.all():
+            venue.partition_of(table[int(rows[held.argmin()])])
+        width = int(self.count[rows].max(initial=0))
+        points = tuple(table.points(rows))
+        by_partition: dict[int, list[int]] = {}
+        for row, pid in enumerate(table.partition_id[rows].tolist()):
+            by_partition.setdefault(pid, []).append(row)
+        return PointBlock(points, self.doors[rows, :width], self.legs[rows, :width],
+                          table.static_score[rows],
+                          {pid: (np.array(at), tuple(map(points.__getitem__, at)))
+                           for pid, at in by_partition.items()})
 
 
 class DistanceEngine:
@@ -170,31 +203,39 @@ class DistanceEngine:
         legs = [intra_distance(part, loc, d) for d in self.venue.partition_doors(part.id)]
         return DoorLegs(loc, self.graph.door_rows[part.id], np.array(legs, dtype=float))
 
+    def layout(self, table: PointTable) -> PointLayout:
+        """Lay a point table out in one gather: each row's partition's door
+        rows, padded, and for a held row its `intra_distance` to each of
+        those doors, `math.hypot` of the same float differences to a door
+        on its floor, else the partition's diagonal."""
+        parts, at, held = point_partitions(self.venue, table)
+        own = [self.graph.door_rows[part.id] if part else _NO_DOORS for part in parts]
+        count = np.array([rows.size for rows in own], dtype=int)
+        width = int(count.max(initial=0))
+        real = np.arange(width) < count[:, None]
+        doors = np.zeros((len(parts), width), dtype=int)
+        doors[real] = np.concatenate(own) if own else _NO_DOORS
+        doors, real, count = doors[at], real[at], count[at]
+        # by door-matrix index; a floor outside int64 is on no row's floor
+        there = [self.venue.doors[d] for d in self.graph.door_ids]
+        fits = np.array([fits_int64(d.floor) for d in there], dtype=bool)
+        floor = np.array([d.floor if ok else 0 for d, ok in zip(there, fits.tolist())],
+                         dtype=np.int64)
+        diagonal = np.array([part.diagonal if part else 0.0 for part in parts], dtype=float)
+        legs = np.where(real, diagonal[at, None], np.inf)
+        r, c = np.nonzero(real & held[:, None] & fits[doors] & (floor[doors] == table.floor[:, None]))
+        door = doors[r, c]
+        x = np.array([d.x for d in there], dtype=float)[door]
+        y = np.array([d.y for d in there], dtype=float)[door]
+        legs[r, c] = list(map(math.hypot, (table.x[r] - x).tolist(), (table.y[r] - y).tolist()))
+        return PointLayout(doors, legs, count, held)
+
     def block(self, points) -> PointBlock:
-        """Lay points out as a block, in the given order, one partition at a
-        time: its door rows, and each point's `intra_distance` to its doors.
-        Raises ValueError for a point its partition does not hold."""
-        points = tuple(points)
-        by_partition: dict[int, list[int]] = {}
-        for row, p in enumerate(points):
-            by_partition.setdefault(self.venue.partition_of(p).id, []).append(row)
-        width = max((self.graph.door_rows[part].size for part in by_partition), default=0)
-        doors, legs = [None] * len(points), [None] * len(points)  # row lists, one conversion each
-        for part, at in by_partition.items():
-            partition, there = self.venue.partitions[part], self.venue.partition_doors(part)
-            pad = width - len(there)
-            own = self.graph.door_rows[part].tolist() + [0] * pad
-            for r in at:
-                doors[r] = own
-                legs[r] = [intra_distance(partition, points[r], d) for d in there] + [math.inf] * pad
-        return PointBlock(
-            points=points,
-            doors=np.array(doors, dtype=int).reshape(len(points), width),
-            legs=np.array(legs, dtype=float).reshape(len(points), width),
-            scores=np.array([p.static_score for p in points], dtype=float),
-            by_partition={part: (np.array(at), tuple(points[r] for r in at))
-                          for part, at in by_partition.items()},
-        )
+        """Lay points (a `PointTable`, or any points) out as a block, in the
+        given order (`layout`, then `PointLayout.block`).  Raises ValueError
+        for the first point its partition does not hold."""
+        table = points if isinstance(points, PointTable) else PointTable.of(points)
+        return self.layout(table).block(self.venue, table, np.arange(len(table)))
 
     def door_distances(self, src: DoorLegs, doors: np.ndarray, legs: np.ndarray) -> np.ndarray:
         """min over (i, j) of (src.legs[i] + legs[p, j]) + door_matrix[src.doors[i], doors[p, j]]

@@ -29,12 +29,11 @@ rivals of its group on its floor, the only ones that can certify it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
 from .routing import check_alpha
-from .venue import BOUNDARY_EPS, IndoorPoint
+from .venue import BOUNDARY_EPS, PointTable
 
 # The certificate's margin, relative to the scale of a query's score
 # terms, and an absolute floor for products that underflow (`certified`).
@@ -59,15 +58,17 @@ def venue_reach(index) -> float:
     return 2.0 * leg + float(index.graph.matrix.max(initial=0.0))
 
 
-def point_columns(points: list[IndoorPoint]) -> tuple[np.ndarray, np.ndarray]:
-    """The points' (category, partition, floor, score, x, y) as the rows
-    of one float array, its columns sorted by the first four keys (NaN
-    scores last), and the sort order: column i is points[order[i]]."""
-    columns = np.array([np.fromiter(map(attrgetter(name), points), float, len(points))
-                        for name in ("category", "partition_id", "floor", "static_score",
-                                     "x", "y")])
-    order = np.lexsort(columns[3::-1])
-    return columns[:, order], order
+def point_columns(table: PointTable, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table rows' (group, score, x, y) as the rows of one float
+    array, its columns sorted by the exact int64 (category, partition,
+    floor) and then the score (NaN last), and the sort order: column i is
+    table row rows[order[i]].  group numbers the (category, partition,
+    floor) groups in that order, so it is exact in a float."""
+    keys = np.array([table.category[rows], table.partition_id[rows], table.floor[rows]])
+    score = table.static_score[rows]
+    order = np.lexsort((score, *keys[::-1]))
+    group = np.cumsum(_starts(keys[:, order]))
+    return np.array([group, score[order], table.x[rows][order], table.y[rows][order]]), order
 
 
 def _starts(keys: np.ndarray) -> np.ndarray:
@@ -134,10 +135,10 @@ def certified(columns: np.ndarray, alpha: float, reach: float) -> np.ndarray:
     transient memory grows with the points, not with a group's square.
     Each pair is the float expression above, so neither changes the result.
     """
-    s, x, y = columns[3:]
+    s, x, y = columns[1:]
     at = np.arange(len(s))
-    start = np.maximum.accumulate(np.where(_starts(columns[:3]), at, 0))
-    rivals = np.maximum.accumulate(np.where(_starts(columns[:4]), at, 0)) - start
+    start = np.maximum.accumulate(np.where(_starts(columns[:1]), at, 0))
+    rivals = np.maximum.accumulate(np.where(_starts(columns[:2]), at, 0)) - start
     slack = MARGIN_FACTOR * np.abs(s)
     keep = (1.0 - alpha) * (s - slack)
     lose = (1.0 - alpha) * (s + slack)
@@ -199,15 +200,15 @@ def preprocess(index, frequent_categories, alpha: float = 0.5) -> tuple["object"
         raise ValueError("preprocess needs at least one category")
     check_alpha(alpha)
     report = PruneReport(alpha=alpha, categories=tuple(sorted(frequent)))
-    points = [p for cat in report.categories for p in index.live_points(cat)]
-    columns, order = point_columns(points)
-    beaten = certified(columns, alpha, venue_reach(index))
-    gone = columns[:2, beaten]
-    heads = np.flatnonzero(_starts(gone)).tolist()
-    for head, end in zip(heads, heads[1:] + [gone.shape[1]]):
-        report.add(int(gone[1, head]), int(gone[0, head]), end - head)
+    table = index.table
+    rows = np.concatenate([index.live_rows(cat) for cat in report.categories])
+    columns, order = point_columns(table, rows)
+    gone = rows[order[certified(columns, alpha, venue_reach(index))]]
+    categories, partitions = table.category[gone], table.partition_id[gone]
+    heads = np.flatnonzero(_starts(np.array([categories, partitions]))).tolist()
+    for head, end in zip(heads, heads[1:] + [gone.size]):
+        report.add(partitions[head].item(), categories[head].item(), end - head)
 
-    to_remove = [points[i].id for i in order[beaten].tolist()]
-    new_index = index.remove_points(to_remove)
-    report.kept = len(new_index.alive)
+    new_index = index.remove_rows(gone)
+    report.kept = int(np.count_nonzero(new_index.live))
     return new_index, report

@@ -1,9 +1,9 @@
 """Per-snapshot index of live points, the per-query distance tables, and
 category-nearest-neighbour search.
 
-A snapshot keeps its live point ids by category, lays each category's
-live points out, on first use, as one block in id order, and finds a
-laid-out point's row by its location.  `QueryTables` joins the blocks of
+A snapshot keeps each category's live rows of the venue's point table,
+lays its live points out, on first use, as one block in id order, and
+finds a laid-out point's table row by its location.  `QueryTables` joins the blocks of
 one query's categories and holds the terms the query measures once on a
 snapshot and reads again, one kernel call per location; it is the only
 way a planner measures a location.  So `cnn` is one argmin over its
@@ -14,11 +14,14 @@ one engine `pair_table` per unordered pair of its categories.
 
 from __future__ import annotations
 
+from functools import cached_property
+from operator import attrgetter
+
 import numpy as np
 
-from .d2d import D2DGraph, DistanceEngine, DoorLegs, PointBlock
+from .d2d import D2DGraph, DistanceEngine, DoorLegs, PointBlock, PointLayout
 from .routing import EmptyCategoryError, EvalCounter, QueryContext, cnn_scores
-from .venue import IndoorPoint, Location, Venue
+from .venue import IndoorPoint, Location, PointTable, Venue
 
 
 def _stack(columns: list[np.ndarray], width: int, fill) -> np.ndarray:
@@ -29,7 +32,9 @@ def _stack(columns: list[np.ndarray], width: int, fill) -> np.ndarray:
         for c in columns])
 
 
+_LOCATION_KEY = attrgetter("x", "y", "floor", "partition_id")  # a point's Location.key()
 _NO_ROWS = np.zeros(0, dtype=int)
+_NO_ROWS.flags.writeable = False
 
 
 class QueryTables:
@@ -47,7 +52,7 @@ class QueryTables:
     - `measured(loc, c)`: a from location's distance row, one record per
       location, keyed by it as given and as resolved, the source's made with
       the tables.  A first read measures the whole joined block in one kernel
-      call, from a laid-out point's block row or the resolved location's legs;
+      call, from a laid-out point's row of the layout or the resolved location's legs;
       the rows of c in the location's own partition are patched on c's first read.
     - `scored(loc, c)`: that row and its `routing.cnn_scores`, the whole row on
       its first scored read (`cnn`, rank-once's ranking); a later patch scores
@@ -121,13 +126,12 @@ class QueryTables:
         the category's rows in its own partition patched (and scored again if scored)."""
         got = self._from.get(key := loc.key())
         if got is None:
-            at = self.index._rows.get(key)
-            if at is None:
+            row = self.index._rows.get(key)
+            if row is None:
                 legs = self.engine.legs(loc)
-            else:  # a laid-out live point: its block row holds its legs
-                block, row = at
+            else:  # a laid-out live point: its row of the table's layout holds its legs
                 doors = self.index.graph.door_rows[loc.partition_id]
-                legs = DoorLegs(loc, doors, block.legs[row, :doors.size])
+                legs = DoorLegs(loc, doors, self.index._shared.layout.legs[row, :doors.size])
             got = self._from.get(legs.location.key())
             if got is None:
                 dist = self.engine.door_distances(legs, self.doors, self.door_legs)
@@ -154,32 +158,62 @@ class QueryTables:
         return got[1], got[2]
 
 
-class VenueIndex:
-    """One snapshot of the index; point removal yields a new snapshot."""
+class _TableRows:
+    """What the snapshots of one index share besides the engine: the
+    venue's point table, its rows by category then id, and, from the first
+    block on, the table laid out for the block kernel."""
 
-    def __init__(self, venue: Venue, graph: D2DGraph, alive: frozenset[int],
-                 engine: DistanceEngine | None = None):
+    def __init__(self, table: PointTable, engine: DistanceEngine):
+        self.table = table
+        self.engine = engine
+        self.ranked = np.lexsort((table.id, table.category))
+
+    @cached_property
+    def layout(self) -> PointLayout:
+        return self.engine.layout(self.table)
+
+
+class VenueIndex:
+    """One snapshot of the index; point removal yields a new snapshot.
+
+    Every snapshot of a venue shares its `PointTable` (`table`), its
+    engine and the table's layout.  A snapshot keeps which of the table's
+    rows are live (`live`, a read-only mask) and each category's live rows
+    in id order, and cuts a category's block out of the layout on first use."""
+
+    def __init__(self, venue: Venue, graph: D2DGraph, live: np.ndarray | None = None,
+                 engine: DistanceEngine | None = None, shared: _TableRows | None = None):
         self.venue = venue
         self.graph = graph
-        self.alive = alive
         self.engine = engine or DistanceEngine(venue, graph)
-        by_cat: dict[int, list[int]] = {}
-        for p in venue.points.values():
-            if p.id in alive:
-                by_cat.setdefault(p.category, []).append(p.id)
-        self._live_by_cat = {cat: tuple(sorted(ids)) for cat, ids in by_cat.items()}
+        self._shared = shared or _TableRows(venue.point_table(), self.engine)
+        self.table = table = self._shared.table
+        self.live = np.ones(len(table), dtype=bool) if live is None else live
+        self.live.flags.writeable = False
+        rows = self._shared.ranked[self.live[self._shared.ranked]]
+        categories, starts = np.unique(table.category[rows], return_index=True)
+        self._live_by_cat = dict(zip(categories.tolist(), np.split(rows, starts[1:])))
         self._blocks: dict[int, PointBlock] = {}  # each category's block, built on first use
-        self._rows: dict[tuple, tuple[PointBlock, int]] = {}  # a laid-out point's Location.key() -> its row
+        self._rows: dict[tuple, int] = {}  # a laid-out point's Location.key() -> its table row
+
+    @cached_property
+    def alive(self) -> frozenset[int]:
+        """The ids of the live points."""
+        return frozenset(self.table.id[self.live].tolist())
 
     def live_categories(self) -> list[int]:
         """The categories with a live point, in id order."""
-        return sorted(self._live_by_cat)
+        return list(self._live_by_cat)
+
+    def live_rows(self, category: int) -> np.ndarray:
+        """The category's live rows of the table, in id order."""
+        return self._live_by_cat.get(category, _NO_ROWS)
 
     def live_points(self, category: int) -> list[IndoorPoint]:
-        return [self.venue.points[i] for i in self._live_by_cat.get(category, ())]
+        return self.table.points(self.live_rows(category))
 
     def live_count(self, category: int) -> int:
-        return len(self._live_by_cat.get(category, ()))
+        return len(self.live_rows(category))
 
     def is_live(self, point_id: int) -> bool:
         return point_id in self.alive
@@ -191,9 +225,9 @@ class VenueIndex:
         if block is None:
             if category not in self._live_by_cat:
                 raise EmptyCategoryError(f"category {category} has no live points")
-            block = self.engine.block(self.live_points(category))
-            self._rows.update(((p.x, p.y, p.floor, p.partition_id), (block, row))
-                              for row, p in enumerate(block.points))
+            rows = self._live_by_cat[category]
+            block = self._shared.layout.block(self.venue, self.table, rows)
+            self._rows.update(zip(map(_LOCATION_KEY, block.points), rows.tolist()))
             self._blocks[category] = block
         return block
 
@@ -232,17 +266,26 @@ class VenueIndex:
                                    float(tables.to_target[at]))
 
     def remove_points(self, point_ids) -> "VenueIndex":
-        """New snapshot with the given points dead; it shares the engine."""
-        ids = set(point_ids)
-        for pid in ids:
-            if pid not in self.venue.points:
-                raise KeyError(f"unknown point {pid}")
-            if pid not in self.alive:
-                raise ValueError(f"point {pid} is already dead")
-        return VenueIndex(self.venue, self.graph, alive=frozenset(self.alive - ids),
-                          engine=self.engine)
+        """New snapshot with the given points dead; it shares the table and engine.
+        Raises KeyError for an unknown id and ValueError for a dead one."""
+        rows = []
+        for pid in set(point_ids):
+            try:
+                rows.append(self.table.row_of(pid))
+            except KeyError:
+                raise KeyError(f"unknown point {pid}") from None
+        return self.remove_rows(np.array(rows, dtype=np.intp))
+
+    def remove_rows(self, rows: np.ndarray) -> "VenueIndex":
+        """New snapshot with the given table rows dead; ValueError if one is already."""
+        dead = rows[~self.live[rows]]
+        if dead.size:
+            raise ValueError(f"point {self.table.id[dead[0]]} is already dead")
+        live = self.live.copy()
+        live[rows] = False
+        return VenueIndex(self.venue, self.graph, live, self.engine, self._shared)
 
 
 def build_index(venue: Venue, graph: D2DGraph) -> VenueIndex:
     """The venue's index, with every point live."""
-    return VenueIndex(venue, graph, alive=frozenset(venue.points))
+    return VenueIndex(venue, graph)

@@ -11,14 +11,22 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
+from operator import attrgetter, eq, itemgetter
 from pathlib import Path
-from typing import Iterable
+
+import numpy as np
 
 PARTITION_KINDS = ("room", "hallway", "stairs")
 
+# IndoorPoint's fields: the columns of an objects CSV and of a PointTable.
 OBJECT_CSV_HEADER = ["id", "partition_id", "x", "y", "floor", "category", "static_score"]
+INTEGER_FIELDS = ("id", "partition_id", "floor", "category")
+_COLUMN_TYPES = {name: np.int64 if name in INTEGER_FIELDS else np.float64
+                 for name in OBJECT_CSV_HEADER}
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 # Tolerance of `Partition.contains` and `on_boundary` (meters); the margin
 # of `dominance.venue_reach` assumes this one.
@@ -108,11 +116,130 @@ class IndoorPoint:
         return Location(self.x, self.y, self.floor, self.partition_id)
 
 
+def fits_int64(value: int) -> bool:
+    """Whether an int64 column can hold the integer."""
+    return _INT64_MIN <= value <= _INT64_MAX
+
+
+def _int64_finding(point: IndoorPoint) -> str | None:
+    """The point's first integer field outside int64, as a message, if any."""
+    name = next((name for name in INTEGER_FIELDS if not fits_int64(getattr(point, name))), None)
+    return name and f"point {point.id} has {name} {getattr(point, name)} outside the int64 range"
+
+
+class PointTable(Sequence):
+    """Points as read-only numpy columns, one row per point, named as
+    `IndoorPoint`'s fields: id, partition_id, floor and category int64,
+    x, y and static_score float64.
+
+    It is the sequence of its rows' points, equal to their list: indexing
+    or iterating builds each point, with Python int and float fields, or
+    hands back the object a row was made from (`of`)."""
+
+    def __init__(self, columns: dict[str, np.ndarray], points: tuple | None = None):
+        for name in OBJECT_CSV_HEADER:
+            column = np.ascontiguousarray(columns[name], dtype=_COLUMN_TYPES[name])
+            column.flags.writeable = False
+            setattr(self, name, column)
+        self._points = points
+        self._row_of: dict[int, int] | None = None  # id -> row, made on first lookup
+
+    @classmethod
+    def of(cls, points: Iterable[IndoorPoint]) -> "PointTable":
+        """The points' table, whose rows hand them back.  Raises ValueError
+        naming a point with an integer field outside int64."""
+        points = tuple(points)
+        try:
+            columns = {name: np.fromiter(map(attrgetter(name), points), _COLUMN_TYPES[name],
+                                         len(points)) for name in OBJECT_CSV_HEADER}
+        except OverflowError:
+            raise ValueError(next(filter(None, map(_int64_finding, points)))) from None
+        return cls(columns, points)
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __getitem__(self, row: int) -> IndoorPoint:
+        if self._points is not None:
+            return self._points[row]
+        return IndoorPoint(*(getattr(self, name).item(row) for name in OBJECT_CSV_HEADER))
+
+    def __iter__(self):
+        return iter(self.points(np.arange(len(self))))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+    def points(self, rows: np.ndarray) -> list[IndoorPoint]:
+        """The points of the given rows, in their order."""
+        if self._points is not None:
+            return list(map(self._points.__getitem__, rows.tolist()))
+        return list(map(IndoorPoint, *(getattr(self, name)[rows].tolist()
+                                       for name in OBJECT_CSV_HEADER)))
+
+    def row_of(self, point_id: int) -> int:
+        """The row of the point with this id; KeyError if none has it."""
+        if self._row_of is None:
+            self._row_of = dict(zip(self.id.tolist(), range(len(self))))
+        return self._row_of[point_id]
+
+
+class PointMapping(Mapping):
+    """A table's points by id, in row order: the read-only `Venue.points`
+    of a venue given a `PointTable`.  It builds a point only when asked."""
+
+    def __init__(self, table: PointTable):
+        self.table = table
+
+    def __getitem__(self, point_id) -> IndoorPoint:
+        return self.table[self.table.row_of(point_id)]
+
+    def __iter__(self):
+        return iter(self.table.id.tolist())
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+
+_HOLDS_NOTHING = (math.nan,) * 4 + (0, 0)
+
+
+def _holds(part: Partition | None) -> tuple:
+    """The partition's bounds and the floors an int64 point floor can be
+    on (the one floor twice if only one is), or NaN bounds if none can."""
+    if part is None:
+        return _HOLDS_NOTHING
+    floors = [f for f in part.floors if fits_int64(f)]
+    return (*part.bounds, floors[0], floors[-1]) if floors else _HOLDS_NOTHING
+
+
+def point_partitions(venue: "Venue", table: PointTable
+                     ) -> tuple[list[Partition | None], np.ndarray, np.ndarray]:
+    """The distinct partitions the table's rows name, by id (None for an
+    id the venue lacks); each row's index into them; and whether each
+    row's partition holds it at finite coordinates, as `Venue.partition_of`
+    checks it: `Partition.contains`'s float comparisons, vectorised."""
+    ids, at = np.unique(table.partition_id, return_inverse=True)
+    parts = [venue.partitions.get(pid) for pid in ids.tolist()]
+    holds = [_holds(part) for part in parts]
+    x0, y0, x1, y1 = np.array([h[:4] for h in holds], dtype=float).reshape(-1, 4)[at].T
+    low, high = np.array([h[4:] for h in holds], dtype=np.int64).reshape(-1, 2)[at].T
+    x, y, floor = table.x, table.y, table.floor
+    held = (np.isfinite(x) & np.isfinite(y) & ((floor == low) | (floor == high))
+            & (x0 - BOUNDARY_EPS <= x) & (x <= x1 + BOUNDARY_EPS)
+            & (y0 - BOUNDARY_EPS <= y) & (y <= y1 + BOUNDARY_EPS))
+    return parts, at, held
+
+
 @dataclass
 class Venue:
     partitions: dict[int, Partition]
     doors: dict[int, Door]
-    points: dict[int, IndoorPoint] = field(default_factory=dict)
+    points: Mapping[int, IndoorPoint] = field(default_factory=dict)
     categories: dict[int, str] = field(default_factory=dict)
 
     def partition_doors(self, partition_id: int) -> list[Door]:
@@ -162,12 +289,23 @@ class Venue:
         return components
 
     def with_points(self, points: Iterable[IndoorPoint]) -> "Venue":
+        """This venue with the given points: a `PointTable` kept as the
+        read-only `PointMapping`, any other points in a dict by id."""
         return Venue(
             partitions=self.partitions,
             doors=self.doors,
-            points={p.id: p for p in points},
+            points=(PointMapping(points) if isinstance(points, PointTable)
+                    else {p.id: p for p in points}),
             categories=dict(self.categories),
         )
+
+    def point_table(self) -> PointTable:
+        """The points as one table, in `points` order: the venue's own when
+        it was given one, else one made from its objects (ValueError naming
+        a point with an integer field outside int64)."""
+        if isinstance(self.points, PointMapping):
+            return self.points.table
+        return PointTable.of(self.points.values())
 
 
 def intra_distance(partition: Partition, a: Location | IndoorPoint | Door,
@@ -251,7 +389,21 @@ def validate_venue(venue: Venue) -> ValidationReport:
             elif door.id not in part.door_ids:
                 report.add("door listing", f"partition {pid} does not list door {door.id}")
 
-    for point in venue.points.values():
+    try:
+        table = venue.point_table()
+    except ValueError:  # a point given as an object has an integer field outside int64
+        kept = []
+        for point in venue.points.values():
+            if message := _int64_finding(point):
+                report.add("integer range", message)
+            else:
+                kept.append(point)
+        table = PointTable.of(kept)
+    # Each point with a finding is one its partition does not hold or one with a bad score.
+    held = point_partitions(venue, table)[2]
+    score = table.static_score
+    for row in np.flatnonzero(~held | ~np.isfinite(score) | (score < 0)).tolist():
+        point = table[row]
         part = venue.partitions.get(point.partition_id)
         if part is None:
             report.add("dangling reference", f"point {point.id} references unknown partition {point.partition_id}")
@@ -420,12 +572,50 @@ def save_objects_csv(points: Iterable[IndoorPoint], path: str | Path) -> None:
             writer.writerow([p.id, p.partition_id, repr(p.x), repr(p.y), p.floor, p.category, repr(p.static_score)])
 
 
-def load_objects_csv(path: str | Path) -> list[IndoorPoint]:
-    """An objects CSV's points in file order; columns are found by header
-    name (extra ones ignored, the last of a repeated name wins) and blank
-    lines skipped.  Cells are strings, which int() parses strictly.
-    Raises ValueError on a missing column, or naming the line of a row
-    with too many or too few cells, a non-numeric cell or a repeated id."""
+def load_objects_csv(path: str | Path) -> PointTable:
+    """An objects CSV's points in file order, as a table; columns are found
+    by header name (extra ones ignored, the last of a repeated name wins)
+    and blank lines skipped.  Cells are strings, which int() parses
+    strictly; an integer outside int64 is refused.  Raises ValueError on a
+    missing column, or naming the line of a row with too many or too few
+    cells, a non-numeric or out-of-range cell or a repeated id.
+
+    One `np.loadtxt` pass parses the file; where it could read the file
+    otherwise than `csv` and int()/float(), or fails, the file is read
+    again row by row (`_read_objects_csv`), which words every error."""
+    with open(path, newline="") as fh:
+        table = _parse_objects_csv(fh)
+    return table if table is not None else _read_objects_csv(path)
+
+
+def _parse_objects_csv(fh) -> PointTable | None:
+    """The points of an objects CSV open as text, from one `np.loadtxt`
+    pass, or None where the row reader must decide: a first line that is
+    not the seven columns once each, no data, text numpy refuses or a
+    repeated id.  Every column is numeric, so numpy refuses any quote or
+    NUL; otherwise `csv` splits rows and cells as numpy does, both strip
+    a number's surrounding whitespace, numpy refuses a short, long or
+    whitespace-only row, and it reads no number that int() and float()
+    refuse."""
+    try:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if sorted(header) != sorted(OBJECT_CSV_HEADER):
+            return None
+        dtype = np.dtype([(name, _COLUMN_TYPES[name]) for name in header])
+        # Any warning refuses the text too: np.loadtxt warns on input without
+        # data, and older numpy reads "1.0" in an integer column with a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parsed = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):  # a UnicodeDecodeError too
+        return None
+    table = PointTable({name: parsed[name] for name in OBJECT_CSV_HEADER})
+    ids = np.sort(table.id)
+    return None if (ids[1:] == ids[:-1]).any() else table
+
+
+def _read_objects_csv(path: str | Path) -> PointTable:
+    """`load_objects_csv` row by row, with `csv` and int()/float()."""
     points = []
     seen: set[int] = set()
     with open(path, newline="") as fh:
@@ -446,13 +636,15 @@ def load_objects_csv(path: str | Path) -> list[IndoorPoint]:
                 pid, part, x, y, floor, category, score = cells(row)
                 point = IndoorPoint(int(pid), int(part), float(x), float(y), int(floor),
                                     int(category), float(score))
+                if message := _int64_finding(point):
+                    raise ValueError(message)
             except ValueError as exc:
                 raise ValueError(f"object CSV line {reader.line_num} is malformed: {exc}") from None
             if point.id in seen:
                 raise ValueError(f"object CSV line {reader.line_num} repeats id {point.id}")
             seen.add(point.id)
             points.append(point)
-    return points
+    return PointTable.of(points)
 
 
 def load_checked_venue(venue_path: str | Path, objects_path: str | Path | None = None) -> Venue:

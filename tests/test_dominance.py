@@ -6,6 +6,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from indoortrip import (
     IndoorPoint,
     Partition,
     QueryContext,
+    TripQuery,
     Venue,
     WorkloadSpec,
     build_d2d_graph,
@@ -24,6 +26,7 @@ from indoortrip import (
     exact_route,
     gcnn,
     preprocess,
+    validate_venue,
 )
 from indoortrip.bench import frequent_categories
 from indoortrip.routing import route_cost
@@ -304,10 +307,10 @@ def test_select_points_empty_input_is_noop():
     assert pruned.alive == index.alive
     assert report.to_dict() == {"alpha": 0.0, "removed": 0, "kept": 1, "per_partition": {}}
     reach = dom.venue_reach(index)
-    for points in ([], [index.venue.points[0]]):
-        columns, order = dom.point_columns(points)
-        assert columns.shape == (6, len(points)) and order.tolist() == list(range(len(points)))
-        assert dom.certified(columns, 0.0, reach).tolist() == [False] * len(points)
+    for rows in ([], [0]):
+        columns, order = dom.point_columns(index.table, np.array(rows, dtype=int))
+        assert columns.shape == (4, len(rows)) and order.tolist() == list(range(len(rows)))
+        assert dom.certified(columns, 0.0, reach).tolist() == [False] * len(rows)
 
 
 def test_select_points_prunes_dominated_farther_partner():
@@ -440,6 +443,32 @@ def test_preprocess_prunes_one_category_at_a_time():
     together, _ = preprocess(index, cats)
     alone = [preprocess(index, [cat])[0].alive for cat in cats]
     assert together.alive == frozenset.intersection(*alone)
+
+
+def test_groups_whose_ids_differ_only_above_2_53_stay_apart():
+    """Rooms 2**53 and 2**53 + 1 share a door at the far end of their
+    common wall; their ids are one float apart.  p in one room is not
+    certified by the cheaper q in the other, 0.2 m away through the wall
+    but a long walk round by the door, so the pruned snapshot keeps p's
+    route; and a point removed is reported under its exact ids."""
+    a, b, cat = 2 ** 53, 2 ** 53 + 1, 2 ** 53 + 3
+    partitions = {a: Partition(id=a, floor=0, bounds=(0, 0, 10, 10), door_ids=(0,)),
+                  b: Partition(id=b, floor=0, bounds=(10, 0, 20, 10), door_ids=(0,))}
+    doors = {0: Door(id=0, x=10.0, y=0.5, floor=0, partition_ids=(a, b))}
+    points = [pt(0, 9.9, 9.5, cat, 5.0, partition_id=a), pt(1, 10.1, 9.5, cat, 0.0, partition_id=b),
+              pt(2, 10.5, 9.5, cat, 9.0, partition_id=b)]
+    venue = Venue(partitions=partitions, doors=doors, points={p.id: p for p in points})
+    assert validate_venue(venue).ok
+    index = build_index(venue, build_d2d_graph(venue))
+    pruned, report = preprocess(index, [cat])
+    assert index.alive - pruned.alive == {2}
+    assert report.eliminated == {b: {cat: 1}}
+    assert report.to_dict()["per_partition"] == {str(b): {str(cat): 1}}
+    query = TripQuery(Location(9.0, 9.5, 0), Location(9.0, 9.0, 0), (cat,))
+    route = gcnn(query, index)
+    assert [s.point_id for s in route.stops] == [0]
+    assert route_cost(route, 0.5) == pytest.approx(3.46, abs=0.01)
+    assert gcnn(query, pruned) == route
 
 
 def test_preprocess_is_deterministic():

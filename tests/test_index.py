@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,14 +12,21 @@ from indoortrip import (
     QueryContext,
     build_d2d_graph,
     build_index,
+    build_workload,
+    load_objects_csv,
+    load_venue,
     point_score,
     preprocess,
+    save_objects_csv,
+    save_venue,
+    validate_venue,
 )
-from indoortrip import d2d
+from indoortrip import DistanceEngine, Partition, d2d
 from indoortrip.index import QueryTables
-from indoortrip.venue import intra_distance
+from indoortrip.venue import BOUNDARY_EPS, intra_distance
 
-from conftest import block_distances, make_corridor_venue, make_two_room_venue, small_workload
+from conftest import (block_distances, make_corridor_venue, make_two_room_venue,
+                      perfbench_workloads, small_workload)
 
 
 def linear_scan_cnn(index, from_loc, category, ctx):
@@ -653,3 +661,102 @@ def test_aggregation_still_consistent_after_random_removals():
             break
         index = index.remove_points(rng.sample(alive, 3))
         assert_blocks_match_live_points(index)
+
+
+def snapshots(venue, graph):
+    """The venue's full snapshot and the one pruned over every category."""
+    index = build_index(venue, graph)
+    return index, preprocess(index, index.live_categories())[0]
+
+
+def reference_rows(engine, points):
+    """Each point's `engine.legs`, `intra_distance` call by call, padded to
+    the widest with door 0 and an infinite leg: the rows a block must hold."""
+    rows = [engine.legs(p.location) for p in points]
+    width = max((got.doors.size for got in rows), default=0)
+    doors = np.zeros((len(rows), width), dtype=int)
+    legs = np.full((len(rows), width), np.inf)
+    for row, got in enumerate(rows):
+        doors[row, :got.doors.size] = got.doors
+        legs[row, :got.legs.size] = got.legs
+    return doors, legs
+
+
+@pytest.mark.parametrize("name", ["desk", "big", "spread"])
+def test_loaded_points_lay_out_the_blocks_of_object_points(tmp_path, name):
+    """On each pinned benchmark workload, a venue whose points were loaded
+    from the objects CSV lays out, on the full and the pruned snapshot,
+    every category block as the venue of the generated point objects does:
+    doors, legs and scores byte for byte, the same points and partitions;
+    and those doors and legs are each point's own `engine.legs`."""
+    workload = perfbench_workloads()[name]
+    venue, points, _ = build_workload(workload.workload_spec(workload.seed))
+    save_objects_csv(points, tmp_path / "objects.csv")
+    loaded = venue.with_points(load_objects_csv(tmp_path / "objects.csv"))
+    graph = build_d2d_graph(venue)
+    for want, got in zip(snapshots(venue, graph), snapshots(loaded, graph)):
+        assert got.alive == want.alive
+        assert got.live_categories() == want.live_categories()
+        for cat in want.live_categories():
+            a, b = want.category_block(cat), got.category_block(cat)
+            for field in ("doors", "legs", "scores"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field
+            assert b.points == a.points
+            assert {pid: (rows.tolist(), there) for pid, (rows, there) in b.by_partition.items()} \
+                == {pid: (rows.tolist(), there) for pid, (rows, there) in a.by_partition.items()}
+            doors, legs = reference_rows(want.engine, a.points)
+            assert (a.doors.tobytes(), a.legs.tobytes()) == (doors.tobytes(), legs.tobytes())
+
+
+def test_layout_holds_points_on_and_within_the_tolerance_of_their_bounds():
+    """Points on a room's edges and corners, up to `BOUNDARY_EPS` outside
+    them, and on each floor of a stairs partition, are laid out with their
+    own `engine.legs`; one a little further out, or on a floor its stairs
+    do not reach, is refused as `Venue.partition_of` refuses it."""
+    venue = make_two_room_venue()
+    venue.partitions[1] = Partition(id=1, floor=0, bounds=(10, 0, 20, 10), kind="stairs",
+                                    door_ids=(0,), floor2=2)
+    eps = BOUNDARY_EPS
+    spots = [(0, 0.0, 0.0, 0), (0, 10.0, 10.0, 0), (0, -eps, 5.0, 0), (0, 10.0 + eps, -eps, 0),
+             (0, 3.0, 10.0 + 0.5 * eps, 0), (1, 10.0, 5.0, 0), (1, 20.0 + eps, 10.0, 2),
+             (1, 15.0, 0.0, 2)]
+    points = [IndoorPoint(id=i, partition_id=part, x=x, y=y, floor=floor, category=0,
+                          static_score=1.0) for i, (part, x, y, floor) in enumerate(spots)]
+    graph = build_d2d_graph(venue)
+    block = build_index(venue.with_points(points), graph).category_block(0)
+    doors, legs = reference_rows(DistanceEngine(venue, graph), points)
+    assert (block.doors.tobytes(), block.legs.tobytes()) == (doors.tobytes(), legs.tobytes())
+    for bad in (dict(x=-3 * eps), dict(y=10.0 + 3 * eps), dict(partition_id=1, x=15.0, floor=1)):
+        point = replace(points[0], **bad)
+        with pytest.raises(ValueError, match=str(point.partition_id)):
+            venue.partition_of(point)
+        with pytest.raises(ValueError, match=str(point.partition_id)):
+            build_index(venue.with_points([point]), graph).category_block(0)
+
+
+def test_set_up_from_files_builds_no_point_object(tmp_path, monkeypatch):
+    """Loading `big` from its files, validating it, indexing it and pruning
+    it read the point table's columns: not one IndoorPoint is made until a
+    block is laid out."""
+    workload = perfbench_workloads()["big"]
+    venue, points, queries = build_workload(workload.workload_spec(workload.seed))
+    save_venue(venue.with_points([]), tmp_path / "venue.json")
+    save_objects_csv(points, tmp_path / "objects.csv")
+    made = []
+    init = IndoorPoint.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IndoorPoint, "__init__", counted)
+    loaded = load_venue(tmp_path / "venue.json").with_points(
+        load_objects_csv(tmp_path / "objects.csv"))
+    assert validate_venue(loaded).ok
+    index = build_index(loaded, build_d2d_graph(loaded))
+    _, report = preprocess(index, sorted({c for q in queries for c in q.categories}))
+    assert len(index.table) == len(points) and report.removed > 0
+    assert made == []
+    index.category_block(0)  # a block makes its own live points
+    assert len(made) == index.live_count(0)

@@ -4,6 +4,10 @@ loaders: what is saved loads back equal, and bad input raises ValueError."""
 import csv
 import io
 import json
+import warnings
+from collections.abc import Mapping
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from indoortrip import (
     IndoorPoint,
     Location,
     Partition,
+    PointTable,
     TripQuery,
     Venue,
     load_checked_venue,
@@ -232,7 +237,8 @@ def test_objects_csv_short_row_names_its_line(tmp_path):
 
 def dict_reader_objects(path):
     """The objects CSV loader as written on csv.DictReader, one dict per
-    row: the reference the loader's reading by column position matches."""
+    row, and int() and float(): the reference that the loader's numpy
+    pass and its reading by column position both match."""
     points, seen = [], set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -251,6 +257,10 @@ def dict_reader_objects(path):
                     x=float(row["x"]), y=float(row["y"]), floor=int(row["floor"]),
                     category=int(row["category"]), static_score=float(row["static_score"]),
                 )
+                for name in ("id", "partition_id", "floor", "category"):
+                    if not -2 ** 63 <= getattr(point, name) < 2 ** 63:
+                        raise ValueError(f"point {point.id} has {name} {getattr(point, name)} "
+                                         "outside the int64 range")
             except ValueError as exc:
                 raise ValueError(f"object CSV line {line} is malformed: {exc}") from None
             if point.id in seen:
@@ -277,14 +287,44 @@ REFERENCE_FILES = {
     "bad-cells-in-a-shuffled-row": "static_score,id,x,partition_id,y,floor,category\n"
                                    "nan,one,two,0,2.0,0,3\n",
     "quoted-line-break-then-a-short-row": f'{HEADER}\n1,0,"1.0\n",2.0,0,3,4.5\n2,1\n',
+    # Where numpy's parse and csv with int() and float() could differ.
+    "whitespace-only-line": f"{HEADER}\n1,0,1.0,2.0,0,3,4.5\n \n2,1,11.0,2.5,0,3,0.25\n",
+    "hash-in-a-cell": f"{HEADER}\n1,0,1.0,2.0,0,3,4.5#5\n",
+    "hash-in-an-id": f"{HEADER}\n1#2,0,1.0,2.0,0,3,4.5\n",
+    "quoted-cells": f'{HEADER}\n"1",0,"1.0",2.0,0,3,4.5\n2,1,11.0,2.5,0,3,"0.25"\n',
+    "crlf": f"{HEADER}\r\n1,0,1.0,2.0,0,3,4.5\r\n2,1,11.0,2.5,0,3,0.25\r\n",
+    "crlf-blank-lines": f"{HEADER}\r\n\r\n1,0,1.0,2.0,0,3,4.5\r\n\r\n",
+    "underscore-digits": f"{HEADER}\n1_0,0,1_0.5,2.0,0,3,4.5\n",
+    "signed-and-spaced-integers": f"{HEADER}\n+4, 3 ,1.0,2.0, -1,+3,4.5\n",
+    "float-in-an-integer-column": f"{HEADER}\n1,0,1.0,2.0,1.0,3,4.5\n",
+    "nan-and-infinities": f"{HEADER}\n1,0,nan,-inf,0,3,Infinity\n2,1,11.0,2.5,0,3,NaN\n",
+    "id-above-int64": f"{HEADER}\n1,0,1.0,2.0,0,3,4.5\n{2 ** 63},0,1.0,2.0,0,3,4.5\n",
+    "category-below-int64": f"{HEADER}\n1,0,1.0,2.0,0,{-2 ** 63 - 1},4.5\n",
+    "int64-extremes": f"{HEADER}\n{2 ** 63 - 1},{-2 ** 63},1.0,2.0,0,3,4.5\n",
+    "byte-order-mark": f"\ufeff{HEADER}\n{ROWS}",
+    "header-only-crlf": f"{HEADER}\r\n",
+    "header-without-newline": HEADER,
+    "blank-lines-only": f"{HEADER}\n\n\n",
+    "lone-carriage-returns": f"{HEADER}\r1,0,1.0,2.0,0,3,4.5\r2,1,11.0,2.5,0,3,0.25\r",
+    "quoted-line-break-in-a-number": f'{HEADER}\n1,0,1.0,2.0,0,3,"4.5\n"\n',
+    "nul-in-a-cell": f"{HEADER}\n1,0,1.0\0,2.0,0,3,4.5\n",
 }
+
+
+def canonical(result):
+    """A load's points as tuples, floats by float.hex (NaN != NaN), or its error."""
+    if isinstance(result, str):
+        return result
+    return [tuple(v.hex() if isinstance(v, float) else (type(v).__name__, v)
+                  for v in (p.id, p.partition_id, p.x, p.y, p.floor, p.category, p.static_score))
+            for p in result]
 
 
 def outcome(load, path):
     try:
-        return load(path)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
+        return canonical(load(path))
+    except (ValueError, csv.Error) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 @pytest.mark.parametrize("text", REFERENCE_FILES.values(), ids=REFERENCE_FILES.keys())
@@ -292,6 +332,83 @@ def test_objects_csv_reads_what_the_dict_reader_reference_reads(tmp_path, text):
     path = tmp_path / "objects.csv"
     path.write_text(text)
     assert outcome(load_objects_csv, path) == outcome(dict_reader_objects, path)
+
+
+CELLS = ("0", "1", "7", "-3", "+4", " 3 ", "1_0", "1.0", "2.5", "-0.0", "1e3", "nan", "-inf",
+         "Infinity", "inf", "", " ", "x", "#", "1#2", '"5"', '"1,2"', str(2 ** 63 - 1),
+         str(2 ** 63), str(-2 ** 63 - 1), "0x10", "\ufeff1", "\0")
+
+
+@st.composite
+def object_files(draw):
+    """An objects CSV text from the tokens where numpy and csv with int()
+    and float() could part: the header in any order, maybe with an extra
+    column or a byte-order mark; cells from CELLS or a row's own index;
+    blank, whitespace-only and short lines; LF or CRLF line ends."""
+    header = draw(st.permutations(OBJECT_CSV_HEADER))
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), "note")
+    lines = [("\ufeff" if draw(st.integers(0, 9)) == 0 else "") + ",".join(header)]
+    for n in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("row", "row", "row", "blank", "space", "short")))
+        if kind == "row":
+            lines.append(",".join(
+                str(n) if draw(st.booleans()) and name in ("id", "partition_id", "floor", "category")
+                else draw(st.sampled_from(CELLS)) if draw(st.integers(0, 3)) == 0
+                else "2.5" if name in ("x", "y", "static_score") else "0"
+                for name in header))
+        else:
+            lines.append({"blank": "", "space": " ", "short": "1,2"}[kind])
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return end.join(lines) + draw(st.sampled_from(("", end)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=object_files())
+def test_objects_csv_reads_generated_files_as_the_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("objects") / "objects.csv"
+    path.write_bytes(text.encode())
+    assert outcome(load_objects_csv, path) == outcome(dict_reader_objects, path)
+
+
+def test_an_objects_csv_that_does_not_decode_fails_as_the_reference(tmp_path):
+    path = tmp_path / "objects.csv"
+    for data in (f"{HEADER}\n".encode() + b"1,0,1.0,2.0,0,3,4.\xff\n", b"\xff" + HEADER.encode()):
+        path.write_bytes(data)
+        assert outcome(load_objects_csv, path) == outcome(dict_reader_objects, path)
+
+
+def test_a_header_only_objects_csv_loads_empty_without_a_warning(tmp_path):
+    path = tmp_path / "objects.csv"
+    for text in (f"{HEADER}\n", f"{HEADER}\r\n\r\n", HEADER):
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            assert load_objects_csv(path) == []
+        assert shown == []
+
+
+def test_loaded_points_are_a_table_and_a_read_only_mapping(tmp_path):
+    """The loader returns a PointTable equal to the list of its points,
+    with plain Python fields; a venue given it keeps it as a read-only
+    mapping by id that builds its points on demand."""
+    path = tmp_path / "objects.csv"
+    path.write_text(REFERENCE_FILES["shuffled-and-extra"])
+    table = load_objects_csv(path)
+    assert isinstance(table, PointTable) and len(table) == 2
+    want = [IndoorPoint(1, 0, 1.0, 2.0, 0, 3, 4.5), IndoorPoint(2, 1, 11.0, 2.5, 0, 3, 0.25)]
+    assert table == want and list(table) == want and table[-1] == want[-1]
+    assert [type(v) for v in vars(table[0]).values()] == [int, int, float, float, int, int, float]
+    assert table.id.dtype == np.int64 and table.x.dtype == np.float64
+    with pytest.raises(ValueError):
+        table.x[0] = 5.0
+    venue = make_two_room_venue().with_points(table)
+    assert venue.point_table() is table
+    assert isinstance(venue.points, Mapping) and venue.points == {p.id: p for p in want}
+    assert list(venue.points) == [1, 2] and 2 in venue.points and 3 not in venue.points
+    assert venue.points.get(3) is None and venue.points[2] == want[1]
+    with pytest.raises(TypeError):
+        venue.points[3] = want[0]
 
 
 def test_objects_csv_replaces_the_venue_points(tmp_path):

@@ -1,3 +1,6 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,8 @@ from indoortrip import (
     Location,
     Partition,
     Venue,
+    build_d2d_graph,
+    build_index,
     load_checked_venue,
     load_objects_csv,
     load_venue,
@@ -18,7 +23,7 @@ from indoortrip import (
     save_venue,
     validate_venue,
 )
-from indoortrip.venue import intra_distance, venue_from_dict
+from indoortrip.venue import OBJECT_CSV_HEADER, PointMapping, intra_distance, venue_from_dict
 from indoortrip.workload import venue_diameter
 
 from conftest import make_corridor_venue, make_two_room_venue
@@ -289,7 +294,7 @@ def _add_negative_score(venue):
                                   static_score=-0.5)
 
 
-@pytest.mark.parametrize("break_venue, code, message", [
+BROKEN_INVARIANTS = [
     pytest.param(lambda v: _replace_partition(v, kind="kiosk"), "unknown kind",
                  "partition 0 kind 'kiosk'", id="unknown-kind"),
     pytest.param(lambda v: _replace_partition(v, floor2=1), "floor span",
@@ -300,11 +305,89 @@ def _add_negative_score(venue):
                  "door 1 references unknown partition 9", id="door-names-unknown-partition"),
     pytest.param(_add_negative_score, "negative score",
                  "point 0 has static score -0.5", id="negative-score"),
-])
+]
+
+
+@pytest.mark.parametrize("break_venue, code, message", BROKEN_INVARIANTS)
 def test_each_broken_invariant_is_its_one_finding(break_venue, code, message):
     venue = make_two_room_venue()
     break_venue(venue)
     assert [(f.code, f.message) for f in validate_venue(venue).findings] == [(code, message)]
+
+
+def with_loaded_points(venue, path):
+    """The venue with its points written to an objects CSV in their order
+    and loaded back: a venue whose points are a table."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(OBJECT_CSV_HEADER)
+        for p in venue.points.values():
+            writer.writerow([p.id, p.partition_id, repr(float(p.x)), repr(float(p.y)), p.floor,
+                             p.category, repr(float(p.static_score))])
+    loaded = venue.with_points(load_objects_csv(path))
+    assert isinstance(loaded.points, PointMapping)
+    return loaded
+
+
+@pytest.mark.parametrize("break_venue, code, message", BROKEN_INVARIANTS)
+def test_each_broken_invariant_is_its_one_finding_on_loaded_points(tmp_path, break_venue, code,
+                                                                   message):
+    venue = make_two_room_venue()
+    break_venue(venue)
+    loaded = with_loaded_points(venue, tmp_path / "objects.csv")
+    assert [(f.code, f.message) for f in validate_venue(loaded).findings] == [(code, message)]
+
+
+def _stairs_venue(points):
+    """The two rooms, room 1 a stairs partition reaching floors 0 and 2."""
+    venue = make_two_room_venue(points)
+    venue.partitions[1] = Partition(id=1, floor=0, bounds=(10, 0, 20, 10), kind="stairs",
+                                    door_ids=(0,), floor2=2)
+    return venue
+
+
+def _point(pid, partition_id=0, x=1.0, y=1.0, floor=0, score=1.0):
+    return IndoorPoint(id=pid, partition_id=partition_id, x=x, y=y, floor=floor, category=0,
+                       static_score=score)
+
+
+@pytest.mark.parametrize("make_venue", [make_two_room_venue, _stairs_venue],
+                         ids=["rooms", "stairs"])
+def test_loaded_points_give_the_findings_of_object_points_in_their_order(tmp_path, make_venue):
+    """A table-backed venue's point findings are the dict-backed venue's:
+    the same codes and messages, row by row in the points' order."""
+    eps = 1e-6
+    points = [
+        _point(9), _point(3, partition_id=99, score=-1.0), _point(7, x=math.nan, score=math.nan),
+        _point(1, y=math.inf), _point(12, x=50.0), _point(5, floor=1), _point(4, floor=2),
+        _point(6, partition_id=1, x=15.0, floor=2), _point(8, partition_id=1, x=15.0, floor=1),
+        _point(2, x=10.0 + eps), _point(11, x=10.0 + 2 * eps), _point(10, x=-eps, y=-eps),
+        _point(13, score=-math.inf), _point(14, score=-0.0), _point(0, x=-math.inf, score=-2.0),
+    ]
+    venue = make_venue(points)
+    want = [(f.code, f.message) for f in validate_venue(venue).findings]
+    assert len(want) > 10
+    loaded = with_loaded_points(venue, tmp_path / "objects.csv")
+    assert [(f.code, f.message) for f in validate_venue(loaded).findings] == want
+
+
+def test_a_point_field_outside_int64_is_an_integer_range_finding(tmp_path):
+    """An object point with an integer field outside int64 is a finding;
+    the CSV loader refuses one, naming its line, and an index refuses the venue."""
+    wide = [_point(2 ** 63), IndoorPoint(id=1, partition_id=0, x=1.0, y=1.0, floor=0,
+                                         category=-2 ** 63 - 1, static_score=-1.0)]
+    venue = make_two_room_venue([_point(0, score=-1.0)] + wide)
+    assert [(f.code, f.message) for f in validate_venue(venue).findings] == [
+        ("integer range", f"point {2 ** 63} has id {2 ** 63} outside the int64 range"),
+        ("integer range", f"point 1 has category {-2 ** 63 - 1} outside the int64 range"),
+        ("negative score", "point 0 has static score -1.0"),
+    ]
+    with pytest.raises(ValueError, match=f"point {2 ** 63} has id {2 ** 63} outside the int64"):
+        build_index(venue, build_d2d_graph(venue))
+    save_objects_csv(wide, tmp_path / "objects.csv")  # in id order: point 1 on line 2
+    with pytest.raises(ValueError, match=f"line 2 is malformed: point 1 has category {-2 ** 63 - 1} "
+                                         "outside the int64 range"):
+        load_objects_csv(tmp_path / "objects.csv")
 
 
 def test_load_checked_venue_names_the_first_five_findings(tmp_path):
