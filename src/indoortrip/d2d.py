@@ -5,10 +5,12 @@ their intra-partition distance.  All longer-range distances reduce to
 shortest paths over this graph plus straight-line legs inside the first
 and last partition.  `build_d2d_graph` measures the shortest path of
 every door pair once, into the graph's door matrix, before it returns
-the graph: a block Bellman-Ford in numpy, one partition's door clique
-per step.  The engine evaluates that formula for one location (or one
-block's rows: `pair_table`) against a whole block of points in a single
-numpy expression, its one kernel (`door_distances`), and then patches the
+the graph: a semi-naive block Bellman-Ford in numpy, one partition's
+door clique per step, each step relaxing only the source columns that
+may have changed in the clique's rows since it last ran.  The engine
+evaluates that formula for one location (or one block's rows:
+`pair_table`) against a whole block of points in a single numpy
+expression, its one kernel (`door_distances`), and then patches the
 rows in the location's own partition to their straight-line distance
 (`patch`), in one comprehension whose `math.hypot` calls are
 `intra_distance`'s.  A point table is laid out for the kernel in one
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -60,63 +62,141 @@ def build_d2d_graph(venue: Venue) -> D2DGraph:
     """Connect every door pair of every partition (shared pairs keep the
     minimum weight) and measure all-pairs shortest paths over them.
 
-    A block Bellman-Ford: each partition relaxes its door clique for every
-    source at once, in the breadth-first order of `Venue.components()`,
-    deepest first, then back and forth until a sweep changes nothing.  This is
-    directed Dijkstra's matrix bit for bit.  A relaxation forms fl(d[u] + w),
-    the sum Dijkstra forms, and min is exact; fl(a + w) never decreases as
-    a grows and is at least a for w >= 0, so a walk that repeats a door
-    never beats the same walk without the loop.  The fixpoint is thus, per
-    source, the least left-to-right float sum over simple door paths:
-    Dijkstra's result.  A sweep that changes something lowers an entry to
-    such a sum, so at most n sweeps run.  The matrix is then symmetrized:
-    a path summed from its two ends can differ in the last ulp.
+    A semi-naive block Bellman-Ford over `_cliques`, in their order, then
+    back and forth until none is dirty: each relaxes the source columns of
+    its dirty range at once.  `dist` starts at one hop, the weights with a
+    zero diagonal: each clique's first relaxation from the diagonal, as
+    fl(0 + w) = w.  Doors are numbered in the order the first sweep
+    reaches them, so that a clique's live columns lie close together, and
+    permuted back at the end.
+
+    This is directed Dijkstra's matrix bit for bit.  Source columns relax
+    independently.  A relaxation forms fl(d[u] + w), the sum Dijkstra
+    forms, and min is exact; fl(a + w) never decreases as a grows and is
+    at least a for w >= 0, so a walk that repeats a door never beats the
+    same walk without the loop, and a relaxation lowers an entry only to a
+    left-to-right float sum over a simple door path.  A clique's range
+    starts as the span of the doors of the cliques that share a door with
+    it, which holds every column with a finite entry in its rows: an
+    all-infinite column relaxes to itself.  A clique whose rows have not changed in a
+    column, since a relaxation that left that column unchanged, would leave
+    it unchanged again.  So a relaxation that lowers columns re-marks them
+    on every clique that shares a door with it, and on itself, as a second
+    hop inside the clique may lower them again; a range is the span of the
+    marked columns, and relaxing a column it need not is harmless.  An
+    empty worklist is thus a fixpoint of every clique on every column (and
+    so of every dropped one): per source, the least left-to-right float
+    sum over simple door paths, Dijkstra's result.  Each relaxation that
+    changes something lowers an entry to such a sum, so the loop ends.
+    The matrix is then symmetrized: a path summed from its two ends can
+    differ in the last ulp.
     Raises DisconnectedVenueError if any door is cut off."""
     door_ids = tuple(sorted(venue.doors))
     index = {d: i for i, d in enumerate(door_ids)}
+    parts = venue.partitions.values()
+    ends = list(accumulate(len(part.door_ids) for part in parts))
+    flat = np.fromiter(map(index.__getitem__, chain.from_iterable(p.door_ids for p in parts)), int)
+    flat.flags.writeable = False  # each partition's door rows are a slice of it
+    door_rows = {part.id: flat[a:b] for part, a, b in zip(parts, [0, *ends], ends)}
     edges: dict[tuple[int, int], float] = {}
-    door_rows: dict[int, np.ndarray] = {}
-    for part in venue.partitions.values():
-        door_rows[part.id] = own = np.array([index[d] for d in part.door_ids], dtype=int)
-        own.flags.writeable = False
-        doors = venue.partition_doors(part.id)
-        for i, da in enumerate(doors):
-            for db in doors[i + 1:]:
-                if da.id == db.id:
-                    continue
-                key = (da.id, db.id) if da.id < db.id else (db.id, da.id)
-                w = intra_distance(part, da, db)
-                if key not in edges or w < edges[key]:
-                    edges[key] = w
+    cliques: list[list[int]] = []
+    for part in parts:
+        if len(part.door_ids) > 1:  # intra_distance of each pair, inline
+            diagonal = part.diagonal
+            doors = [(d.id, d.x, d.y, d.floor) for d in venue.partition_doors(part.id)]
+            clique = {(a, b) if a < b else (b, a): math.hypot(xa - xb, ya - yb) if fa == fb
+                      else diagonal
+                      for i, (a, xa, ya, fa) in enumerate(doors) for b, xb, yb, fb in doors[i + 1:]
+                      if a != b}
+            for key in clique.keys() & edges.keys():
+                clique[key] = min(edges[key], clique[key])
+            edges.update(clique)
+            cliques.append(list(dict.fromkeys(door_rows[part.id].tolist())))
+    cliques, near = _cliques(cliques)
 
     n = len(door_ids)
-    weight = np.full((n, n), np.inf)
-    u, v = np.searchsorted(door_ids, np.fromiter(chain.from_iterable(edges), int)).reshape(-1, 2).T
-    weight[u, v] = weight[v, u] = np.fromiter(edges.values(), float, len(edges))
-    order = list(chain.from_iterable(venue.components()))
-    blocks = [(rows, weight[np.ix_(rows, rows)]) for rows in map(door_rows.get, reversed(order))
-              if rows.size > 1]
-    dist = np.full((n, n), np.inf)  # dist[v, s]: from door s to door v
+    touched = dict.fromkeys(chain.from_iterable(cliques))
+    new = np.empty(n, dtype=int)
+    new[[*touched, *(i for i in range(n) if i not in touched)]] = np.arange(n)
+    dist = np.full((n, n), np.inf)  # dist[v, s]: from door s to door v, numbered by `new`
+    u, v = new[np.searchsorted(door_ids, np.fromiter(chain.from_iterable(edges), int))].reshape(-1, 2).T
+    dist[u, v] = dist[v, u] = np.fromiter(edges.values(), float, len(edges))
     np.fill_diagonal(dist, 0.0)
-    changed = True
-    while changed:
-        changed = False
-        for rows, w in blocks:
-            cur, step = dist[rows], np.empty((rows.size, n))
-            width = max(1, _RELAX_FLOATS // rows.size ** 2)
-            for lo in range(0, n, width):
-                np.minimum.reduce(cur[:, None, lo:lo + width] + w[:, :, None], axis=0,
-                                  out=step[:, lo:lo + width])
-            if (step < cur).any():
-                dist[rows] = np.minimum(cur, step)
-                changed = True
-        blocks.reverse()
-    matrix = np.minimum(dist, dist.T)
+    blocks = [(rows, dist.take(rows, 0).take(rows, 1), marks)
+              for rows, marks in zip(map(new.take, cliques), near)]
+    spans = [(min(rows), max(rows) + 1) for rows in (rows.tolist() for rows, _, _ in blocks)]
+    lo = [min(spans[k][0] for k in marks) for marks in near]
+    hi = [max(spans[k][1] for k in marks) for marks in near]
+    sweep = list(range(len(blocks)))
+    while any(map(int.__lt__, lo, hi)):
+        for b in sweep:
+            a, z = lo[b], hi[b]
+            if a < z:
+                lo[b], hi[b] = n, 0
+                rows, w, marks = blocks[b]
+                cur = dist[rows, a:z]
+                step = _relax(cur, w)
+                lowered = (step < cur).any(axis=0).nonzero()[0]
+                if lowered.size:
+                    dist[rows, a:z] = step
+                    first, last = a + int(lowered[0]), a + int(lowered[-1]) + 1
+                    for k in marks:
+                        lo[k], hi[k] = min(lo[k], first), max(hi[k], last)
+        sweep.reverse()
+    matrix = np.minimum(dist, dist.T)[np.ix_(new, new)]
     unreachable = np.isinf(matrix[:1]).nonzero()[1]
     if unreachable.size:
         raise DisconnectedVenueError(door_ids[int(unreachable[0])])
     matrix.flags.writeable = False
     return D2DGraph(door_ids=door_ids, edges=edges, matrix=matrix, door_rows=door_rows)
+
+
+def _cliques(cliques: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """The door cliques that `build_d2d_graph` relaxes, of each partition's
+    distinct door rows: those of two or more doors not all in another
+    clique (a principal submatrix of the one weight matrix, so the larger
+    clique's fixpoint implies its own; of equal ones the first stays),
+    breadth-first over shared doors, deepest first.  Also, for each, the
+    positions of the cliques sharing a door with it, itself included."""
+    cliques = [rows for rows in cliques if len(rows) > 1]
+    held = [set(rows) for rows in cliques]
+    holding: dict[int, list[int]] = {}  # door row -> the kept cliques through it
+    for c in sorted(range(len(cliques)), key=lambda c: -len(held[c])):
+        if not any(held[c] <= held[k] for k in holding.get(cliques[c][0], ())):
+            for row in cliques[c]:
+                holding.setdefault(row, []).append(c)
+    near = {c: set(chain.from_iterable(map(holding.__getitem__, cliques[c])))
+            for c in sorted(set(chain.from_iterable(holding.values())))}
+    seen, walks = set(), []
+    for start in near:
+        if start not in seen:
+            seen.add(start)
+            walks.append(queue := [start])
+            for c in queue:
+                queue += sorted(near[c] - seen)
+                seen |= near[c]
+    order = list(chain.from_iterable(walks))[::-1]
+    at = {c: i for i, c in enumerate(order)}
+    return [cliques[c] for c in order], [[at[k] for k in near[c]] for c in order]
+
+
+def _relax(cur: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One clique relaxation of some source columns: [v, s] = min over u of
+    cur[u, s] + w[u, v], w with a zero diagonal.  Each (u, v, column)
+    temporary holds at most `_RELAX_FLOATS` floats, or one u row: a wide
+    clique splits u too, which min, being exact, allows."""
+    k, cols = cur.shape
+    if k * k * cols <= _RELAX_FLOATS:
+        return np.minimum.reduce(cur[:, None] + w[:, :, None], axis=0)
+    span = max(1, min(k, _RELAX_FLOATS // k))
+    width = max(1, _RELAX_FLOATS // (span * k))
+    step = np.empty_like(cur)
+    for lo in range(0, cols, width):
+        out = step[:, lo:lo + width]
+        for u in range(0, k, span):
+            least = np.minimum.reduce(cur[u:u + span, None, lo:lo + width] + w[u:u + span, :, None], axis=0)
+            out[...] = np.minimum(out, least) if u else least
+    return step
 
 
 class DoorLegs(NamedTuple):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -21,7 +23,9 @@ from indoortrip import (
     build_d2d_graph,
     build_workload,
 )
+from indoortrip import d2d
 from indoortrip.venue import intra_distance
+from indoortrip.workload import generate_venue
 
 from conftest import make_corridor_venue, make_two_room_venue, perfbench_workloads
 
@@ -194,6 +198,40 @@ def make_coincident_doors_venue():
     return venue
 
 
+def make_nested_cliques_venue():
+    """Cliques inside cliques: two rooms list the same two doors of their
+    hallway (in either order), a third room holds three of its doors, a
+    fourth holds the same two and the one way into a fifth, and two stairs of
+    different diagonals hold the same pair of doors, one on each floor, so
+    that their edge keeps the shorter diagonal."""
+    def door(i, x, floor, *parts):
+        return Door(id=i, x=x, y=4.0, floor=floor, partition_ids=parts)
+
+    return Venue(
+        partitions={
+            0: Partition(id=0, floor=0, bounds=(0, 0, 40, 4), kind="hallway", door_ids=(0, 1, 2, 3, 4)),
+            1: Partition(id=1, floor=0, bounds=(10, 4, 20, 10), kind="room", door_ids=(1, 2)),
+            2: Partition(id=2, floor=0, bounds=(10, 4, 20, 12), kind="room", door_ids=(2, 1)),
+            3: Partition(id=3, floor=0, bounds=(0, 4, 40, 20), kind="room", door_ids=(0, 2, 3)),
+            4: Partition(id=4, floor=0, bounds=(40, 0, 44, 6), kind="stairs", door_ids=(4, 5),
+                         floor2=1),
+            5: Partition(id=5, floor=0, bounds=(40, 0, 47, 9), kind="stairs", door_ids=(5, 4),
+                         floor2=1),
+            6: Partition(id=6, floor=1, bounds=(0, 0, 40, 4), kind="hallway", door_ids=(5, 6, 7)),
+            7: Partition(id=7, floor=1, bounds=(10, 4, 30, 10), kind="room", door_ids=(6, 7)),
+            8: Partition(id=8, floor=0, bounds=(10, 4, 20, 10), kind="room", door_ids=(2, 8, 1)),
+            9: Partition(id=9, floor=0, bounds=(10, 10, 20, 16), kind="room", door_ids=(8, 9)),
+        },
+        doors={
+            0: door(0, 0.0, 0, 0, 3), 1: door(1, 10.0, 0, 0, 1, 2, 8), 2: door(2, 20.0, 0, 0, 1, 2, 3, 8),
+            3: door(3, 30.0, 0, 0, 3), 4: door(4, 40.0, 0, 0, 4, 5), 5: door(5, 40.0, 1, 4, 5, 6),
+            6: door(6, 10.0, 1, 6, 7), 7: door(7, 30.0, 1, 6, 7),
+            8: Door(id=8, x=15.0, y=10.0, floor=0, partition_ids=(8, 9)),
+            9: Door(id=9, x=15.0, y=16.0, floor=0, partition_ids=(9,)),
+        },
+    )
+
+
 REFERENCE_VENUES = {
     "two-room": make_two_room_venue,
     "corridor-2": lambda: make_corridor_venue(rooms=2),
@@ -211,6 +249,7 @@ REFERENCE_VENUES = {
     "corridor-60-shuffled": lambda: make_shuffled_corridor_venue(60, seed=4),
     "repeated-listings": make_repeated_listing_venue,
     "coincident-doors": make_coincident_doors_venue,
+    "nested-cliques": make_nested_cliques_venue,
     # One hallway with 120 doors: its relaxation runs in several column chunks.
     "hallway-1x120": generated_venue(seed=2, floors=1, rooms_per_floor=120, categories=2,
                                      count_range=(1, 2), query_count=1, query_categories=(2,)),
@@ -226,6 +265,52 @@ REFERENCE_VENUES = {
 def test_the_door_matrix_is_the_undirected_reference_bit_for_bit(make_venue):
     graph = build_d2d_graph(make_venue())
     assert all(a < b for a, b in graph.edges)
+    assert np.array_equal(graph.matrix, undirected_reference(graph))
+
+
+def test_nested_equal_cliques_keep_the_least_weight():
+    graph = build_d2d_graph(make_nested_cliques_venue())
+    assert graph.edges[(4, 5)] == math.hypot(4, 6)
+    assert graph.edges[(1, 2)] == 10.0
+
+
+@pytest.mark.parametrize("floats", [40, 1000])
+@pytest.mark.parametrize("name", ["hallway-1x120", "multi-door-4x12x3"])
+def test_a_relaxation_budget_below_a_clique_squared_keeps_the_bits(monkeypatch, name, floats):
+    """A budget below a clique's k * k floats splits its doors as well as
+    its columns: one door row per temporary at 40; at 1,000, eight of the
+    hallway's 120 doors, or 26-27 of a 37-38-door hallway's."""
+    monkeypatch.setattr(d2d, "_RELAX_FLOATS", floats)
+    graph = build_d2d_graph(REFERENCE_VENUES[name]())
+    assert np.array_equal(graph.matrix, undirected_reference(graph))
+
+
+def shuffled_venue(venue, rng, scale):
+    """The venue with partition ids and door ids drawn afresh (sparse, in no
+    order), partitions listed in a random order, and every coordinate
+    scaled by `scale`."""
+    parts = dict(zip(venue.partitions, rng.sample(range(5 * len(venue.partitions)), len(venue.partitions))))
+    doors = dict(zip(venue.doors, rng.sample(range(5 * len(venue.doors)), len(venue.doors))))
+    partitions = [
+        dataclasses.replace(p, id=parts[p.id], bounds=tuple(b * scale for b in p.bounds),
+                            door_ids=tuple(doors[d] for d in p.door_ids))
+        for p in venue.partitions.values()
+    ]
+    rng.shuffle(partitions)
+    return Venue(
+        partitions={p.id: p for p in partitions},
+        doors={doors[d.id]: dataclasses.replace(d, id=doors[d.id], x=d.x * scale, y=d.y * scale,
+                                                partition_ids=tuple(parts[q] for q in d.partition_ids))
+               for d in venue.doors.values()},
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(floors=st.integers(1, 4), rooms=st.integers(1, 12), doors=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16), scale=st.sampled_from([0.1, 0.3, 1.1, 2.7, 7.9]))
+def test_the_door_matrix_is_the_reference_on_shuffled_scaled_venues(floors, rooms, doors, seed, scale):
+    spec = WorkloadSpec(seed=seed, floors=floors, rooms_per_floor=rooms, doors_per_room=doors)
+    graph = build_d2d_graph(shuffled_venue(generate_venue(spec), random.Random(seed), scale))
     assert np.array_equal(graph.matrix, undirected_reference(graph))
 
 
