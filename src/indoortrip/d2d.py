@@ -13,9 +13,11 @@ evaluates that formula for one location (or one block's rows:
 expression, its one kernel (`door_distances`), and then patches the
 rows in the location's own partition to their straight-line distance
 (`patch`), in one comprehension whose `math.hypot` calls are
-`intra_distance`'s.  A point table is laid out for the kernel in one
-gather (`DistanceEngine.layout`); a block is some of its rows.  The
-engine keeps no cache.
+`intra_distance`'s, on coordinates read from the point table's columns.
+A point table is laid out for the kernel in one gather
+(`DistanceEngine.layout`); blocks are cut from one gather of some of its
+rows (`PointLayout.blocks`) and hold table rows, not points.  The engine
+keeps no cache.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .venue import (IndoorPoint, Location, PointTable, Venue, fits_int64, intra_distance,
+from .venue import (Location, PointTable, Venue, fits_int64, intra_distance,
                     point_partitions)
 
 # Floats in one block relaxation's (doors, doors, sources) temporary.
@@ -210,18 +212,21 @@ class DoorLegs(NamedTuple):
 
 @dataclass(frozen=True)
 class PointBlock:
-    """Points laid out for the block kernel: one row per point, in the order
-    given (id order for a snapshot's category block), one column per door
-    slot of its partition, padded to the widest partition with door index 0
-    and an infinite leg.  A row's leading slots are its point's `DoorLegs`.
-    `by_partition` gives the rows (ascending) and points in each
-    partition: the rows a location there patches."""
+    """Rows of a point table laid out for the block kernel: one row per
+    point, in the order given (id order for a snapshot's category block),
+    one column per door slot of its partition, padded to the widest
+    partition with door index 0 and an infinite leg.  A row's leading
+    slots are its point's `DoorLegs`.  A block holds no point object:
+    `rows` are its points' rows of `table`, and `by_partition` gives, for
+    each partition, its block rows there (an array, ascending) and their
+    table rows: the rows a location there patches."""
 
-    points: tuple[IndoorPoint, ...]
+    table: PointTable = field(repr=False)
+    rows: list[int]          # (P,) table rows, Python ints for a plain list index
     doors: np.ndarray        # (P, K) door-matrix indices
     legs: np.ndarray         # (P, K) intra legs, inf where padded
     scores: np.ndarray       # (P,) static scores
-    by_partition: dict[int, tuple[np.ndarray, tuple[IndoorPoint, ...]]]
+    by_partition: dict[int, tuple[np.ndarray, list[int]]]
 
 
 class PointLayout(NamedTuple):
@@ -234,23 +239,37 @@ class PointLayout(NamedTuple):
     count: np.ndarray   # (n,) door slots of each row's partition
     held: np.ndarray    # (n,) whether `Venue.partition_of` accepts the row
 
-    def block(self, venue: Venue, table: PointTable, rows: np.ndarray) -> PointBlock:
-        """The table's rows, in the given order, as a block: their rows of
-        this layout, cut to the widest of them, and their points.  Raises
-        `Venue.partition_of`'s ValueError for the first row its partition
-        does not hold."""
+    def blocks(self, venue: Venue, table: PointTable, rows: np.ndarray,
+               starts: list[int]) -> list[PointBlock]:
+        """The table's rows, in the given order, cut before each of starts
+        (the first 0) into blocks in one columnar pass: one gather of this
+        layout's rows and of the scores, each block a slice of it cut to the
+        widest of its rows, and every block's rows grouped by partition in
+        one stable sort.  Builds no point.  Raises `Venue.partition_of`'s
+        ValueError for the first row its partition does not hold."""
         held = self.held[rows]
         if not held.all():
             venue.partition_of(table[int(rows[held.argmin()])])
-        width = int(self.count[rows].max(initial=0))
-        points = tuple(table.points(rows))
-        by_partition: dict[int, list[int]] = {}
-        for row, pid in enumerate(table.partition_id[rows].tolist()):
-            by_partition.setdefault(pid, []).append(row)
-        return PointBlock(points, self.doors[rows, :width], self.legs[rows, :width],
-                          table.static_score[rows],
-                          {pid: (np.array(at), tuple(map(points.__getitem__, at)))
-                           for pid, at in by_partition.items()})
+        ends = [*starts[1:], len(rows)]
+        doors, legs, count = self.doors[rows], self.legs[rows], self.count[rows]
+        scores = table.static_score[rows]
+        block = np.repeat(np.arange(len(starts)), np.subtract(ends, starts))
+        order = np.lexsort((table.partition_id[rows], block))  # stable: rows ascend in a group
+        part, block = table.partition_id[rows[order]], block[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (part[1:] != part[:-1]) | (block[1:] != block[:-1])
+        first = first.nonzero()[0].tolist()
+        at = order - np.array(starts, dtype=int)[block]  # each group's block rows
+        for array in (doors, legs, scores, at):
+            array.flags.writeable = False
+        grouped, rows = rows[order].tolist(), rows.tolist()  # and their table rows
+        by_partition: list[dict] = [{} for _ in starts]
+        for b, pid, a, z in zip(block[first].tolist(), part[first].tolist(), first,
+                                [*first[1:], len(rows)]):
+            by_partition[b][pid] = (at[a:z], grouped[a:z])
+        return [PointBlock(table, rows[a:z], doors[a:z, :w], legs[a:z, :w], scores[a:z], parts)
+                for a, z, parts in zip(starts, ends, by_partition)
+                for w in (int(count[a:z].max(initial=0)),)]
 
 
 class DistanceEngine:
@@ -310,13 +329,6 @@ class DistanceEngine:
         legs[r, c] = list(map(math.hypot, (table.x[r] - x).tolist(), (table.y[r] - y).tolist()))
         return PointLayout(doors, legs, count, held)
 
-    def block(self, points) -> PointBlock:
-        """Lay points (a `PointTable`, or any points) out as a block, in the
-        given order (`layout`, then `PointLayout.block`).  Raises ValueError
-        for the first point its partition does not hold."""
-        table = points if isinstance(points, PointTable) else PointTable.of(points)
-        return self.layout(table).block(self.venue, table, np.arange(len(table)))
-
     def door_distances(self, src: DoorLegs, doors: np.ndarray, legs: np.ndarray) -> np.ndarray:
         """min over (i, j) of (src.legs[i] + legs[p, j]) + door_matrix[src.doors[i], doors[p, j]]
         for every row p, and every src row if src is a block: the through-doors distance,
@@ -342,21 +354,27 @@ class DistanceEngine:
         a partition.  Row i is point i's own kernel row, patched, bit for bit."""
         per_row = max(1, a.doors.shape[1] * max(b.doors.size, len(self.graph.door_ids)))
         step = max(1, _PAIR_FLOATS // per_row)
-        cuts = range(step, len(a.points), step)
+        cuts = range(step, len(a.rows), step)
         out = np.concatenate([self.door_distances(DoorLegs(None, *chunk), b.doors, b.legs)
                               for chunk in zip(np.split(a.doors, cuts), np.split(a.legs, cuts))])
+        xs, ys, floors = a.table.coordinates
         for part in a.by_partition.keys() & b.by_partition.keys():
-            for row, p in zip(*a.by_partition[part]):
-                self.patch(out[row], p.location, *b.by_partition[part])
+            at, rows = a.by_partition[part]
+            for i, r in zip(at.tolist(), rows):
+                self.patch(out[i], Location(xs[r], ys[r], floors[r], part), *b.by_partition[part],
+                           b.table)
         return out
 
-    def patch(self, out: np.ndarray, loc: Location, rows, points) -> None:
-        """Set out[rows] to the distance from loc to each of the points, which
-        lie in loc's partition: `intra_distance`'s calls, so the same bits."""
+    def patch(self, out: np.ndarray, loc: Location, at: np.ndarray, rows: list[int],
+              table: PointTable) -> None:
+        """Set out[at] to the distance from loc to the points of the table's
+        rows, which lie in loc's partition: `intra_distance`'s float
+        differences of the table's coordinates and `math.hypot`, so the same bits."""
         x, y, floor = loc.x, loc.y, loc.floor
         diagonal = self.venue.partitions[loc.partition_id].diagonal
-        out[rows] = [math.hypot(x - p.x, y - p.y) if p.floor == floor else diagonal
-                     for p in points]
+        xs, ys, floors = table.coordinates
+        out[at] = [math.hypot(x - xs[r], y - ys[r]) if floors[r] == floor else diagonal
+                   for r in rows]
 
     def door_vector(self, loc: Location) -> np.ndarray:
         """Distance from loc to every door, through its partition's doors.

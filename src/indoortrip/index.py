@@ -1,9 +1,12 @@
 """Per-snapshot index of live points, the per-query distance tables, and
 category-nearest-neighbour search.
 
-A snapshot keeps each category's live rows of the venue's point table,
-lays its live points out, on first use, as one block in id order, and
-finds a laid-out point's table row by its location.  `QueryTables` joins the blocks of
+A snapshot keeps each category's live rows of the venue's point table
+and, on the first block a query asks for, lays every live category out
+at once, each as one block of table rows in id order.  A point object is
+built only when a planner is handed one (`VenueIndex.point`), once per
+table row, and its row is then found by its location, so that a stop's
+legs come from its row of the layout.  `QueryTables` joins the blocks of
 one query's categories and holds the terms the query measures once on a
 snapshot and reads again, one kernel call per location; it is the only
 way a planner measures a location.  So `cnn` is one argmin over its
@@ -52,7 +55,7 @@ class QueryTables:
     - `measured(loc, c)`: a from location's distance row, one record per
       location, keyed by it as given and as resolved, the source's made with
       the tables.  A first read measures the whole joined block in one kernel
-      call, from a laid-out point's row of the layout or the resolved location's legs;
+      call, from a handed-out point's row of the layout or the resolved location's legs;
       the rows of c in the location's own partition are patched on c's first read.
     - `scored(loc, c)`: that row and its `routing.cnn_scores`, the whole row on
       its first scored read (`cnn`, rank-once's ranking); a later patch scores
@@ -73,8 +76,8 @@ class QueryTables:
         at = 0
         for cat in sorted(set(categories)) or index.live_categories():
             block = index.category_block(cat)
-            self._spans[cat] = (block, slice(at, at + len(block.points)))
-            at += len(block.points)
+            self._spans[cat] = (block, slice(at, at + len(block.rows)))
+            at += len(block.rows)
         if not self._spans:
             raise EmptyCategoryError("the snapshot has no live points")
         blocks = [block for block, _ in self._spans.values()]
@@ -114,7 +117,7 @@ class QueryTables:
         if here is None:
             return _NO_ROWS
         rows = here[0] + span.start
-        self.engine.patch(dist, loc, rows, here[1])
+        self.engine.patch(dist, loc, rows, here[1], block.table)
         return rows
 
     def _scored(self, dist: np.ndarray) -> np.ndarray:
@@ -126,10 +129,10 @@ class QueryTables:
         the category's rows in its own partition patched (and scored again if scored)."""
         got = self._from.get(key := loc.key())
         if got is None:
-            row = self.index._rows.get(key)
+            row = self.index._located.get(key)
             if row is None:
                 legs = self.engine.legs(loc)
-            else:  # a laid-out live point: its row of the table's layout holds its legs
+            else:  # a handed-out point: its row of the table's layout holds its legs
                 doors = self.index.graph.door_rows[loc.partition_id]
                 legs = DoorLegs(loc, doors, self.index._shared.layout.legs[row, :doors.size])
             got = self._from.get(legs.location.key())
@@ -160,26 +163,38 @@ class QueryTables:
 
 class _TableRows:
     """What the snapshots of one index share besides the engine: the
-    venue's point table, its rows by category then id, and, from the first
-    block on, the table laid out for the block kernel."""
+    venue's point table, its rows by category then id, the table laid out
+    for the block kernel from the first block on, and the points handed
+    out to planners, built per table row on first hand-out."""
 
     def __init__(self, table: PointTable, engine: DistanceEngine):
         self.table = table
         self.engine = engine
         self.ranked = np.lexsort((table.id, table.category))
+        self.points: list[IndoorPoint | None] = [None] * len(table)
+        self.located: dict[tuple, int] = {}  # a handed-out point's Location.key() -> its row
 
     @cached_property
     def layout(self) -> PointLayout:
         return self.engine.layout(self.table)
+
+    def hand_out(self, row: int) -> IndoorPoint:
+        """Build the row's point and record its location's row."""
+        point = self.points[row] = self.table[row]
+        self.located[_LOCATION_KEY(point)] = row
+        return point
 
 
 class VenueIndex:
     """One snapshot of the index; point removal yields a new snapshot.
 
     Every snapshot of a venue shares its `PointTable` (`table`), its
-    engine and the table's layout.  A snapshot keeps which of the table's
-    rows are live (`live`, a read-only mask) and each category's live rows
-    in id order, and cuts a category's block out of the layout on first use."""
+    engine, the table's layout and the points handed out so far.  A
+    snapshot keeps which of the table's rows are live (`live`, a read-only
+    mask) and each category's live rows in id order.  On the first block a
+    query asks for, it lays out every live category's block in one
+    columnar pass over its live rows (`PointLayout.blocks`); a block holds
+    table rows, and a planner gets a point only through `point`."""
 
     def __init__(self, venue: Venue, graph: D2DGraph, live: np.ndarray | None = None,
                  engine: DistanceEngine | None = None, shared: _TableRows | None = None):
@@ -190,11 +205,12 @@ class VenueIndex:
         self.table = table = self._shared.table
         self.live = np.ones(len(table), dtype=bool) if live is None else live
         self.live.flags.writeable = False
-        rows = self._shared.ranked[self.live[self._shared.ranked]]
+        self._ranked_live = rows = self._shared.ranked[self.live[self._shared.ranked]]
         categories, starts = np.unique(table.category[rows], return_index=True)
+        self._starts = starts.tolist()
         self._live_by_cat = dict(zip(categories.tolist(), np.split(rows, starts[1:])))
-        self._blocks: dict[int, PointBlock] = {}  # each category's block, built on first use
-        self._rows: dict[tuple, int] = {}  # a laid-out point's Location.key() -> its table row
+        self._blocks: dict[int, PointBlock] = {}  # every live category's, laid out on first use
+        self._points, self._located = self._shared.points, self._shared.located
 
     @cached_property
     def alive(self) -> frozenset[int]:
@@ -218,6 +234,12 @@ class VenueIndex:
     def is_live(self, point_id: int) -> bool:
         return point_id in self.alive
 
+    def point(self, row: int) -> IndoorPoint:
+        """The point of a table row, as a planner hands it out: built on its
+        first hand-out from any snapshot of the table, its location's row
+        recorded for `QueryTables`, and then one list index."""
+        return self._points[row] or self._shared.hand_out(row)
+
     def category_block(self, category: int) -> PointBlock:
         """The category's live points, in id order, as one distance block.
         Raises EmptyCategoryError when the category has none."""
@@ -225,10 +247,9 @@ class VenueIndex:
         if block is None:
             if category not in self._live_by_cat:
                 raise EmptyCategoryError(f"category {category} has no live points")
-            rows = self._live_by_cat[category]
-            block = self._shared.layout.block(self.venue, self.table, rows)
-            self._rows.update(zip(map(_LOCATION_KEY, block.points), rows.tolist()))
-            self._blocks[category] = block
+            self._blocks.update(zip(self._live_by_cat, self._shared.layout.blocks(
+                self.venue, self.table, self._ranked_live, self._starts)))
+            block = self._blocks[category]
         return block
 
     def tables(self, ctx: QueryContext) -> QueryTables:
@@ -259,11 +280,11 @@ class VenueIndex:
         if counter is None:
             counter = stats
         if counter is not None:
-            counter.point_evals += len(block.points)
+            counter.point_evals += len(block.rows)
         row = int(scores[rows].argmin())  # first minimum: the smallest id among ties
-        at = rows.start + row
-        return block.points[row], (float(tables.from_source[at]), float(dist[at]),
-                                   float(tables.to_target[at]))
+        at, row = rows.start + row, block.rows[row]
+        point = self._points[row] or self._shared.hand_out(row)  # `point`, inline
+        return point, (tables.from_source.item(at), dist.item(at), tables.to_target.item(at))
 
     def remove_points(self, point_ids) -> "VenueIndex":
         """New snapshot with the given points dead; it shares the table and engine.

@@ -51,7 +51,7 @@ def _best_in_order(tables: QueryTables, pairs: dict[tuple[int, int], np.ndarray]
     stops = []
     for block, dist, parent in reversed(layers):
         prev = int(parent[row])
-        stops.append((block.points[row], float(dist[prev, row])))
+        stops.append((tables.index.point(block.rows[row]), float(dist[prev, row])))
         row = prev
     route = Route(waypoints=(tables.source,), stops=(), leg_lengths=())
     for point, leg in reversed(stops):
@@ -85,7 +85,7 @@ def enumerate_route(query: TripQuery, index) -> Route:
     Ties keep the first route of least `route_cost`, as in `exact_route`."""
     source, target = index.venue.resolve(query.source), index.venue.resolve(query.target)
     cats = tuple(sorted(query.categories))
-    pools = {c: index.category_block(c).points for c in cats}
+    pools = {c: list(map(index.point, index.category_block(c).rows)) for c in cats}
     return min((Route.through(index.engine.distance, source, combo, target)
                 for order in itertools.permutations(cats)
                 for combo in itertools.product(*(pools[c] for c in order))),
@@ -120,18 +120,18 @@ def rank_once_greedy(query: TripQuery, index, counter: EvalCounter | None = None
     uncovered = sorted(set(query.categories))
 
     # Rank by the source's scored row, the source leg counted twice.
-    shortlists = {}
+    shortlists = {}  # category -> its shortlist's table rows and rows of the joined block
     for cat in uncovered:
         block, span = tables.span(cat)
         ranked = tables.scored(tables.source, cat)[1][span]
         if counter is not None:
-            counter.point_evals += len(block.points)
+            counter.point_evals += len(block.rows)
         rows = _shortlist(ranked, RANK_ONCE_SHORTLIST)
-        shortlists[cat] = ([block.points[r] for r in rows], span.start + rows)
+        shortlists[cat] = ([block.rows[r] for r in rows.tolist()], span.start + rows)
 
     route = Route(waypoints=(tables.source,), stops=(), leg_lengths=())
     while uncovered:
-        batch = []  # (step cost, category, point, leg, row)
+        batch = []  # (step cost, category, table row, leg, row)
         current = route.end()
         for cat in uncovered:
             points, rows = shortlists[cat]
@@ -142,6 +142,6 @@ def rank_once_greedy(query: TripQuery, index, counter: EvalCounter | None = None
             at = int(steps.argmin())  # first minimum: the smallest id among ties
             batch.append((float(steps[at]), cat, points[at], float(legs[at]), rows[at]))
         _, cat, point, leg, row = min(batch, key=lambda item: item[:2])
-        route = route.then(point, leg)
+        route = route.then(index.point(point), leg)
         uncovered.remove(cat)
     return route.to(tables.target, float(tables.to_target[row]))

@@ -14,6 +14,7 @@ import math
 import warnings
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from operator import attrgetter, eq, itemgetter
 from pathlib import Path
 
@@ -181,6 +182,11 @@ class PointTable(Sequence):
         return list(map(IndoorPoint, *(getattr(self, name)[rows].tolist()
                                        for name in OBJECT_CSV_HEADER)))
 
+    @cached_property
+    def coordinates(self) -> tuple[list[float], list[float], list[int]]:
+        """The x, y and floor columns as lists, for reading a few rows at a time."""
+        return self.x.tolist(), self.y.tolist(), self.floor.tolist()
+
     def row_of(self, point_id: int) -> int:
         """The row of the point with this id; KeyError if none has it."""
         if self._row_of is None:
@@ -209,12 +215,15 @@ _HOLDS_NOTHING = (math.nan,) * 4 + (0, 0)
 
 
 def _holds(part: Partition | None) -> tuple:
-    """The partition's bounds and the floors an int64 point floor can be
-    on (the one floor twice if only one is), or NaN bounds if none can."""
-    if part is None:
+    """The partition's bounds widened by `BOUNDARY_EPS` and the floors an
+    int64 point floor can be on (the one floor twice if only one is), or
+    NaN bounds if none can."""
+    floors = [f for f in part.floors if fits_int64(f)] if part else ()
+    if not floors:
         return _HOLDS_NOTHING
-    floors = [f for f in part.floors if fits_int64(f)]
-    return (*part.bounds, floors[0], floors[-1]) if floors else _HOLDS_NOTHING
+    x0, y0, x1, y1 = part.bounds
+    return (x0 - BOUNDARY_EPS, y0 - BOUNDARY_EPS, x1 + BOUNDARY_EPS, y1 + BOUNDARY_EPS,
+            floors[0], floors[-1])
 
 
 def point_partitions(venue: "Venue", table: PointTable
@@ -222,16 +231,20 @@ def point_partitions(venue: "Venue", table: PointTable
     """The distinct partitions the table's rows name, by id (None for an
     id the venue lacks); each row's index into them; and whether each
     row's partition holds it at finite coordinates, as `Venue.partition_of`
-    checks it: `Partition.contains`'s float comparisons, vectorised."""
-    ids, at = np.unique(table.partition_id, return_inverse=True)
+    checks it: `Partition.contains`'s float comparisons, vectorised, one
+    column per bound."""
+    ids = np.sort(table.partition_id)
+    first = np.ones(ids.size, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    ids = ids[first]
+    at = ids.searchsorted(table.partition_id)
     parts = [venue.partitions.get(pid) for pid in ids.tolist()]
-    holds = [_holds(part) for part in parts]
-    x0, y0, x1, y1 = np.array([h[:4] for h in holds], dtype=float).reshape(-1, 4)[at].T
-    low, high = np.array([h[4:] for h in holds], dtype=np.int64).reshape(-1, 2)[at].T
+    columns = list(zip(*map(_holds, parts))) or [()] * 6
+    x0, y0, x1, y1 = (np.array(c, dtype=float)[at] for c in columns[:4])
+    low, high = (np.array(c, dtype=np.int64)[at] for c in columns[4:])
     x, y, floor = table.x, table.y, table.floor
     held = (np.isfinite(x) & np.isfinite(y) & ((floor == low) | (floor == high))
-            & (x0 - BOUNDARY_EPS <= x) & (x <= x1 + BOUNDARY_EPS)
-            & (y0 - BOUNDARY_EPS <= y) & (y <= y1 + BOUNDARY_EPS))
+            & (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1))
     return parts, at, held
 
 
@@ -263,10 +276,20 @@ class Venue:
         if loc.partition_id is not None:
             self.partition_of(loc)
             return loc
-        for pid in sorted(self.partitions):
-            if self.partitions[pid].contains(loc.x, loc.y, loc.floor):
+        for pid, part in self._on_floor.get(loc.floor, ()):
+            if part.contains(loc.x, loc.y, loc.floor):
                 return replace(loc, partition_id=pid)
         raise ValueError(f"location ({loc.x}, {loc.y}, floor {loc.floor}) is outside all partitions")
+
+    @cached_property
+    def _on_floor(self) -> dict[int, list[tuple[int, Partition]]]:
+        """Each floor's partitions, by id: what `resolve` scans, sorted once
+        (the partitions are not to change once a location is resolved)."""
+        on_floor: dict[int, list[tuple[int, Partition]]] = {}
+        for pid in sorted(self.partitions):
+            for floor in self.partitions[pid].floors:
+                on_floor.setdefault(floor, []).append((pid, self.partitions[pid]))
+        return on_floor
 
     def components(self) -> list[list[int]]:
         """Connected components of the partitions through shared doors, by

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import indoortrip.dominance as dom
+from indoortrip.venue import PointTable
 from indoortrip import (
     Door,
     Partition,
@@ -50,8 +51,19 @@ def block_distances(engine, src, block):
     out = engine.door_distances(src, block.doors, block.legs)
     here = block.by_partition.get(src.location.partition_id)
     if here is not None:
-        engine.patch(out, src.location, *here)
+        engine.patch(out, src.location, *here, block.table)
     return out
+
+
+def block_points(block):
+    """The block's points, in row order, built from its table rows."""
+    return block.table.points(np.array(block.rows, dtype=int))
+
+
+def points_block(engine, points):
+    """The points, in list order, laid out as one block of their own table."""
+    table = PointTable.of(points)
+    return engine.layout(table).blocks(engine.venue, table, np.arange(len(table)), [0])[0]
 
 
 def certified_all_pairs(points, alpha, reach):

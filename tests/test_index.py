@@ -25,7 +25,7 @@ from indoortrip import DistanceEngine, Partition, d2d
 from indoortrip.index import QueryTables
 from indoortrip.venue import BOUNDARY_EPS, intra_distance
 
-from conftest import (block_distances, make_corridor_venue, make_two_room_venue,
+from conftest import (block_distances, block_points, make_corridor_venue, make_two_room_venue,
                       perfbench_workloads, small_workload)
 
 
@@ -62,8 +62,8 @@ def assert_blocks_match_live_points(index):
             i for i in index.alive if index.venue.points[i].category == cat)
         assert index.live_count(cat) == len(pool)
         block = index.category_block(cat)
-        assert block.points == tuple(pool)
-        assert [p.id for p in block.points] == [p.id for p in pool]
+        assert block_points(block) == pool
+        assert block.table.id[block.rows].tolist() == [p.id for p in pool]
         assert block.scores.tolist() == [p.static_score for p in pool]
 
 
@@ -148,18 +148,19 @@ def test_cnn_of_a_category_outside_the_context_raises_naming_it():
 
 
 def test_a_refused_cnn_lays_out_nothing():
-    """A live category outside the query's is refused before its block is
-    laid out, so the snapshot caches no block or row for it."""
+    """A live category outside the query's is refused before anything more
+    is laid out or a point of it is handed out: the snapshot's blocks (all
+    of them since its first block), points and row map stay as the query's
+    first cnn call left them."""
     venue, graph, index, _ = small_workload(seed=0)
     here = Location(1, 5, 0)
     ctx = QueryContext(here, here, 0.5, (1, 2))
     index.cnn(here, 1, ctx)
-    assert sorted(index._blocks) == [1, 2]
-    rows = dict(index._rows)
+    assert sorted(index._blocks) == index.live_categories()
+    blocks, points, rows = dict(index._blocks), list(index._points), dict(index._located)
     with pytest.raises(ValueError, match="category 0 is not one of the query's categories"):
         index.cnn(here, 0, ctx)
-    assert sorted(index._blocks) == [1, 2]
-    assert index._rows == rows
+    assert index._blocks == blocks and index._points == points and index._located == rows
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
@@ -323,7 +324,7 @@ def test_cnn_score_is_the_least_kernel_score_of_its_block(seed, alpha):
                           for loc in (ctx.source, from_loc, ctx.target))
         scores = alpha * (src + here + tgt) + (1.0 - alpha) * block.scores
         bound = alpha * sum(legs) + (1.0 - alpha) * got.static_score
-        assert got is block.points[int(scores.argmin())]
+        assert got is index.point(block.rows[int(scores.argmin())])
         assert bound == scores.min()
         assert (bound <= scores).all()
 
@@ -349,7 +350,7 @@ def test_door_vector_entry_bounds_are_at_most_every_block_distance(seed):
             got = block_distances(engine, legs, block)
             entries = np.where(np.isinf(block.legs), np.inf,
                                engine.door_vector(loc)[block.doors]).min(axis=1)
-            for row, p in enumerate(block.points):
+            for row, p in enumerate(block_points(block)):
                 if p.partition_id == loc.partition_id:
                     part = venue.partitions[p.partition_id]
                     assert got[row] == intra_distance(part, legs.location, p)
@@ -369,7 +370,7 @@ def test_inner_legs_equal_the_least_distance_from_their_door(seed):
     checked = 0
     for cat in index.live_categories():
         block = index.category_block(cat)
-        for row, p in enumerate(block.points):
+        for row, p in enumerate(block_points(block)):
             door_ids = venue.partition_doors(p.partition_id)
             assert block.doors[row, :len(door_ids)].tolist() == [
                 graph.door_ids.index(d.id) for d in door_ids]
@@ -414,7 +415,7 @@ def with_many_door_points(venue, rng):
 def test_door_rows_and_block_partitions_match_their_references(desk_workload):
     """The graph's door_rows are each partition's doors as read-only matrix
     rows, in door_ids order; each category block's by_partition holds, per
-    partition, its rows there in ascending order and their points."""
+    partition, its block rows there in ascending order and their table rows."""
     def point(pid, part, x, cat):
         return IndoorPoint(id=pid, partition_id=part, x=x, y=5.0, floor=0, category=cat,
                            static_score=1.0 + pid)
@@ -437,14 +438,15 @@ def test_door_rows_and_block_partitions_match_their_references(desk_workload):
         assert index.live_categories()
         for cat in index.live_categories():
             block = index.category_block(cat)
+            assert block.rows == index.live_rows(cat).tolist()
             want: dict[int, tuple[list, list]] = {}
-            for row, p in enumerate(block.points):
+            for row, p in enumerate(block_points(block)):
                 want.setdefault(p.partition_id, ([], []))[0].append(row)
-                want[p.partition_id][1].append(p)
+                want[p.partition_id][1].append(index.table.row_of(p.id))
             assert set(block.by_partition) == set(want)
-            for pid, (rows, points) in block.by_partition.items():
+            for pid, (rows, table_rows) in block.by_partition.items():
                 assert rows.tolist() == want[pid][0]
-                assert points == tuple(want[pid][1])
+                assert table_rows == want[pid][1]
 
 
 @pytest.mark.parametrize("doors_per_room", [1, 2, 3])
@@ -464,7 +466,7 @@ def test_block_rows_are_each_points_legs_padded(doors_per_room):
     for index in (full, pruned):
         for cat in index.live_categories():
             block = index.category_block(cat)
-            rows = [index.engine.legs(p.location) for p in block.points]
+            rows = [index.engine.legs(p.location) for p in block_points(block)]
             width = max(got.doors.size for got in rows)
             doors = np.zeros((len(rows), width), dtype=int)
             legs = np.full((len(rows), width), np.inf)
@@ -496,11 +498,38 @@ def test_pair_table_rows_are_the_reference_block_kernel(monkeypatch, doors_per_r
     for a in blocks:
         for b in blocks:
             got = engine.pair_table(a, b)
-            assert got.shape == (len(a.points), len(b.points))
-            for row, p in zip(got, a.points):
+            assert got.shape == (len(a.rows), len(b.rows))
+            for row, p in zip(got, block_points(a)):
                 want = block_distances(engine, engine.legs(p.location), b)
-                assert row.tobytes() == want.tobytes(), (p.id, b.points[0].category)
+                assert row.tobytes() == want.tobytes(), (p.id, b.rows[0])
             assert engine.pair_table(b, a).tobytes() == got.T.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pair_table_patches_are_intra_distance_bit_for_bit(seed):
+    """Where two points share a partition, `pair_table` holds exactly
+    `intra_distance` between their objects, read from the table's columns:
+    for every ordered pair of categories, with points in hallways, on each
+    floor of a stairs (the diagonal across floors) and co-located points
+    of different categories (0.0)."""
+    venue, graph, _, _ = small_workload(seed=seed)
+    venue, extra = with_many_door_points(venue, random.Random(seed))
+    twins = [replace(p, id=300_000 + p.id, category=p.category + 1) for p in extra]
+    venue = venue.with_points(list(venue.points.values()) + twins)
+    index = build_index(venue, graph)
+    kinds = set()
+    for a in index.live_categories():
+        for b in index.live_categories():
+            got = index.engine.pair_table(index.category_block(a), index.category_block(b))
+            for i, p in enumerate(block_points(index.category_block(a))):
+                for j, q in enumerate(block_points(index.category_block(b))):
+                    if p.partition_id == q.partition_id:
+                        want = intra_distance(venue.partitions[p.partition_id], p, q)
+                        assert got[i, j].tobytes() == np.float64(want).tobytes(), (p, q)
+                        kinds.add("floors" if p.floor != q.floor
+                                  else "co-located" if p.location == q.location and p != q
+                                  else "same floor")
+    assert kinds == {"floors", "co-located", "same floor"}
 
 
 @pytest.mark.parametrize("point", [
@@ -518,7 +547,8 @@ def test_layout_refuses_a_point_its_partition_does_not_hold(point):
     index = build_index(venue, build_d2d_graph(venue))
     with pytest.raises(ValueError):
         index.category_block(0)
-    assert build_index(venue.with_points([good]), index.graph).category_block(0).points == (good,)
+    assert block_points(build_index(venue.with_points([good]), index.graph).category_block(0)) \
+        == [good]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -548,7 +578,7 @@ def test_cnn_equals_linear_scan_over_blocks_of_different_widths(seed):
         for b in cats:
             block = index.category_block(b)
             got = engine.pair_table(index.category_block(a), block)
-            for row, p in zip(got, index.category_block(a).points):
+            for row, p in zip(got, block_points(index.category_block(a))):
                 want = block_distances(engine, engine.legs(p.location), block)
                 assert row.tobytes() == want.tobytes(), (a, b, p.id)
 
@@ -581,7 +611,7 @@ def test_cnn_returns_the_block_kernel_legs_of_its_winners_row(seed, bare):
             for cat in cats:
                 point, legs = index.cnn(from_loc, cat, ctx)
                 block = index.category_block(cat)
-                row = block.points.index(point)
+                row = block.rows.index(index.table.row_of(point.id))
                 want = [block_distances(engine, engine.legs(loc), block)[row]
                         for loc in (ctx.source, from_loc, ctx.target)]
                 assert all(type(leg) is float for leg in legs)
@@ -621,9 +651,9 @@ def test_remove_sole_point_drops_partition_from_inverted_file():
     assert [p.id for p in smaller.live_points(3)] == [1]
     assert 0 not in smaller.category_block(3).by_partition
     rows, there = smaller.category_block(3).by_partition[1]
-    assert rows.tolist() == [0] and [p.id for p in there] == [1]
-    assert [p.id for p in index.category_block(3).points] == [0, 1]
-    assert [p.id for p in smaller.category_block(3).points] == [1]
+    assert rows.tolist() == [0] and there == [1]
+    assert [p.id for p in block_points(index.category_block(3))] == [0, 1]
+    assert [p.id for p in block_points(smaller.category_block(3))] == [1]
 
 
 def test_remove_nothing_is_deep_equal():
@@ -635,7 +665,7 @@ def test_remove_nothing_is_deep_equal():
     for cat in index.live_categories():
         assert clone.live_points(cat) == index.live_points(cat)
         a, b = index.category_block(cat), clone.category_block(cat)
-        assert a.points == b.points
+        assert a.rows == b.rows
         assert a.doors.tolist() == b.doors.tolist()
         assert a.legs.tolist() == b.legs.tolist()
         assert {part: (rows.tolist(), there) for part, (rows, there) in a.by_partition.items()} \
@@ -702,10 +732,12 @@ def test_loaded_points_lay_out_the_blocks_of_object_points(tmp_path, name):
             for field in ("doors", "legs", "scores"):
                 x, y = getattr(a, field), getattr(b, field)
                 assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field
-            assert b.points == a.points
-            assert {pid: (rows.tolist(), there) for pid, (rows, there) in b.by_partition.items()} \
-                == {pid: (rows.tolist(), there) for pid, (rows, there) in a.by_partition.items()}
-            doors, legs = reference_rows(want.engine, a.points)
+            assert block_points(b) == block_points(a)
+            assert {pid: (rows.tolist(), got.table.id[there].tolist())
+                    for pid, (rows, there) in b.by_partition.items()} \
+                == {pid: (rows.tolist(), want.table.id[there].tolist())
+                    for pid, (rows, there) in a.by_partition.items()}
+            doors, legs = reference_rows(want.engine, block_points(a))
             assert (a.doors.tobytes(), a.legs.tobytes()) == (doors.tobytes(), legs.tobytes())
 
 
@@ -736,9 +768,10 @@ def test_layout_holds_points_on_and_within_the_tolerance_of_their_bounds():
 
 
 def test_set_up_from_files_builds_no_point_object(tmp_path, monkeypatch):
-    """Loading `big` from its files, validating it, indexing it and pruning
-    it read the point table's columns: not one IndoorPoint is made until a
-    block is laid out."""
+    """Loading `big` from its files, validating it, indexing it, pruning it
+    and laying out every block of the full and the pruned snapshot read the
+    point table's columns: not one IndoorPoint is made until a planner is
+    handed one, and a point is made once, on its first hand-out."""
     workload = perfbench_workloads()["big"]
     venue, points, queries = build_workload(workload.workload_spec(workload.seed))
     save_venue(venue.with_points([]), tmp_path / "venue.json")
@@ -755,8 +788,14 @@ def test_set_up_from_files_builds_no_point_object(tmp_path, monkeypatch):
         load_objects_csv(tmp_path / "objects.csv"))
     assert validate_venue(loaded).ok
     index = build_index(loaded, build_d2d_graph(loaded))
-    _, report = preprocess(index, sorted({c for q in queries for c in q.categories}))
+    pruned, report = preprocess(index, sorted({c for q in queries for c in q.categories}))
     assert len(index.table) == len(points) and report.removed > 0
+    for snapshot in (index, pruned):
+        for cat in snapshot.live_categories():
+            snapshot.category_block(cat)
     assert made == []
-    index.category_block(0)  # a block makes its own live points
-    assert len(made) == index.live_count(0)
+    ctx = queries[0].context()
+    point, _ = index.cnn(ctx.source, ctx.categories[0], ctx)
+    assert len(made) == 1
+    assert pruned.cnn(ctx.source, ctx.categories[0], queries[0].context())[0] is point
+    assert len(made) == 1

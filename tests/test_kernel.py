@@ -29,9 +29,10 @@ from indoortrip import (
 
 from indoortrip.dominance import venue_reach
 from indoortrip.oracle import RANK_ONCE_SHORTLIST, _shortlist
-from indoortrip.venue import intra_distance
+from indoortrip.venue import PointTable, intra_distance
 
-from conftest import block_distances, make_corridor_venue, small_workload
+from conftest import (block_distances, block_points, make_corridor_venue, points_block,
+                      small_workload)
 
 SEEDS = (0, 1, 2)
 
@@ -86,7 +87,7 @@ def test_block_kernel_equals_scalar_distance(data, seed):
     points += index.live_points(category)
 
     engine = DistanceEngine(venue, graph)
-    got = block_distances(engine, engine.legs(source), engine.block(points))
+    got = block_distances(engine, engine.legs(source), points_block(engine, points))
     # A fresh engine has laid out no block, so it measures every leg itself.
     scalar = DistanceEngine(venue, graph)
     for p, d in zip(points, got):
@@ -95,7 +96,7 @@ def test_block_kernel_equals_scalar_distance(data, seed):
         assert scalar.distance(p.location, source) == want
     block = index.category_block(category)
     got = block_distances(index.engine, index.engine.legs(source), block)
-    assert list(got) == [scalar.distance(source, p.location) for p in block.points]
+    assert list(got) == [scalar.distance(source, p.location) for p in block_points(block)]
 
 
 @cache
@@ -130,7 +131,8 @@ def test_a_leg_to_a_neighbour_exceeds_the_leg_by_at_most_their_distance(data, do
     engine = index.engine
     p, q = data.draw(neighbours(venue), label="p, q")
     at = data.draw(st.one_of(at_door(venue), located(venue)), label="L")
-    kp, kq = block_distances(engine, engine.legs(at), engine.block([point_at(0, p), point_at(1, q)]))
+    pair = points_block(engine, [point_at(0, p), point_at(1, q)])
+    kp, kq = block_distances(engine, engine.legs(at), pair)
     dx, dy = p.x - q.x, p.y - q.y
     slack = 23 * Fraction(venue_reach(index)) / 2 ** 53
     for d in (math.hypot(dx, dy), math.sqrt(dx * dx + dy * dy)):
@@ -141,8 +143,10 @@ def test_a_leg_to_a_neighbour_exceeds_the_leg_by_at_most_their_distance(data, do
 def test_vector_patch_equals_intra_distance_bit_for_bit(seed):
     """For every partition, every (location, point) pair of spots in it:
     each door, and random spots on each floor it reaches (so stairs pairs
-    on two floors).  The patch writes exactly intra_distance's floats into
-    its rows and leaves the other rows alone."""
+    on two floors), one of them twice (co-located points).  The patch,
+    reading the points' coordinates from a table's columns by row, writes
+    exactly intra_distance's floats into its rows and leaves the other rows
+    alone."""
     venue, graph, index, _ = workload(seed)
     engine = index.engine
     rng = random.Random(seed)
@@ -152,16 +156,19 @@ def test_vector_patch_equals_intra_distance_bit_for_bit(seed):
         spots = [Location(d.x, d.y, d.floor, pid) for d in venue.partition_doors(pid)]
         spots += [Location(rng.uniform(x0, x1), rng.uniform(y0, y1), floor, pid)
                   for floor in part.floors for _ in range(6)]
+        spots.append(spots[-1])
         points = [point_at(i, loc) for i, loc in enumerate(spots)]
+        table = PointTable.of(points[::-1])  # table row len - 1 - i holds point i
         rows = np.arange(len(points)) * 3 + 1
         for loc in spots:
             out = np.full(3 * len(points) + 1, -1.0)
-            engine.patch(out, loc, rows, points)
+            engine.patch(out, loc, rows, list(range(len(points)))[::-1], table)
             want = np.array([intra_distance(part, loc, p) for p in points])
             assert out[rows].tobytes() == want.tobytes()
             assert (np.delete(out, rows) == -1.0).all()
             kinds.update("other floor" if p.floor != loc.floor else "same floor" for p in points)
-    assert kinds == {"same floor", "other floor"}
+            kinds.update("co-located" for p in points if p.location == loc)
+    assert kinds == {"same floor", "other floor", "co-located"}
 
 
 def tie_venue(points):
@@ -262,9 +269,11 @@ def test_engine_keeps_no_per_query_state_over_a_stream():
     assert all(vars(index)[name] is value for name, value in built.items())
     categories = set(venue.categories)
     assert index._blocks and set(index._blocks) <= categories
-    # The row map holds laid-out points only, never a query's source or target.
-    assert set(index._rows) == {p.location.key() for block in index._blocks.values()
-                                for p in block.points}
+    # The row map holds the locations of handed-out points only, never a
+    # query's source or target.
+    handed = {row for row, point in enumerate(index._points) if point is not None}
+    assert handed and set(index._located.values()) <= handed
+    assert set(index._located) == {index._points[row].location.key() for row in handed}
 
 
 def test_concurrent_queries_on_one_snapshot_match_sequential_routes():

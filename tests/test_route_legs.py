@@ -8,12 +8,14 @@ import hashlib
 import json
 import weakref
 
+import numpy as np
 import pytest
 
 from indoortrip import (
     Location,
     QueryContext,
     Route,
+    Venue,
     WorkloadSpec,
     build_d2d_graph,
     build_index,
@@ -26,7 +28,7 @@ from indoortrip import (
 )
 from indoortrip.bench import frequent_categories, pruned_index
 from indoortrip.index import QueryTables
-from indoortrip.routing import route_to_dict
+from indoortrip.routing import route_cost, route_to_dict
 
 from conftest import perfbench_workloads, small_workload
 
@@ -110,6 +112,35 @@ def test_routes_on_the_benchmark_workloads_are_pinned(name, seed):
         assert digest == pin, algorithm
 
 
+def route_bits(route, alpha):
+    """A route's waypoints and stops, and the bytes of its legs and its route_cost."""
+    return (route.waypoints, route.stops, np.array(route.leg_lengths).tobytes(),
+            np.float64(route_cost(route, alpha)).tobytes())
+
+
+@pytest.mark.parametrize("name", ["desk", "spread"])
+def test_a_fresh_snapshots_first_pass_returns_a_warm_passs_routes(name):
+    """On the benchmark's pinned seed, each planner's first pass over a
+    fresh snapshot, full or pruned (nothing laid out, no point handed out),
+    returns bit for bit the routes of its second, warm pass."""
+    workload = perfbench_workloads()[name]
+    venue, _, queries = build_workload(workload.workload_spec(workload.seed))
+    if workload.alphas:
+        share = len(workload.alphas)
+        queries = [dataclasses.replace(q, alpha=workload.alphas[i * share // len(queries)])
+                   for i, q in enumerate(queries)]
+    graph = build_d2d_graph(venue)
+    for pruned in (False, True):
+        for plan in (gcnn, rank_once_greedy, exact_route):
+            index = build_index(venue, graph)
+            snapshot = pruned_index(index, queries, 100)[0] if pruned else index
+            assert not snapshot._blocks and not any(snapshot._points)
+            first = [route_bits(plan(q, snapshot), q.alpha) for q in queries]
+            assert snapshot._blocks and any(snapshot._points)
+            warm = [route_bits(plan(q, snapshot), q.alpha) for q in queries]
+            assert first == warm, (plan.__name__, pruned)
+
+
 # sha256 of exact_route's route dicts over desk queries of m categories:
 # m -> (queries, digest).  The m = 7 pin was taken before the oracle read
 # its distances between categories from the engine's pair tables.
@@ -189,6 +220,35 @@ def test_gcnn_resolves_its_source_and_target_exactly_once(monkeypatch):
         assert route.waypoints[0] == source and route.waypoints[-1] == target
         assert sum(loc in (q.source, source) for loc in calls) == 1
         assert sum(loc in (q.target, target) for loc in calls) == 1
+
+
+def test_a_bare_endpoint_resolves_to_the_smallest_overlapping_id():
+    """A location that names no partition resolves to the smallest id of
+    the partitions holding it, whatever order the venue lists them in: at
+    each door (on the walls of two partitions) and at spots of stairs on
+    both floors.  Each planner plans a query of bare endpoints as it plans
+    its resolved twin."""
+    venue, _, _, queries = small_workload(seed=3)
+    venue = Venue(dict(reversed(venue.partitions.items())), venue.doors, venue.points,
+                  venue.categories)
+    index = build_index(venue, build_d2d_graph(venue))
+    spots = [Location(d.x, d.y, d.floor) for d in venue.doors.values()]
+    spots += [Location((p.bounds[0] + p.bounds[2]) / 2, p.bounds[1], floor)
+              for p in venue.partitions.values() if p.kind == "stairs" for floor in p.floors]
+    overlaps = 0
+    for spot in spots:
+        holding = [pid for pid, part in venue.partitions.items()
+                   if part.contains(spot.x, spot.y, spot.floor)]
+        assert venue.resolve(spot) == dataclasses.replace(spot, partition_id=min(holding))
+        overlaps += len(holding) > 1 and holding[0] != min(holding)
+    assert overlaps
+    for q, spot in zip(queries, spots[::3]):
+        bare = dataclasses.replace(q, source=spot, target=dataclasses.replace(
+            q.target, partition_id=None))
+        twin = dataclasses.replace(bare, source=venue.resolve(bare.source),
+                                   target=venue.resolve(bare.target))
+        for plan in (gcnn, rank_once_greedy, exact_route):
+            assert plan(bare, index) == plan(twin, index), plan.__name__
 
 
 def test_gcnn_builds_one_route_extension_per_round(monkeypatch):
