@@ -64,14 +64,14 @@ def int_list(text: str, flag: str, count: int | None = None) -> list[int]:
     raise CliError(f"{flag} takes {takes}, got {text!r}")
 
 
-def category_list(text: str, flag: str, points) -> list[int]:
+def category_list(text: str, flag: str, table) -> list[int]:
     """The categories a flag's comma list names, refusing a repeated one
-    and one that none of the points has."""
+    and one that none of the table's points has."""
     cats = int_list(text, flag)
     repeated = sorted({c for c in cats if cats.count(c) > 1})
     if repeated:
         raise CliError(f"{flag} repeats categories {repeated}")
-    absent = sorted(set(cats) - {p.category for p in points})
+    absent = sorted(set(cats) - set(table.category.tolist()))
     if absent:
         raise CliError(f"{flag} names categories with no objects: {absent}")
     return cats
@@ -156,7 +156,7 @@ def cmd_prune(args) -> int:
     index = build_index(venue, build_d2d_graph(venue))
     if args.categories_list:
         _, report = preprocess(index, category_list(args.categories_list, "--categories",
-                                                    venue.points.values()))
+                                                    venue.points.table))
     elif args.queries:
         _, report = pruned_index(index, load_queries(args.queries),
                                  ExperimentConfig.delta if args.delta is None else args.delta)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .venue import (Location, PointTable, Venue, fits_int64, intra_distance,
+from .venue import (Location, PointTable, Venue, breadth_first, fits_int64, intra_distance,
                     point_partitions)
 
 # Floats in one block relaxation's (doors, doors, sources) temporary.
@@ -169,15 +169,7 @@ def _cliques(cliques: list[list[int]]) -> tuple[list[list[int]], list[list[int]]
                 holding.setdefault(row, []).append(c)
     near = {c: set(chain.from_iterable(map(holding.__getitem__, cliques[c])))
             for c in sorted(set(chain.from_iterable(holding.values())))}
-    seen, walks = set(), []
-    for start in near:
-        if start not in seen:
-            seen.add(start)
-            walks.append(queue := [start])
-            for c in queue:
-                queue += sorted(near[c] - seen)
-                seen |= near[c]
-    order = list(chain.from_iterable(walks))[::-1]
+    order = list(chain.from_iterable(breadth_first(near)))[::-1]
     at = {c: i for i, c in enumerate(order)}
     return [cliques[c] for c in order], [[at[k] for k in near[c]] for c in order]
 

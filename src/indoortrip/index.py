@@ -201,7 +201,7 @@ class VenueIndex:
         self.venue = venue
         self.graph = graph
         self.engine = engine or DistanceEngine(venue, graph)
-        self._shared = shared or _TableRows(venue.point_table(), self.engine)
+        self._shared = shared or _TableRows(venue.points.table, self.engine)
         self.table = table = self._shared.table
         self.live = np.ones(len(table), dtype=bool) if live is None else live
         self.live.flags.writeable = False

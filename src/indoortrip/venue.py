@@ -62,10 +62,9 @@ class Partition:
             return (self.floor,)
         return (self.floor, self.floor2)
 
-    @property
-    def diagonal(self) -> float:
-        x0, y0, x1, y1 = self.bounds
-        return math.hypot(x1 - x0, y1 - y0)
+    def __post_init__(self):
+        x0, y0, x1, y1 = self.bounds  # the diagonal, made once: every patch call reads it
+        object.__setattr__(self, "diagonal", math.hypot(x1 - x0, y1 - y0))
 
     def contains(self, x: float, y: float, floor: int) -> bool:
         x0, y0, x1, y1 = self.bounds
@@ -134,35 +133,35 @@ class PointTable(Sequence):
     x, y and static_score float64.
 
     It is the sequence of its rows' points, equal to their list: indexing
-    or iterating builds each point, with Python int and float fields, or
-    hands back the object a row was made from (`of`)."""
+    or iterating builds each point from the columns, with Python int and
+    float fields.  No two rows share an id: ValueError names a repeated one."""
 
-    def __init__(self, columns: dict[str, np.ndarray], points: tuple | None = None):
+    def __init__(self, columns: dict[str, np.ndarray]):
         for name in OBJECT_CSV_HEADER:
             column = np.ascontiguousarray(columns[name], dtype=_COLUMN_TYPES[name])
             column.flags.writeable = False
             setattr(self, name, column)
-        self._points = points
+        ids = np.sort(self.id)
+        if (same := ids[1:] == ids[:-1]).any():
+            raise ValueError(f"point id {ids[1:][same].item(0)} is repeated")
         self._row_of: dict[int, int] | None = None  # id -> row, made on first lookup
 
     @classmethod
     def of(cls, points: Iterable[IndoorPoint]) -> "PointTable":
-        """The points' table, whose rows hand them back.  Raises ValueError
-        naming a point with an integer field outside int64."""
+        """The points' table, in their order.  Raises ValueError naming a
+        point with an integer field outside int64 or a repeated id."""
         points = tuple(points)
         try:
             columns = {name: np.fromiter(map(attrgetter(name), points), _COLUMN_TYPES[name],
                                          len(points)) for name in OBJECT_CSV_HEADER}
         except OverflowError:
             raise ValueError(next(filter(None, map(_int64_finding, points)))) from None
-        return cls(columns, points)
+        return cls(columns)
 
     def __len__(self) -> int:
         return len(self.id)
 
     def __getitem__(self, row: int) -> IndoorPoint:
-        if self._points is not None:
-            return self._points[row]
         return IndoorPoint(*(getattr(self, name).item(row) for name in OBJECT_CSV_HEADER))
 
     def __iter__(self):
@@ -177,8 +176,6 @@ class PointTable(Sequence):
 
     def points(self, rows: np.ndarray) -> list[IndoorPoint]:
         """The points of the given rows, in their order."""
-        if self._points is not None:
-            return list(map(self._points.__getitem__, rows.tolist()))
         return list(map(IndoorPoint, *(getattr(self, name)[rows].tolist()
                                        for name in OBJECT_CSV_HEADER)))
 
@@ -195,8 +192,8 @@ class PointTable(Sequence):
 
 
 class PointMapping(Mapping):
-    """A table's points by id, in row order: the read-only `Venue.points`
-    of a venue given a `PointTable`.  It builds a point only when asked."""
+    """A table's points by id, in row order: every venue's read-only
+    `Venue.points`.  It builds a point only when asked."""
 
     def __init__(self, table: PointTable):
         self.table = table
@@ -210,6 +207,8 @@ class PointMapping(Mapping):
     def __len__(self) -> int:
         return len(self.table)
 
+
+_NO_POINTS = PointTable.of(())  # the table of every venue not given one or any point
 
 _HOLDS_NOTHING = (math.nan,) * 4 + (0, 0)
 
@@ -248,12 +247,36 @@ def point_partitions(venue: "Venue", table: PointTable
     return parts, at, held
 
 
+def breadth_first(adjacent: Mapping[int, set[int]]) -> list[list[int]]:
+    """One walk per connected component, by smallest node, each breadth-first
+    from it with neighbours in ascending order; a node may neighbour itself."""
+    seen, walks = set(), []
+    for start in sorted(adjacent):
+        if start not in seen:
+            seen.add(start)
+            walks.append(queue := [start])
+            for node in queue:
+                queue += sorted(adjacent[node] - seen)
+                seen |= adjacent[node]
+    return walks
+
+
 @dataclass
 class Venue:
+    """Partitions and doors by id, and the points, given as a dict by id,
+    a sequence or a `PointTable` and kept as one table's read-only
+    `PointMapping` (ValueError naming a point `PointTable.of` refuses)."""
+
     partitions: dict[int, Partition]
     doors: dict[int, Door]
-    points: Mapping[int, IndoorPoint] = field(default_factory=dict)
+    points: PointMapping = field(default_factory=dict)
     categories: dict[int, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        points = self.points.values() if isinstance(self.points, dict) else self.points
+        if not isinstance(points, PointMapping):
+            self.points = PointMapping(points if isinstance(points, PointTable)
+                                       else PointTable.of(points) if points else _NO_POINTS)
 
     def partition_doors(self, partition_id: int) -> list[Door]:
         return [self.doors[d] for d in self.partitions[partition_id].door_ids]
@@ -292,43 +315,18 @@ class Venue:
         return on_floor
 
     def components(self) -> list[list[int]]:
-        """Connected components of the partitions through shared doors, by
-        smallest id, each breadth-first from it with neighbours in id order.
-        A door joins the known partitions it names (a partition's own id in
-        its set is harmless: it is seen before the set is read)."""
+        """Connected components of the partitions through shared doors, as
+        `breadth_first` walks them; a door joins the known partitions it names."""
         adj: dict[int, set[int]] = {pid: set() for pid in self.partitions}
         for door in self.doors.values():
             ids = [p for p in door.partition_ids if p in adj]
             for a in ids:
                 adj[a].update(ids)
-        seen, components = set(), []
-        for start in sorted(adj):
-            if start not in seen:
-                seen.add(start)
-                components.append(queue := [start])
-                for pid in queue:
-                    queue += sorted(adj[pid] - seen)
-                    seen |= adj[pid]
-        return components
+        return breadth_first(adj)
 
-    def with_points(self, points: Iterable[IndoorPoint]) -> "Venue":
-        """This venue with the given points: a `PointTable` kept as the
-        read-only `PointMapping`, any other points in a dict by id."""
-        return Venue(
-            partitions=self.partitions,
-            doors=self.doors,
-            points=(PointMapping(points) if isinstance(points, PointTable)
-                    else {p.id: p for p in points}),
-            categories=dict(self.categories),
-        )
-
-    def point_table(self) -> PointTable:
-        """The points as one table, in `points` order: the venue's own when
-        it was given one, else one made from its objects (ValueError naming
-        a point with an integer field outside int64)."""
-        if isinstance(self.points, PointMapping):
-            return self.points.table
-        return PointTable.of(self.points.values())
+    def with_points(self, points: PointTable | Iterable[IndoorPoint]) -> "Venue":
+        """This venue with the given points, kept as `Venue` keeps them."""
+        return replace(self, points=points, categories=dict(self.categories))
 
 
 def intra_distance(partition: Partition, a: Location | IndoorPoint | Door,
@@ -412,16 +410,7 @@ def validate_venue(venue: Venue) -> ValidationReport:
             elif door.id not in part.door_ids:
                 report.add("door listing", f"partition {pid} does not list door {door.id}")
 
-    try:
-        table = venue.point_table()
-    except ValueError:  # a point given as an object has an integer field outside int64
-        kept = []
-        for point in venue.points.values():
-            if message := _int64_finding(point):
-                report.add("integer range", message)
-            else:
-                kept.append(point)
-        table = PointTable.of(kept)
+    table = venue.points.table
     # Each point with a finding is one its partition does not hold or one with a bad score.
     held = point_partitions(venue, table)[2]
     score = table.static_score
@@ -630,11 +619,9 @@ def _parse_objects_csv(fh) -> PointTable | None:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             parsed = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except (ValueError, OverflowError, Warning):  # a UnicodeDecodeError too
+        return PointTable({name: parsed[name] for name in OBJECT_CSV_HEADER})
+    except (ValueError, OverflowError, Warning):  # a UnicodeDecodeError or a repeated id too
         return None
-    table = PointTable({name: parsed[name] for name in OBJECT_CSV_HEADER})
-    ids = np.sort(table.id)
-    return None if (ids[1:] == ids[:-1]).any() else table
 
 
 def _read_objects_csv(path: str | Path) -> PointTable:

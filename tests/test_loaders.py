@@ -403,7 +403,7 @@ def test_loaded_points_are_a_table_and_a_read_only_mapping(tmp_path):
     with pytest.raises(ValueError):
         table.x[0] = 5.0
     venue = make_two_room_venue().with_points(table)
-    assert venue.point_table() is table
+    assert venue.points.table is table
     assert isinstance(venue.points, Mapping) and venue.points == {p.id: p for p in want}
     assert list(venue.points) == [1, 2] and 2 in venue.points and 3 not in venue.points
     assert venue.points.get(3) is None and venue.points[2] == want[1]

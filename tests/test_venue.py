@@ -14,8 +14,10 @@ from indoortrip import (
     Location,
     Partition,
     Venue,
+    WorkloadSpec,
     build_d2d_graph,
     build_index,
+    build_workload,
     load_checked_venue,
     load_objects_csv,
     load_venue,
@@ -23,7 +25,8 @@ from indoortrip import (
     save_venue,
     validate_venue,
 )
-from indoortrip.venue import OBJECT_CSV_HEADER, PointMapping, intra_distance, venue_from_dict
+from indoortrip.venue import (OBJECT_CSV_HEADER, PointMapping, PointTable, intra_distance,
+                              venue_from_dict, venue_to_dict)
 from indoortrip.workload import venue_diameter
 
 from conftest import make_corridor_venue, make_two_room_venue
@@ -213,6 +216,52 @@ def test_objects_csv_duplicate_id_raises(tmp_path):
         load_objects_csv(path)
 
 
+def test_a_repeated_point_id_is_refused_at_ingest():
+    """Points given by hand, as a list or as a dict, that repeat an id are
+    refused, naming it, rather than the last of them kept."""
+    twins = [_point(4), _point(7), _point(4, x=2.0)]
+    for points in (twins, dict(enumerate(twins))):
+        with pytest.raises(ValueError, match="point id 4 is repeated"):
+            Venue(partitions={}, doors={}, points=points)
+        with pytest.raises(ValueError, match="point id 4 is repeated"):
+            make_two_room_venue().with_points(points)
+
+
+def _venue_given(source, points, path):
+    """The two rooms given the points one way; a generated workload's own."""
+    if source == "dict":
+        return make_two_room_venue(points)
+    if source == "list":
+        return make_two_room_venue().with_points(points)
+    if source == "workload":
+        return build_workload(WorkloadSpec(seed=5, floors=1, rooms_per_floor=6, categories=3,
+                                           count_range=(4, 6), query_count=1,
+                                           query_categories=(2,)))[0]
+    venue_path, objects_path = path / "venue.json", path / "objects.csv"
+    save_venue(make_two_room_venue(points if source == "json" else ()), venue_path)
+    save_objects_csv(points, objects_path)
+    return load_checked_venue(venue_path, objects_path if source == "csv" else None)
+
+
+@pytest.mark.parametrize("source", ["dict", "list", "json", "workload", "csv"])
+def test_every_venue_keeps_its_points_as_one_table(tmp_path, monkeypatch, source):
+    """However a venue gets its points, it keeps them as the read-only
+    mapping of one table, made with the venue: validating and indexing it
+    make no other table, and the index reads the venue's."""
+    points = [_point(3, partition_id=1, x=12.0), _point(1), _point(2, x=4.0, score=0.5)]
+    venue = _venue_given(source, points, tmp_path)
+    assert type(venue.points) is PointMapping
+    if source != "workload":
+        assert dict(venue.points) == {p.id: p for p in points}
+    made = []
+    init = PointTable.__init__
+    monkeypatch.setattr(PointTable, "__init__", lambda table, columns: made.append(table)
+                        or init(table, columns))
+    assert validate_venue(venue).ok
+    assert build_index(venue, build_d2d_graph(venue)).table is venue.points.table
+    assert made == []
+
+
 @st.composite
 def partition_graphs(draw):
     """A venue of unit rooms, listed out of id order, whose doors name one
@@ -282,16 +331,17 @@ def test_components_walk_breadth_first_in_id_order():
 def _replace_partition(venue, **fields):
     venue.partitions[0] = Partition(**{"id": 0, "floor": 0, "bounds": (0, 0, 10, 10),
                                        "kind": "room", "door_ids": (0,), **fields})
+    return venue
 
 
 def _add_door_to_nowhere(venue):
-    _replace_partition(venue, door_ids=(0, 1))
     venue.doors[1] = Door(id=1, x=0.0, y=5.0, floor=0, partition_ids=(0, 9))
+    return _replace_partition(venue, door_ids=(0, 1))
 
 
 def _add_negative_score(venue):
-    venue.points[0] = IndoorPoint(id=0, partition_id=0, x=1, y=1, floor=0, category=0,
-                                  static_score=-0.5)
+    return venue.with_points([IndoorPoint(id=0, partition_id=0, x=1, y=1, floor=0, category=0,
+                                          static_score=-0.5)])
 
 
 BROKEN_INVARIANTS = [
@@ -310,30 +360,29 @@ BROKEN_INVARIANTS = [
 
 @pytest.mark.parametrize("break_venue, code, message", BROKEN_INVARIANTS)
 def test_each_broken_invariant_is_its_one_finding(break_venue, code, message):
-    venue = make_two_room_venue()
-    break_venue(venue)
+    venue = break_venue(make_two_room_venue())
     assert [(f.code, f.message) for f in validate_venue(venue).findings] == [(code, message)]
 
 
 def with_loaded_points(venue, path):
     """The venue with its points written to an objects CSV in their order
-    and loaded back: a venue whose points are a table."""
+    and loaded back: a venue whose points are the loader's table."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(OBJECT_CSV_HEADER)
         for p in venue.points.values():
             writer.writerow([p.id, p.partition_id, repr(float(p.x)), repr(float(p.y)), p.floor,
                              p.category, repr(float(p.static_score))])
-    loaded = venue.with_points(load_objects_csv(path))
-    assert isinstance(loaded.points, PointMapping)
+    table = load_objects_csv(path)
+    loaded = venue.with_points(table)
+    assert isinstance(loaded.points, PointMapping) and loaded.points.table is table
     return loaded
 
 
 @pytest.mark.parametrize("break_venue, code, message", BROKEN_INVARIANTS)
 def test_each_broken_invariant_is_its_one_finding_on_loaded_points(tmp_path, break_venue, code,
                                                                    message):
-    venue = make_two_room_venue()
-    break_venue(venue)
+    venue = break_venue(make_two_room_venue())
     loaded = with_loaded_points(venue, tmp_path / "objects.csv")
     assert [(f.code, f.message) for f in validate_venue(loaded).findings] == [(code, message)]
 
@@ -354,8 +403,9 @@ def _point(pid, partition_id=0, x=1.0, y=1.0, floor=0, score=1.0):
 @pytest.mark.parametrize("make_venue", [make_two_room_venue, _stairs_venue],
                          ids=["rooms", "stairs"])
 def test_loaded_points_give_the_findings_of_object_points_in_their_order(tmp_path, make_venue):
-    """A table-backed venue's point findings are the dict-backed venue's:
-    the same codes and messages, row by row in the points' order."""
+    """A venue given the CSV loader's table has the point findings of one
+    given the same points as objects: the same codes and messages, row by
+    row in the points' order."""
     eps = 1e-6
     points = [
         _point(9), _point(3, partition_id=99, score=-1.0), _point(7, x=math.nan, score=math.nan),
@@ -371,19 +421,20 @@ def test_loaded_points_give_the_findings_of_object_points_in_their_order(tmp_pat
     assert [(f.code, f.message) for f in validate_venue(loaded).findings] == want
 
 
-def test_a_point_field_outside_int64_is_an_integer_range_finding(tmp_path):
-    """An object point with an integer field outside int64 is a finding;
-    the CSV loader refuses one, naming its line, and an index refuses the venue."""
+def test_a_point_field_outside_int64_is_refused_at_ingest(tmp_path):
+    """A venue given a point with an integer field outside int64, by hand
+    or in venue JSON, is refused at construction, naming the first such
+    point; the CSV loader refuses one, naming its line."""
     wide = [_point(2 ** 63), IndoorPoint(id=1, partition_id=0, x=1.0, y=1.0, floor=0,
                                          category=-2 ** 63 - 1, static_score=-1.0)]
-    venue = make_two_room_venue([_point(0, score=-1.0)] + wide)
-    assert [(f.code, f.message) for f in validate_venue(venue).findings] == [
-        ("integer range", f"point {2 ** 63} has id {2 ** 63} outside the int64 range"),
-        ("integer range", f"point 1 has category {-2 ** 63 - 1} outside the int64 range"),
-        ("negative score", "point 0 has static score -1.0"),
-    ]
-    with pytest.raises(ValueError, match=f"point {2 ** 63} has id {2 ** 63} outside the int64"):
-        build_index(venue, build_d2d_graph(venue))
+    for points, message in [(wide, f"point {2 ** 63} has id {2 ** 63} outside the int64 range"),
+                            (wide[::-1], f"point 1 has category {-2 ** 63 - 1} outside the int64")]:
+        with pytest.raises(ValueError, match=message):
+            make_two_room_venue([_point(0, score=-1.0)] + points)
+        data = venue_to_dict(make_two_room_venue())
+        data["points"] = [vars(p) for p in points]
+        with pytest.raises(ValueError, match=message):
+            venue_from_dict(data)
     save_objects_csv(wide, tmp_path / "objects.csv")  # in id order: point 1 on line 2
     with pytest.raises(ValueError, match=f"line 2 is malformed: point 1 has category {-2 ** 63 - 1} "
                                          "outside the int64 range"):
